@@ -46,12 +46,6 @@ def _load_population(path: str) -> PopulationSpec:
         return PopulationSpec.from_json(fh.read())
 
 
-def _load_design(path: str) -> OneWayDesign:
-    with open(path) as fh:
-        obj = json.load(fh)
-    return OneWayDesign.from_dict(obj)
-
-
 def _load_input(path: str):
     """Population or design file, distinguished by their required keys."""
     with open(path) as fh:

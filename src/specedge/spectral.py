@@ -28,6 +28,9 @@ MAX_ITER = 10_000
 ETA_LADDER = tuple(10.0 ** (-k) for k in range(4, 11))
 BOUNDARY_AGREEMENT = 1e-6
 
+# Matrix entries per stacked eigvals call of the boundary kernel (64 KiB).
+BOUNDARY_BLOCK_ENTRIES = 1 << 13
+
 
 # ---------------------------------------------------------------------------
 # array-level evaluators (vals = distinct nonzero values, mults, n = N)
@@ -196,43 +199,50 @@ def solve_m0(pop: PopulationSpec, z: complex, tol: float = DEFAULT_TOL) -> compl
 # ---------------------------------------------------------------------------
 # boundary values on the real axis
 
-def _m0_real_poly(pop: PopulationSpec, x: float):
-    """Boundary value of m0 at real x via companion-matrix root finding.
+def _m0_boundary(vals, mults, n, xs):
+    """Boundary values m0(x + i0) at all abscissae in the array xs, batched.
 
-    Clears denominators of z0(m) = x into a polynomial of degree
-    (#distinct nonzero values) + 1, takes all roots, and selects the
-    unique upper-half-plane root (inside the support) or the real root
-    with z0' >= 0 (outside).
+    In the chart q = 1/m, z0(m) = x reads q - (C - x) + sum_k d_k/(q + t_k) = 0
+    (c_k = M_k/N, C = sum c_k t_k, d_k = c_k t_k^2): its k+1 roots are the
+    eigenvalues of the arrowhead matrix [[C - x, 1'], [-d, diag(-t)]]
+    (Bunch-Nielsen-Sorensen), and x enters only the corner.  The roots
+    m = 1/q are Newton-polished; inside the support the upper-half-plane
+    root of largest Im is the boundary value, outside it the real root of
+    largest nonnegative z0'.
     """
-    from numpy.polynomial import polynomial as P
-
-    vals, mults = pop.nonzero()
-    n = pop.n_dim
-    u = 1.0 / vals  # pole offsets: z0 has poles at -u_k
-    # z0(m) = -1/m + (1/N) sum_k M_k/(m + u_k);  multiply by m*prod(m+u_k):
-    #   -prod(m+u_k) + (1/N) sum_k M_k m prod_{j!=k}(m+u_j) - x m prod(m+u_k) = 0
-    full = P.polyfromroots(-u)
-    poly = -full
-    for k in range(len(u)):
-        others = P.polyfromroots(np.delete(-u, k)) if len(u) > 1 else np.array([1.0])
-        poly = P.polyadd(poly, (mults[k] / n) * P.polymul([0.0, 1.0], others))
-    poly = P.polyadd(poly, -x * P.polymul([0.0, 1.0], full))
-    roots = P.polyroots(poly)
-
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    im_tol = 1e-9 * scale
-    upper = roots[roots.imag > im_tol]
-    if upper.size:
-        m = upper[np.argmax(upper.imag)]
-        return complex(m)
-    real_roots = roots[np.abs(roots.imag) <= im_tol].real
-    dz = _z0_deriv(vals, mults, n, real_roots, 1)
-    ok = real_roots[dz >= -1e-12]
-    if ok.size == 0:
-        raise NonConvergence(f"no admissible real root of z0(m) = {x:g}")
-    # Unique by the one-increasing-preimage property; keep the best match.
-    best = ok[np.argmax(_z0_deriv(vals, mults, n, ok, 1))]
-    return complex(best)
+    c = mults / n
+    arrow = np.diag(np.concatenate([[np.dot(c, vals)], -vals]))
+    arrow[0, 1:], arrow[1:, 0] = 1.0, -c * vals**2
+    block = max(1, BOUNDARY_BLOCK_ENTRIES // arrow.size)
+    out = np.empty(xs.size, dtype=complex)
+    for lo in range(0, xs.size, block):
+        x = xs[lo:lo + block, None]
+        stack = np.repeat(arrow[None], x.size, axis=0)
+        stack[:, 0, 0] -= x[:, 0]
+        with np.errstate(all="ignore"):
+            m = 1.0 / np.linalg.eigvals(stack).astype(complex)
+            r = _z0(vals, mults, n, m) - x
+            for _ in range(3):
+                m_new = m - r / _z0_deriv(vals, mults, n, m, 1)
+                r_new = _z0(vals, mults, n, m_new) - x
+                better = np.abs(r_new) < np.abs(r)
+                m, r = np.where(better, m_new, m), np.where(better, r_new, r)
+            # At x = 0 one root is q ~ 0 (m ~ 1e15), so roots are split into
+            # real and complex relative to their own modulus only.
+            m[~np.isfinite(m)] = complex(np.nan, np.nan)
+            tol = 1e-9 * np.maximum(1.0, np.abs(m))
+            upper = m.imag > tol
+            dz = np.where(np.abs(m.imag) <= tol, _z0_deriv(vals, mults, n, m.real, 1), np.nan)
+        dz[~(dz >= -1e-12)] = -np.inf
+        inside = upper.any(axis=1)
+        missing = ~inside & np.isneginf(dz.max(axis=1))
+        if missing.any():
+            raise NonConvergence(f"no admissible real root of z0(m) = {x[missing, 0][0]:g}")
+        pick = np.where(inside, np.argmax(np.where(upper, m.imag, 0.0), axis=1),
+                        np.argmax(dz, axis=1))
+        best = m[np.arange(x.size), pick]
+        out[lo:lo + block] = np.where(inside, best, best.real)
+    return out
 
 
 def _m0_real_ladder(pop: PopulationSpec, x: float):
@@ -241,27 +251,20 @@ def _m0_real_ladder(pop: PopulationSpec, x: float):
     Solves m0(x + i*eta) down a geometric ladder with warm starts, then
     Neville-extrapolates the deepest rungs to eta = 0.
     """
-    ms = []
-    m_prev = None
     vals, mults = pop.nonzero()
-    n = pop.n_dim
+    ms, m = [], None
     for eta in ETA_LADDER:
         z = complex(x, eta)
-        m = None if m_prev is None else _polish(vals, mults, n, z, m_prev)
+        m = None if m is None else _polish(vals, mults, pop.n_dim, z, m)
         if m is None:
             m = solve_m0(pop, z, tol=1e-13)
         ms.append(m)
-        m_prev = m
     etas = np.array(ETA_LADDER[-4:])
-    table = [np.array(ms[-4:])]
+    table = np.array(ms[-4:])
     for level in range(1, 4):
-        prev = table[-1]
-        nxt = []
-        for i in range(len(prev) - 1):
-            e0, e1 = etas[i], etas[i + level]
-            nxt.append((e0 * prev[i + 1] - e1 * prev[i]) / (e0 - e1))
-        table.append(np.array(nxt))
-    return complex(table[-1][0])
+        e0, e1 = etas[:-level], etas[level:]
+        table = (e0 * table[1:] - e1 * table[:-1]) / (e0 - e1)
+    return complex(table[0])
 
 
 def _polish(vals, mults, n, z, m0_guess, tol=1e-13, iters=60):
@@ -287,32 +290,35 @@ def _polish(vals, mults, n, z, m0_guess, tol=1e-13, iters=60):
 
 
 def stieltjes_boundary(pop: PopulationSpec, x: float, cross_check: bool = True):
-    """m0 extended to the real axis at x, with dual-route validation.
+    """m0 extended to the real axis at x.
 
-    The companion-matrix route is primary; when `cross_check` is set the
-    eta-ladder route must agree within BOUNDARY_AGREEMENT or the call
-    fails, guarding against root-selection bugs.
+    The value comes from the batched arrowhead kernel; when `cross_check`
+    is set the eta-ladder route must agree within BOUNDARY_AGREEMENT or
+    the call fails, guarding against root-selection bugs.
     """
     x = float(x)
     if x == 0.0 and pop.rank <= pop.n_dim:
         raise UndefinedAtZero(
             f"m0 is unbounded at 0 when rank(T) = {pop.rank} <= N = {pop.n_dim}"
         )
-    m_poly = _m0_real_poly(pop, x)
+    m = complex(_m0_boundary(*pop.nonzero(), pop.n_dim, np.array([x]))[0])
     if cross_check:
         m_lad = _m0_real_ladder(pop, x)
-        if m_lad is None or abs(m_poly - m_lad) > BOUNDARY_AGREEMENT * max(1.0, abs(m_poly)):
-            raise NonConvergence(
-                f"boundary-value routes disagree at x={x:g}: "
-                f"polynomial {m_poly}, ladder {m_lad}"
-            )
-    return m_poly
+        if abs(m - m_lad) > BOUNDARY_AGREEMENT * max(1.0, abs(m)):
+            raise NonConvergence(f"boundary-value routes disagree at x={x:g}: "
+                                 f"arrowhead {m}, ladder {m_lad}")
+    return m
 
 
 def density_f0(pop: PopulationSpec, x: float, cross_check: bool = True) -> float:
     """Density of the spectral law at x: (1/pi) Im of the boundary m0."""
     m = stieltjes_boundary(pop, x, cross_check=cross_check)
     return max(0.0, m.imag / np.pi)
+
+
+def _density(pop: PopulationSpec, xs) -> np.ndarray:
+    """f0 at every abscissa in xs through one batched boundary solve."""
+    return np.maximum(0.0, _m0_boundary(*pop.nonzero(), pop.n_dim, xs).imag / np.pi)
 
 
 def atom_mass_at_zero(pop: PopulationSpec) -> float:
@@ -352,8 +358,7 @@ class DensityGrid:
             raise DomainError("density values must be nonnegative")
 
     def quadrature_residual(self) -> float:
-        xs = np.array([x for x, _ in self.points])
-        fs = np.array([f for _, f in self.points])
+        xs, fs = np.array(self.points).reshape(-1, 2).T
         return abs(float(np.trapezoid(fs, xs)) + self.atom_at_zero - 1.0)
 
 
@@ -362,16 +367,13 @@ def density_grid(pop: PopulationSpec, n_points: int = 2000, pad: float = 0.05) -
     from .edges import find_edges
 
     report = find_edges(pop)
-    lo = report.intervals[0][0]
-    hi = report.intervals[-1][1]
+    lo, hi = report.intervals[0][0], report.intervals[-1][1]
     margin = pad * (hi - lo)
     xs = np.linspace(lo - margin, hi + margin, n_points)
-    rows = []
-    for x in xs:
-        if x == 0.0 and pop.rank <= pop.n_dim:
-            x = np.nextafter(0.0, hi)
-        rows.append((float(x), density_f0(pop, float(x), cross_check=False)))
-    return DensityGrid(points=tuple(rows), atom_at_zero=atom_mass_at_zero(pop))
+    if pop.rank <= pop.n_dim:
+        xs[xs == 0.0] = np.nextafter(0.0, hi)
+    rows = tuple(zip(xs.tolist(), _density(pop, xs).tolist()))
+    return DensityGrid(points=rows, atom_at_zero=atom_mass_at_zero(pop))
 
 
 def integrate_density(pop: PopulationSpec, intervals, points_per_interval: int = 800) -> float:
@@ -379,14 +381,11 @@ def integrate_density(pop: PopulationSpec, intervals, points_per_interval: int =
 
     Uses a cosine-clustered midpoint rule: node density ~ u^2 near the
     endpoints absorbs both the square-root edge decay and the inverse
-    square-root blowup at a hard edge.  Cross-checking is disabled for
-    bulk quadrature; the dual-route contract is exercised separately.
+    square-root blowup at a hard edge.  The nodes of all intervals go
+    through one batched boundary solve, without the ladder cross-check.
     """
-    total = 0.0
-    for lo, hi in intervals:
-        u = (np.arange(points_per_interval) + 0.5) / points_per_interval
-        x = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * u))
-        w = (hi - lo) * 0.5 * np.pi * np.sin(np.pi * u) / points_per_interval
-        f = np.array([density_f0(pop, xi, cross_check=False) for xi in x])
-        total += float(np.sum(f * w))
-    return total
+    u = (np.arange(points_per_interval) + 0.5) / points_per_interval
+    lo, hi = np.array(intervals, dtype=float).reshape(-1, 2).T[:, :, None]
+    x = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * u))
+    w = (hi - lo) * 0.5 * np.pi * np.sin(np.pi * u) / points_per_interval
+    return float(np.sum(_density(pop, x.ravel()) * w.ravel()))

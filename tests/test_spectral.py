@@ -2,7 +2,8 @@
 
 Expected values come from closed forms for the identity population
 (where the fixed point is a quadratic) and from route redundancy
-(companion-matrix roots vs eta-ladder extrapolation).
+(arrowhead-eigenvalue roots vs eta-ladder extrapolation, and the
+boundary value vs solve_m0 just above the axis).
 """
 
 import numpy as np
@@ -10,11 +11,26 @@ import pytest
 
 from specedge import PopulationSpec, atom_mass_at_zero, density_f0, solve_m0, stieltjes_boundary, z0_derivative, z0_eval
 from specedge.errors import DomainError, PoleProximity, UndefinedAtZero
-from specedge.spectral import integrate_density, isolated_zero_in_support
+from specedge.spectral import density_grid, integrate_density, isolated_zero_in_support
 
 ID500 = PopulationSpec(((1.0, 500),), 500)
 FIG1 = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
 FIG2 = PopulationSpec(((-1.0, 400), (4.0, 100)), 500)
+
+
+def spread_population(k, n_dim=500, mass=500):
+    """k signed values, half evenly spread over [-3, -0.5], half over [0.5, 6]."""
+    vals = np.concatenate([np.linspace(-3.0, -0.5, k // 2), np.linspace(0.5, 6.0, k - k // 2)])
+    return PopulationSpec(tuple((float(v), mass // k) for v in vals), n_dim)
+
+
+def padded_support_grid(pop, n_points, pad=0.05):
+    """The abscissae density_grid(pop, n_points) tabulates."""
+    from specedge import find_edges
+
+    rep = find_edges(pop)
+    lo, hi = rep.intervals[0][0], rep.intervals[-1][1]
+    return np.linspace(lo - pad * (hi - lo), hi + pad * (hi - lo), n_points)
 
 
 def random_population(rng, n=200):
@@ -165,6 +181,46 @@ def test_boundary_value_near_support_matches_ladder():
     z_near = solve_m0(FIG1, complex(x, 1e-8), tol=1e-13)
     assert z_near.imag == pytest.approx(np.pi * density_f0(FIG1, x), rel=1e-4)
     assert m.imag > 0
+
+
+@pytest.mark.parametrize("k, stride", [(40, 16), (100, 40)])
+def test_boundary_matches_solve_m0_many_values(k, stride):
+    # polynomial coefficients of degree k+1 lose this by O(1e-2) to O(1)
+    pop = spread_population(k)
+    for x in padded_support_grid(pop, 400)[::stride]:
+        f = density_f0(pop, float(x), cross_check=False)
+        ref = max(0.0, solve_m0(pop, complex(x, 1e-9)).imag / np.pi)
+        assert abs(f - ref) <= 1e-6 * (1.0 + f)
+
+
+@pytest.mark.parametrize("pop", [FIG1, spread_population(20)], ids=["fig1", "k20"])
+def test_density_grid_rows_match_cross_checked_points(pop):
+    rows = density_grid(pop, n_points=400).points
+    for x, f in rows[::25]:
+        assert f == pytest.approx(density_f0(pop, x, cross_check=True), abs=1e-12)
+
+
+def test_density_at_zero_matches_solve_m0():
+    # rank > N: x = 0 is an ordinary interior point, where one root of the
+    # q = 1/m chart is q = 0 and must not be picked
+    f = density_f0(FIG1, 0.0)
+    assert f == pytest.approx(solve_m0(FIG1, 1e-9j).imag / np.pi, rel=1e-6)
+
+
+def test_density_grid_mass_many_values():
+    from specedge import find_edges
+
+    pop = spread_population(40)
+    grid = density_grid(pop, n_points=400)
+    xs = np.array([x for x, _ in grid.points])
+    fs = np.array([f for _, f in grid.points])
+    # a trapezoid rule misses at most the cells next to each edge
+    h = xs[1] - xs[0]
+    tol = 1e-6
+    for edge in find_edges(pop).edges:
+        i = int(np.searchsorted(xs, edge.e_star))
+        tol += h * (fs[max(i - 1, 0)] + fs[min(i, xs.size - 1)])
+    assert grid.quadrature_residual() <= tol
 
 
 # -- density and atom ---------------------------------------------------------
