@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -41,15 +42,23 @@ EXIT_NUMERICAL = 3
 EXIT_PRECONDITION = 4
 
 
+def _read(path: str, parse):
+    """parse(path), with a missing, unreadable or malformed file as an InputError."""
+    try:
+        return parse(path)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _load_population(path: str) -> PopulationSpec:
-    with open(path) as fh:
-        return PopulationSpec.from_json(fh.read())
+    return _read(path, lambda p: PopulationSpec.from_json(Path(p).read_text()))
 
 
 def _load_input(path: str):
     """Population or design file, distinguished by their required keys."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _read(path, lambda p: json.loads(Path(p).read_text()))
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: expected a JSON object")
     if "entries" in obj:
         return PopulationSpec.from_dict(obj)
     return OneWayDesign.from_dict(obj)
@@ -111,7 +120,7 @@ def cmd_test(args) -> int:
     if args.plugin:
         if not isinstance(spec, OneWayDesign):
             raise InputError("--plugin requires a design file")
-        y = np.loadtxt(args.data, delimiter=",", ndmin=2)
+        y = _read(args.data, lambda p: np.loadtxt(p, delimiter=",", ndmin=2))
         inputs[args.data] = file_digest(args.data)
         report_obj = plugin_edge_test(spec, y, args.alpha, tau=args.tau)
     else:
@@ -119,7 +128,7 @@ def cmd_test(args) -> int:
             pop = oneway_population(spec)
         else:
             pop = spec
-        eigs = np.loadtxt(args.data).ravel()
+        eigs = _read(args.data, np.loadtxt).ravel()
         inputs[args.data] = file_digest(args.data)
         support = find_edges(pop)
         edge = _pick_edge(support, args.edge_index)
@@ -189,8 +198,8 @@ def cmd_swapseq(args) -> int:
     )
     states = build_swap_sequence(pop, edge, c0=args.c0, phi=args.phi)
     if args.verify is not None:
-        with open(args.verify) as fh:
-            recorded = [json.loads(line) for line in fh if line.strip()]
+        recorded = _read(args.verify, lambda p: [
+            json.loads(line) for line in Path(p).read_text().splitlines() if line.strip()])
         if len(recorded) != len(states):
             print(
                 f"verification failed: {len(recorded)} recorded states, "
@@ -297,10 +306,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PreconditionError as exc:

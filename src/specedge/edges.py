@@ -15,13 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import BracketFailure, DegeneratePopulation, NoSuchEdge
+from .errors import BracketFailure, DegeneratePopulation, DomainError, NonConvergence, NoSuchEdge
 from .population import PopulationSpec
-from .spectral import _z0_deriv, atom_mass_at_zero, isolated_zero_in_support
+from .spectral import BOUNDARY_BLOCK_ENTRIES, _z0_deriv, atom_mass_at_zero, isolated_zero_in_support
 
-Q_XTOL = 1e-13
+S_RTOL = 1e-14             # Newton step, relative to the pole offset, that ends the edge search
 DERIV_CERT = 1e-8          # |z0'(m*)| certificate after back-transform
 DEGENERATE_CURVATURE = 1e-8
 HARD_Q_TOL = 1e-11         # |q| below this (times scale) is the m=infinity chart
@@ -85,7 +84,7 @@ class SupportReport:
 
 
 # ---------------------------------------------------------------------------
-# g(q) = z0(1/q) and derivatives (poles at -t for each nonzero value t)
+# g(q) = z0(1/q) and its extrema (poles at -t for each nonzero value t)
 
 def _g(vals, mults, n, q):
     q = np.asarray(q, dtype=float)
@@ -93,92 +92,108 @@ def _g(vals, mults, n, q):
     return -q + np.sum(terms, axis=-1) / n
 
 
-def _gp(vals, mults, n, q):
-    q = np.asarray(q, dtype=float)
-    return -1.0 + np.sum(mults * vals**2 / np.add.outer(q, vals) ** 2, axis=-1) / n
+def _g_derivs(p, d, j, s):
+    """g', g'', g''' at q = p[j] + s for the rows (j, s), in row blocks.
+
+    p are the sorted poles and d the weights c*t^2 in the same order.  The
+    offset from the anchor pole is exact, q + t_i = s + (p[j] - p[i]), so
+    an interval narrower than an ulp of its poles stays resolved.
+    """
+    out = np.empty((3, s.size))
+    block = max(1, BOUNDARY_BLOCK_ENTRIES // p.size)
+    for lo in range(0, s.size, block):
+        rows = slice(lo, lo + block)
+        r = 1.0 / (s[rows, None] + (p[j[rows], None] - p))
+        r2 = r * r
+        out[:, rows] = (r2 @ d - 1.0, -2.0 * ((r2 * r) @ d), 6.0 * ((r2 * r2) @ d))
+    return out
 
 
-def _gpp(vals, mults, n, q):
-    q = np.asarray(q, dtype=float)
-    return -2.0 * np.sum(mults * vals**2 / np.add.outer(q, vals) ** 3, axis=-1) / n
+def _newton_bisect(p, d, j, lo, hi, s, order, rising, settle=None):
+    """Zero of the monotone g^(order) in each row's bracket (lo, hi) of s.
 
-
-def _expand_bracket(f, anchor, direction, span, grow=2.0, max_steps=200):
-    """March away from `anchor` until f changes sign; return the bracket."""
-    f_anchor = f(anchor)
-    step = span
-    prev = anchor
-    for _ in range(max_steps):
-        cand = anchor + direction * step
-        f_cand = f(cand)
-        if np.sign(f_cand) != np.sign(f_anchor):
-            return (min(prev, cand), max(prev, cand))
-        prev = cand
-        step *= grow
-    raise BracketFailure("sign change not found on an unbounded interval")
+    Newton steps that leave the bracket become bisections, and after 40
+    steps every step bisects, so each row ends within 120 more.  A row may
+    be finished early by `settle(g, g_lo, g_hi, lo, hi)` at the point just
+    evaluated.  Updates lo, hi and s in place; returns s and g', g'', g'''
+    at the last point evaluated on each row.
+    """
+    g_at = np.empty((3, s.size))
+    g_lo, g_hi = np.full((3, s.size), np.nan), np.full((3, s.size), np.nan)
+    todo = np.arange(s.size)
+    for it in range(160):
+        if todo.size == 0:
+            return s, g_at
+        x = s[todo]
+        g = _g_derivs(p, d, j[todo], x)
+        if not np.isfinite(g).all():
+            raise NonConvergence("edge search met a non-finite derivative of g")
+        g_at[:, todo] = g
+        left = (g[order - 1] < 0) == rising[todo]      # x lies left of the zero
+        lo[todo[left]], g_lo[:, todo[left]] = x[left], g[:, left]
+        hi[todo[~left]], g_hi[:, todo[~left]] = x[~left], g[:, ~left]
+        a, b = lo[todo], hi[todo]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g[order - 1] / g[order]
+        nxt = x - step
+        tol = S_RTOL * np.abs(x)
+        done = (np.abs(step) <= tol) | (b - a <= tol)
+        bisect = ~done & (~((nxt > a) & (nxt < b)) | (it >= 40))
+        nxt[bisect] = 0.5 * (a[bisect] + b[bisect])
+        early = settle(g, g_lo[:, todo], g_hi[:, todo], a, b) if settle else False
+        s[todo] = np.where(early, x, nxt)
+        todo = todo[~(done | early)]
+    raise NonConvergence(f"edge search did not converge on {todo.size} pole intervals")
 
 
 def _soft_extrema_q(vals, mults, n):
     """All extremum locations of g in q, certified per pole interval.
 
-    Returns a list of q values where g'(q) = 0.  Raises BracketFailure
-    when an interior interval's minimum of g' is too close to zero to
-    certify 0 or 2 roots.
+    `vals` ascend, as PopulationSpec.nonzero gives them.  Returns the q
+    values where g'(q) = 0.  Every interior interval (p_j, p_j + w_j) is
+    searched at once in its offset s = q - p_j: a safeguarded Newton on
+    the increasing g'' seeks the minimum of the convex g' and stops early
+    once some g' < -cert (2 roots, split there) or the crossing of the
+    tangents at the bracket ends, a lower bound on g', exceeds +cert
+    (0 roots).  Raises BracketFailure when a minimum is too close to zero
+    to certify 0 or 2 roots.
     """
-    poles = np.sort(-vals)
-    gp = lambda q: float(_gp(vals, mults, n, q))
-    gpp = lambda q: float(_gpp(vals, mults, n, q))
-    scale = max(1.0, np.max(np.abs(poles)))
-    inset = 1e-12
-    roots = []
+    p, d = -vals[::-1], (mults * vals**2 / n)[::-1]     # poles ascending
+    k = p.size
+    scale = max(1.0, np.max(np.abs(p)))
+    cert = 1e-13 * scale
 
-    # Leftmost interval (-inf, poles[0]):  g' rises from -1 to +inf.
-    p0 = poles[0]
-    width = max(1.0, abs(p0))
-    a, b = _expand_bracket(gp, p0 - inset * width, -1.0, width)
-    roots.append(brentq(gp, a, b, xtol=Q_XTOL, rtol=8.9e-16))
+    def settle(g, g_lo, g_hi, lo, hi):
+        cross = (g_lo[0] - g_hi[0] + g_hi[1] * (hi - lo)) / (g_hi[1] - g_lo[1])
+        bound = g_lo[0] + g_lo[1] * cross
+        slack = 1e-12 * (np.abs(g_lo[0]) + np.abs(g_hi[0]))
+        return (g[0] < -cert) | (bound - cert > slack)
 
-    # Rightmost interval (poles[-1], +inf):  g' falls from +inf to -1.
-    p1 = poles[-1]
-    width = max(1.0, abs(p1))
-    a, b = _expand_bracket(gp, p1 + inset * width, +1.0, width)
-    roots.append(brentq(gp, a, b, xtol=Q_XTOL, rtol=8.9e-16))
+    w = p[1:] - p[:-1]
+    ratio = (d[:-1] / d[1:]) ** (1.0 / 3.0)     # two-pole guess for the minimum
+    split, g = _newton_bisect(p, d, np.arange(k - 1), np.zeros(k - 1), w.copy(),
+                              w * ratio / (1.0 + ratio), 2, np.ones(k - 1, bool), settle)
+    unsure = np.flatnonzero(np.abs(g[0]) <= cert)
+    if unsure.size:
+        jj = unsure[0]
+        raise BracketFailure(
+            f"cannot certify 0 or 2 extrema on ({p[jj]:g}, {p[jj + 1]:g}): "
+            f"min g' = {g[0, jj]:.3e}"
+        )
+    two = np.flatnonzero(g[0] < -cert)
+    split = split[two]
 
-    # Interior intervals: g' is convex with +inf at both ends; locate its
-    # minimum via the monotone-increasing g'' and certify the root count.
-    for lo, hi in zip(poles[:-1], poles[1:]):
-        width = hi - lo
-        a = lo + inset * width
-        b = hi - inset * width
-        qmin = brentq(gpp, a, b, xtol=Q_XTOL, rtol=8.9e-16)
-        gmin = gp(qmin)
-        cert = 1e-13 * max(1.0, scale)
-        if gmin > cert:
-            continue
-        if gmin > -cert:
-            raise BracketFailure(
-                f"cannot certify 0 or 2 extrema on ({lo:g}, {hi:g}): "
-                f"min g' = {gmin:.3e}"
-            )
-        roots.append(brentq(gp, a, qmin, xtol=Q_XTOL, rtol=8.9e-16))
-        roots.append(brentq(gp, qmin, b, xtol=Q_XTOL, rtol=8.9e-16))
-    return sorted(roots), scale
-
-
-def _polish_q(vals, mults, n, q):
-    """A few Newton steps on g' to push the root to machine precision."""
-    for _ in range(4):
-        d = float(_gpp(vals, mults, n, q))
-        if d == 0:
-            break
-        step = float(_gp(vals, mults, n, q)) / d
-        q_new = q - step
-        if not np.isfinite(q_new):
-            break
-        q = q_new
-        if abs(step) < 1e-17 * max(1.0, abs(q)):
-            break
-    return q
+    # Root brackets: both sides of every split point, and the unbounded
+    # ends, where g' >= 0 at distance sqrt(d) from the outer pole and
+    # g' <= -3/4 at distance 2*sqrt(sum d).
+    reach = 2.0 * np.sqrt(np.sum(d))
+    j = np.concatenate([[0, k - 1], two, two])
+    lo = np.concatenate([[-reach, 0.0], np.zeros(two.size), split])
+    hi = np.concatenate([[0.0, reach], split, w[two]])
+    s0 = np.concatenate([[-np.sqrt(d[0]), np.sqrt(d[-1])], split, split])
+    rising = np.concatenate([[True, False], np.zeros(two.size, bool), np.ones(two.size, bool)])
+    s, _ = _newton_bisect(p, d, j, lo, hi, s0, 1, rising)
+    return sorted((p[j] + s).tolist()), scale
 
 
 def regularity_margin(pop: PopulationSpec, m_star: float, gamma: float | None) -> float:
@@ -199,7 +214,6 @@ def find_edges(pop: PopulationSpec) -> SupportReport:
     r = pop.rank
 
     q_roots, scale = _soft_extrema_q(vals, mults, n)
-    q_roots = [_polish_q(vals, mults, n, q) for q in q_roots]
 
     records = []  # (E, q, is_hard)
     for q in q_roots:
@@ -229,7 +243,7 @@ def find_edges(pop: PopulationSpec) -> SupportReport:
         geo_side = "left" if pos % 2 == 0 else "right"
         if hard:
             # m-space label from the curvature of g at the origin.
-            curv = float(_gpp(vals, mults, n, 0.0))
+            curv = -2.0 * float(np.sum(mults / vals)) / n   # g''(0)
             m_label = "right" if curv > 0 else "left"
             infos.append(EdgeInfo(0.0, math.inf, None, geo_side, False, 0.0, m_label))
         else:
@@ -282,7 +296,7 @@ def edge_for_m_sign(report: SupportReport, want: str) -> EdgeInfo:
 def check_regularity(pop: PopulationSpec, edge: EdgeInfo, tau: float) -> bool:
     """Regularity gate: |m*| < 1/tau, gamma < 1/tau, poles tau-separated."""
     if not 0 < tau < 1:
-        raise ValueError(f"tau must lie in (0,1), got {tau}")
+        raise DomainError(f"tau must lie in (0,1), got {tau}")
     if edge.hard or edge.gamma is None:
         return False
     return tau < regularity_margin(pop, edge.m_star, edge.gamma)
@@ -292,7 +306,7 @@ def balanced_sufficiency(pop: PopulationSpec, c: float) -> bool:
     """Sufficient condition for a regular rightmost edge: the largest
     value is at least c with multiplicity at least c*M."""
     if c <= 0:
-        raise ValueError("c must be positive")
+        raise DomainError("c must be positive")
     t_max, mult_max = max(pop.entries, key=lambda e: e[0])
     ok = t_max >= c and mult_max >= c * pop.total_mult
     if ok:

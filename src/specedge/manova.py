@@ -54,6 +54,8 @@ class OneWayDesign:
             )
         except KeyError as exc:
             raise DesignError(f"design document missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DesignError(f"malformed design document: {exc}") from exc
 
 
 @dataclass(frozen=True)

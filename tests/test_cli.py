@@ -62,6 +62,32 @@ def test_edges_parse_error_exit_2(ws):
     assert main(["edges", str(ws / "missing.json"), "--out", "e.json"]) == 2
 
 
+def test_malformed_data_files_exit_2(ws):
+    design = write(ws, "design.json", DESIGN20)
+    (ws / "eigs.txt").write_text("1.0\nnot-a-number\n")
+    assert main(["test", design, str(ws / "eigs.txt"), "--out", "r.json"]) == 2
+    listing = write(ws, "list.json", [1, 2, 3])
+    assert main(["test", listing, str(ws / "eigs.txt"), "--out", "r.json"]) == 2
+    bad_design = write(ws, "bad.json", dict(DESIGN20, n="twenty"))
+    assert main(["simulate", bad_design, "--reps", "1", "--out", "s.csv"]) == 2
+
+
+def test_edges_near_merged_exit_0(ws):
+    pop = write(ws, "pop.json", {"n_dim": 300, "entries": [
+        {"t": 1.0, "mult": 100}, {"t": 1.0001, "mult": 100}, {"t": 3.0, "mult": 100}]})
+    assert main(["edges", pop, "--out", "edges.json"]) == 0
+    assert len(json.loads((ws / "edges.json").read_text())["edges"]) == 2
+
+
+def test_edges_solver_failure_exit_3(ws, monkeypatch, capsys):
+    import specedge.edges
+
+    monkeypatch.setattr(specedge.edges, "_g_derivs", lambda p, d, j, s: np.full((3, s.size), np.nan))
+    pop = write(ws, "pop.json", FIG1)
+    assert main(["edges", pop, "--out", "edges.json"]) == 3
+    assert "numerical failure: NonConvergence" in capsys.readouterr().err
+
+
 def test_edges_degenerate_exit(ws):
     pop = write(ws, "pop.json", {"n_dim": 100, "entries": [{"t": 0.0, "mult": 100}]})
     assert main(["edges", pop, "--out", "edges.json"]) == 4

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from specedge import (
     PopulationSpec,
+    SpecEdgeError,
     balanced_sufficiency,
     check_regularity,
     density_f0,
@@ -15,7 +18,8 @@ from specedge import (
     find_edges,
     z0_derivative,
 )
-from specedge.errors import DegeneratePopulation, NoSuchEdge
+from specedge.edges import DERIV_CERT
+from specedge.errors import DegeneratePopulation, DomainError, NoSuchEdge
 
 FIG1 = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
 FIG2 = PopulationSpec(((-1.0, 400), (4.0, 100)), 500)
@@ -187,3 +191,102 @@ def test_spike_population_is_legal():
     report = find_edges(pop)
     assert len(report.edges) % 2 == 0
     assert all(e.regularity_margin >= 0 for e in report.edges)
+
+
+def assert_report_invariants(pop, report):
+    """Even edge count, E strictly descending, disjoint ordered intervals
+    bounded by the edges, z0'(m*) certified and gamma > 0 at soft edges."""
+    e_desc = [e.e_star for e in report.edges]
+    assert len(e_desc) > 0 and len(e_desc) % 2 == 0
+    assert all(a > b for a, b in zip(e_desc, e_desc[1:]))
+    assert [x for iv in report.intervals for x in iv] == sorted(e_desc)
+    assert all(lo < hi for lo, hi in report.intervals)
+    assert all(a[1] < b[0] for a, b in zip(report.intervals, report.intervals[1:]))
+    for e in report.edges:
+        if e.soft:
+            assert abs(z0_derivative(pop, e.m_star, 1)) <= DERIV_CERT
+            assert e.gamma is None or e.gamma > 0
+
+
+def test_near_merged_values_are_resolved():
+    # Two values 1e-4 apart: a pole interval 1e-4 wide next to a pole at -1.
+    pop = PopulationSpec(((1.0, 100), (1.0001, 100), (3.0, 100)), 300)
+    report = find_edges(pop)
+    assert_report_invariants(pop, report)
+    assert [e.soft for e in report.edges] == [True, False]
+    assert report.edges[1].e_star == 0.0
+
+
+@st.composite
+def signed_populations(draw):
+    """Up to 60 signed values with |t| in [1e-2, 1e2]: spread, in clusters
+    of +-10%, or in pairs whose relative gap goes down to 1e-6; sometimes
+    with a zero value."""
+    k = draw(st.integers(1, 60))
+    exps = draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=k, max_size=k))
+    vals = [sg * 10.0**ex for sg, ex in zip(signs, exps)]
+    shape = draw(st.sampled_from(("spread", "clustered", "near-merged")))
+    if shape == "clustered":
+        centres = draw(st.integers(1, 5))
+        jitter = draw(st.lists(st.floats(-0.1, 0.1), min_size=k, max_size=k))
+        vals = [vals[i % centres] * (1.0 + u) for i, u in enumerate(jitter)]
+    elif shape == "near-merged":
+        gaps = draw(st.lists(st.floats(-6.0, -2.0), min_size=k, max_size=k))
+        for i in range(1, k, 2):
+            vals[i] = vals[i - 1] * (1.0 + 10.0 ** gaps[i])
+    mults = draw(st.lists(st.integers(1, 50), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        vals, mults = vals + [0.0], mults + [draw(st.integers(1, 50))]
+    # M/N = 1 without a zero value puts a hard edge at 0.
+    n_dim = max(1, round(sum(mults) / draw(st.one_of(st.just(1.0), st.floats(0.05, 20.0)))))
+    assume(0.05 <= sum(mults) / n_dim <= 20.0)
+    return PopulationSpec(tuple(zip(vals, mults)), n_dim)
+
+
+@given(signed_populations())
+def test_find_edges_invariants_on_random_populations(pop):
+    # A typed SpecEdgeError is an allowed outcome; any other exception
+    # (a bare ValueError, ZeroDivisionError, LinAlgError) fails the test.
+    try:
+        report = find_edges(pop)
+    except SpecEdgeError:
+        return
+    assert_report_invariants(pop, report)
+
+
+def clustered_population(k, mass=1600, n_dim=2000):
+    """k values in five evenly filled +-10% clusters around -6, -1.5, 0.5, 2, 8."""
+    per = k // 5
+    vals = [c * (1.0 + u) for c in (-6.0, -1.5, 0.5, 2.0, 8.0) for u in np.linspace(-0.1, 0.1, per)]
+    return PopulationSpec(tuple((float(v), mass // k) for v in vals), n_dim)
+
+
+def test_clustered_k400_edges_match_recorded_values():
+    # Recorded from the per-interval brentq search that preceded the
+    # batched one.
+    recorded = [15.443202655608395, 2.9160928783024165, 2.807791478631841,
+                0.020289674402897584, -0.12969821963530892, -1.8700177580089936,
+                -1.9165960921394882, -11.154194697311453]
+    pop = clustered_population(400)
+    report = find_edges(pop)
+    assert [e.e_star for e in report.edges] == pytest.approx(recorded, rel=1e-10)
+    assert_report_invariants(pop, report)
+
+
+def test_clustered_k40_density_vanishes_exactly_in_the_gaps():
+    pop = clustered_population(40)
+    ivs = find_edges(pop).intervals
+    assert len(ivs) == 4
+    for lo, hi in ivs:
+        assert density_f0(pop, 0.5 * (lo + hi), cross_check=False) > 0.0
+    for (_, a), (b, _) in zip(ivs, ivs[1:]):
+        assert density_f0(pop, 0.5 * (a + b), cross_check=False) == 0.0
+
+
+def test_domain_checks_raise_domain_error():
+    report = find_edges(FIG1)
+    with pytest.raises(DomainError):
+        check_regularity(FIG1, report.edges[0], 1.5)
+    with pytest.raises(DomainError):
+        balanced_sufficiency(FIG1, 0.0)
