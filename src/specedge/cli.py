@@ -33,7 +33,7 @@ from .simulate import (
     table1_experiment,
 )
 from .spectral import density_grid, isolated_zero_in_support
-from .swaps import build_swap_sequence, export_sequence, sum_rule_residuals, verify_swappable
+from .swaps import build_swap_sequence, export_sequence, verify_swappable
 from .twtest import edge_test, plugin_edge_test
 
 EXIT_OK = 0
@@ -224,10 +224,10 @@ def cmd_swapseq(args) -> int:
     rows = ["step,l1_t_diff,m_diff,e_diff,r1,r2,r_edge,r_gamma"]
     for a, b in zip(states[:-1], states[1:]):
         diag = verify_swappable(a, b, phi=args.phi)
-        r1, r2, r_edge, r_gamma = sum_rule_residuals(a, b)
         rows.append(
             f"{b.step},{diag.l1_t_diff:.8g},{diag.m_diff:.8g},{diag.e_diff:.8g},"
-            f"{r1:.8g},{r2:.8g},{r_edge:.8g},{r_gamma:.8g}"
+            f"{diag.sum_rule_1_residual:.8g},{diag.sum_rule_2_residual:.8g},"
+            f"{diag.edge_identity_residual:.8g},{diag.gamma_diff:.8g}"
         )
     atomic_write(diag_path, "\n".join(rows) + "\n")
     manifest.record_output(seq_path)

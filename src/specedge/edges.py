@@ -18,7 +18,9 @@ import numpy as np
 
 from .errors import BracketFailure, DegeneratePopulation, DomainError, NonConvergence, NoSuchEdge
 from .population import PopulationSpec
-from .spectral import BOUNDARY_BLOCK_ENTRIES, _z0_deriv, atom_mass_at_zero, isolated_zero_in_support
+from .spectral import (
+    BOUNDARY_BLOCK_ENTRIES, _z0, _z0_deriv, atom_mass_at_zero, isolated_zero_in_support,
+)
 
 S_RTOL = 1e-14             # Newton step, relative to the pole offset, that ends the edge search
 DERIV_CERT = 1e-8          # |z0'(m*)| certificate after back-transform
@@ -92,6 +94,12 @@ def _g(vals, mults, n, q):
     return -q + np.sum(terms, axis=-1) / n
 
 
+def _poles(vals, mults, n):
+    """Poles p = -t of g, ascending, and their weights d = c*t^2, for
+    ascending distinct nonzero values `vals`."""
+    return -vals[::-1], (mults * vals**2 / n)[::-1]
+
+
 def _g_derivs(p, d, j, s):
     """g', g'', g''' at q = p[j] + s for the rows (j, s), in row blocks.
 
@@ -158,7 +166,7 @@ def _soft_extrema_q(vals, mults, n):
     (0 roots).  Raises BracketFailure when a minimum is too close to zero
     to certify 0 or 2 roots.
     """
-    p, d = -vals[::-1], (mults * vals**2 / n)[::-1]     # poles ascending
+    p, d = _poles(vals, mults, n)
     k = p.size
     scale = max(1.0, np.max(np.abs(p)))
     cert = 1e-13 * scale
@@ -196,13 +204,39 @@ def _soft_extrema_q(vals, mults, n):
     return sorted((p[j] + s).tolist()), scale
 
 
+def _margin(vals, m_star, gamma):
+    """min(1/|m*|, 1/gamma, min_a |m* + 1/t_a|) over the nonzero values."""
+    pole_dist = float(np.min(np.abs(m_star + 1.0 / vals)))
+    return min(1.0 / abs(m_star), 1.0 / gamma, pole_dist)
+
+
 def regularity_margin(pop: PopulationSpec, m_star: float, gamma: float | None) -> float:
     """min(1/|m*|, 1/gamma, min_a |m* + 1/t_a|); 0 for hard/degenerate."""
     if math.isinf(m_star) or gamma is None:
         return 0.0
-    vals, _ = pop.nonzero()
-    pole_dist = float(np.min(np.abs(m_star + 1.0 / vals)))
-    return min(1.0 / abs(m_star), 1.0 / gamma, pole_dist)
+    return _margin(pop.nonzero()[0], m_star, gamma)
+
+
+def _soft_edge(vals, mults, n, m_star, e_star=None, side=None) -> EdgeInfo:
+    """EdgeInfo of the extremum of z0 at m_star.
+
+    The curvature z0''(m*) gives gamma = sqrt(2/|z0''|) and the side (a
+    minimum is a right edge); below DEGENERATE_CURVATURE the edges merge
+    and gamma is None with margin 0.  `e_star` defaults to z0(m*).  A
+    given `side` must agree with a non-degenerate curvature and is kept
+    for a degenerate one.
+    """
+    d2 = float(_z0_deriv(vals, mults, n, m_star, 2))
+    curv_side = "right" if d2 > 0 else "left"
+    if e_star is None:
+        e_star = float(_z0(vals, mults, n, m_star))
+    if abs(d2) < DEGENERATE_CURVATURE:
+        return EdgeInfo(e_star, m_star, None, side or curv_side, True, 0.0)
+    if side is not None and side != curv_side:
+        raise BracketFailure(f"classification mismatch at E={e_star:g}: curvature says "
+                             f"{curv_side}, geometry says {side}")
+    gamma = math.sqrt(2.0 / abs(d2))
+    return EdgeInfo(e_star, m_star, gamma, curv_side, True, _margin(vals, m_star, gamma))
 
 
 def find_edges(pop: PopulationSpec) -> SupportReport:
@@ -251,19 +285,7 @@ def find_edges(pop: PopulationSpec) -> SupportReport:
             d1 = float(_z0_deriv(vals, mults, n, m_star, 1))
             if abs(d1) > DERIV_CERT:
                 raise BracketFailure(f"z0'(m*) = {d1:.3e} fails the vanishing certificate")
-            d2 = float(_z0_deriv(vals, mults, n, m_star, 2))
-            expected = "right" if d2 > 0 else "left"
-            if abs(d2) >= DEGENERATE_CURVATURE:
-                gamma = math.sqrt(2.0 / abs(d2))
-                if expected != geo_side:
-                    raise BracketFailure(
-                        f"classification mismatch at E={e:g}: curvature says "
-                        f"{expected}, geometry says {geo_side}"
-                    )
-            else:
-                gamma = None  # merging edges; report, never NaN
-            margin = regularity_margin(pop, m_star, gamma)
-            infos.append(EdgeInfo(float(e), m_star, gamma, geo_side, True, margin))
+            infos.append(_soft_edge(vals, mults, n, m_star, float(e), geo_side))
     for i in range(0, len(asc), 2):
         intervals.append((asc[i][0], asc[i + 1][0]))
 

@@ -71,9 +71,8 @@ def _pole_guard(pop: PopulationSpec, m) -> None:
     dist = np.abs(m_arr[:, None] - poles[None, :])
     idx = np.argmin(dist, axis=1)
     if poles.size > 1:
-        gaps = np.abs(poles[:, None] - poles[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        spacing = gaps.min(axis=1)
+        gaps = np.diff(poles)           # poles ascend: nearest neighbours
+        spacing = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
     else:
         spacing = np.maximum(np.abs(poles), 1.0)
     tol = POLE_PROXIMITY_REL * spacing[idx]
@@ -249,22 +248,26 @@ def _m0_real_ladder(pop: PopulationSpec, x: float):
     """Boundary value of m0 at real x via an eta ladder with extrapolation.
 
     Solves m0(x + i*eta) down a geometric ladder with warm starts, then
-    Neville-extrapolates the deepest rungs to eta = 0.
+    Neville-extrapolates the deepest rungs to eta = 0.  The atom at zero
+    contributes -a/z to m0 (a = atom_mass_at_zero), a pole next to small
+    x that no polynomial in eta follows, so only the regular part
+    m0(z) + a/z is extrapolated and -a/x is added back.
     """
     vals, mults = pop.nonzero()
+    atom = atom_mass_at_zero(pop)
     ms, m = [], None
     for eta in ETA_LADDER:
         z = complex(x, eta)
         m = None if m is None else _polish(vals, mults, pop.n_dim, z, m)
         if m is None:
             m = solve_m0(pop, z, tol=1e-13)
-        ms.append(m)
+        ms.append(m + atom / z)
     etas = np.array(ETA_LADDER[-4:])
     table = np.array(ms[-4:])
     for level in range(1, 4):
         e0, e1 = etas[:-level], etas[level:]
         table = (e0 * table[1:] - e1 * table[:-1]) / (e0 - e1)
-    return complex(table[0])
+    return complex(table[0]) - (atom / x if atom else 0.0)
 
 
 def _polish(vals, mults, n, z, m0_guess, tol=1e-13, iters=60):

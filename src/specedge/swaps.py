@@ -19,16 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .edges import EdgeInfo
+from .edges import EdgeInfo, _g_derivs, _newton_bisect, _poles, _soft_edge
 from .errors import NotSwappable, RegularityLost, SwapRejected
 from .population import PopulationSpec, from_values
-from .spectral import _z0, _z0_deriv
 
 DEFAULT_PHI = 10.0
 DEFAULT_TAU_FLOOR = 0.01
@@ -91,81 +88,28 @@ class SwapDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# array-level edge helpers (mult-1 vectors)
+# edge helpers on grouped (value, mult) pairs
 
-def _vec_args(values):
-    return values, np.ones_like(values)
-
-
-def _z0p(values, n, m):
-    vals, mults = _vec_args(values)
-    return float(_z0_deriv(vals, mults, n, m, 1))
-
-
-def _z0pp(values, n, m):
-    vals, mults = _vec_args(values)
-    return float(_z0_deriv(vals, mults, n, m, 2))
-
-
-def _z0val(values, n, m):
-    vals, mults = _vec_args(values)
-    return float(_z0(vals, mults, n, m))
-
-
-def _polish_extremum(values, n, m, iters=40):
-    """Newton on z0' to pin a local extremum to machine precision."""
-    for _ in range(iters):
-        d2 = _z0pp(values, n, m)
-        if d2 == 0:
-            break
-        step = _z0p(values, n, m) / d2
-        m_new = m - step
-        if not np.isfinite(m_new):
-            break
-        m = m_new
-        if abs(step) <= 1e-16 * max(1.0, abs(m)):
-            break
-    return m
-
-
-def _margin(values, n, m, gamma):
-    pop_vals = values[values != 0.0]
-    if pop_vals.size == 0:
-        return 0.0
-    pole_dist = float(np.min(np.abs(m + 1.0 / pop_vals)))
-    return min(1.0 / abs(m), 1.0 / gamma, pole_dist)
-
-
-def _edge_info(values, n, m) -> EdgeInfo:
-    d2 = _z0pp(values, n, m)
-    if d2 == 0:
+def _edge(vals, mults, n, m) -> EdgeInfo:
+    """The soft edge at m; a degenerate curvature rejects the swap."""
+    info = _soft_edge(vals, mults, n, m)
+    if info.gamma is None:
         raise SwapRejected(f"degenerate extremum at m={m:g}: vanishing curvature")
-    gamma = math.sqrt(2.0 / abs(d2))
-    e = _z0val(values, n, m)
-    return EdgeInfo(
-        e_star=e, m_star=m, gamma=gamma,
-        side="right" if d2 > 0 else "left", soft=True,
-        regularity_margin=_margin(values, n, m, gamma),
-    )
+    return info
 
 
-def _rescale_to_unit(values, n, m):
-    """Scale the population so the tracked edge has unit scale.
+def _rescale_to_unit(vals, mults, n, m):
+    """Scale factor c that gives the extremum at m unit edge scale.
 
-    Returns (scaled values, polished m, EdgeInfo, |gamma-1| before scaling).
+    Returns (c, EdgeInfo of the scaled population, |gamma-1| before
+    scaling).  Scaling T by c moves the extremum exactly to m/c.
     """
-    m = _polish_extremum(values, n, m)
-    info = _edge_info(values, n, m)
-    drift = abs(info.gamma - 1.0)
-    c = info.gamma ** (2.0 / 3.0)
-    scaled = values * c
-    m_scaled = _polish_extremum(scaled, n, m / c)
-    info_scaled = _edge_info(scaled, n, m_scaled)
-    if abs(info_scaled.gamma - 1.0) > UNIT_GAMMA_TOL:
-        raise SwapRejected(
-            f"rescale failed to reach unit edge scale: gamma = {info_scaled.gamma!r}"
-        )
-    return scaled, m_scaled, info_scaled, drift
+    gamma = _edge(vals, mults, n, m).gamma
+    c = gamma ** (2.0 / 3.0)
+    info = _edge(vals * c, mults, n, m / c)
+    if abs(info.gamma - 1.0) > UNIT_GAMMA_TOL:
+        raise SwapRejected(f"rescale failed to reach unit edge scale: gamma = {info.gamma!r}")
+    return c, info, abs(gamma - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +124,7 @@ def reflected_right_edge(pop: PopulationSpec, edge: EdgeInfo):
     if edge.side != "left" or not edge.soft:
         raise SwapRejected("reflection helper expects a soft left edge")
     refl = pop.reflected()
-    info = _edge_info(refl.expand(), pop.n_dim, -edge.m_star)
+    info = _edge(*refl.nonzero(), pop.n_dim, -edge.m_star)
     if info.side != "right":
         raise SwapRejected("reflected extremum is not a local minimum")
     return refl, info
@@ -190,9 +134,8 @@ def rescale_unit_gamma(pop: PopulationSpec, edge: EdgeInfo):
     """Rescale so the given soft edge has scale 1; returns (pop', edge')."""
     if not edge.soft or edge.gamma is None:
         raise SwapRejected("only soft non-degenerate edges can be rescaled")
-    values = pop.expand()
-    scaled, m_scaled, info, _ = _rescale_to_unit(values, pop.n_dim, edge.m_star)
-    return from_values(scaled, pop.n_dim), info
+    c, info, _ = _rescale_to_unit(*pop.nonzero(), pop.n_dim, edge.m_star)
+    return pop.scaled(c), info
 
 
 def track_edge_after_swap(
@@ -205,70 +148,73 @@ def track_edge_after_swap(
 ) -> EdgeInfo:
     """Edge of the population after one entry of group `entry_index`
     moves to `new_t`, located by the sign-rule bracket near m*."""
-    values = pop.expand()
     if not 0 <= entry_index < len(pop.entries):
         raise SwapRejected(f"entry_index {entry_index} out of range")
-    group_value = pop.entries[entry_index][0]
-    idx = int(np.nonzero(values == group_value)[0][0])
-    new_values = values.copy()
-    new_values[idx] = new_t
-    m_new = _track(values, new_values, pop.n_dim, edge.m_star, phi, tau)
-    return _edge_info(new_values, pop.n_dim, m_new)
+    values = pop.expand()
+    idx = int(np.searchsorted(values, pop.entries[entry_index][0]))
+    m_new, vals, mults = _track(values, idx, new_t, pop.n_dim, edge.m_star, phi, tau)
+    return _edge(vals, mults, pop.n_dim, m_new)
 
 
-def _track(old_values, new_values, n, m_star, phi, tau):
-    """Locate the swapped edge's m-value next to m_star.
+def _track(values, idx, new_t, n, m_star, phi, tau):
+    """Locate the edge's m-value next to m_star after values[idx] -> new_t.
 
     Follows the sign rule: the new extremum lies on the side of m_star
-    opposite to the sign of the new derivative there, within phi/N, with
-    no pole of either transform in between.
+    opposite to the sign of the new z0' there, within phi/N, with no pole
+    of either transform in between.  The rising zero of g' is solved in
+    the q = 1/m chart on the new grouped poles, in offsets from the pole
+    interval that holds q* = 1/m_star.  Returns (m, vals, mults), the
+    last two the new population's grouped nonzero values.
     """
-    new_t = float(new_values[np.argmax(old_values != new_values)]) if np.any(
-        old_values != new_values
-    ) else None
-    if new_t is not None:
-        if abs(new_t) > np.max(np.abs(old_values)) * (1 + 1e-12):
+    t_old = float(values[idx])
+    if new_t != t_old:
+        if abs(new_t) > np.max(np.abs(values)) * (1 + 1e-12):
             raise SwapRejected(f"replacement value {new_t:g} exceeds the operator norm")
         if new_t != 0.0 and abs(m_star + 1.0 / new_t) <= tau:
             raise SwapRejected(
                 f"replacement pole {-1.0 / new_t:g} is within tau={tau:g} of m*"
             )
-
-    d1 = _z0p(new_values, n, m_star)
+    new_values = values.copy()
+    new_values[idx] = new_t
+    vals, mults = np.unique(new_values[new_values != 0.0], return_counts=True)
+    if vals.size == 0:
+        raise SwapRejected("the swap leaves no nonzero value")
+    p, d = _poles(vals, mults, n)
+    j = np.full(1, np.clip(np.searchsorted(p, 1.0 / m_star) - 1, 0, p.size - 1))
+    s0 = 1.0 / np.array([m_star]) - p[j]
+    g = _g_derivs(p, d, j, s0)
     budget = phi / n
-    if d1 == 0.0:
+    if g[0, 0] == 0.0:
         m_new = m_star
     else:
-        direction = -math.copysign(1.0, d1)
-        width = budget / 8.0
-        b = None
-        while width <= 4.0 * budget:
-            cand = m_star + direction * width
-            if math.copysign(1.0, _z0p(new_values, n, cand)) != math.copysign(1.0, d1):
-                b = cand
-                break
-            width *= 2.0
-        if b is None:
+        # z0'(m) = -q^2 g'(q): the extremum lies toward sign(g'(q*)) in m,
+        # at the first of six doubling widths up to 4*phi/N where g' flips.
+        sign = np.sign(g[0, 0])
+        m_try = m_star + sign * budget / 8.0 * 2.0 ** np.arange(6)
+        s_try = 1.0 / m_try - p[j]
+        flip = np.flatnonzero(np.sign(_g_derivs(p, d, np.repeat(j, 6), s_try)[0]) != sign)
+        if flip.size == 0:
             raise SwapRejected(
                 f"sign-rule bracket failed within {4 * budget:g} of m* = {m_star:g}"
             )
-        lo, hi = min(m_star, b), max(m_star, b)
-        m_new = brentq(lambda m: _z0p(new_values, n, m), lo, hi, xtol=1e-15, rtol=8.9e-16)
-    m_new = _polish_extremum(new_values, n, m_new)
+        s_b = s_try[flip[:1]]
+        s, g = _newton_bisect(p, d, j, np.minimum(s0, s_b), np.maximum(s0, s_b),
+                              s0, 1, np.ones(1, bool))
+        m_new = float(1.0 / (p[j[0]] + s[0]))
 
     if abs(m_new - m_star) > budget:
         raise SwapRejected(
             f"tracked edge moved {abs(m_new - m_star):.3e} > phi/N = {budget:.3e}"
         )
     lo, hi = min(m_star, m_new), max(m_star, m_new)
-    for vals in (old_values, new_values):
-        nz = vals[vals != 0.0]
-        poles = -1.0 / nz
-        if np.any((poles >= lo) & (poles <= hi)):
-            raise SwapRejected("a pole crossed the tracking interval")
-    if _z0pp(new_values, n, m_new) <= 0:
+    # m = 0 is a pole of z0 too, and no bracket in q = 1/m spans it.
+    old_vals = np.append(vals, t_old) if t_old != 0.0 else vals
+    poles = np.append(-1.0 / old_vals, 0.0)
+    if np.any((poles >= lo) & (poles <= hi)):
+        raise SwapRejected("a pole crossed the tracking interval")
+    if g[1, 0] <= 0:
         raise SwapRejected("tracked extremum is not a local minimum after the swap")
-    return m_new
+    return m_new, vals, mults
 
 
 def build_swap_sequence(
@@ -303,7 +249,8 @@ def build_swap_sequence(
 
 def _build(pop, edge, c0, phi, tau_floor):
     n = pop.n_dim
-    values, m, info, drift = _rescale_to_unit(pop.expand(), n, edge.m_star)
+    c, info, drift = _rescale_to_unit(*pop.nonzero(), n, edge.m_star)
+    values, m = pop.expand() * c, info.m_star
     if info.side != "right":
         raise SwapRejected("the tracked extremum is not a local minimum")
     if info.regularity_margin < tau_floor:
@@ -315,16 +262,15 @@ def _build(pop, edge, c0, phi, tau_floor):
     def apply_swap(idx, new_t, phase):
         nonlocal values, m
         state = states[-1]
-        new_values = values.copy()
-        new_values[idx] = new_t
-        m_tracked = _track(values, new_values, n, m, phi, tau_floor)
-        scaled, m_scaled, info, drift = _rescale_to_unit(new_values, n, m_tracked)
+        m_tracked, vals, mults = _track(values, idx, new_t, n, m, phi, tau_floor)
+        c, info, drift = _rescale_to_unit(vals, mults, n, m_tracked)
         if info.regularity_margin < tau_floor:
             raise RegularityLost(
                 f"margin {info.regularity_margin:g} fell below {tau_floor:g} "
                 f"at step {state.step + 1} ({phase})"
             )
-        values, m = scaled, m_scaled
+        values, m = values * c, info.m_star
+        values[idx] = new_t * c
         states.append(SwapState(values, n, info, state.step + 1, idx, phase, drift))
 
     if m < 0:
@@ -380,10 +326,7 @@ def _build(pop, edge, c0, phi, tau_floor):
 
     if len(states) > 1:
         states[0].phase = states[1].phase
-    states[-1] = SwapState(
-        states[-1].values, n, states[-1].edge, states[-1].step,
-        states[-1].swapped_index, "done", states[-1].gamma_drift,
-    )
+    states[-1].phase = "done"
     distinct = np.unique(states[-1].values)
     if distinct.size > 2 or (distinct.size == 2 and 0.0 not in distinct):
         raise SwapRejected(f"terminal population is not two-valued: {distinct}")

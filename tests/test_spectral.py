@@ -250,6 +250,14 @@ def test_density_undefined_at_zero_when_rank_small():
     assert density_f0(FIG1, 0.0) > 0
 
 
+def test_cross_checked_density_vanishes_next_to_an_atom():
+    # rank(T) < N: the atom's pole -a/z sits next to small x, and the
+    # cross-checking eta ladder must not extrapolate across it
+    pop = PopulationSpec(((0.0, 200), (1.0, 300)), 500)
+    assert density_f0(pop, 1e-8) == 0.0
+    assert density_f0(pop, 1e-12) == 0.0
+
+
 def test_atom_mass_examples():
     assert atom_mass_at_zero(PopulationSpec(((1.0, 300),), 500)) == pytest.approx(0.4)
     assert atom_mass_at_zero(FIG1) == 0.0

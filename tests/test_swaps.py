@@ -1,6 +1,8 @@
 """Interpolating-sequence construction and the deterministic identities
 it must satisfy step by step."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,10 @@ NEGPOP = PopulationSpec(((-8.0, 100), (-0.5, 400)), 500)   # right edge with m* 
 
 def rightmost(pop):
     return find_edges(pop).edges[0]
+
+
+def right_soft(pop):
+    return [e for e in find_edges(pop).edges if e.side == "right" and e.soft][0]
 
 
 # -- rescaling ----------------------------------------------------------------
@@ -94,6 +100,29 @@ def test_track_single_raise_drift_bound():
     idx = [i for i, (t, _) in enumerate(pop.entries) if 0 < t < t_max][0]
     moved = track_edge_after_swap(pop, edge, idx, t_max)
     assert abs(moved.m_star - edge.m_star) <= 10.0 / pop.n_dim
+
+
+@pytest.mark.parametrize("pop, pick, group, new_t", [
+    (FIG1, rightmost, 1, "max"),       # raise one entry of the middle block
+    (NEGPOP, right_soft, 1, 0.0),      # zero one entry of the -0.5 block
+])
+def test_track_matches_high_precision_root(pop, pick, group, new_t):
+    import mpmath
+
+    pop, edge = rescale_unit_gamma(pop, pick(pop))
+    if new_t == "max":
+        new_t = max(t for t, _ in pop.entries)
+    moved = track_edge_after_swap(pop, edge, group, new_t)
+    mults = dict(pop.entries)
+    mults[pop.entries[group][0]] -= 1
+    mults[new_t] = mults.get(new_t, 0) + 1
+    with mpmath.workdps(40):
+        def z0p(m):
+            s = mpmath.fsum(k * mpmath.mpf(t) ** 2 / (1 + t * m) ** 2 for t, k in mults.items())
+            return 1 / m**2 - s / pop.n_dim
+
+        root = mpmath.findroot(z0p, mpmath.mpf(moved.m_star))
+        assert abs(moved.m_star - root) <= 1e-14 * abs(root)
 
 
 def test_track_rejects_norm_violation():
@@ -179,8 +208,7 @@ def test_fig1_negative_branch_sequence():
 
 
 def test_negpop_positive_branch_sequence():
-    report = find_edges(NEGPOP)
-    edge = [e for e in report.edges if e.side == "right" and e.soft][0]
+    edge = right_soft(NEGPOP)
     assert edge.m_star > 0
     states = build_swap_sequence(NEGPOP, edge)
     phases = {s.phase for s in states}
@@ -190,6 +218,15 @@ def test_negpop_positive_branch_sequence():
     assert distinct.min() < 0          # terminal nonzero value is negative
     assert len(states) - 1 <= 2 * NEGPOP.total_mult
     full_verify(states)
+
+
+@pytest.mark.parametrize("pop, pick, phases", [
+    (FIG1, rightmost, {"reflect": 351, "raise_to_max": 649, "done": 1}),
+    (NEGPOP, right_soft, {"seed_fraction": 26, "zero_above": 374, "done": 1}),
+])
+def test_sequence_phase_counts_are_pinned(pop, pick, phases):
+    states = build_swap_sequence(pop, pick(pop))
+    assert Counter(s.phase for s in states) == phases
 
 
 def test_sum_rules_identical_states_vanish():
