@@ -154,7 +154,7 @@ def _newton_bisect(p, d, j, lo, hi, s, order, rising, settle=None):
     raise NonConvergence(f"edge search did not converge on {todo.size} pole intervals")
 
 
-def _soft_extrema_q(vals, mults, n):
+def _soft_extrema_q(vals, mults, n, flat_origin=False):
     """All extremum locations of g in q, certified per pole interval.
 
     `vals` ascend, as PopulationSpec.nonzero gives them.  Returns the q
@@ -164,7 +164,8 @@ def _soft_extrema_q(vals, mults, n):
     once some g' < -cert (2 roots, split there) or the crossing of the
     tangents at the bracket ends, a lower bound on g', exceeds +cert
     (0 roots).  Raises BracketFailure when a minimum is too close to zero
-    to certify 0 or 2 roots.
+    to certify 0 or 2 roots, unless `flat_origin` says that minimum is
+    the double zero g'(0) = g''(0) = 0, which is no extremum of g.
     """
     p, d = _poles(vals, mults, n)
     k = p.size
@@ -181,14 +182,17 @@ def _soft_extrema_q(vals, mults, n):
     ratio = (d[:-1] / d[1:]) ** (1.0 / 3.0)     # two-pole guess for the minimum
     split, g = _newton_bisect(p, d, np.arange(k - 1), np.zeros(k - 1), w.copy(),
                               w * ratio / (1.0 + ratio), 2, np.ones(k - 1, bool), settle)
-    unsure = np.flatnonzero(np.abs(g[0]) <= cert)
+    roots = np.where(g[0] < -cert, 2, np.where(g[0] > cert, 0, -1))
+    if flat_origin:
+        roots[np.searchsorted(p, 0.0) - 1] = 0
+    unsure = np.flatnonzero(roots < 0)
     if unsure.size:
         jj = unsure[0]
         raise BracketFailure(
             f"cannot certify 0 or 2 extrema on ({p[jj]:g}, {p[jj + 1]:g}): "
             f"min g' = {g[0, jj]:.3e}"
         )
-    two = np.flatnonzero(g[0] < -cert)
+    two = np.flatnonzero(roots == 2)
     split = split[two]
 
     # Root brackets: both sides of every split point, and the unbounded
@@ -247,7 +251,11 @@ def find_edges(pop: PopulationSpec) -> SupportReport:
     n = pop.n_dim
     r = pop.rank
 
-    q_roots, scale = _soft_extrema_q(vals, mults, n)
+    # rank(T) = N makes q = 0 a zero of g', the hard edge at E = 0.  When
+    # g''(0) = -2*sum(c/t)/N vanishes too, that zero is double (g' >= 0
+    # around it): no edge, and the support runs through 0.
+    flat_origin = r == n and math.fsum(mults / vals) == 0.0
+    q_roots, scale = _soft_extrema_q(vals, mults, n, flat_origin)
 
     records = []  # (E, q, is_hard)
     for q in q_roots:
@@ -257,7 +265,7 @@ def find_edges(pop: PopulationSpec) -> SupportReport:
             records.append((0.0, 0.0, True))
         else:
             records.append((float(_g(vals, mults, n, q)), q, False))
-    if r == n and not any(h for _, _, h in records):
+    if r == n and not flat_origin and not any(h for _, _, h in records):
         raise BracketFailure("rank(T) = N but the hard-edge extremum at q=0 was not found")
 
     if len(records) % 2 != 0:

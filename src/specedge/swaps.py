@@ -11,8 +11,10 @@ m-value:
   m* > 0: seed a small constant fraction of entries at the pole-adjacent
           negative value t, zero the entries above t, then those below.
 
-Every stored state is rescaled back to unit edge scale, so consecutive
-states satisfy the swappability bounds and the sum-rule identities.
+Every state is rescaled back to unit edge scale, so consecutive states
+satisfy the swappability bounds and the sum-rule identities.  A state
+stores only its step's delta; a step updates the grouped (value, mult)
+counts in O(k), and full vectors are rebuilt by replay on demand.
 """
 
 from __future__ import annotations
@@ -35,17 +37,65 @@ UNIT_GAMMA_TOL = 1e-8
 PHASES = ("reflect", "raise_to_max", "seed_fraction", "zero_above", "zero_below", "done")
 
 
-@dataclass(eq=False)
-class SwapState:
-    """One element of the interpolating sequence, at unit edge scale."""
+class _Tape:
+    """A sequence's first vector and each later step's (index, new_t, c).
 
-    values: np.ndarray          # full length-M diagonal, aligned across states
-    n_dim: int
-    edge: EdgeInfo
-    step: int
-    swapped_index: int | None
-    phase: str
-    gamma_drift: float          # |gamma - 1| measured before the rescale
+    Step s is rebuilt from step s - 1 as `v = v * c; v[index] = new_t * c`,
+    the arithmetic the builder runs, so every replayed vector is
+    bit-identical to the one built.  The last vector rebuilt and the one
+    it started from are kept, so walking the states in order, singly or
+    in consecutive pairs, costs O(M) per access.
+    """
+
+    def __init__(self, start):
+        self.start = start
+        self.deltas = []
+        self._kept = []
+
+    def vector(self, pos):
+        base, v = max([(0, self.start)] + [kept for kept in self._kept if kept[0] <= pos],
+                      key=lambda kept: kept[0])
+        if base < pos:
+            self._kept = [(base, v)]
+            for idx, new_t, c in self.deltas[base:pos]:
+                v = v * c
+                v[idx] = new_t * c
+            self._kept.append((pos, v))
+        return v.copy()
+
+
+class SwapState:
+    """One element of the interpolating sequence, at unit edge scale.
+
+    A state of a built sequence stores only its step's delta: the swapped
+    index, its new value `new_t` and the rescale factor `scale` applied
+    to the whole vector, on a tape the sequence shares.  `values`
+    rebuilds the length-M diagonal, aligned across states, as a fresh
+    array.  A state constructed directly holds its full vector.
+    """
+
+    __slots__ = ("n_dim", "edge", "step", "swapped_index", "phase", "gamma_drift",
+                 "new_t", "scale", "_tape", "_pos")
+
+    def __init__(self, values, n_dim, edge, step, swapped_index, phase, gamma_drift):
+        self.n_dim, self.edge, self.step = n_dim, edge, step
+        self.swapped_index, self.phase, self.gamma_drift = swapped_index, phase, gamma_drift
+        self.new_t, self.scale = None, 1.0
+        self._tape, self._pos = _Tape(values), 0
+
+    def _after(self, idx, new_t, c, edge, phase, gamma_drift) -> "SwapState":
+        """The state one swap after this one, the last on its tape."""
+        nxt = SwapState.__new__(SwapState)
+        nxt.n_dim, nxt.edge, nxt.step = self.n_dim, edge, self.step + 1
+        nxt.swapped_index, nxt.phase, nxt.gamma_drift = idx, phase, gamma_drift
+        nxt.new_t, nxt.scale = new_t, c
+        self._tape.deltas.append((idx, new_t, c))
+        nxt._tape, nxt._pos = self._tape, len(self._tape.deltas)
+        return nxt
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._tape.vector(self._pos)
 
     @property
     def pop(self) -> PopulationSpec:
@@ -72,11 +122,6 @@ class SwapState:
 class SwapDiagnostics:
     """Per-pair swappability measurements and sum-rule residuals."""
 
-    s_alpha: np.ndarray
-    s_check_alpha: np.ndarray
-    p_alpha: np.ndarray
-    q_alpha: np.ndarray
-    r_alpha: np.ndarray
     a4: float
     l1_t_diff: float
     m_diff: float
@@ -150,33 +195,59 @@ def track_edge_after_swap(
     moves to `new_t`, located by the sign-rule bracket near m*."""
     if not 0 <= entry_index < len(pop.entries):
         raise SwapRejected(f"entry_index {entry_index} out of range")
-    values = pop.expand()
-    idx = int(np.searchsorted(values, pop.entries[entry_index][0]))
-    m_new, vals, mults = _track(values, idx, new_t, pop.n_dim, edge.m_star, phi, tau)
+    t_old = pop.entries[entry_index][0]
+    m_new, vals, mults = _track(*pop.nonzero(), t_old, new_t, pop.n_dim, edge.m_star, phi, tau)
     return _edge(vals, mults, pop.n_dim, m_new)
 
 
-def _track(values, idx, new_t, n, m_star, phi, tau):
-    """Locate the edge's m-value next to m_star after values[idx] -> new_t.
+def _moved(vals, mults, t_old, new_t):
+    """Grouped nonzero values after one entry t_old -> new_t, in O(k).
 
-    Follows the sign rule: the new extremum lies on the side of m_star
-    opposite to the sign of the new z0' there, within phi/N, with no pole
-    of either transform in between.  The rising zero of g' is solved in
-    the q = 1/m chart on the new grouped poles, in offsets from the pole
-    interval that holds q* = 1/m_star.  Returns (m, vals, mults), the
-    last two the new population's grouped nonzero values.
+    `vals` ascend and are distinct, as np.unique gives them; an entry
+    moves between groups of exactly equal floats.
     """
-    t_old = float(values[idx])
+    mults = mults.copy()
+    if t_old != 0.0:
+        i = np.searchsorted(vals, t_old)
+        mults[i] -= 1
+        if mults[i] == 0:
+            vals, mults = np.delete(vals, i), np.delete(mults, i)
+    if new_t != 0.0:
+        i = np.searchsorted(vals, new_t)
+        if i < vals.size and vals[i] == new_t:
+            mults[i] += 1
+        else:
+            vals, mults = np.insert(vals, i, new_t), np.insert(mults, i, 1)
+    return vals, mults
+
+
+def _scaled(vals, mults, c):
+    """Grouped values of c*T: scaling may round distinct values together."""
+    vals = vals * c
+    head = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
+    return vals[head], np.add.reduceat(mults, head)
+
+
+def _track(vals, mults, t_old, new_t, n, m_star, phi, tau):
+    """Locate the edge's m-value next to m_star after one entry t_old -> new_t.
+
+    `vals, mults` are the grouped nonzero values before the swap.  Follows
+    the sign rule: the new extremum lies on the side of m_star opposite to
+    the sign of the new z0' there, within phi/N, with no pole of either
+    transform in between.  The rising zero of g' is solved in the q = 1/m
+    chart on the new grouped poles, in offsets from the pole interval that
+    holds q* = 1/m_star.  Returns (m, vals, mults), the last two the new
+    population's grouped nonzero values.
+    """
     if new_t != t_old:
-        if abs(new_t) > np.max(np.abs(values)) * (1 + 1e-12):
+        norm = float(np.max(np.abs(vals[[0, -1]]))) if vals.size else 0.0
+        if abs(new_t) > norm * (1 + 1e-12):
             raise SwapRejected(f"replacement value {new_t:g} exceeds the operator norm")
         if new_t != 0.0 and abs(m_star + 1.0 / new_t) <= tau:
             raise SwapRejected(
                 f"replacement pole {-1.0 / new_t:g} is within tau={tau:g} of m*"
             )
-    new_values = values.copy()
-    new_values[idx] = new_t
-    vals, mults = np.unique(new_values[new_values != 0.0], return_counts=True)
+    vals, mults = _moved(vals, mults, t_old, new_t)
     if vals.size == 0:
         raise SwapRejected("the swap leaves no nonzero value")
     p, d = _poles(vals, mults, n)
@@ -250,28 +321,33 @@ def build_swap_sequence(
 def _build(pop, edge, c0, phi, tau_floor):
     n = pop.n_dim
     c, info, drift = _rescale_to_unit(*pop.nonzero(), n, edge.m_star)
-    values, m = pop.expand() * c, info.m_star
+    start, m = pop.expand() * c, info.m_star
     if info.side != "right":
         raise SwapRejected("the tracked extremum is not a local minimum")
     if info.regularity_margin < tau_floor:
         raise RegularityLost(
             f"initial margin {info.regularity_margin:g} below the floor {tau_floor:g}"
         )
-    states = [SwapState(values, n, info, 0, None, "done", drift)]
+    states = [SwapState(start, n, info, 0, None, "done", drift)]
+    # The working vector of the last state, for candidate selection, and
+    # its grouped nonzero values, for the edge kernel.
+    values = start.copy()
+    groups = np.unique(values[values != 0.0], return_counts=True)
 
     def apply_swap(idx, new_t, phase):
-        nonlocal values, m
+        nonlocal values, groups, m
         state = states[-1]
-        m_tracked, vals, mults = _track(values, idx, new_t, n, m, phi, tau_floor)
+        m_tracked, vals, mults = _track(*groups, float(values[idx]), new_t, n, m, phi, tau_floor)
         c, info, drift = _rescale_to_unit(vals, mults, n, m_tracked)
         if info.regularity_margin < tau_floor:
             raise RegularityLost(
                 f"margin {info.regularity_margin:g} fell below {tau_floor:g} "
                 f"at step {state.step + 1} ({phase})"
             )
-        values, m = values * c, info.m_star
+        values *= c
         values[idx] = new_t * c
-        states.append(SwapState(values, n, info, state.step + 1, idx, phase, drift))
+        groups, m = _scaled(vals, mults, c), info.m_star
+        states.append(state._after(idx, float(new_t), c, info, phase, drift))
 
     if m < 0:
         # Reflect every pole right of m* about m*, rightmost pole first.
@@ -327,7 +403,7 @@ def _build(pop, edge, c0, phi, tau_floor):
     if len(states) > 1:
         states[0].phase = states[1].phase
     states[-1].phase = "done"
-    distinct = np.unique(states[-1].values)
+    distinct = np.unique(values)
     if distinct.size > 2 or (distinct.size == 2 and 0.0 not in distinct):
         raise SwapRejected(f"terminal population is not two-valued: {distinct}")
     if len(states) - 1 > 2 * values.size:
@@ -336,12 +412,12 @@ def _build(pop, edge, c0, phi, tau_floor):
 
 
 def verify_swappable(a: SwapState, b: SwapState, phi: float = DEFAULT_PHI) -> SwapDiagnostics:
-    """Check the swappability bounds for a consecutive pair and collect
-    the per-entry diagnostics that feed the sum rules."""
-    if a.values.shape != b.values.shape or a.n_dim != b.n_dim:
+    """Check the swappability bounds for a consecutive pair and measure
+    the sum-rule residuals."""
+    t, tc = a.values, b.values
+    if t.shape != tc.shape or a.n_dim != b.n_dim:
         raise NotSwappable("states are not aligned")
     n = a.n_dim
-    t, tc = a.values, b.values
     m, mc = a.edge.m_star, b.edge.m_star
     l1 = float(np.sum(np.abs(t - tc)))
     m_diff = abs(m - mc)
@@ -354,7 +430,6 @@ def verify_swappable(a: SwapState, b: SwapState, phi: float = DEFAULT_PHI) -> Sw
     sc = 1.0 / (1.0 + tc * mc)
     p = s * sc * (t * s + tc * sc)
     q = s * sc * ((t * s) ** 2 + t * s * tc * sc + (tc * sc) ** 2)
-    r = t * s * tc * sc * (mc - m) * (t * s + tc * sc)
     a4 = float(np.sum((t * s) ** 4)) / n
 
     dm = m - mc
@@ -364,8 +439,7 @@ def verify_swappable(a: SwapState, b: SwapState, phi: float = DEFAULT_PHI) -> Sw
     e_diff = a.edge.e_star - b.edge.e_star
     r_edge = abs(e_diff - float(np.sum(dt * s * sc)) / n)
     return SwapDiagnostics(
-        s_alpha=s, s_check_alpha=sc, p_alpha=p, q_alpha=q, r_alpha=r, a4=a4,
-        l1_t_diff=l1, m_diff=m_diff, e_diff=abs(e_diff),
+        a4=a4, l1_t_diff=l1, m_diff=m_diff, e_diff=abs(e_diff),
         gamma_diff=abs(a.edge.gamma - b.edge.gamma),
         sum_rule_1_residual=r1, sum_rule_2_residual=r2,
         edge_identity_residual=r_edge,

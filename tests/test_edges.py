@@ -217,16 +217,49 @@ def test_near_merged_values_are_resolved():
     assert report.edges[1].e_star == 0.0
 
 
+@pytest.mark.parametrize("entries", [
+    ((-1.0, 100), (1.0, 100)),
+    ((-3.0, 70), (-0.5, 30), (0.5, 30), (3.0, 70)),
+])
+def test_symmetric_full_rank_support_runs_through_zero(entries):
+    # rank(T) = N and g''(0) = -2*sum(c/t)/N = 0: q = 0 is a double zero
+    # of g', no hard edge, and the density is positive on both sides of 0.
+    pop = PopulationSpec(entries, sum(c for _, c in entries))
+    report = find_edges(pop)
+    assert_report_invariants(pop, report)
+    assert len(report.intervals) == 1
+    lo, hi = report.intervals[0]
+    assert lo == pytest.approx(-hi, rel=1e-12) and hi > 0
+    assert all(e.soft and e.gamma > 0 for e in report.edges)
+    for x in (-1e-3, 1e-3):
+        assert density_f0(pop, x, cross_check=False) > 0.0
+    for x in (lo - 0.05, hi + 0.05):
+        assert density_f0(pop, x, cross_check=False) == 0.0
+
+
+def test_symmetric_unit_population_edge_closed_form():
+    # z0(m) = -1/m - m/(1 - m^2) has its minimum at m* = -1/sqrt(3), E* = 3*sqrt(3)/2.
+    right = find_edges(PopulationSpec(((-1.0, 100), (1.0, 100)), 200)).edges[0]
+    assert right.m_star == pytest.approx(-1.0 / math.sqrt(3.0), rel=1e-12)
+    assert right.e_star == pytest.approx(1.5 * math.sqrt(3.0), rel=1e-12)
+
+
+def flat_origin(pop):
+    """rank(T) = N with sum(c/t) = 0 exactly, as find_edges tests it."""
+    return pop.rank == pop.n_dim and math.fsum(c / t for t, c in pop.entries if t) == 0.0
+
+
 @st.composite
 def signed_populations(draw):
     """Up to 60 signed values with |t| in [1e-2, 1e2]: spread, in clusters
-    of +-10%, or in pairs whose relative gap goes down to 1e-6; sometimes
-    with a zero value."""
+    of +-10%, in pairs whose relative gap goes down to 1e-6, or mirrored
+    as +-t with equal weights and rank(T) = N; sometimes with a zero
+    value."""
     k = draw(st.integers(1, 60))
     exps = draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k))
     signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=k, max_size=k))
     vals = [sg * 10.0**ex for sg, ex in zip(signs, exps)]
-    shape = draw(st.sampled_from(("spread", "clustered", "near-merged")))
+    shape = draw(st.sampled_from(("spread", "clustered", "near-merged", "symmetric")))
     if shape == "clustered":
         centres = draw(st.integers(1, 5))
         jitter = draw(st.lists(st.floats(-0.1, 0.1), min_size=k, max_size=k))
@@ -236,10 +269,16 @@ def signed_populations(draw):
         for i in range(1, k, 2):
             vals[i] = vals[i - 1] * (1.0 + 10.0 ** gaps[i])
     mults = draw(st.lists(st.integers(1, 50), min_size=k, max_size=k))
+    if shape == "symmetric":
+        vals, mults = [abs(v) for v in vals] + [-abs(v) for v in vals], mults + mults
+    rank = sum(mults)
     if draw(st.booleans()):
         vals, mults = vals + [0.0], mults + [draw(st.integers(1, 50))]
-    # M/N = 1 without a zero value puts a hard edge at 0.
-    n_dim = max(1, round(sum(mults) / draw(st.one_of(st.just(1.0), st.floats(0.05, 20.0)))))
+    if shape == "symmetric":
+        n_dim = rank
+    else:
+        # M/N = 1 without a zero value puts a hard edge at 0.
+        n_dim = max(1, round(sum(mults) / draw(st.one_of(st.just(1.0), st.floats(0.05, 20.0)))))
     assume(0.05 <= sum(mults) / n_dim <= 20.0)
     return PopulationSpec(tuple(zip(vals, mults)), n_dim)
 
@@ -251,8 +290,12 @@ def test_find_edges_invariants_on_random_populations(pop):
     try:
         report = find_edges(pop)
     except SpecEdgeError:
+        assert not flat_origin(pop)
         return
     assert_report_invariants(pop, report)
+    if flat_origin(pop):
+        # The double zero of g' at q = 0 puts 0 inside the support.
+        assert any(lo < 0.0 < hi for lo, hi in report.intervals)
 
 
 def clustered_population(k, mass=1600, n_dim=2000):

@@ -1,6 +1,8 @@
 """Interpolating-sequence construction and the deterministic identities
 it must satisfy step by step."""
 
+import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -16,11 +18,12 @@ from specedge import (
     verify_swappable,
 )
 from specedge.errors import NotSwappable, SwapRejected
-from specedge.swaps import SwapState, export_sequence
+from specedge.swaps import SwapState, _moved, _scaled, export_sequence
 
 ID500 = PopulationSpec(((1.0, 500),), 500)
 FIG1 = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
 NEGPOP = PopulationSpec(((-8.0, 100), (-0.5, 400)), 500)   # right edge with m* > 0
+FIG1X2 = PopulationSpec(((-2.0, 700), (0.5, 600), (6.0, 100)), 1000)
 
 
 def rightmost(pop):
@@ -229,6 +232,18 @@ def test_sequence_phase_counts_are_pinned(pop, pick, phases):
     assert Counter(s.phase for s in states) == phases
 
 
+@pytest.mark.parametrize("pop, pick, digests", [
+    (FIG1, rightmost, {0: "48f70d7d1d4a8849", 1: "01a43134bb402a18", 351: "561866f0aff519f7",
+                       352: "1ba90a3536e0248c", 651: "9244a5e22b98b5f5", 1000: "19e02e5c37adb08e"}),
+    (NEGPOP, right_soft, {0: "8667df33463bbf4d", 26: "3ad3cf0eee2758a9", 400: "3c5d495e655df78e"}),
+])
+def test_entries_digests_are_pinned(pop, pick, digests):
+    # Recorded from the builder that stored every state's full vector:
+    # replayed states must match it bit for bit.
+    states = build_swap_sequence(pop, pick(pop))
+    assert {i: states[i].digest() for i in digests} == digests
+
+
 def test_sum_rules_identical_states_vanish():
     states = build_swap_sequence(ID500, rightmost(ID500))
     s = states[0]
@@ -276,3 +291,69 @@ def test_sequence_deterministic():
     assert len(a) == len(b)
     for s, t in zip(a, b):
         assert s.digest() == t.digest()
+
+
+# -- states stored as deltas -----------------------------------------------------
+
+def test_sequence_memory_is_not_quadratic():
+    # 2001 stored M-vectors of M = 1400 would take 22.4 MB.
+    edge = rightmost(FIG1X2)
+    tracemalloc.start()
+    try:
+        states = build_swap_sequence(FIG1X2, edge)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(states) == 2001
+    assert peak < 3e6
+
+
+def test_consecutive_states_differ_by_one_entry_and_a_rescale():
+    states = build_swap_sequence(FIG1, rightmost(FIG1))
+    for a, b in zip(states[:-1], states[1:]):
+        t, tc, i = a.values, b.values, b.swapped_index
+        scaled = t * b.scale
+        assert tc[i] == b.new_t * b.scale
+        scaled[i] = tc[i]
+        assert np.array_equal(tc, scaled)
+
+
+def test_random_access_matches_sequential_walk():
+    states = build_swap_sequence(FIG1, rightmost(FIG1))
+    walk = [s.values for s in states]
+    for i in (700, 3, 1000, 0, 999, 351, 350, 352):
+        assert np.array_equal(states[i].values, walk[i])
+    held = states[500].values
+    before = held.copy()
+    held[:] = 0.0                       # a held vector is the caller's own
+    assert np.array_equal(states[500].values, before)
+    assert np.array_equal(states[501].values, walk[501])
+
+
+def test_digest_is_sha256_of_rebuilt_vector():
+    states = build_swap_sequence(NEGPOP, right_soft(NEGPOP))
+    for s in states[::37] + states[-1:]:
+        assert s.digest() == hashlib.sha256(s.values.tobytes()).hexdigest()[:16]
+
+
+def test_grouped_updates_match_np_unique():
+    rng = np.random.default_rng(3)
+    base = np.sort(rng.uniform(-3.0, 3.0, 6))
+    values = np.repeat(np.concatenate([base, np.nextafter(base, np.inf)]), 3)
+    vals, mults = np.unique(values, return_counts=True)
+    merged = 0
+    for _ in range(300):
+        idx = int(rng.integers(values.size))
+        new_t = float(rng.choice([0.0, values[rng.integers(values.size)], rng.uniform(-3.0, 3.0)]))
+        c = float(rng.uniform(0.5, 2.0))
+        vals, mults = _moved(vals, mults, float(values[idx]), new_t)
+        values[idx] = new_t
+        expect = np.unique(values[values != 0.0], return_counts=True)
+        assert np.array_equal(vals, expect[0]) and np.array_equal(mults, expect[1])
+        size = vals.size
+        vals, mults = _scaled(vals, mults, c)
+        merged += vals.size < size
+        values = values * c
+        expect = np.unique(values[values != 0.0], return_counts=True)
+        assert np.array_equal(vals, expect[0]) and np.array_equal(mults, expect[1])
+    assert merged > 0                   # rescaling did round distinct values together
