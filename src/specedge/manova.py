@@ -94,7 +94,7 @@ class GeneralDesign:
                 raise DesignError("weight matrix does not annihilate the fixed design")
 
 
-def oneway_population(design: OneWayDesign, ratio_band=None) -> PopulationSpec:
+def oneway_population(design: OneWayDesign) -> PopulationSpec:
     """Population of the group-level MANOVA estimator, in closed form.
 
     Eigenvalue t1 with multiplicity I-1, t2 with multiplicity n-I, and
@@ -109,8 +109,7 @@ def oneway_population(design: OneWayDesign, ratio_band=None) -> PopulationSpec:
     merged: dict[float, int] = {}
     for t, k in entries:
         merged[t] = merged.get(t, 0) + k
-    kwargs = {"ratio_band": ratio_band} if ratio_band else {}
-    return PopulationSpec(tuple(sorted(merged.items())), n_dim=p, **kwargs)
+    return PopulationSpec(tuple(sorted(merged.items())), n_dim=p)
 
 
 def oneway_B_matrices(n: int, I: int, J: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +150,7 @@ def estimate_sigma_sq(sigma_hat: np.ndarray, p: int) -> float:
     return float(np.trace(s)) / p
 
 
-def general_F_population(design: GeneralDesign, ratio_band=None) -> PopulationSpec:
+def general_F_population(design: GeneralDesign) -> PopulationSpec:
     """Population from the general construction: eigenvalues of the block
     matrix F, clustered into (value, multiplicity) entries.
 
@@ -192,8 +191,7 @@ def general_F_population(design: GeneralDesign, ratio_band=None) -> PopulationSp
     merged: dict[float, int] = {}
     for t, k in entries:
         merged[t] = merged.get(t, 0) + k
-    kwargs = {"ratio_band": ratio_band} if ratio_band else {}
-    return PopulationSpec(tuple(sorted(merged.items())), n_dim=design.p, **kwargs)
+    return PopulationSpec(tuple(sorted(merged.items())), n_dim=design.p)
 
 
 def _nearest_gap(clusters, cl, scale):

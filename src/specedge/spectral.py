@@ -16,17 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, PoleProximity
-from .errors import UndefinedAtZero  # noqa: F401  (re-exported)
+from .errors import DomainError, NonConvergence, PoleProximity, UndefinedAtZero
 from .population import PopulationSpec
 
 POLE_PROXIMITY_REL = 1e-12
 DEFAULT_TOL = 1e-12
 MAX_ITER = 10_000
 
-# Eta ladder for real-axis boundary values, highest to lowest.
-ETA_LADDER = tuple(10.0 ** (-k) for k in range(4, 11))
-BOUNDARY_AGREEMENT = 1e-6
+# Relative accuracy of a certified boundary value: a returned root of
+# z0(m) = x must have an estimated error of at most this times |m|, and a
+# real root this close to a zero of z0' is half of a soft edge's double root.
+BOUNDARY_RTOL = 1e-5
 
 # Matrix entries per stacked eigvals call of the boundary kernel (64 KiB).
 BOUNDARY_BLOCK_ENTRIES = 1 << 13
@@ -198,16 +198,23 @@ def solve_m0(pop: PopulationSpec, z: complex, tol: float = DEFAULT_TOL) -> compl
 # ---------------------------------------------------------------------------
 # boundary values on the real axis
 
-def _m0_boundary(vals, mults, n, xs):
-    """Boundary values m0(x + i0) at all abscissae in the array xs, batched.
+def _m0_boundary(vals, mults, n, xs, check_real=False):
+    """Certified boundary values m0(x + i0) at all abscissae in xs, batched.
 
     In the chart q = 1/m, z0(m) = x reads q - (C - x) + sum_k d_k/(q + t_k) = 0
     (c_k = M_k/N, C = sum c_k t_k, d_k = c_k t_k^2): its k+1 roots are the
     eigenvalues of the arrowhead matrix [[C - x, 1'], [-d, diag(-t)]]
     (Bunch-Nielsen-Sorensen), and x enters only the corner.  The roots
-    m = 1/q are Newton-polished; inside the support the upper-half-plane
-    root of largest Im is the boundary value, outside it the real root of
-    largest nonnegative z0'.
+    m = 1/q are Newton-polished.  For real x at most one root lies in the
+    upper half plane, and when none does exactly one real root has z0' > 0
+    (Silverstein-Choi 1995): that root is the boundary value.  Where that
+    count is not one, a real root within BOUNDARY_RTOL (relative to m) of
+    a zero of z0' is half of a soft edge's double root, admissible but not
+    counted.  NonConvergence is
+    raised when the count fails, or when the returned root's error
+    estimate |r| / max(|z0'|, sqrt(|r z0''|/2)) / |m|, r = z0(m) - x,
+    exceeds BOUNDARY_RTOL; real values, where f0 = 0 regardless, are
+    estimated only when check_real.
     """
     c = mults / n
     arrow = np.diag(np.concatenate([[np.dot(c, vals)], -vals]))
@@ -231,92 +238,62 @@ def _m0_boundary(vals, mults, n, xs):
             m[~np.isfinite(m)] = complex(np.nan, np.nan)
             tol = 1e-9 * np.maximum(1.0, np.abs(m))
             upper = m.imag > tol
-            dz = np.where(np.abs(m.imag) <= tol, _z0_deriv(vals, mults, n, m.real, 1), np.nan)
-        dz[~(dz >= -1e-12)] = -np.inf
+            real = np.where(np.abs(m.imag) <= tol, m.real, np.nan)
+            dz = _z0_deriv(vals, mults, n, real, 1)
         inside = upper.any(axis=1)
-        missing = ~inside & np.isneginf(dz.max(axis=1))
-        if missing.any():
-            raise NonConvergence(f"no admissible real root of z0(m) = {x[missing, 0][0]:g}")
+        # Rounding splits a soft edge's double root into two roots with
+        # z0' ~ 0 of either sign.
+        near = np.zeros_like(dz)
+        odd = ~inside & (np.sum(dz > 0, axis=1) != 1)
+        if odd.any():
+            with np.errstate(all="ignore"):
+                curv = _z0_deriv(vals, mults, n, real[odd], 2)
+            near[odd] = BOUNDARY_RTOL * np.abs(real[odd] * curv)
+        outward = np.sum(dz > near, axis=1)
+        dz[~(dz >= -near)] = -np.inf
+        x = x[:, 0]
+        _certify(x, (upper.sum(axis=1) > 1) | (~inside & (outward > 1)),
+                 "more than one admissible root of z0(m) = x")
+        _certify(x, ~inside & np.isneginf(dz.max(axis=1)), "no admissible root of z0(m) = x")
         pick = np.where(inside, np.argmax(np.where(upper, m.imag, 0.0), axis=1),
                         np.argmax(dz, axis=1))
-        best = m[np.arange(x.size), pick]
+        rows = np.arange(x.size)
+        best, r = m[rows, pick], np.abs(r[rows, pick])
+        with np.errstate(all="ignore"):
+            slope = np.maximum(np.abs(_z0_deriv(vals, mults, n, best, 1)),
+                               np.sqrt(0.5 * r * np.abs(_z0_deriv(vals, mults, n, best, 2))))
+            err = r / np.maximum(slope, np.finfo(float).tiny) / np.abs(best)
+        _certify(x, (inside | check_real) & ~(err <= BOUNDARY_RTOL),
+                 f"estimated relative error of the root above {BOUNDARY_RTOL:g}")
         out[lo:lo + block] = np.where(inside, best, best.real)
     return out
 
 
-def _m0_real_ladder(pop: PopulationSpec, x: float):
-    """Boundary value of m0 at real x via an eta ladder with extrapolation.
-
-    Solves m0(x + i*eta) down a geometric ladder with warm starts, then
-    Neville-extrapolates the deepest rungs to eta = 0.  The atom at zero
-    contributes -a/z to m0 (a = atom_mass_at_zero), a pole next to small
-    x that no polynomial in eta follows, so only the regular part
-    m0(z) + a/z is extrapolated and -a/x is added back.
-    """
-    vals, mults = pop.nonzero()
-    atom = atom_mass_at_zero(pop)
-    ms, m = [], None
-    for eta in ETA_LADDER:
-        z = complex(x, eta)
-        m = None if m is None else _polish(vals, mults, pop.n_dim, z, m)
-        if m is None:
-            m = solve_m0(pop, z, tol=1e-13)
-        ms.append(m + atom / z)
-    etas = np.array(ETA_LADDER[-4:])
-    table = np.array(ms[-4:])
-    for level in range(1, 4):
-        e0, e1 = etas[:-level], etas[level:]
-        table = (e0 * table[1:] - e1 * table[:-1]) / (e0 - e1)
-    return complex(table[0]) - (atom / x if atom else 0.0)
-
-
-def _polish(vals, mults, n, z, m0_guess, tol=1e-13, iters=60):
-    """Newton refinement of z0(m) = z from a warm start, kept in C+."""
-    m = complex(m0_guess)
-    r = complex(_z0(vals, mults, n, m)) - z
-    for _ in range(iters):
-        if abs(r) <= tol:
-            return m
-        dz = complex(_z0_deriv(vals, mults, n, m, 1))
-        if dz == 0:
-            break
-        m_new = m - r / dz
-        if m_new.imag <= 0:
-            break
-        r_new = complex(_z0(vals, mults, n, m_new)) - z
-        if abs(r_new) >= abs(r):
-            break
-        m, r = m_new, r_new
-    if abs(r) <= 1e-10:
-        return m
-    return None
+def _certify(x, bad, what):
+    if bad.any():
+        raise NonConvergence(f"boundary value of m0 at x={x[bad][0]:g}: {what}")
 
 
 def stieltjes_boundary(pop: PopulationSpec, x: float, cross_check: bool = True):
-    """m0 extended to the real axis at x.
+    """m0 extended to the real axis at x, certified by its root count and
+    error estimate; `cross_check` is accepted and ignored."""
+    x = _defined(pop, x)
+    return complex(_m0_boundary(*pop.nonzero(), pop.n_dim, np.array([x]), check_real=True)[0])
 
-    The value comes from the batched arrowhead kernel; when `cross_check`
-    is set the eta-ladder route must agree within BOUNDARY_AGREEMENT or
-    the call fails, guarding against root-selection bugs.
-    """
+
+def density_f0(pop: PopulationSpec, x: float, cross_check: bool = True) -> float:
+    """Density of the spectral law at x: (1/pi) Im of the boundary m0.
+    `cross_check` is accepted and ignored."""
+    return float(_density(pop, np.array([_defined(pop, x)]))[0])
+
+
+def _defined(pop: PopulationSpec, x) -> float:
     x = float(x)
     if x == 0.0 and pop.rank <= pop.n_dim:
         raise UndefinedAtZero(
             f"m0 is unbounded at 0 when rank(T) = {pop.rank} <= N = {pop.n_dim}"
         )
-    m = complex(_m0_boundary(*pop.nonzero(), pop.n_dim, np.array([x]))[0])
-    if cross_check:
-        m_lad = _m0_real_ladder(pop, x)
-        if abs(m - m_lad) > BOUNDARY_AGREEMENT * max(1.0, abs(m)):
-            raise NonConvergence(f"boundary-value routes disagree at x={x:g}: "
-                                 f"arrowhead {m}, ladder {m_lad}")
-    return m
-
-
-def density_f0(pop: PopulationSpec, x: float, cross_check: bool = True) -> float:
-    """Density of the spectral law at x: (1/pi) Im of the boundary m0."""
-    m = stieltjes_boundary(pop, x, cross_check=cross_check)
-    return max(0.0, m.imag / np.pi)
+    return x
 
 
 def _density(pop: PopulationSpec, xs) -> np.ndarray:
@@ -374,7 +351,9 @@ def density_grid(pop: PopulationSpec, n_points: int = 2000, pad: float = 0.05) -
     margin = pad * (hi - lo)
     xs = np.linspace(lo - margin, hi + margin, n_points)
     if pop.rank <= pop.n_dim:
-        xs[xs == 0.0] = np.nextafter(0.0, hi)
+        # m0 is unbounded at 0: tabulate a thousandth of a cell to its
+        # right, where the boundary kernel still resolves it.
+        xs[xs == 0.0] = 1e-3 * (xs[-1] - xs[0]) / max(n_points - 1, 1)
     rows = tuple(zip(xs.tolist(), _density(pop, xs).tolist()))
     return DensityGrid(points=rows, atom_at_zero=atom_mass_at_zero(pop))
 
@@ -384,11 +363,17 @@ def integrate_density(pop: PopulationSpec, intervals, points_per_interval: int =
 
     Uses a cosine-clustered midpoint rule: node density ~ u^2 near the
     endpoints absorbs both the square-root edge decay and the inverse
-    square-root blowup at a hard edge.  The nodes of all intervals go
-    through one batched boundary solve, without the ladder cross-check.
+    square-root blowup at a hard edge.  When rank(T) = N an interval
+    through 0 is split there, since f0 may blow up at 0 inside the
+    support.  The nodes of all intervals go through one batched boundary
+    solve.
     """
+    ivs = [(float(lo), float(hi)) for lo, hi in intervals]
+    if pop.rank == pop.n_dim:
+        ivs = [iv for lo, hi in ivs
+               for iv in ([(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)])]
     u = (np.arange(points_per_interval) + 0.5) / points_per_interval
-    lo, hi = np.array(intervals, dtype=float).reshape(-1, 2).T[:, :, None]
+    lo, hi = np.array(ivs).reshape(-1, 2).T[:, :, None]
     x = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * u))
     w = (hi - lo) * 0.5 * np.pi * np.sin(np.pi * u) / points_per_interval
     return float(np.sum(_density(pop, x.ravel()) * w.ravel()))

@@ -53,10 +53,6 @@ def _right_tail_shape(x):
     return np.exp(-(2.0 / 3.0) * x**1.5) * x ** (-0.75)
 
 
-def _resolve_path(path):
-    return path if path is not None else os.environ.get(TABLE_ENV_VAR)
-
-
 def _load_table(path=None) -> TWTable:
     if path is not None:
         raw = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -79,13 +75,13 @@ def _interpolant_cached(path):
     return table, PchipInterpolator(table.x, table.f1, extrapolate=False)
 
 
-def _interpolant(path=None):
-    return _interpolant_cached(_resolve_path(path))
+def _interpolant():
+    return _interpolant_cached(os.environ.get(TABLE_ENV_VAR))
 
 
-def f1_cdf(x, table_path: str | None = None):
+def f1_cdf(x):
     """GOE Tracy-Widom CDF, scalar or vectorized."""
-    table, interp = _interpolant(table_path)
+    table, interp = _interpolant()
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)
@@ -100,15 +96,15 @@ def f1_cdf(x, table_path: str | None = None):
     return float(out[0]) if scalar else out
 
 
-def f1_quantile(p: float, table_path: str | None = None) -> float:
+def f1_quantile(p: float) -> float:
     """Inverse CDF by bracketed root finding on the interpolant."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile level must lie in (0,1), got {p}")
-    table, _ = _interpolant(table_path)
+    table, _ = _interpolant()
     lo, hi = table.lo, table.hi
     # Extend the bracket through the tails if needed.
-    while f1_cdf(lo, table_path) > p:
+    while f1_cdf(lo) > p:
         lo -= 5.0
-    while f1_cdf(hi, table_path) < p:
+    while f1_cdf(hi) < p:
         hi += 5.0
-    return brentq(lambda t: f1_cdf(t, table_path) - p, lo, hi, xtol=QUANTILE_TOL * 1e-2)
+    return brentq(lambda t: f1_cdf(t) - p, lo, hi, xtol=QUANTILE_TOL * 1e-2)

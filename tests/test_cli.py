@@ -93,6 +93,15 @@ def test_edges_degenerate_exit(ws):
     assert main(["edges", pop, "--out", "edges.json"]) == 4
 
 
+def test_density_ambiguous_root_exit_3(ws, monkeypatch, capsys):
+    # every root of z0(m) = x reported twice: two admissible roots at each x
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.concatenate([eigvals(a)] * 2, axis=-1))
+    pop = write(ws, "pop.json", FIG1)
+    assert main(["density", pop, "--grid", "10", "--out", "d.csv"]) == 3
+    assert "more than one admissible root" in capsys.readouterr().err
+
+
 def test_density_grid_rows(ws):
     pop = write(ws, "pop.json", ID500)
     assert main(["density", pop, "--grid", "10", "--out", "d.csv"]) == 0

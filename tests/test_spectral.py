@@ -1,16 +1,21 @@
 """Inverse-transform and Stieltjes-transform solver checks.
 
 Expected values come from closed forms for the identity population
-(where the fixed point is a quadratic) and from route redundancy
-(arrowhead-eigenvalue roots vs eta-ladder extrapolation, and the
-boundary value vs solve_m0 just above the axis).
+(where the fixed point is a quadratic) and from route redundancy: the
+certified arrowhead boundary value against the independent fixed-point
+solve_m0 just above the axis.
 """
 
 import numpy as np
 import pytest
+from conftest import signed_populations
+from hypothesis import example, given
 
-from specedge import PopulationSpec, atom_mass_at_zero, density_f0, solve_m0, stieltjes_boundary, z0_derivative, z0_eval
-from specedge.errors import DomainError, PoleProximity, UndefinedAtZero
+from specedge import (
+    PopulationSpec, SpecEdgeError, atom_mass_at_zero, density_f0, find_edges, solve_m0,
+    stieltjes_boundary, z0_derivative, z0_eval,
+)
+from specedge.errors import DomainError, NonConvergence, PoleProximity, UndefinedAtZero
 from specedge.spectral import density_grid, integrate_density, isolated_zero_in_support
 
 ID500 = PopulationSpec(((1.0, 500),), 500)
@@ -26,8 +31,6 @@ def spread_population(k, n_dim=500, mass=500):
 
 def padded_support_grid(pop, n_points, pad=0.05):
     """The abscissae density_grid(pop, n_points) tabulates."""
-    from specedge import find_edges
-
     rep = find_edges(pop)
     lo, hi = rep.intervals[0][0], rep.intervals[-1][1]
     return np.linspace(lo - pad * (hi - lo), hi + pad * (hi - lo), n_points)
@@ -157,9 +160,15 @@ def test_solve_m0_bulk_interior_regression():
         assert abs(z0_eval(pop, m) - z) <= 1e-13
 
 
-def test_boundary_dual_routes_agree_randomized():
-    from specedge import find_edges
+def near_axis_density(pop, x):
+    """f0(x) from solve_m0 at z = x + 1e-9i, the independent C+ route,
+    less the atom's -a/z, whose imaginary part a*eta/|z|^2 is not small
+    next to 0."""
+    z = complex(x, 1e-9)
+    return max(0.0, (solve_m0(pop, z) + atom_mass_at_zero(pop) / z).imag / np.pi)
 
+
+def test_boundary_dual_routes_agree_randomized():
     rng = np.random.default_rng(515)
     count = 0
     while count < 120:
@@ -169,17 +178,18 @@ def test_boundary_dual_routes_agree_randomized():
         x = float(rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo)))
         if abs(x) < 1e-6 and pop.rank <= pop.n_dim:
             continue
-        assert density_f0(pop, x) >= 0  # raises if the two routes disagree
+        f = density_f0(pop, x)
+        assert abs(f - near_axis_density(pop, x)) <= 1e-6 * (1.0 + f)
         count += 1
 
 
-def test_boundary_value_near_support_matches_ladder():
-    # interior point of the upper Fig 1 bulk; the two routes must agree,
-    # and Im m0 just above the axis approximates pi * f0
+def test_boundary_value_in_the_bulk_matches_solve_m0():
+    # interior point of the upper Fig 1 bulk: Im m0 just above the axis
+    # approximates pi * f0
     x = 5.0
-    m = stieltjes_boundary(FIG1, x, cross_check=True)
-    z_near = solve_m0(FIG1, complex(x, 1e-8), tol=1e-13)
-    assert z_near.imag == pytest.approx(np.pi * density_f0(FIG1, x), rel=1e-4)
+    m = stieltjes_boundary(FIG1, x)
+    z_near = solve_m0(FIG1, complex(x, 1e-9), tol=1e-13)
+    assert m == pytest.approx(z_near, rel=1e-8)
     assert m.imag > 0
 
 
@@ -188,9 +198,8 @@ def test_boundary_matches_solve_m0_many_values(k, stride):
     # polynomial coefficients of degree k+1 lose this by O(1e-2) to O(1)
     pop = spread_population(k)
     for x in padded_support_grid(pop, 400)[::stride]:
-        f = density_f0(pop, float(x), cross_check=False)
-        ref = max(0.0, solve_m0(pop, complex(x, 1e-9)).imag / np.pi)
-        assert abs(f - ref) <= 1e-6 * (1.0 + f)
+        f = density_f0(pop, float(x))
+        assert abs(f - near_axis_density(pop, x)) <= 1e-6 * (1.0 + f)
 
 
 @pytest.mark.parametrize("pop", [FIG1, spread_population(20)], ids=["fig1", "k20"])
@@ -208,8 +217,6 @@ def test_density_at_zero_matches_solve_m0():
 
 
 def test_density_grid_mass_many_values():
-    from specedge import find_edges
-
     pop = spread_population(40)
     grid = density_grid(pop, n_points=400)
     xs = np.array([x for x, _ in grid.points])
@@ -251,11 +258,61 @@ def test_density_undefined_at_zero_when_rank_small():
 
 
 def test_cross_checked_density_vanishes_next_to_an_atom():
-    # rank(T) < N: the atom's pole -a/z sits next to small x, and the
-    # cross-checking eta ladder must not extrapolate across it
+    # rank(T) < N: the atom's pole -a/z sits next to small x
     pop = PopulationSpec(((0.0, 200), (1.0, 300)), 500)
     assert density_f0(pop, 1e-8) == 0.0
     assert density_f0(pop, 1e-12) == 0.0
+
+
+@pytest.mark.parametrize("cross_check", [True, False])
+@pytest.mark.parametrize("x", [1e-18, 1e-300])
+def test_boundary_value_below_resolution_next_to_an_atom_raises(x, cross_check):
+    # m0 = -a/x there, and its root q = 1/m = -x/a lies below the
+    # eigensolver's resolution: the density is still 0, but the real
+    # boundary value fails its error estimate instead of coming back wrong
+    pop = PopulationSpec(((0.0, 200), (1.0, 300)), 500)
+    assert density_f0(pop, x, cross_check=cross_check) == 0.0
+    with pytest.raises(NonConvergence):
+        stieltjes_boundary(pop, x, cross_check=cross_check)
+
+
+@pytest.mark.parametrize("x", [1e-8, 1e-10])
+def test_density_identity_next_to_the_hard_edge(x):
+    closed_form = np.sqrt(1 - x / 4) / (np.pi * np.sqrt(x))
+    assert density_f0(ID500, x) == pytest.approx(closed_form, rel=1e-10)
+
+
+@given(signed_populations())
+@example(FIG1)
+def test_density_at_and_next_to_soft_edges(pop):
+    try:
+        report = find_edges(pop)
+    except SpecEdgeError:
+        return
+    for e in report.edges:
+        if e.soft:
+            for x in (np.nextafter(e.e_star, -np.inf), e.e_star, np.nextafter(e.e_star, np.inf)):
+                f = density_f0(pop, x)
+                assert np.isfinite(f) and f >= 0.0
+
+
+@given(signed_populations())
+def test_density_grid_on_random_populations(pop):
+    try:
+        find_edges(pop)
+    except SpecEdgeError:
+        return
+    # an odd count puts an abscissa at 0 on populations symmetric about it
+    fs = np.array(density_grid(pop, n_points=65).points)[:, 1]
+    assert np.all(np.isfinite(fs)) and np.all(fs >= 0.0)
+
+
+def test_density_grid_abscissa_at_zero_on_a_full_rank_population():
+    pop = PopulationSpec(((-1.0, 100), (1.0, 100)), 200)
+    # the odd grid puts an abscissa at 0, where f0 ~ |x|^(-1/3) is unbounded
+    x, f = min(density_grid(pop, n_points=11).points, key=lambda row: abs(row[0]))
+    assert 0.0 < x < 1e-3
+    assert f == pytest.approx(near_axis_density(pop, x), rel=1e-6)
 
 
 def test_atom_mass_examples():
@@ -267,12 +324,17 @@ def test_atom_mass_examples():
 
 
 def test_normalization_with_atom():
-    from specedge import find_edges
-
     pop = PopulationSpec(((1.0, 300),), 500)
     rep = find_edges(pop)
     total = integrate_density(pop, rep.intervals) + rep.atom_at_zero
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def test_integral_through_a_singular_zero():
+    # rank(T) = N and sum(c/t) = 0: f0 grows like |x|^(-1/3) at 0, inside
+    # the one support interval
+    pop = PopulationSpec(((-1.0, 100), (1.0, 100)), 200)
+    assert integrate_density(pop, find_edges(pop).intervals) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_reflection_symmetry_of_density():
