@@ -240,15 +240,14 @@ def _m0_boundary(vals, mults, n, xs, check_real=False):
             upper = m.imag > tol
             real = np.where(np.abs(m.imag) <= tol, m.real, np.nan)
             dz = _z0_deriv(vals, mults, n, real, 1)
-        inside = upper.any(axis=1)
-        # Rounding splits a soft edge's double root into two roots with
-        # z0' ~ 0 of either sign.
-        near = np.zeros_like(dz)
-        odd = ~inside & (np.sum(dz > 0, axis=1) != 1)
-        if odd.any():
-            with np.errstate(all="ignore"):
-                curv = _z0_deriv(vals, mults, n, real[odd], 2)
-            near[odd] = BOUNDARY_RTOL * np.abs(real[odd] * curv)
+            inside = upper.any(axis=1)
+            # Rounding splits a soft edge's double root into two roots
+            # with z0' ~ 0 of either sign.  z0'' is evaluated only on rows
+            # whose count of z0' > 0 is not one: on every row it costs
+            # about 15% of the kernel's time.
+            odd = ~inside & (np.sum(dz > 0, axis=1) != 1)
+            near = np.zeros_like(dz)
+            near[odd] = BOUNDARY_RTOL * np.abs(real[odd] * _z0_deriv(vals, mults, n, real[odd], 2))
         outward = np.sum(dz > near, axis=1)
         dz[~(dz >= -near)] = -np.inf
         x = x[:, 0]

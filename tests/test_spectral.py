@@ -180,6 +180,11 @@ def test_boundary_dual_routes_agree_randomized():
             continue
         f = density_f0(pop, x)
         assert abs(f - near_axis_density(pop, x)) <= 1e-6 * (1.0 + f)
+        # the full boundary value, real part and real roots outside the
+        # support included, less the atom's pole on both routes
+        a, z = atom_mass_at_zero(pop), complex(x, 1e-9)
+        m = stieltjes_boundary(pop, x)
+        assert abs(m + a / x - (solve_m0(pop, z) + a / z)) <= 1e-6 * max(1.0, abs(m))
         count += 1
 
 
@@ -204,9 +209,10 @@ def test_boundary_matches_solve_m0_many_values(k, stride):
 
 @pytest.mark.parametrize("pop", [FIG1, spread_population(20)], ids=["fig1", "k20"])
 def test_density_grid_rows_match_cross_checked_points(pop):
+    # cross-checked: each row against the independent solve_m0 route
     rows = density_grid(pop, n_points=400).points
     for x, f in rows[::25]:
-        assert f == pytest.approx(density_f0(pop, x, cross_check=True), abs=1e-12)
+        assert abs(f - near_axis_density(pop, x)) <= 1e-6 * (1.0 + f)
 
 
 def test_density_at_zero_matches_solve_m0():
@@ -313,6 +319,17 @@ def test_density_grid_abscissa_at_zero_on_a_full_rank_population():
     x, f = min(density_grid(pop, n_points=11).points, key=lambda row: abs(row[0]))
     assert 0.0 < x < 1e-3
     assert f == pytest.approx(near_axis_density(pop, x), rel=1e-6)
+
+
+def test_density_grid_next_to_a_soft_edge_near_zero():
+    # the lower edge (1 - sqrt(M/N))^2 = 2.5e-9, where single points just
+    # inside raise; a grid spanning the support keeps the closed form
+    pop = PopulationSpec(((0.0, 1), (1.0, 10000)), 10001)
+    y = 10000 / 10001
+    a, b = (1 - np.sqrt(y)) ** 2, (1 + np.sqrt(y)) ** 2
+    x, f = np.array(density_grid(pop, n_points=400, pad=0.0).points).T
+    closed_form = np.sqrt(np.maximum(0.0, (b - x) * (x - a))) / (2 * np.pi * x)
+    assert f == pytest.approx(closed_form, rel=1e-10, abs=1e-12)
 
 
 def test_atom_mass_examples():
