@@ -2,9 +2,15 @@
 
 The table was generated once, before the library was built, by a
 Fredholm-determinant oracle (tools/gen_tw_table.py) and cross-checked
-against published quantile tabulations.  At runtime we only interpolate:
-monotone cubic inside the table, analytic tail formulas outside with
-constants matched for continuity at the junctions.
+against published quantile tabulations.  At runtime we only interpolate,
+in numpy alone: inside the table a monotone piecewise-cubic Hermite
+interpolant (Fritsch & Carlson 1980, with the weighted-harmonic interior
+slopes of Fritsch & Butland 1984 and a one-sided three-point end rule),
+built once per table and evaluated the way scipy's
+``PchipInterpolator(..., extrapolate=False)`` evaluates it, bit for bit;
+outside it, analytic tail formulas with constants matched for continuity
+at the junctions.  Quantiles invert that CDF exactly: a safeguarded
+Newton solve of one cubic inside the table, bisection in the tails.
 """
 
 from __future__ import annotations
@@ -15,21 +21,23 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import DomainError
 
 TABLE_ENV_VAR = "SPECEDGE_TW_TABLE"
-QUANTILE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class TWTable:
-    """Loaded CDF nodes plus tail constants matched at the table ends."""
+    """Loaded CDF nodes, the cubic on each node interval, and tail
+    constants matched at the table ends.
+
+    ``coef[:, i]`` holds (c0, c1, c2, c3) of the cubic
+    c3 + c2*s + c1*s**2 + c0*s**3 in s = x - x[i] on [x[i], x[i+1]]."""
 
     x: np.ndarray
     f1: np.ndarray
+    coef: np.ndarray
     c_left: float
     c_right: float
 
@@ -53,6 +61,28 @@ def _right_tail_shape(x):
     return np.exp(-(2.0 / 3.0) * x**1.5) * x ** (-0.75)
 
 
+def _end_slope(h0, h1, m0, m1):
+    # one-sided three-point estimate, 0 where it is not positive
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    return d if d > 0 else 0.0
+
+
+def _pchip_coefficients(x, y):
+    """Monotone cubic Hermite coefficients for strictly increasing x and y:
+    with every secant slope positive, each interior slope is the weighted
+    harmonic mean of its two secants."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    d = np.empty_like(y)
+    d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
 def _load_table(path=None) -> TWTable:
     if path is not None:
         raw = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -66,45 +96,105 @@ def _load_table(path=None) -> TWTable:
         raise DomainError("TW table does not reach both tails")
     c_left = f1[0] / _left_tail_shape(x[0])
     c_right = (1.0 - f1[-1]) / _right_tail_shape(x[-1])
-    return TWTable(x=x, f1=f1, c_left=float(c_left), c_right=float(c_right))
+    return TWTable(x=x, f1=f1, coef=_pchip_coefficients(x, f1),
+                   c_left=float(c_left), c_right=float(c_right))
 
 
 @lru_cache(maxsize=4)
-def _interpolant_cached(path):
-    table = _load_table(path)
-    return table, PchipInterpolator(table.x, table.f1, extrapolate=False)
+def _table_cached(path) -> TWTable:
+    return _load_table(path)
 
 
-def _interpolant():
-    return _interpolant_cached(os.environ.get(TABLE_ENV_VAR))
+def _table() -> TWTable:
+    return _table_cached(os.environ.get(TABLE_ENV_VAR))
+
+
+def _cubic(c, s):
+    """c3 + c2*s + c1*s**2 + c0*s**3 for c = (c0, c1, c2, c3), summed in
+    ascending powers as scipy's PPoly sums them; s may be an array."""
+    c0, c1, c2, c3 = c
+    s2 = s * s
+    return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
 
 
 def f1_cdf(x):
     """GOE Tracy-Widom CDF, scalar or vectorized."""
-    table, interp = _interpolant()
+    table = _table()
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)
-    out = np.empty_like(xa)
+    # Clamping keeps s finite for the tail points, which are overwritten.
+    v = np.clip(xa, table.lo, table.hi)
+    # x[i] <= v < x[i+1], with the last interval closed on the right
+    i = np.minimum(np.searchsorted(table.x, v, "right") - 1, table.x.size - 2)
+    out = _cubic([c.take(i) for c in table.coef], v - table.x.take(i))
     left = xa < table.lo
+    if left.any():
+        out[left] = table.c_left * _left_tail_shape(xa[left])
     right = xa > table.hi
-    mid = ~(left | right)
-    out[mid] = interp(xa[mid])
-    out[left] = table.c_left * _left_tail_shape(xa[left])
-    out[right] = 1.0 - table.c_right * _right_tail_shape(xa[right])
-    out = np.clip(out, 0.0, 1.0)
+    if right.any():
+        out[right] = 1.0 - table.c_right * _right_tail_shape(xa[right])
     return float(out[0]) if scalar else out
 
 
+def _bisect_cdf(p: float, a: float, b: float) -> float:
+    """Smallest point of the bisection lattice on [a, b] where the CDF
+    reaches p, given F(a) < p <= F(b) or a == b; each pass bisects six
+    times at once on a 65-point grid."""
+    while True:
+        grid = np.linspace(a, b, 65)
+        k = int(np.argmax(f1_cdf(grid) >= p))
+        if grid[k - 1] == a and grid[k] == b:
+            return float(b)
+        a, b = grid[k - 1], grid[k]
+
+
+def _solve_cubic(table: TWTable, j: int, p: float) -> float:
+    """The point of (x[j], x[j+1]) where the cubic on interval j equals
+    p, for f1[j] < p <= f1[j+1]: Newton steps kept inside a shrinking
+    bracket, with bisection whenever a step would leave it."""
+    c = table.coef[:, j].tolist()
+    c0, c1, c2, _ = c
+    x0 = a = float(table.x[j])
+    b = float(table.x[j + 1])
+    f_lo, f_hi = float(table.f1[j]), float(table.f1[j + 1])
+    t = a + (b - a) * (p - f_lo) / (f_hi - f_lo)
+    if not a < t < b:
+        t = 0.5 * (a + b)
+    for _ in range(200):
+        s = t - x0
+        g = _cubic(c, s) - p
+        if g == 0.0:
+            return t
+        if g < 0.0:
+            a = t
+        else:
+            b = t
+        slope = c2 + 2.0 * c1 * s + 3.0 * c0 * s * s
+        t_new = t - g / slope if slope > 0.0 else 0.5 * (a + b)
+        if not a < t_new < b:
+            t_new = 0.5 * (a + b)
+        if t_new == t:
+            break
+        t = t_new
+    return t
+
+
 def f1_quantile(p: float) -> float:
-    """Inverse CDF by bracketed root finding on the interpolant."""
+    """Inverse CDF: the table interval holding p, then its cubic solved
+    exactly; bisection on the CDF in the tails."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile level must lie in (0,1), got {p}")
-    table, _ = _interpolant()
-    lo, hi = table.lo, table.hi
-    # Extend the bracket through the tails if needed.
-    while f1_cdf(lo) > p:
-        lo -= 5.0
+    table = _table()
+    i = int(np.searchsorted(table.f1, p))
+    if 0 < i < table.f1.size:
+        return _solve_cubic(table, i - 1, p)
+    if i == 0:
+        lo = table.lo
+        while f1_cdf(lo) >= p:
+            lo -= 5.0
+        return _bisect_cdf(p, lo, table.lo)
+    hi = table.hi
     while f1_cdf(hi) < p:
         hi += 5.0
-    return brentq(lambda t: f1_cdf(t) - p, lo, hi, xtol=QUANTILE_TOL * 1e-2)
+    return _bisect_cdf(p, table.hi, hi)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edges import EdgeInfo, SupportReport, check_regularity, find_edges
-from .errors import EmptyWindow, IrregularEdge
+from .errors import DomainError, EmptyWindow, IrregularEdge
 from .manova import OneWayDesign, manova_estimate, oneway_B_matrices, oneway_population
 from .population import PopulationSpec
 from .tw import f1_cdf
@@ -80,6 +80,9 @@ def edge_test(
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
     if eigs.size == 0:
         raise EmptyWindow("eigenvalue list is empty")
+    bad = int(np.count_nonzero(~np.isfinite(eigs)))
+    if bad:
+        raise DomainError(f"{bad} of {eigs.size} eigenvalues are not finite")
     if not edge.soft:
         raise IrregularEdge("hard edges admit no Tracy-Widom standardization here")
     if not check_regularity(pop, edge, tau):

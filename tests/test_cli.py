@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import specedge
-from specedge import OneWayDesign, SimConfig, oneway_population, sample_spectrum
+from specedge import (
+    OneWayDesign,
+    PopulationSpec,
+    SimConfig,
+    oneway_population,
+    sample_spectrum,
+)
 from specedge.cli import main
 
 FIG1 = {"n_dim": 500, "entries": [
@@ -70,6 +76,18 @@ def test_malformed_data_files_exit_2(ws):
     assert main(["test", listing, str(ws / "eigs.txt"), "--out", "r.json"]) == 2
     bad_design = write(ws, "bad.json", dict(DESIGN20, n="twenty"))
     assert main(["simulate", bad_design, "--reps", "1", "--out", "s.csv"]) == 2
+
+
+def test_cmd_test_non_finite_eigenvalue_exit_2(ws, capsys):
+    # A NaN lies in no edge window; it must not be skipped silently.
+    pop = write(ws, "pop.json", FIG1)
+    spec = PopulationSpec(tuple((e["t"], e["mult"]) for e in FIG1["entries"]), FIG1["n_dim"])
+    eigs = sample_spectrum(spec, SimConfig(reps=1, seed=1), 0)
+    eigs[-1] = np.nan
+    np.savetxt(ws / "eigs.txt", eigs)
+    assert main(["test", pop, str(ws / "eigs.txt"), "--out", "r.json"]) == 2
+    assert "input error: 1 of 500 eigenvalues are not finite" in capsys.readouterr().err
+    assert not (ws / "r.json").exists()
 
 
 def test_edges_near_merged_exit_0(ws):

@@ -2,12 +2,21 @@
 
 Quantile pins were computed by the Fredholm-determinant generator
 (tools/gen_tw_table.py) before the library was written and agree with
-published tabulations of the GOE law.
+published tabulations of the GOE law.  scipy's PchipInterpolator serves
+as a test-only oracle for the numpy interpolant.
 """
+
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specedge
+import specedge.tw as tw
 from specedge import f1_cdf, f1_quantile
 from specedge.errors import DomainError
 
@@ -62,10 +71,6 @@ def test_quantile_domain():
 
 
 def test_table_env_override(tmp_path, monkeypatch):
-    from importlib import resources
-
-    import specedge.tw as tw
-
     with resources.files("specedge.data").joinpath("tw_f1.csv").open() as fh:
         text = fh.read()
     alt = tmp_path / "table.csv"
@@ -74,3 +79,74 @@ def test_table_env_override(tmp_path, monkeypatch):
     assert f1_cdf(0.0) == pytest.approx(ORACLE_F1_AT_0, abs=1e-9)
     with pytest.raises(FileNotFoundError):
         tw._load_table(str(tmp_path / "missing.csv"))
+
+
+def test_no_scipy_at_runtime():
+    package_root = str(Path(specedge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "import specedge.cli\n"
+        "from specedge.tw import f1_cdf, f1_quantile\n"
+        "f1_cdf(0.0); f1_cdf([-20.0, 0.0, 20.0])\n"
+        "f1_quantile(0.9); f1_quantile(1e-30); f1_quantile(1 - 1e-12)\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("thinned", [False, True])
+def test_cdf_matches_scipy_pchip_bit_for_bit(thinned, tmp_path, monkeypatch):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    if thinned:
+        # An override table with every other node: other cubics, same rules.
+        with resources.files("specedge.data").joinpath("tw_f1.csv").open() as fh:
+            lines = fh.read().splitlines()
+        alt = tmp_path / "thinned.csv"
+        alt.write_text("\n".join(lines[:1] + lines[1::2]) + "\n")
+        monkeypatch.setenv(tw.TABLE_ENV_VAR, str(alt))
+    table = tw._table()
+    x = table.x
+    assert x.size == (321 if thinned else 641)
+    oracle = interpolate.PchipInterpolator(x, table.f1, extrapolate=False)
+    pts = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), np.linspace(x[0], x[-1], 100_000)])
+    assert np.array_equal(f1_cdf(pts), oracle(pts))
+    few = pts[: 2 * x.size - 1]
+    assert [f1_cdf(float(v)) for v in few] == oracle(few).tolist()
+
+
+def test_cdf_special_values_and_tail_junctions():
+    assert np.isnan(f1_cdf(np.nan))
+    assert np.isnan(f1_cdf(np.array([np.nan, 0.0]))[0])
+    assert f1_cdf(-np.inf) == 0.0 and f1_cdf(np.inf) == 1.0
+    # values of the interpolant and of each tail formula at its junction
+    pins = {
+        -10.0: 3.1398430292028564e-22,
+        np.nextafter(-10.0, -np.inf): 3.1398430292027666e-22,
+        -10.5: 2.497331663296955e-25,
+        6.0: 0.9999980591859277,
+        np.nextafter(6.0, np.inf): 0.9999980591859277,
+        6.5: 0.9999994763025581,
+    }
+    for v, expected in pins.items():
+        assert f1_cdf(v) == expected
+        assert f1_cdf(np.array([v]))[0] == expected
+
+
+def test_quantile_inverts_cdf_exactly():
+    f1 = tw._table().f1
+    ps = np.unique(np.concatenate([
+        np.logspace(-12, -1, 300),
+        np.linspace(1e-12, 1 - 1e-12, 2001),
+        1 - np.logspace(-12, -1, 300),
+        f1,
+        [1e-300, 1e-30, 0.5 * f1[0]],  # left of the table
+    ]))
+    assert ps.min() < f1[0] and ps.max() > f1[-1]
+    qs = np.array([f1_quantile(float(p)) for p in ps])
+    assert np.all(np.abs(f1_cdf(qs) - ps) <= 1e-13)
+    assert np.all(np.diff(qs) > 0)

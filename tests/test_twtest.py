@@ -15,7 +15,7 @@ from specedge import (
     sample_spectrum,
     SimConfig,
 )
-from specedge.errors import DesignError, EmptyWindow, IrregularEdge  # noqa: F401
+from specedge.errors import DesignError, DomainError, EmptyWindow, IrregularEdge  # noqa: F401
 
 ID500 = PopulationSpec(((1.0, 500),), 500)
 
@@ -105,6 +105,16 @@ def test_window_excludes_far_eigenvalues():
         edge_test(ID500, [100.0], edge, alpha=0.05)
     with pytest.raises(EmptyWindow):
         edge_test(ID500, [], edge, alpha=0.05)
+
+
+def test_non_finite_eigenvalues_rejected():
+    # A NaN or infinite eigenvalue lies in no edge window; it is an input
+    # error, not a value to skip.
+    edge = find_edges(ID500).edges[0]
+    with pytest.raises(DomainError, match="1 of 2 eigenvalues are not finite"):
+        edge_test(ID500, [4.0, np.nan], edge, alpha=0.05)
+    with pytest.raises(DomainError, match="3 of 4 eigenvalues are not finite"):
+        edge_test(ID500, [np.inf, 4.0, -np.inf, np.nan], edge, alpha=0.05)
 
 
 def test_irregular_edge_gate():
