@@ -50,6 +50,13 @@ def _read(path: str, parse):
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _records(path: str) -> list[dict]:
+    recs = [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
+    if not all(isinstance(rec, dict) for rec in recs):
+        raise ValueError("expected one JSON object per line")
+    return recs
+
+
 def _load_population(path: str) -> PopulationSpec:
     return _read(path, lambda p: PopulationSpec.from_json(Path(p).read_text()))
 
@@ -198,8 +205,7 @@ def cmd_swapseq(args) -> int:
     )
     states = build_swap_sequence(pop, edge, c0=args.c0, phi=args.phi)
     if args.verify is not None:
-        recorded = _read(args.verify, lambda p: [
-            json.loads(line) for line in Path(p).read_text().splitlines() if line.strip()])
+        recorded = _read(args.verify, _records)
         if len(recorded) != len(states):
             print(
                 f"verification failed: {len(recorded)} recorded states, "
@@ -207,13 +213,17 @@ def cmd_swapseq(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_NUMERICAL
+        # JSON floats round-trip exactly, so every field must match.
         for rec, state in zip(recorded, states):
-            if rec["entries_digest"] != state.digest():
-                print(
-                    f"verification failed at step {state.step}: digest mismatch",
-                    file=sys.stderr,
-                )
-                return EXIT_NUMERICAL
+            rebuilt = state.to_record()
+            for field in sorted(rec.keys() | rebuilt.keys()):
+                if field not in rec or field not in rebuilt or rec[field] != rebuilt[field]:
+                    print(
+                        f"verification failed at step {state.step}: {field} mismatch "
+                        f"(recorded {rec.get(field)!r}, rebuilt {rebuilt.get(field)!r})",
+                        file=sys.stderr,
+                    )
+                    return EXIT_NUMERICAL
         for a, b in zip(states[:-1], states[1:]):
             verify_swappable(a, b, phi=args.phi)
         print(f"verified {len(states)} states against {args.verify}")

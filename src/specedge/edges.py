@@ -105,7 +105,10 @@ def _g_derivs(p, d, j, s):
 
     p are the sorted poles and d the weights c*t^2 in the same order.  The
     offset from the anchor pole is exact, q + t_i = s + (p[j] - p[i]), so
-    an interval narrower than an ulp of its poles stays resolved.
+    an interval narrower than an ulp of its poles stays resolved.  With d
+    the reversed view `_poles` returns, numpy's matmul sums each row in its
+    own loop, not in BLAS, so a row's values do not depend on the other
+    rows of the call.
     """
     out = np.empty((3, s.size))
     block = max(1, BOUNDARY_BLOCK_ENTRIES // p.size)
@@ -127,31 +130,67 @@ def _newton_bisect(p, d, j, lo, hi, s, order, rising, settle=None):
     at the last point evaluated on each row.
     """
     g_at = np.empty((3, s.size))
-    g_lo, g_hi = np.full((3, s.size), np.nan), np.full((3, s.size), np.nan)
+    if settle:
+        g_lo, g_hi = np.full((3, s.size), np.nan), np.full((3, s.size), np.nan)
     todo = np.arange(s.size)
-    for it in range(160):
-        if todo.size == 0:
-            return s, g_at
-        x = s[todo]
-        g = _g_derivs(p, d, j[todo], x)
-        if not np.isfinite(g).all():
-            raise NonConvergence("edge search met a non-finite derivative of g")
-        g_at[:, todo] = g
-        left = (g[order - 1] < 0) == rising[todo]      # x lies left of the zero
-        lo[todo[left]], g_lo[:, todo[left]] = x[left], g[:, left]
-        hi[todo[~left]], g_hi[:, todo[~left]] = x[~left], g[:, ~left]
-        a, b = lo[todo], hi[todo]
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(160):
+            if todo.size == 0:
+                return s, g_at
+            x = s[todo]
+            g = _g_derivs(p, d, j[todo], x)
+            if not np.isfinite(g).all():
+                raise NonConvergence("edge search met a non-finite derivative of g")
+            g_at[:, todo] = g
+            left = (g[order - 1] < 0) == rising[todo]      # x lies left of the zero
+            lo[todo[left]], hi[todo[~left]] = x[left], x[~left]
+            a, b = lo[todo], hi[todo]
             step = g[order - 1] / g[order]
-        nxt = x - step
-        tol = S_RTOL * np.abs(x)
-        done = (np.abs(step) <= tol) | (b - a <= tol)
-        bisect = ~done & (~((nxt > a) & (nxt < b)) | (it >= 40))
-        nxt[bisect] = 0.5 * (a[bisect] + b[bisect])
-        early = settle(g, g_lo[:, todo], g_hi[:, todo], a, b) if settle else False
-        s[todo] = np.where(early, x, nxt)
-        todo = todo[~(done | early)]
+            nxt = x - step
+            tol = S_RTOL * np.abs(x)
+            done = (np.abs(step) <= tol) | (b - a <= tol)
+            bisect = ~done & (~((nxt > a) & (nxt < b)) | (it >= 40))
+            nxt[bisect] = 0.5 * (a[bisect] + b[bisect])
+            early = False
+            if settle:
+                g_lo[:, todo[left]], g_hi[:, todo[~left]] = g[:, left], g[:, ~left]
+                early = settle(g, g_lo[:, todo], g_hi[:, todo], a, b)
+            s[todo] = np.where(early, x, nxt)
+            todo = todo[~(done | early)]
     raise NonConvergence(f"edge search did not converge on {todo.size} pole intervals")
+
+
+def _newton_bisect_one(p, d, j, lo, hi, s, g):
+    """Zero of the increasing g' in one bracket (lo, hi) of s on row j.
+
+    The one-row form of `_newton_bisect(..., order=1, rising=True)`, with
+    the same steps and floats under Python-float control flow.  It starts
+    at s, where the triple g = (g', g'', g''') is already known, and calls
+    `_g_derivs` only for new points.  Returns s and the triple at the last
+    point evaluated.
+    """
+    rows = np.array([j])
+    g = tuple(map(float, g))
+    for it in range(160):
+        if it:
+            g = tuple(_g_derivs(p, d, rows, np.array([s]))[:, 0].tolist())
+        if not all(map(math.isfinite, g)):
+            raise NonConvergence("edge search met a non-finite derivative of g")
+        d1, d2 = g[0], g[1]
+        if d1 < 0:
+            lo = s
+        else:
+            hi = s
+        if d2:
+            step = d1 / d2
+        else:       # as numpy divides: x/0 = +-inf, 0/0 = nan
+            step = math.copysign(math.inf, d1) * math.copysign(1.0, d2) if d1 else math.nan
+        nxt = s - step
+        tol = S_RTOL * abs(s)
+        if abs(step) <= tol or hi - lo <= tol:
+            return nxt, g
+        s = nxt if lo < nxt < hi and it < 40 else 0.5 * (lo + hi)
+    raise NonConvergence("edge search did not converge on its pole interval")
 
 
 def _soft_extrema_q(vals, mults, n, flat_origin=False):

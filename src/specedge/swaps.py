@@ -15,24 +15,37 @@ Every state is rescaled back to unit edge scale, so consecutive states
 satisfy the swappability bounds and the sum-rule identities.  A state
 stores only its step's delta; a step updates the grouped (value, mult)
 counts in O(k), and full vectors are rebuilt by replay on demand.
+
+A step tracks the edge in the chart q = 1/m on the grouped poles: one
+kernel call gives g' at q* and at the sign-rule bracket's widths on both
+sides, and the one-row Newton-bisection (`edges._newton_bisect_one`)
+solves from q*.  The rescale needs only the curvature z0''(m*) before
+scaling, and the full soft edge after it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import EdgeInfo, _g_derivs, _newton_bisect, _poles, _soft_edge
+from .edges import (
+    DEGENERATE_CURVATURE, EdgeInfo, _g_derivs, _newton_bisect_one, _poles, _soft_edge,
+)
 from .errors import NotSwappable, RegularityLost, SwapRejected
 from .population import PopulationSpec, from_values
+from .spectral import _z0_deriv
 
 DEFAULT_PHI = 10.0
 DEFAULT_TAU_FLOOR = 0.01
 DEFAULT_C0 = 0.05
 UNIT_GAMMA_TOL = 1e-8
+
+# Signs and doubling factors of the tracking bracket's widths.
+_SIDES, _DOUBLINGS = np.array([[1.0], [-1.0]]), 2.0 ** np.arange(6)
 
 PHASES = ("reflect", "raise_to_max", "seed_fraction", "zero_above", "zero_below", "done")
 
@@ -149,7 +162,10 @@ def _rescale_to_unit(vals, mults, n, m):
     Returns (c, EdgeInfo of the scaled population, |gamma-1| before
     scaling).  Scaling T by c moves the extremum exactly to m/c.
     """
-    gamma = _edge(vals, mults, n, m).gamma
+    d2 = float(_z0_deriv(vals, mults, n, m, 2))
+    if abs(d2) < DEGENERATE_CURVATURE:
+        raise SwapRejected(f"degenerate extremum at m={m:g}: vanishing curvature")
+    gamma = math.sqrt(2.0 / abs(d2))
     c = gamma ** (2.0 / 3.0)
     info = _edge(vals * c, mults, n, m / c)
     if abs(info.gamma - 1.0) > UNIT_GAMMA_TOL:
@@ -240,7 +256,7 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, tau):
     population's grouped nonzero values.
     """
     if new_t != t_old:
-        norm = float(np.max(np.abs(vals[[0, -1]]))) if vals.size else 0.0
+        norm = max(abs(vals[0]), abs(vals[-1])) if vals.size else 0.0
         if abs(new_t) > norm * (1 + 1e-12):
             raise SwapRejected(f"replacement value {new_t:g} exceeds the operator norm")
         if new_t != 0.0 and abs(m_star + 1.0 / new_t) <= tau:
@@ -251,27 +267,29 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, tau):
     if vals.size == 0:
         raise SwapRejected("the swap leaves no nonzero value")
     p, d = _poles(vals, mults, n)
-    j = np.full(1, np.clip(np.searchsorted(p, 1.0 / m_star) - 1, 0, p.size - 1))
-    s0 = 1.0 / np.array([m_star]) - p[j]
-    g = _g_derivs(p, d, j, s0)
+    j = min(max(int(np.searchsorted(p, 1.0 / m_star)) - 1, 0), p.size - 1)
     budget = phi / n
-    if g[0, 0] == 0.0:
+    # q* and the six doubling widths up to 4*phi/N on either side of m*,
+    # in one kernel call; its rows are the values one-row calls give.
+    m_try = m_star + _SIDES * budget / 8.0 * _DOUBLINGS
+    s_all = np.concatenate(([1.0 / m_star], 1.0 / m_try.ravel())) - p[j]
+    g_all = _g_derivs(p, d, np.repeat(j, 13), s_all)
+    g = g_all[:, 0]
+    if g[0] == 0.0:
         m_new = m_star
     else:
         # z0'(m) = -q^2 g'(q): the extremum lies toward sign(g'(q*)) in m,
-        # at the first of six doubling widths up to 4*phi/N where g' flips.
-        sign = np.sign(g[0, 0])
-        m_try = m_star + sign * budget / 8.0 * 2.0 ** np.arange(6)
-        s_try = 1.0 / m_try - p[j]
-        flip = np.flatnonzero(np.sign(_g_derivs(p, d, np.repeat(j, 6), s_try)[0]) != sign)
+        # at the first doubling width where g' flips.
+        sign = np.sign(g[0])
+        side = slice(1, 7) if sign > 0 else slice(7, 13)
+        flip = np.flatnonzero(np.sign(g_all[0, side]) != sign)
         if flip.size == 0:
             raise SwapRejected(
                 f"sign-rule bracket failed within {4 * budget:g} of m* = {m_star:g}"
             )
-        s_b = s_try[flip[:1]]
-        s, g = _newton_bisect(p, d, j, np.minimum(s0, s_b), np.maximum(s0, s_b),
-                              s0, 1, np.ones(1, bool))
-        m_new = float(1.0 / (p[j[0]] + s[0]))
+        s0, s_b = s_all[0], s_all[side][flip[0]]
+        s, g = _newton_bisect_one(p, d, j, min(s0, s_b), max(s0, s_b), s0, g)
+        m_new = float(1.0 / (p[j] + s))
 
     if abs(m_new - m_star) > budget:
         raise SwapRejected(
@@ -279,11 +297,11 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, tau):
         )
     lo, hi = min(m_star, m_new), max(m_star, m_new)
     # m = 0 is a pole of z0 too, and no bracket in q = 1/m spans it.
-    old_vals = np.append(vals, t_old) if t_old != 0.0 else vals
-    poles = np.append(-1.0 / old_vals, 0.0)
-    if np.any((poles >= lo) & (poles <= hi)):
+    poles = -1.0 / vals
+    if (lo <= 0.0 <= hi or (t_old != 0.0 and lo <= -1.0 / t_old <= hi)
+            or np.any((poles >= lo) & (poles <= hi))):
         raise SwapRejected("a pole crossed the tracking interval")
-    if g[1, 0] <= 0:
+    if g[1] <= 0:
         raise SwapRejected("tracked extremum is not a local minimum after the swap")
     return m_new, vals, mults
 

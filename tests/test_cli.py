@@ -1,6 +1,7 @@
 """End-to-end command-line checks: outputs, manifests, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -253,6 +254,29 @@ def test_swapseq_verify_round_trip(ws):
     lines[3] = json.dumps(rec)
     (ws / "seq.jsonl").write_text("\n".join(lines) + "\n")
     assert main(["swapseq", pop, "--verify", "seq.jsonl", "--out", "x.jsonl"]) == 3
+
+
+def test_swapseq_verify_checks_every_field(ws, capsys):
+    # A record whose digest still matches but whose e_star is one ulp off
+    # is not the sequence the builder makes.
+    pop = write(ws, "pop.json", FIG2)
+    assert main(["swapseq", pop, "--out", "seq.jsonl"]) == 0
+    lines = (ws / "seq.jsonl").read_text().splitlines()
+    last = json.loads(lines[-1])
+    last["e_star"] = math.nextafter(last["e_star"], math.inf)
+    lines[-1] = json.dumps(last)
+    (ws / "seq.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["swapseq", pop, "--verify", "seq.jsonl", "--out", "x.jsonl"]) == 3
+    err = capsys.readouterr().err
+    assert f"at step {last['step']}: e_star mismatch" in err
+
+
+def test_swapseq_verify_rejects_a_non_object_line(ws):
+    pop = write(ws, "pop.json", ID500)
+    assert main(["swapseq", pop, "--out", "seq.jsonl"]) == 0
+    (ws / "seq.jsonl").write_text("[1, 2]\n")
+    assert main(["swapseq", pop, "--verify", "seq.jsonl", "--out", "x.jsonl"]) == 2
 
 
 def test_console_entry_point(ws):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import signed_populations
 from hypothesis import given
+from hypothesis import strategies as st
 
 from specedge import (
     PopulationSpec,
@@ -18,8 +19,9 @@ from specedge import (
     find_edges,
     z0_derivative,
 )
-from specedge.edges import DERIV_CERT
-from specedge.errors import DegeneratePopulation, DomainError, NoSuchEdge
+import specedge.edges
+from specedge.edges import DERIV_CERT, _g_derivs, _newton_bisect, _newton_bisect_one, _poles
+from specedge.errors import DegeneratePopulation, DomainError, NonConvergence, NoSuchEdge
 
 FIG1 = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
 FIG2 = PopulationSpec(((-1.0, 400), (4.0, 100)), 500)
@@ -262,6 +264,125 @@ def test_find_edges_invariants_on_random_populations(pop):
     if flat_origin(pop):
         # The double zero of g' at q = 0 puts 0 inside the support.
         assert any(lo < 0.0 < hi for lo, hi in report.intervals)
+
+
+# -- the one-row root solver against the batched one ---------------------------
+
+def solve_one(p, d, j, lo, hi, s0):
+    """(s, g triple) from `_newton_bisect_one`, or NonConvergence."""
+    try:
+        g0 = specedge.edges._g_derivs(p, d, np.array([j]), np.array([s0]))[:, 0]
+        return _newton_bisect_one(p, d, j, lo, hi, s0, g0)
+    except NonConvergence:
+        return NonConvergence
+
+
+def solve_many(p, d, j, lo, hi, s0):
+    """(s, g triple) from a one-row `_newton_bisect`, or NonConvergence."""
+    try:
+        s, g = _newton_bisect(p, d, np.array([j]), np.array([lo]), np.array([hi]),
+                              np.array([s0]), 1, np.ones(1, bool))
+        return s[0], tuple(g[:, 0])
+    except NonConvergence:
+        return NonConvergence
+
+
+@given(signed_populations(), st.data())
+def test_one_row_solver_matches_the_batched_solver(pop, data):
+    vals, mults = pop.nonzero()
+    p, d = _poles(vals, mults, pop.n_dim)
+    k, reach = p.size, 2.0 * np.sqrt(np.sum(d))
+    u = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)))
+    j = data.draw(st.integers(-1, k - 1))
+    if j < 0:       # left of the first pole, where g' rises from -1
+        j, lo, hi = 0, -reach * u[2], -reach * u[0]
+    else:
+        w = p[j + 1] - p[j] if j < k - 1 else reach
+        lo, hi = w * u[0], w * u[2]
+    s0 = lo + (hi - lo) * u[1]
+    with np.errstate(all="ignore"):     # the bracket may end on a pole
+        assert solve_one(p, d, j, lo, hi, s0) == solve_many(p, d, j, lo, hi, s0)
+        # The kernel sums each row on its own: a row's values do not
+        # depend on the other rows of the call, so a swap step may
+        # evaluate its whole bracket at once.
+        s = np.array([s0, lo, hi, 0.5 * (lo + hi)])
+        batch = _g_derivs(p, d, np.full(4, j), s)
+        rows = [_g_derivs(p, d, np.array([j]), s[i:i + 1])[:, 0] for i in range(4)]
+    np.testing.assert_array_equal(batch, np.array(rows).T)
+
+
+def test_one_row_solver_when_newton_leaves_the_bracket():
+    # Far left of the first pole g' is near -1 and flat, so the first
+    # Newton point overshoots the bracket.
+    vals, mults = FIG1.nonzero()
+    p, d = _poles(vals, mults, FIG1.n_dim)
+    lo, hi = -2.0 * np.sqrt(np.sum(d)), 0.0
+    g = _g_derivs(p, d, np.array([0]), np.array([lo]))[:, 0]
+    assert not lo < lo - g[0] / g[1] < hi
+    one = solve_one(p, d, 0, lo, hi, lo)
+    assert one == solve_many(p, d, 0, lo, hi, lo) and one is not NonConvergence
+
+
+def solve_both_on(monkeypatch, derivs, lo, hi, s0):
+    """Both solvers on the kernel derivs(s) -> (g', g'', g'''); each
+    result must be the same and reached through the same points."""
+    seen = []
+
+    def kernel(p, d, j, s):
+        seen.extend(s.tolist())
+        return np.array([derivs(x) for x in s.tolist()]).T
+
+    monkeypatch.setattr(specedge.edges, "_g_derivs", kernel)
+    one = solve_one(None, None, 0, lo, hi, s0)
+    one_seen = seen[:]
+    seen.clear()
+    assert solve_many(None, None, 0, lo, hi, s0) == one
+    assert seen == one_seen
+    return one, len(seen)
+
+
+def test_one_row_solver_runs_into_the_bisection_rule(monkeypatch):
+    # Newton converges only linearly on a triple root (the error shrinks
+    # by 2/3 a step), so the row is still open at step 40, from which
+    # every step bisects.
+    one, evals = solve_both_on(monkeypatch, lambda x: ((x - 0.3) ** 3, 3.0 * (x - 0.3) ** 2, 0.0),
+                               0.0, 1.0, 0.9)
+    assert one[0] == pytest.approx(0.3, abs=1e-6) and evals > 41
+
+
+def test_one_row_solver_stop_and_bracket_rules(monkeypatch):
+    # With g'' = 1/2 each Newton point mirrors the last about the root
+    # 1/4, so the second lands exactly on the end the first set and
+    # bisects.
+    one, evals = solve_both_on(monkeypatch, lambda x: (x - 0.25, 0.5, 0.0), 0.0, 0.5, 0.375)
+    assert one == (0.25, (0.0, 0.5, 0.0)) and evals == 3
+    # At s = 0 the tolerance is 0, and a zero step still ends the search.
+    one, evals = solve_both_on(monkeypatch, lambda x: (x, 1.0, 0.0), -1.0, 1.0, 0.0)
+    assert one == (0.0, (0.0, 1.0, 0.0)) and evals == 1
+
+
+def test_one_row_solver_divides_by_zero_as_numpy(monkeypatch):
+    # g'' = -0 at the start makes the step -inf, and a root with g'' = 0
+    # at the start makes it 0/0 = nan: both bisect.
+    def signed_zero(x):
+        return (x - 0.3, -0.0 if x == 0.9 else 1.0, 0.0)
+
+    one, _ = solve_both_on(monkeypatch, signed_zero, 0.0, 1.0, 0.9)
+    assert one[0] == pytest.approx(0.3)
+    one, _ = solve_both_on(monkeypatch, lambda x: ((x - 0.5) ** 3, 3.0 * (x - 0.5) ** 2, 0.0),
+                           0.0, 1.0, 0.5)
+    assert one[0] == pytest.approx(0.5, abs=1e-4)
+    # A bracket already too narrow to go on returns x - g'/g'' as it is.
+    one, _ = solve_both_on(monkeypatch, signed_zero, 0.9, math.nextafter(0.9, 1.0), 0.9)
+    assert one[0] == math.inf
+
+
+@pytest.mark.parametrize("nan_where", [lambda x: x == 0.9, lambda x: x < 0.5],
+                         ids=["at-the-start", "later"])
+def test_one_row_solver_raises_on_a_nan_kernel_value(monkeypatch, nan_where):
+    one, _ = solve_both_on(monkeypatch, lambda x: (x - 0.3, 1.0, math.nan if nan_where(x) else 0.0),
+                           0.0, 1.0, 0.9)
+    assert one is NonConvergence
 
 
 def clustered_population(k, mass=1600, n_dim=2000):

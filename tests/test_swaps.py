@@ -23,6 +23,8 @@ from specedge.swaps import SwapState, _moved, _scaled, export_sequence
 ID500 = PopulationSpec(((1.0, 500),), 500)
 FIG1 = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
 NEGPOP = PopulationSpec(((-8.0, 100), (-0.5, 400)), 500)   # right edge with m* > 0
+NEGHALF = PopulationSpec(((-8.0, 50), (-0.5, 200)), 250)
+FIG2 = PopulationSpec(((-1.0, 400), (4.0, 100)), 500)
 FIG1X2 = PopulationSpec(((-2.0, 700), (0.5, 600), (6.0, 100)), 1000)
 
 
@@ -236,10 +238,15 @@ def test_sequence_phase_counts_are_pinned(pop, pick, phases):
     (FIG1, rightmost, {0: "48f70d7d1d4a8849", 1: "01a43134bb402a18", 351: "561866f0aff519f7",
                        352: "1ba90a3536e0248c", 651: "9244a5e22b98b5f5", 1000: "19e02e5c37adb08e"}),
     (NEGPOP, right_soft, {0: "8667df33463bbf4d", 26: "3ad3cf0eee2758a9", 400: "3c5d495e655df78e"}),
+    (FIG2, rightmost, {0: "66e07a0afdd0ce68", 1: "af16723461cf48a9", 400: "7c5cff5ca89c0e78",
+                       401: "3a841c7ca90c6576", 799: "df4fff90bee02e2e", 800: "e4e780c447fc0324"}),
+    (NEGHALF, right_soft, {0: "e23a0284a0c18585", 1: "0ad4bf6cff27acba", 12: "54318d615979ad44",
+                           13: "153299db55de3fcd", 199: "5586697960b18f12", 200: "3cfbecf6e5ca0247"}),
 ])
 def test_entries_digests_are_pinned(pop, pick, digests):
-    # Recorded from the builder that stored every state's full vector:
-    # replayed states must match it bit for bit.
+    # FIG1 and NEGPOP were recorded from the builder that stored every
+    # state's full vector, FIG2 and NEGHALF from the builder that tracked
+    # with the batched root solver: replayed states must match bit for bit.
     states = build_swap_sequence(pop, pick(pop))
     assert {i: states[i].digest() for i in digests} == digests
 
