@@ -3,7 +3,9 @@ adherence, edge concentration, and local-law probes.
 
 Replicates are independent and individually seeded through a splittable
 counter-based generator, so results are bit-identical for a given
-(seed, config) regardless of how the replicate loop is scheduled.
+(seed, config) regardless of how the replicate loop is scheduled. A
+replicate draws x with unit-variance entries and forms X'TX as x'(T/N)x:
+the 1/N lives in the weights, and `eigvalsh` gets the Gram as it is.
 """
 
 from __future__ import annotations
@@ -79,36 +81,41 @@ def _rep_rng(cfg: SimConfig, rep_index: int) -> np.random.Generator:
 
 
 def _draw_x(rng, m, n, law):
+    """An m x n draw of unit-variance entries (not scaled by 1/sqrt(n))."""
     if law == "gaussian":
-        x = rng.standard_normal((m, n))
-    else:
-        x = rng.integers(0, 2, size=(m, n)).astype(float) * 2.0 - 1.0
-    return x / np.sqrt(n)
+        return rng.standard_normal((m, n))
+    return rng.integers(0, 2, size=(m, n)).astype(float) * 2.0 - 1.0
+
+
+def _check_dim(cfg: SimConfig, m: int, n: int):
+    if max(m, n) > cfg.max_dim:
+        raise DomainError(f"dimension {max(m, n)} exceeds max_dim={cfg.max_dim}; "
+                          "raise SimConfig.max_dim to override")
+
+
+def _gram(x, w):
+    """x'Wx for W = diag(w); rows with w = 0 add nothing and are dropped."""
+    keep = w != 0
+    if not keep.all():
+        x, w = x[keep], w[keep]
+    return x.T @ (w[:, None] * x)
 
 
 def _map_reps(cfg: SimConfig, fn):
     """Run fn(rep_index) for every replicate; order-invariant collection."""
     if cfg.parallel_width == 1:
         return [fn(i) for i in range(cfg.reps)]
-    out = [None] * cfg.reps
     with ThreadPoolExecutor(max_workers=cfg.parallel_width) as pool:
-        for i, val in zip(range(cfg.reps), pool.map(fn, range(cfg.reps))):
-            out[i] = val
-    return out
+        return list(pool.map(fn, range(cfg.reps)))
 
 
 def sample_spectrum(pop: PopulationSpec, cfg: SimConfig, rep_index: int) -> np.ndarray:
-    """All N eigenvalues of one replicate of X'TX, sorted ascending."""
+    """All N eigenvalues of one replicate of X'TX = x'(T/N)x, sorted ascending;
+    the 1/N lives in the weights, and `eigvalsh` reads the lower triangle."""
     m, n = pop.total_mult, pop.n_dim
-    if max(m, n) > cfg.max_dim:
-        raise DomainError(
-            f"dimension {max(m, n)} exceeds max_dim={cfg.max_dim}; "
-            "raise SimConfig.max_dim to override"
-        )
-    tvals = pop.expand()
+    _check_dim(cfg, m, n)
     x = _draw_x(_rep_rng(cfg, rep_index), m, n, cfg.entry_law)
-    a = x.T @ (tvals[:, None] * x)
-    return np.linalg.eigvalsh(0.5 * (a + a.T))
+    return np.linalg.eigvalsh(_gram(x, pop.expand() / n))
 
 
 def table1_experiment(design: OneWayDesign, cfg: SimConfig) -> CoverageResult:
@@ -116,8 +123,7 @@ def table1_experiment(design: OneWayDesign, cfg: SimConfig) -> CoverageResult:
     eigenvalue of the group-level estimator, simulated through the
     law-equivalent population route."""
     pop = oneway_population(design)
-    report = find_edges(pop)
-    edge = report.edges[0]
+    edge = find_edges(pop).edges[0]
     scale = (edge.gamma * pop.n_dim) ** (2.0 / 3.0)
     cutoffs = np.array([f1_quantile(q) for q in COVERAGE_LEVELS])
 
@@ -136,17 +142,13 @@ def support_adherence(pop: PopulationSpec, cfg: SimConfig, delta: float) -> floa
     the deterministic support (the atom at zero, when present, counts as
     part of the support)."""
     report = find_edges(pop)
-    lows = np.array([iv[0] for iv in report.intervals])
-    highs = np.array([iv[1] for iv in report.intervals])
+    lows, highs = np.array(report.intervals, dtype=float).reshape(-1, 2).T
     has_atom = report.atom_at_zero > 0
 
     def one(rep):
         eigs = sample_spectrum(pop, cfg, rep)
-        inside = np.any(
-            (eigs[:, None] >= lows[None, :] - delta)
-            & (eigs[:, None] <= highs[None, :] + delta),
-            axis=1,
-        )
+        col = eigs[:, None]
+        inside = np.any((col >= lows - delta) & (col <= highs + delta), axis=1)
         if has_atom:
             inside |= np.abs(eigs) <= delta
         return bool(np.any(~inside))
@@ -167,8 +169,7 @@ def edge_concentration(
         raise IrregularEdge("edge concentration is only meaningful at a regular edge")
     report = find_edges(pop)
     delta = window_delta(report, edge)
-    n = pop.n_dim
-    inner = n ** (-2.0 / 3.0 + epsilon)
+    inner = pop.n_dim ** (-2.0 / 3.0 + epsilon)
     if edge.side == "right":
         lo, hi = edge.e_star + inner, edge.e_star + delta
     else:
@@ -196,34 +197,33 @@ def local_law_probe(
     """
     from .spectral import solve_m0
 
+    n, mdim = pop.n_dim, pop.total_mult
+    _check_dim(cfg, mdim, n)
     if not (edge.soft and check_regularity(pop, edge, tau)):
         raise IrregularEdge("local-law probe requires a regular edge")
-    n = pop.n_dim
     z = complex(edge.e_star, eta)
     m0 = solve_m0(pop, z)
     tvals = pop.expand()
-    mdim = tvals.size
     psi = float(np.sqrt(m0.imag / (n * eta)) + 1.0 / (n * eta))
-    corner = m0 / (1.0 + m0 * tvals)  # m0 (Id + m0 T)^{-1}, diagonal
+    corner = n * m0 / (1.0 + m0 * tvals)  # N m0 (Id + m0 T)^{-1}, diagonal
 
     def one(rep):
         x = _draw_x(_rep_rng(cfg, rep), mdim, n, cfg.entry_law)
-        a = x.T @ (tvals[:, None] * x)
-        a = 0.5 * (a + a.T)
-        evals, evecs = np.linalg.eigh(a)
-        inv = 1.0 / (evals - z)
-        g_n = (evecs * inv) @ evecs.T
-        m_n = complex(np.trace(g_n)) / n
+        g = _gram(x, tvals / n).astype(complex)
+        g.flat[:: n + 1] -= z
+        g = np.linalg.inv(g)
+        m_n = complex(np.trace(g)) / n
         if not m_n.imag > 0:
             raise ArithmeticError(f"Im m_N = {m_n.imag} must be positive at {z}")
-        xg = x @ g_n
-        upper_left = g_n - m0 * np.eye(n)
-        lower_right = xg @ x.T - np.diag(corner)
-        err = max(
-            np.max(np.abs(upper_left)),
-            np.max(np.abs(xg)),
-            np.max(np.abs(lower_right)),
-        )
+        # x = sqrt(N) X: real gemms on the parts of G_N give sqrt(N) X G_N
+        # and N X G_N X', so no real matrix is cast to complex
+        xg = (x @ g.real, x @ g.imag)
+        lower = (xg[0] @ x.T, xg[1] @ x.T)
+        lower[0].flat[:: mdim + 1] -= corner.real
+        lower[1].flat[:: mdim + 1] -= corner.imag
+        g.flat[:: n + 1] -= m0
+        err = max(np.max(np.abs(g)), np.max(np.hypot(*xg)) / np.sqrt(n),
+                  np.max(np.hypot(*lower)) / n)
         return abs(m_n - m0), float(err)
 
     pairs = _map_reps(cfg, one)

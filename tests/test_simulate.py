@@ -11,6 +11,7 @@ from specedge import (
     edge_concentration,
     find_edges,
     local_law_probe,
+    oneway_population,
     sample_spectrum,
     support_adherence,
     table1_experiment,
@@ -18,6 +19,8 @@ from specedge import (
 from specedge.errors import DomainError, IrregularEdge
 
 ID500 = PopulationSpec(((1.0, 500),), 500)
+SIGNED = PopulationSpec(((-1.0, 40), (2.0, 40)), 60)
+ONEWAY20 = OneWayDesign(n=20, p=20, I=10, J=2, sigma1_sq=0.0, sigma2_sq=1.0)
 
 
 def test_config_validation():
@@ -70,6 +73,112 @@ def test_coverage_determinism_across_parallel_width():
     res1 = table1_experiment(design, SimConfig(reps=200, seed=7, parallel_width=1))
     res4 = table1_experiment(design, SimConfig(reps=200, seed=7, parallel_width=4))
     assert res1 == res4
+    edge = find_edges(SIGNED).edges[0]
+    ident = PopulationSpec(((1.0, 100),), 100)
+    runs = {
+        width: (
+            support_adherence(SIGNED, SimConfig(reps=12, seed=7, parallel_width=width), 0.05),
+            edge_concentration(
+                SIGNED, edge, SimConfig(reps=12, seed=7, parallel_width=width), 0.1
+            ),
+            local_law_probe(
+                ident,
+                find_edges(ident).edges[0],
+                SimConfig(reps=6, seed=7, parallel_width=width),
+                eta=0.1,
+            ),
+        )
+        for width in (1, 3)
+    }
+    assert runs[1] == runs[3]
+
+
+# -- the replicate kernel against the unfused arithmetic ----------------------
+
+def _oracle_x(cfg, rep, m, n):
+    """The replicate's Philox draw, divided by sqrt(N) to variance 1/N."""
+    ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(rep,))
+    rng = np.random.Generator(np.random.Philox(ss))
+    if cfg.entry_law == "gaussian":
+        x = rng.standard_normal((m, n))
+    else:
+        x = rng.integers(0, 2, size=(m, n)).astype(float) * 2.0 - 1.0
+    return x / np.sqrt(n)
+
+
+def _oracle_spectrum(pop, cfg, rep):
+    x = _oracle_x(cfg, rep, pop.total_mult, pop.n_dim)
+    a = x.T @ (pop.expand()[:, None] * x)
+    return np.linalg.eigvalsh(0.5 * (a + a.T))
+
+
+@pytest.mark.parametrize("law", ["gaussian", "rademacher"])
+@pytest.mark.parametrize(
+    "pop",
+    [SIGNED, ID500, oneway_population(ONEWAY20), PopulationSpec(((0.0, 100),), 100)],
+    ids=["signed", "identity", "oneway_zero_rows", "all_zero"],
+)
+def test_spectrum_matches_unfused_oracle(pop, law):
+    cfg = SimConfig(reps=3, seed=42, entry_law=law)
+    for rep in range(cfg.reps):
+        want = _oracle_spectrum(pop, cfg, rep)
+        got = sample_spectrum(pop, cfg, rep)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def _oracle_local_law(pop, edge, cfg, eta):
+    """Per-replicate (|m_N - m0|, max entry error) by a full eigh of X'TX."""
+    from specedge.spectral import solve_m0
+
+    n, tvals = pop.n_dim, pop.expand()
+    z = complex(edge.e_star, eta)
+    m0 = solve_m0(pop, z)
+    corner = m0 / (1.0 + m0 * tvals)
+    m_errs, entry_errs = [], []
+    for rep in range(cfg.reps):
+        x = _oracle_x(cfg, rep, tvals.size, n)
+        a = x.T @ (tvals[:, None] * x)
+        evals, evecs = np.linalg.eigh(0.5 * (a + a.T))
+        g_n = (evecs * (1.0 / (evals - z))) @ evecs.T
+        xg = x @ g_n
+        m_errs.append(abs(complex(np.trace(g_n)) / n - m0))
+        entry_errs.append(max(
+            np.max(np.abs(g_n - m0 * np.eye(n))),
+            np.max(np.abs(xg)),
+            np.max(np.abs(xg @ x.T - np.diag(corner))),
+        ))
+    return np.array(m_errs), np.array(entry_errs)
+
+
+@pytest.mark.parametrize(
+    "pop", [PopulationSpec(((1.0, 200),), 200), SIGNED], ids=["identity200", "signed"]
+)
+def test_local_law_matches_eigh_oracle(pop):
+    edge = find_edges(pop).edges[0]
+    cfg = SimConfig(reps=4, seed=9)
+    eta = pop.n_dim ** -0.5
+    probe = local_law_probe(pop, edge, cfg, eta=eta)
+    m_want, entry_want = _oracle_local_law(pop, edge, cfg, eta)
+    np.testing.assert_allclose(probe.m_n_err, m_want, rtol=1e-10)
+    np.testing.assert_allclose(probe.entrywise_err, entry_want, rtol=1e-10)
+
+
+def test_local_law_max_dim_guard():
+    pop = PopulationSpec(((1.0, 200),), 200)
+    edge = find_edges(pop).edges[0]
+    with pytest.raises(DomainError):
+        local_law_probe(pop, edge, SimConfig(reps=1, seed=0, max_dim=100), eta=0.1)
+
+
+def test_pinned_counts():
+    # Recorded with the unfused arithmetic (x / sqrt(N), symmetrized Gram).
+    # Every statistic sits at least 0.006 from its cutoff, so last-bit
+    # eigenvalue changes cannot flip a count.
+    res = table1_experiment(ONEWAY20, SimConfig(reps=2000, seed=1))
+    assert [round(c * 2000) for c in res.coverage] == [1876, 1947, 1989]
+    assert res.coverage == (0.938, 0.9735, 0.9945)
+    fig1 = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
+    assert support_adherence(fig1, SimConfig(reps=20, seed=1), delta=0.1) == 0.15
 
 
 def test_universality_gaussian_vs_rademacher():
