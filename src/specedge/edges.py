@@ -5,7 +5,9 @@ inverse transform z0, searched in the coordinate q = 1/m where
 g(q) = z0(1/q) has poles exactly at the negated population values and
 g' is convex between consecutive poles.  Convexity certifies that every
 interior pole interval carries 0 or 2 extrema and each unbounded
-interval exactly one, so no edge can be missed.
+interval exactly one, so no edge can be missed.  An interval whose two
+bounding poles alone keep g' above zero, a closed-form floor, holds no
+extremum and is certified without a search.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ S_RTOL = 1e-14             # Newton step, relative to the pole offset, that ends
 DERIV_CERT = 1e-8          # |z0'(m*)| certificate after back-transform
 DEGENERATE_CURVATURE = 1e-8
 HARD_Q_TOL = 1e-11         # |q| below this (times scale) is the m=infinity chart
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -197,14 +200,17 @@ def _soft_extrema_q(vals, mults, n, flat_origin=False):
     """All extremum locations of g in q, certified per pole interval.
 
     `vals` ascend, as PopulationSpec.nonzero gives them.  Returns the q
-    values where g'(q) = 0.  Every interior interval (p_j, p_j + w_j) is
-    searched at once in its offset s = q - p_j: a safeguarded Newton on
-    the increasing g'' seeks the minimum of the convex g' and stops early
-    once some g' < -cert (2 roots, split there) or the crossing of the
-    tangents at the bracket ends, a lower bound on g', exceeds +cert
-    (0 roots).  Raises BracketFailure when a minimum is too close to zero
-    to certify 0 or 2 roots, unless `flat_origin` says that minimum is
-    the double zero g'(0) = g''(0) = 0, which is no extremum of g.
+    values where g'(q) = 0.  As g' + 1 = sum d_i/(q - p_i)^2 sums positive
+    terms, the poles bounding an interior interval (p_j, p_j + w_j) alone
+    give g' >= F_j = (d_j^(1/3) + d_{j+1}^(1/3))^3 / w_j^2 - 1 there, and
+    F_j > cert (less a rounding allowance) certifies 0 extrema.  The other
+    intervals are searched at once in their offset s = q - p_j: a
+    safeguarded Newton on the increasing g'' seeks the minimum of the
+    convex g' and stops early once some g' < -cert (2 roots, split there)
+    or the crossing of the tangents at the bracket ends, a lower bound on
+    g', exceeds +cert (0 roots).  Raises BracketFailure when a minimum is
+    too close to zero to certify 0 or 2 roots, unless `flat_origin` says
+    that minimum is the double zero g'(0) = g''(0) = 0, no extremum of g.
     """
     p, d = _poles(vals, mults, n)
     k = p.size
@@ -219,20 +225,25 @@ def _soft_extrema_q(vals, mults, n, flat_origin=False):
 
     w = p[1:] - p[:-1]
     ratio = (d[:-1] / d[1:]) ** (1.0 / 3.0)     # two-pole guess for the minimum
-    split, g = _newton_bisect(p, d, np.arange(k - 1), np.zeros(k - 1), w.copy(),
-                              w * ratio / (1.0 + ratio), 2, np.ones(k - 1, bool), settle)
+    # floor = F_j + 1.  The kernel sums g' + 1 to within about k + 6 ulps,
+    # and 16(k + 2) ulps also cover the floor's rounding; NaN is searched.
+    floor = d[1:] * (1.0 + ratio) ** 3 / (w * w)
+    rows = np.flatnonzero(~(floor * (1.0 - 16 * (k + 2) * EPS) - 1.0 > cert))
+    split, g = _newton_bisect(p, d, rows, np.zeros(rows.size), w[rows],
+                              (w * ratio / (1.0 + ratio))[rows], 2,
+                              np.ones(rows.size, bool), settle)
     roots = np.where(g[0] < -cert, 2, np.where(g[0] > cert, 0, -1))
     if flat_origin:
-        roots[np.searchsorted(p, 0.0) - 1] = 0
+        roots[rows == np.searchsorted(p, 0.0) - 1] = 0
     unsure = np.flatnonzero(roots < 0)
     if unsure.size:
-        jj = unsure[0]
+        jj = rows[unsure[0]]
         raise BracketFailure(
             f"cannot certify 0 or 2 extrema on ({p[jj]:g}, {p[jj + 1]:g}): "
-            f"min g' = {g[0, jj]:.3e}"
+            f"min g' = {g[0, unsure[0]]:.3e}"
         )
-    two = np.flatnonzero(roots == 2)
-    split = split[two]
+    two = roots == 2
+    split, two = split[two], rows[two]
 
     # Root brackets: both sides of every split point, and the unbounded
     # ends, where g' >= 0 at distance sqrt(d) from the outer pole and
@@ -257,7 +268,10 @@ def regularity_margin(pop: PopulationSpec, m_star: float, gamma: float | None) -
     """min(1/|m*|, 1/gamma, min_a |m* + 1/t_a|); 0 for hard/degenerate."""
     if math.isinf(m_star) or gamma is None:
         return 0.0
-    return _margin(pop.nonzero()[0], m_star, gamma)
+    vals = pop.nonzero()[0]
+    if vals.size == 0:
+        raise DegeneratePopulation("all diagonal values are zero")
+    return _margin(vals, m_star, gamma)
 
 
 def _soft_edge(vals, mults, n, m_star, e_star=None, side=None) -> EdgeInfo:

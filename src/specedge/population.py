@@ -8,6 +8,7 @@ this object.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -17,6 +18,23 @@ from .errors import PopulationError
 
 DEFAULT_RATIO_BAND = (1.0 / 20.0, 20.0)
 DEFAULT_VALUE_BOUND = 1e3
+
+
+def _derived(method):
+    """Compute a spec's derived array (or tuple of arrays) once, on first
+    use, and hand out that one copy marked read-only.  The spec is frozen,
+    so the value never goes stale."""
+    key = "_" + method.__name__
+
+    @functools.wraps(method)
+    def get(self):
+        if key not in self.__dict__:
+            out = method(self)
+            for a in out if isinstance(out, tuple) else (out,):
+                a.flags.writeable = False
+            self.__dict__[key] = out
+        return self.__dict__[key]
+    return get
 
 
 @dataclass(frozen=True)
@@ -65,12 +83,12 @@ class PopulationSpec:
 
     # -- basic descriptors -------------------------------------------------
 
-    @property
+    @functools.cached_property
     def total_mult(self) -> int:
         """M, the dimension of T."""
         return sum(k for _, k in self.entries)
 
-    @property
+    @functools.cached_property
     def rank(self) -> int:
         """rank(T) = M minus the multiplicity of the zero value."""
         return sum(k for t, k in self.entries if t != 0.0)
@@ -80,28 +98,31 @@ class PopulationSpec:
         """Operator norm of T."""
         return max(abs(t) for t, _ in self.entries)
 
+    # The arrays below are computed once per spec and are read-only.
+
+    @_derived
     def values(self) -> np.ndarray:
         return np.array([t for t, _ in self.entries])
 
+    @_derived
     def mults(self) -> np.ndarray:
         return np.array([k for _, k in self.entries], dtype=float)
 
+    @_derived
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct nonzero values and their multiplicities."""
-        pairs = [(t, k) for t, k in self.entries if t != 0.0]
-        if not pairs:
-            return np.array([]), np.array([])
-        vals, mults = zip(*pairs)
-        return np.array(vals), np.array(mults, dtype=float)
+        keep = self.values() != 0.0
+        return self.values()[keep], self.mults()[keep]
 
+    @_derived
     def expand(self) -> np.ndarray:
         """Length-M vector of diagonal values in canonical order."""
         return np.repeat(self.values(), self.mults().astype(int))
 
+    @_derived
     def poles(self) -> np.ndarray:
         """Poles of the inverse-transform map: {0} plus -1/t for t != 0."""
-        nz, _ = self.nonzero()
-        return np.sort(np.concatenate([[0.0], -1.0 / nz])) if nz.size else np.array([0.0])
+        return np.sort(np.concatenate([[0.0], -1.0 / self.nonzero()[0]]))
 
     # -- derived populations -----------------------------------------------
 

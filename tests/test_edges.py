@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from conftest import signed_populations
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from specedge import (
@@ -20,8 +20,12 @@ from specedge import (
     z0_derivative,
 )
 import specedge.edges
-from specedge.edges import DERIV_CERT, _g_derivs, _newton_bisect, _newton_bisect_one, _poles
-from specedge.errors import DegeneratePopulation, DomainError, NonConvergence, NoSuchEdge
+from specedge.edges import (
+    DERIV_CERT, EPS, _g_derivs, _newton_bisect, _newton_bisect_one, _poles, _soft_extrema_q,
+)
+from specedge.errors import (
+    BracketFailure, DegeneratePopulation, DomainError, NonConvergence, NoSuchEdge,
+)
 
 FIG1 = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
 FIG2 = PopulationSpec(((-1.0, 400), (4.0, 100)), 500)
@@ -96,6 +100,13 @@ def test_identity_edges_values():
 def test_degenerate_population_rejected():
     with pytest.raises(DegeneratePopulation):
         find_edges(PopulationSpec(((0.0, 100),), 100))
+
+
+def test_regularity_of_an_edge_against_an_all_zero_population():
+    # No nonzero value means no pole to keep a distance from: the gate
+    # rejects the population typed, as find_edges does.
+    with pytest.raises(DegeneratePopulation):
+        check_regularity(PopulationSpec(((0.0, 100),), 100), find_edges(FIG1).edges[0], 0.05)
 
 
 def test_edge_ordering_and_parity():
@@ -402,6 +413,130 @@ def test_clustered_k400_edges_match_recorded_values():
     report = find_edges(pop)
     assert [e.e_star for e in report.edges] == pytest.approx(recorded, rel=1e-10)
     assert_report_invariants(pop, report)
+
+
+def test_clustered_k1600_search_work_and_recorded_edges(monkeypatch):
+    # Recorded from the search that ran all 1599 interior pole intervals
+    # through the batched Newton-bisection, 3305 kernel rows in all.  The
+    # floor certifies every interval inside a cluster, so only the gaps
+    # between clusters and the two unbounded ends reach the kernel.
+    recorded = [15.440885236433754, 2.916325832343266, 2.807602849301213,
+                0.02029166275047975, -0.1297172099016195, -1.8699050022738526,
+                -1.9167333677185658, -11.152497166989354]
+    rows = []
+    kernel = specedge.edges._g_derivs
+    monkeypatch.setattr(specedge.edges, "_g_derivs",
+                        lambda p, d, j, s: rows.append(s.size) or kernel(p, d, j, s))
+    pop = clustered_population(1600)
+    report = find_edges(pop)
+    assert sum(rows) < 1600
+    assert [e.e_star for e in report.edges] == recorded
+    assert_report_invariants(pop, report)
+
+
+# -- the pole-interval floor against the full search ---------------------------
+
+def full_minimum_search(p, d, cert):
+    """The batched search for min g' over every interior pole interval, as
+    `_soft_extrema_q` ran it before intervals were certified by their
+    floor: returns the last offset and the g' triple on each row."""
+    def settle(g, g_lo, g_hi, lo, hi):
+        cross = (g_lo[0] - g_hi[0] + g_hi[1] * (hi - lo)) / (g_hi[1] - g_lo[1])
+        bound = g_lo[0] + g_lo[1] * cross
+        slack = 1e-12 * (np.abs(g_lo[0]) + np.abs(g_hi[0]))
+        return (g[0] < -cert) | (bound - cert > slack)
+
+    k = p.size
+    w = p[1:] - p[:-1]
+    ratio = (d[:-1] / d[1:]) ** (1.0 / 3.0)
+    return _newton_bisect(p, d, np.arange(k - 1), np.zeros(k - 1), w.copy(),
+                          w * ratio / (1.0 + ratio), 2, np.ones(k - 1, bool), settle)
+
+
+def full_soft_extrema_q(vals, mults, n, flat_origin=False):
+    """`_soft_extrema_q` without the floor: the oracle for the floored one."""
+    p, d = _poles(vals, mults, n)
+    k = p.size
+    scale = max(1.0, np.max(np.abs(p)))
+    cert = 1e-13 * scale
+    split, g = full_minimum_search(p, d, cert)
+    roots = np.where(g[0] < -cert, 2, np.where(g[0] > cert, 0, -1))
+    if flat_origin:
+        roots[np.searchsorted(p, 0.0) - 1] = 0
+    unsure = np.flatnonzero(roots < 0)
+    if unsure.size:
+        jj = unsure[0]
+        raise BracketFailure(
+            f"cannot certify 0 or 2 extrema on ({p[jj]:g}, {p[jj + 1]:g}): "
+            f"min g' = {g[0, jj]:.3e}"
+        )
+    two = np.flatnonzero(roots == 2)
+    split = split[two]
+    w = p[1:] - p[:-1]
+    reach = 2.0 * np.sqrt(np.sum(d))
+    j = np.concatenate([[0, k - 1], two, two])
+    lo = np.concatenate([[-reach, 0.0], np.zeros(two.size), split])
+    hi = np.concatenate([[0.0, reach], split, w[two]])
+    s0 = np.concatenate([[-np.sqrt(d[0]), np.sqrt(d[-1])], split, split])
+    rising = np.concatenate([[True, False], np.zeros(two.size, bool), np.ones(two.size, bool)])
+    s, _ = _newton_bisect(p, d, j, lo, hi, s0, 1, rising)
+    return sorted((p[j] + s).tolist()), scale
+
+
+def outcome(search, *args):
+    """The search's result, or the type and message of what it raised."""
+    try:
+        return search(*args)
+    except SpecEdgeError as exc:
+        return type(exc), str(exc)
+
+
+@given(signed_populations())
+def test_floored_search_matches_the_full_search(pop):
+    args = (*pop.nonzero(), pop.n_dim, flat_origin(pop))
+    assert outcome(_soft_extrema_q, *args) == outcome(full_soft_extrema_q, *args)
+
+
+@pytest.mark.parametrize("pop, nan_kernel", [
+    (FIG1, True),
+    (PopulationSpec(((-1.0, 100), (1.0, 100)), 200), False),
+    (PopulationSpec(((-1.0, 100), (1.0, 100)), 200), True),
+], ids=["fig1-nan-kernel", "symmetric", "symmetric-nan-kernel"])
+def test_floored_search_raises_as_the_full_search(monkeypatch, pop, nan_kernel):
+    # Without the flat-origin flag the symmetric population's double zero
+    # at q = 0 cannot be certified; a NaN kernel fails the outer rows too.
+    if nan_kernel:
+        monkeypatch.setattr(specedge.edges, "_g_derivs",
+                            lambda p, d, j, s: np.full((3, s.size), np.nan))
+    args = (*pop.nonzero(), pop.n_dim)
+    full = outcome(full_soft_extrema_q, *args)
+    assert full[0] in (BracketFailure, NonConvergence)
+    assert outcome(_soft_extrema_q, *args) == full
+
+
+@given(signed_populations())
+def test_pole_interval_floor_bounds_g_prime_from_below(pop):
+    # F_j = (d_j^(1/3) + d_{j+1}^(1/3))^3 / w_j^2 - 1 <= g' on (p_j, p_j + w_j),
+    # up to the search's rounding allowance, at fixed fractions of the
+    # interval, at the two-pole guess and at the full search's own point.
+    p, d = _poles(*pop.nonzero(), pop.n_dim)
+    k = p.size
+    assume(k > 1)
+    w = np.diff(p)
+    floor = (np.cbrt(d[:-1]) + np.cbrt(d[1:])) ** 3 / w**2 - 1.0
+    allowance = 16 * (k + 2) * EPS * (floor + 1.0)
+    ratio = np.cbrt(d[:-1] / d[1:])
+    offsets = [w * u for u in (1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-3)]
+    offsets.append(w * ratio / (1.0 + ratio))
+    with np.errstate(all="ignore"):
+        try:
+            offsets.append(full_minimum_search(p, d, 1e-13 * max(1.0, np.max(np.abs(p))))[0])
+        except NonConvergence:
+            pass
+        for s in offsets:
+            j = np.flatnonzero((s > 0.0) & (s < w))
+            g1 = _g_derivs(p, d, j, s[j])[0]
+            assert (g1 >= floor[j] - allowance[j]).all()
 
 
 def test_clustered_k40_density_vanishes_exactly_in_the_gaps():

@@ -42,6 +42,28 @@ def test_expand_and_poles():
     np.testing.assert_allclose(pop.poles(), [-1 / 3, 0.0, 0.5])
 
 
+def test_derived_arrays_are_computed_once_and_read_only():
+    pop = PopulationSpec(((-2.0, 2), (0.0, 1), (3.0, 1)), 4)
+    arrays = [pop.values(), pop.mults(), *pop.nonzero(), pop.expand(), pop.poles()]
+    again = [pop.values(), pop.mults(), *pop.nonzero(), pop.expand(), pop.poles()]
+    assert all(a is b for a, b in zip(arrays, again))
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7.0
+    assert pop.nonzero()[0].tolist() == [-2.0, 3.0] and pop.nonzero()[1].tolist() == [2.0, 1.0]
+    assert (pop.total_mult, pop.rank) == (4, 3)
+    # The cache is no field: equality and hashing see the entries only.
+    fresh = PopulationSpec(pop.entries, 4)
+    assert fresh == pop and hash(fresh) == hash(pop)
+
+
+def test_all_zero_population_arrays():
+    pop = PopulationSpec(((0.0, 5),), 5)
+    vals, mults = pop.nonzero()
+    assert vals.shape == mults.shape == (0,) and vals.dtype == mults.dtype == float
+    assert pop.poles().tolist() == [0.0] and pop.rank == 0
+
+
 def test_reflection_and_scaling():
     pop = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
     refl = pop.reflected()

@@ -15,7 +15,9 @@ from specedge import (
     sample_spectrum,
     SimConfig,
 )
-from specedge.errors import DesignError, DomainError, EmptyWindow, IrregularEdge  # noqa: F401
+from specedge.errors import (  # noqa: F401
+    DegeneratePopulation, DesignError, DomainError, EmptyWindow, IrregularEdge,
+)
 
 ID500 = PopulationSpec(((1.0, 500),), 500)
 
@@ -115,6 +117,16 @@ def test_non_finite_eigenvalues_rejected():
         edge_test(ID500, [4.0, np.nan], edge, alpha=0.05)
     with pytest.raises(DomainError, match="3 of 4 eigenvalues are not finite"):
         edge_test(ID500, [np.inf, 4.0, -np.inf, np.nan], edge, alpha=0.05)
+
+
+def test_all_zero_population_is_degenerate():
+    # A valid spec with no nonzero value has no edge of its own; testing
+    # another population's edge against it must fail typed, not with
+    # numpy's reduction error.
+    fig1 = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
+    edge = find_edges(fig1).edges[0]
+    with pytest.raises(DegeneratePopulation):
+        edge_test(PopulationSpec(((0.0, 100),), 100), [edge.e_star], edge, alpha=0.05)
 
 
 def test_irregular_edge_gate():
