@@ -7,7 +7,8 @@ g' is convex between consecutive poles.  Convexity certifies that every
 interior pole interval carries 0 or 2 extrema and each unbounded
 interval exactly one, so no edge can be missed.  An interval whose two
 bounding poles alone keep g' above zero, a closed-form floor, holds no
-extremum and is certified without a search.
+extremum and is certified without a search.  The boundary solver in
+`spectral` starts its Newton chains from the edges found here.
 """
 
 from __future__ import annotations
@@ -274,16 +275,17 @@ def regularity_margin(pop: PopulationSpec, m_star: float, gamma: float | None) -
     return _margin(vals, m_star, gamma)
 
 
-def _soft_edge(vals, mults, n, m_star, e_star=None, side=None) -> EdgeInfo:
+def _soft_edge(vals, mults, n, m_star, e_star=None, side=None, d2=None) -> EdgeInfo:
     """EdgeInfo of the extremum of z0 at m_star.
 
-    The curvature z0''(m*) gives gamma = sqrt(2/|z0''|) and the side (a
-    minimum is a right edge); below DEGENERATE_CURVATURE the edges merge
-    and gamma is None with margin 0.  `e_star` defaults to z0(m*).  A
-    given `side` must agree with a non-degenerate curvature and is kept
-    for a degenerate one.
+    The curvature d2 = z0''(m*) gives gamma = sqrt(2/|z0''|) and the side
+    (a minimum is a right edge); below DEGENERATE_CURVATURE the edges merge
+    and gamma is None with margin 0.  `e_star` defaults to z0(m*) and `d2`
+    to z0''(m*).  A given `side` must agree with a non-degenerate
+    curvature and is kept for a degenerate one.
     """
-    d2 = float(_z0_deriv(vals, mults, n, m_star, 2))
+    if d2 is None:
+        d2 = float(_z0_deriv(vals, mults, n, m_star, 2))
     curv_side = "right" if d2 > 0 else "left"
     if e_star is None:
         e_star = float(_z0(vals, mults, n, m_star))
@@ -334,6 +336,9 @@ def find_edges(pop: PopulationSpec) -> SupportReport:
     asc = records[::-1]
     intervals = []
     infos = []
+    # z0'(m*) and z0''(m*) of all soft edges, each in one call.
+    m_soft = 1.0 / np.array([q for _, q, hard in asc if not hard])
+    soft = zip(m_soft.tolist(), *(_z0_deriv(vals, mults, n, m_soft, k).tolist() for k in (1, 2)))
     for pos, (e, q, hard) in enumerate(asc):
         geo_side = "left" if pos % 2 == 0 else "right"
         if hard:
@@ -342,11 +347,10 @@ def find_edges(pop: PopulationSpec) -> SupportReport:
             m_label = "right" if curv > 0 else "left"
             infos.append(EdgeInfo(0.0, math.inf, None, geo_side, False, 0.0, m_label))
         else:
-            m_star = 1.0 / q
-            d1 = float(_z0_deriv(vals, mults, n, m_star, 1))
+            m_star, d1, d2 = next(soft)
             if abs(d1) > DERIV_CERT:
                 raise BracketFailure(f"z0'(m*) = {d1:.3e} fails the vanishing certificate")
-            infos.append(_soft_edge(vals, mults, n, m_star, float(e), geo_side))
+            infos.append(_soft_edge(vals, mults, n, m_star, float(e), geo_side, d2))
     for i in range(0, len(asc), 2):
         intervals.append((asc[i][0], asc[i + 1][0]))
 

@@ -8,27 +8,48 @@ The law is defined through the fixed-point equation
 whose unique upper-half-plane solution m0(z) is the Stieltjes transform.
 The formal inverse z0(m) of m0 is a rational function with poles at 0 and
 -1/t_a; its boundary behavior on the real axis gives the density.
+
+Boundary values m0(x + i0) are solved in the chart q = 1/m, where
+g(q) = z0(1/q) has poles only at -t_a and every edge, the hard edge at
+q = 0 included, is a square-root point of g.  Inside the support, Newton
+chains run from the edges that `edges.find_edges` reports toward each
+interval's middle, and every abscissa takes Newton steps from the chain.
+For real x, z0(m) = x has at most one root in the upper half plane
+(Silverstein & Choi 1995), so a converged root there, clear of the real
+axis by more than its error estimate, is the boundary value.  In a gap,
+the real value is the root of the decreasing g between the gap's edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NonConvergence, PoleProximity, UndefinedAtZero
-from .population import PopulationSpec
+from .population import PopulationSpec, _derived
 
 POLE_PROXIMITY_REL = 1e-12
 DEFAULT_TOL = 1e-12
 MAX_ITER = 10_000
 
-# Relative accuracy of a certified boundary value: a returned root of
-# z0(m) = x must have an estimated error of at most this times |m|, and a
-# real root this close to a zero of z0' is half of a soft edge's double root.
-BOUNDARY_RTOL = 1e-5
+EPS = np.finfo(float).eps
 
-# Matrix entries per stacked eigvals call of the boundary kernel (64 KiB).
+# Boundary solver.  A chain takes steps of at most 1/CHAIN_NODES of its
+# half-interval (in u); a point that fails its certificate is retried from
+# chains with half that largest step, at most CHAIN_HALVINGS times.
+CHAIN_NODES = 8
+CHAIN_HALVINGS = 6
+CHAIN_TRUST = 0.5          # largest predictor miss kept, relative to |Im q|
+CHAIN_MIN_STEP = 1e-12     # a chain stops where its step falls below this times its reach
+CORRECTOR_STEPS = 4        # Newton steps per chain node at most
+NEWTON_STEPS = 8           # Newton steps per abscissa at most
+NEWTON_RTOL = 1e-10        # a step this small relative to |q| ends them
+NOISE_ULPS = 8             # rounding floor of g(q) - x, in ulps of its summands
+EDGE_ZONE_ULPS = 64        # a soft edge's zone, in ulps of g's summands at q*
+
+# Matrix entries per row block of the q-chart kernels.
 BOUNDARY_BLOCK_ENTRIES = 1 << 13
 
 
@@ -118,7 +139,8 @@ def solve_m0(pop: PopulationSpec, z: complex, tol: float = DEFAULT_TOL) -> compl
     Damped fixed-point iteration seeded at -1/z, accelerated by a
     safeguarded Newton step on z0(m) - z = 0.  The iteration map and the
     damping both preserve the upper half plane, so the returned root is
-    the unique one with positive imaginary part.
+    the unique one with positive imaginary part.  When the eta ladder runs
+    out of budget, Newton from the boundary value at Re z finishes.
     """
     z = complex(z)
     if not z.imag > 0:
@@ -189,95 +211,288 @@ def solve_m0(pop: PopulationSpec, z: complex, tol: float = DEFAULT_TOL) -> compl
         if eta <= eta_target:
             return m
         eta = max(eta_target, eta / 4.0)
-    raise NonConvergence(
-        f"fixed-point solve for m0({z}) did not reach |residual| <= {tol:g} "
-        f"within the iteration budget"
-    )
+    m = _newton_from_boundary(pop, z, tol)
+    if m is None:
+        raise NonConvergence(
+            f"fixed-point solve for m0({z}) did not reach |residual| <= {tol:g} "
+            f"within the iteration budget"
+        )
+    return m
+
+
+def _newton_from_boundary(pop: PopulationSpec, z: complex, tol: float):
+    """m0(z) by Newton in C+ from the boundary value at Re z, moved up by
+    i Im z along its tangent, or None.  z0(m) = z has one root in C+
+    (Silverstein & Choi 1995), so any converged root there is m0(z)."""
+    if z.real == 0.0 and pop.rank <= pop.n_dim:
+        return None
+    vals, mults = pop.nonzero()
+    n = pop.n_dim
+    m = stieltjes_boundary(pop, z.real)
+    with np.errstate(all="ignore"):
+        m += 1j * z.imag / complex(_z0_deriv(vals, mults, n, m, 1))
+        for _ in range(NEWTON_STEPS * 4):
+            r = complex(_z0(vals, mults, n, m)) - z
+            if abs(r) <= tol and m.imag > 0:
+                return m
+            m -= r / complex(_z0_deriv(vals, mults, n, m, 1))
+    return None
 
 
 # ---------------------------------------------------------------------------
-# boundary values on the real axis
+# boundary values on the real axis: edge-anchored continuation in q = 1/m
 
-def _m0_boundary(vals, mults, n, xs, check_real=False):
-    """Certified boundary values m0(x + i0) at all abscissae in xs, batched.
+class _Support(NamedTuple):
+    """What the boundary solver needs of one population's support.
 
-    In the chart q = 1/m, z0(m) = x reads q - (C - x) + sum_k d_k/(q + t_k) = 0
-    (c_k = M_k/N, C = sum c_k t_k, d_k = c_k t_k^2): its k+1 roots are the
-    eigenvalues of the arrowhead matrix [[C - x, 1'], [-d, diag(-t)]]
-    (Bunch-Nielsen-Sorensen), and x enters only the corner.  The roots
-    m = 1/q are Newton-polished.  For real x at most one root lies in the
-    upper half plane, and when none does exactly one real root has z0' > 0
-    (Silverstein-Choi 1995): that root is the boundary value.  Where that
-    count is not one, a real root within BOUNDARY_RTOL (relative to m) of
-    a zero of z0' is half of a soft edge's double root, admissible but not
-    counted.  NonConvergence is
-    raised when the count fails, or when the returned root's error
-    estimate |r| / max(|z0'|, sqrt(|r z0''|/2)) / |m|, r = z0(m) - x,
-    exceeds BOUNDARY_RTOL; real values, where f0 = 0 regardless, are
-    estimated only when check_real.
+    The solver cuts each support interval into pieces (at 0 too, when 0
+    is a flat origin inside it) and each piece into two halves, one
+    anchored at either end: anchor 2i is piece i's left end and 2i+1 its
+    right end.  An edge's anchor is g(q*) evaluated here, at full relative
+    precision next to 0 too, and its zone is that value's rounding.  Near
+    an anchor x - x0 ~ (q - q0)^order, so each half is followed in
+    u = |x - x0|^(1/order), in which q is smooth.  The chain nodes of all
+    halves are stored flat, sorted by key = 2 * half + u / reach.
     """
-    c = mults / n
-    arrow = np.diag(np.concatenate([[np.dot(c, vals)], -vals]))
-    arrow[0, 1:], arrow[1:, 0] = 1.0, -c * vals**2
-    block = max(1, BOUNDARY_BLOCK_ENTRIES // arrow.size)
-    out = np.empty(xs.size, dtype=complex)
-    for lo in range(0, xs.size, block):
-        x = xs[lo:lo + block, None]
-        stack = np.repeat(arrow[None], x.size, axis=0)
-        stack[:, 0, 0] -= x[:, 0]
-        with np.errstate(all="ignore"):
-            m = 1.0 / np.linalg.eigvals(stack).astype(complex)
-            r = _z0(vals, mults, n, m) - x
-            for _ in range(3):
-                m_new = m - r / _z0_deriv(vals, mults, n, m, 1)
-                r_new = _z0(vals, mults, n, m_new) - x
-                better = np.abs(r_new) < np.abs(r)
-                m, r = np.where(better, m_new, m), np.where(better, r_new, r)
-            # At x = 0 one root is q ~ 0 (m ~ 1e15), so roots are split into
-            # real and complex relative to their own modulus only.
-            m[~np.isfinite(m)] = complex(np.nan, np.nan)
-            tol = 1e-9 * np.maximum(1.0, np.abs(m))
-            upper = m.imag > tol
-            real = np.where(np.abs(m.imag) <= tol, m.real, np.nan)
-            dz = _z0_deriv(vals, mults, n, real, 1)
-            inside = upper.any(axis=1)
-            # Rounding splits a soft edge's double root into two roots
-            # with z0' ~ 0 of either sign.  z0'' is evaluated only on rows
-            # whose count of z0' > 0 is not one: on every row it costs
-            # about 15% of the kernel's time.
-            odd = ~inside & (np.sum(dz > 0, axis=1) != 1)
-            near = np.zeros_like(dz)
-            near[odd] = BOUNDARY_RTOL * np.abs(real[odd] * _z0_deriv(vals, mults, n, real[odd], 2))
-        outward = np.sum(dz > near, axis=1)
-        dz[~(dz >= -near)] = -np.inf
-        x = x[:, 0]
-        _certify(x, (upper.sum(axis=1) > 1) | (~inside & (outward > 1)),
-                 "more than one admissible root of z0(m) = x")
-        _certify(x, ~inside & np.isneginf(dz.max(axis=1)), "no admissible root of z0(m) = x")
-        pick = np.where(inside, np.argmax(np.where(upper, m.imag, 0.0), axis=1),
-                        np.argmax(dz, axis=1))
-        rows = np.arange(x.size)
-        best, r = m[rows, pick], np.abs(r[rows, pick])
-        with np.errstate(all="ignore"):
-            slope = np.maximum(np.abs(_z0_deriv(vals, mults, n, best, 1)),
-                               np.sqrt(0.5 * r * np.abs(_z0_deriv(vals, mults, n, best, 2))))
-            err = r / np.maximum(slope, np.finfo(float).tiny) / np.abs(best)
-        _certify(x, (inside | check_real) & ~(err <= BOUNDARY_RTOL),
-                 f"estimated relative error of the root above {BOUNDARY_RTOL:g}")
-        out[lo:lo + block] = np.where(inside, best, best.real)
-    return out
+
+    span: np.ndarray        # lowest and highest edge, as find_edges reports them
+    x0: np.ndarray          # anchor abscissae g(q0), ascending, (2 * pieces,)
+    q0: np.ndarray          # anchor q: q* = 1/m* of an edge, 0 at a hard edge
+    zone: np.ndarray        # a point this close to an anchor is at the edge
+    sigma: np.ndarray       # +1 where the half lies right of its anchor
+    order: np.ndarray       # 2 at an edge, 3 at a flat origin
+    reach: np.ndarray       # u at the piece's midpoint
+    lead: np.ndarray        # dq/du at the anchor
+    key: np.ndarray         # chain nodes: 2 * half + u / reach, ascending
+    u: np.ndarray           # their u
+    q: np.ndarray           # q there
+    dq: np.ndarray          # dq/du there
+
+    @property
+    def anchors(self):
+        return self.x0, self.q0, self.sigma, self.order, self.reach, self.lead
 
 
-def _certify(x, bad, what):
-    if bad.any():
-        raise NonConvergence(f"boundary value of m0 at x={x[bad][0]:g}: {what}")
+def _chart(pop: PopulationSpec):
+    """Nonzero values t, weights c = mult/N, and a = 1 - sum(c), the atom
+    mass (negative when rank(T) > N), exact from rank counting."""
+    vals, mults = pop.nonzero()
+    return vals, mults / pop.n_dim, (pop.n_dim - pop.rank) / pop.n_dim
+
+
+def _gq(t, c, a, q):
+    """g(q) = z0(1/q), g'(q) and sum c/|q + t| at each q.
+
+    g(q) = -q (a + q S(q)) with S = sum c/(q + t), so g keeps full relative
+    precision next to q = 0 (m = infinity): at the atom's root q ~ -x/a and
+    next to the hard edge alike.  The last sum sizes g's summands for its
+    rounding floor.  One O(k) pass, in row blocks, so memory does not grow
+    with the number of points.
+    """
+    g, g1, h = np.empty_like(q), np.empty_like(q), np.empty(q.shape)
+    block = max(1, BOUNDARY_BLOCK_ENTRIES // t.size)
+    for lo in range(0, q.size, block):
+        rows = slice(lo, lo + block)
+        qb = q[rows]
+        r = 1.0 / (qb[:, None] + t)
+        s, s2 = r @ c, (r * r) @ c
+        g[rows] = -qb * (a + qb * s)
+        g1[rows] = -a - qb * (2.0 * s - qb * s2)
+        h[rows] = np.abs(r) @ c
+    return g, g1, h
+
+
+@_derived
+def _support(pop: PopulationSpec) -> _Support:
+    """The support data of `pop`'s law, computed once per spec (the spec is
+    frozen): anchors from `find_edges`, and their chains."""
+    from .edges import find_edges
+
+    t, c, a = _chart(pop)
+    report = find_edges(pop)
+    q0 = 1.0 / np.array([e.m_star for e in report.edges[::-1]])
+    x0, _, h = _gq(t, c, a, q0)
+    zone = EDGE_ZONE_ULPS * EPS * (np.abs(x0) + np.abs(q0) * (abs(a) + np.abs(q0) * h))
+    order = np.full(x0.size, 2.0)
+    inner = np.flatnonzero((x0[::2] < 0.0) & (0.0 < x0[1::2]))
+    if pop.rank == pop.n_dim and inner.size:
+        # g'(0) = g''(0) = 0: 0 is a flat origin inside an interval, where
+        # x ~ q^3.  It splits the interval and anchors both pieces.
+        at = 2 * inner[0] + 1
+        x0, q0 = np.insert(x0, at, [0.0, 0.0]), np.insert(q0, at, [0.0, 0.0])
+        order, zone = np.insert(order, at, [3.0, 3.0]), np.insert(zone, at, [0.0, 0.0])
+    sigma = np.tile([1.0, -1.0], x0.size // 2)
+    mid = np.repeat(0.5 * (x0[::2] + x0[1::2]), 2)
+    reach = np.abs(mid - x0) ** (1.0 / order)
+    # x - x0 ~ g^(p)(q0)/p! (q - q0)^p, so q - q0 ~ lead*u, lead^p =
+    # sigma p!/g^(p)(q0), on the one branch with Im q < 0 (m in C+).
+    r = 1.0 / np.add.outer(q0, t)
+    d = c * t * t
+    gp = np.where(order == 2.0, -((r**3) @ d), (r**4) @ d)
+    roots = (sigma / gp).astype(complex) ** (1.0 / order)
+    roots = roots[:, None] * np.exp(2j * np.pi * np.arange(3) / order[:, None])
+    lead = roots[np.arange(x0.size), np.argmin(roots.imag, axis=1)]
+    anchors = x0, q0, sigma, order, reach, lead
+    chain = _chains(t, c, a, anchors, np.arange(x0.size), CHAIN_NODES)
+    span = np.array([report.intervals[0][0], report.intervals[-1][1]])
+    return _Support(span, x0, q0, zone, sigma, order, reach, lead, *chain)
+
+
+def _chains(t, c, a, anchors, halves, n):
+    """Chains of certified roots from the `anchors` (x0, q0, sigma, order,
+    reach, lead) of `halves` to their pieces' midpoints, all advancing
+    together.
+
+    Each step predicts to second order, from the tangent and the change of
+    tangent over the last step, and corrects by Newton.  A step is kept
+    when the root is certified and the predictor missed it by at most
+    CHAIN_TRUST * |Im q|, so the chain's Hermite interpolant starts Newton
+    well inside that root's basin; otherwise the step is halved.  Kept
+    steps grow back up to reach / n.  Returns the nodes (key, u, q, dq/du),
+    sorted by key = 2 * half + u / reach.
+    """
+    x0, q0, sigma, order, reach, lead = (v[halves] for v in anchors)
+    cap = reach / n
+    du = cap.copy()
+    u = np.zeros(halves.size)
+    q, dq, bend = q0.astype(complex), lead.copy(), np.zeros(halves.size, complex)
+    rec = [(halves, u.copy(), q.copy(), dq.copy())]
+    live = np.arange(halves.size)
+    with np.errstate(all="ignore"):
+        while live.size:
+            un = np.minimum(u[live] + du[live], reach[live])
+            step = un - u[live]
+            xn = x0[live] + sigma[live] * un ** order[live]
+            pred = q[live] + step * (dq[live] + 0.5 * step * bend[live])
+            qn, ok, g1 = _newton(t, c, a, pred, xn, CORRECTOR_STEPS)
+            ok &= np.abs(qn - pred) <= CHAIN_TRUST * np.abs(qn.imag)
+            keep = live[ok]
+            slope = sigma[keep] * order[keep] * un[ok] ** (order[keep] - 1.0) / g1[ok]
+            bend[keep] = (slope - dq[keep]) / step[ok]
+            u[keep], q[keep], dq[keep] = un[ok], qn[ok], slope
+            rec.append((halves[keep], un[ok], qn[ok], slope))
+            du[keep] = np.minimum(2.0 * du[keep], cap[keep])
+            du[live[~ok]] *= 0.5
+            # a chain whose step underflows its reach stops where it is
+            live = live[(u[live] < reach[live]) & (du[live] > CHAIN_MIN_STEP * reach[live])]
+    hs, us, qs, dqs = (np.concatenate(col) for col in zip(*rec))
+    key = 2.0 * hs + us / reach[np.searchsorted(halves, hs)]
+    by = np.argsort(key, kind="stable")
+    return key[by], us[by], qs[by], dqs[by]
+
+
+def _halves(sup: _Support, xs):
+    """The half each x lies in, beyond its anchor's edge zone, or -1 outside
+    the support; and each x's distance from that half's anchor."""
+    i = np.searchsorted(sup.x0, xs, side="right") - 1
+    piece = (i >= 0) & (i % 2 == 0)
+    i = np.where(piece, i, 0)
+    half = np.where(2.0 * xs > sup.x0[i] + sup.x0[i + 1], i + 1, i)
+    dist = np.abs(xs - sup.x0[half])
+    return np.where(piece & (dist > sup.zone[half]), half, -1), dist
+
+
+def _solve(pop: PopulationSpec, sup: _Support, x, half, dist):
+    """Certified q = 1/m0(x + i0) at abscissae x inside the support.
+
+    Each x starts from its half's chain, interpolated in u by cubic
+    Hermite, and all x take Newton steps together.  z0(m) = x has at most
+    one root in the upper half plane (Silverstein & Choi 1995), so a
+    converged root with Im q < 0 is the boundary value once it lies
+    farther from the real axis than its error estimate.  Points that fail
+    this are retried from chains with half the largest step, up to
+    CHAIN_HALVINGS times; a point that still fails raises NonConvergence.
+    """
+    t, c, a = _chart(pop)
+    q = np.empty(x.size, complex)
+    todo = np.arange(x.size)
+    chain = sup.key, sup.u, sup.q, sup.dq
+    with np.errstate(all="ignore"):
+        for level in range(CHAIN_HALVINGS + 1):
+            if level:
+                chain = _chains(t, c, a, sup.anchors, np.unique(half[todo]), CHAIN_NODES << level)
+            key, u, qc, dq = chain
+            h = half[todo]
+            up = np.minimum(dist[todo] ** (1.0 / sup.order[h]), sup.reach[h])
+            j = np.clip(np.searchsorted(key, 2.0 * h + up / sup.reach[h]) - 1, 0, key.size - 2)
+            du = u[j + 1] - u[j]
+            s = (up - u[j]) / du
+            q[todo] = ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * qc[j] + s * s * (3.0 - 2.0 * s) * qc[j + 1]
+                       + s * (1.0 - s) * du * ((1.0 - s) * dq[j] - s * dq[j + 1]))
+            q[todo], ok, _ = _newton(t, c, a, q[todo], x[todo], NEWTON_STEPS)
+            todo = todo[~ok]
+            if not todo.size:
+                return q
+    raise NonConvergence(
+        f"boundary value of m0 at x={x[todo[0]]:g}: no certified root of z0(m) = x "
+        f"in the upper half plane after {CHAIN_HALVINGS} chain step halvings")
+
+
+def _newton(t, c, a, q, x, steps):
+    """At most `steps` Newton steps on g(q) = x from q, all points together.
+
+    Returns q, its certificate and g' at the last point evaluated.  The
+    certificate holds when Newton converged, to the rounding floor of g - x
+    or to a next step below NEWTON_RTOL * |q|, and -Im q of the stepped
+    point exceeds the error estimate (|g - x| + floor) / |g'| before that
+    last step.
+    """
+    for _ in range(steps + 1):
+        g, g1, h = _gq(t, c, a, q)
+        res = g - x
+        dq = res / g1
+        size = np.abs(q)
+        floor = NOISE_ULPS * EPS * (np.abs(x) + size * (abs(a) + size * h))
+        conv = (np.abs(res) <= floor) | (np.abs(dq) <= NEWTON_RTOL * size)
+        if conv.all():
+            break
+        q = np.where(conv, q, q - dq)
+    q = np.where(conv, q - dq, q)       # the last step of a converged point
+    return q, conv & (-q.imag > (np.abs(res) + floor) / np.abs(g1)), g1
+
+
+def _real_root(pop: PopulationSpec, sup: _Support, x: float) -> float:
+    """q = 1/m0(x) for x in a gap of the support: the root of g(q) = x
+    between the q* of the gap's two edges (through q = infinity, m = 0,
+    for the outer gap), where g' < 0 and no pole lies.  Safeguarded
+    Newton on the bracket."""
+    t, c, a = _chart(pop)
+    j = int(np.searchsorted(sup.x0, x))
+    far = float(c @ t) - x            # beyond every pole, g(q) and -q + sum(c t) bracket x
+    lo = sup.q0[j] if j < sup.q0.size else far
+    hi = sup.q0[j - 1] if j > 0 else far
+    q = 0.5 * (lo + hi)
+    with np.errstate(all="ignore"):
+        for _ in range(200):
+            g, g1, _ = _gq(t, c, a, np.array([q]))
+            res = float(g[0]) - x
+            if res > 0.0:
+                lo = q
+            elif res < 0.0:
+                hi = q
+            else:
+                return q
+            step = res / float(g1[0])
+            nxt = q - step
+            if abs(step) <= 2.0 * EPS * abs(q) or hi - lo <= 2.0 * EPS * max(abs(lo), abs(hi)):
+                return nxt if lo <= nxt <= hi else q
+            q = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    raise NonConvergence(f"real boundary value of m0 at x={x:g} did not converge")
 
 
 def stieltjes_boundary(pop: PopulationSpec, x: float, cross_check: bool = True):
-    """m0 extended to the real axis at x, certified by its root count and
-    error estimate; `cross_check` is accepted and ignored."""
+    """m0 extended to the real axis at x: the certified root in C+ inside
+    the support, the real root in a gap, and m* within an edge's zone.
+    `cross_check` is accepted and ignored."""
     x = _defined(pop, x)
-    return complex(_m0_boundary(*pop.nonzero(), pop.n_dim, np.array([x]), check_real=True)[0])
+    sup = _support(pop)
+    half, dist = _halves(sup, np.array([x]))
+    if half[0] >= 0:
+        return complex(1.0 / _solve(pop, sup, np.array([x]), half, dist)[0])
+    near = int(np.argmin(np.abs(sup.x0 - x)))
+    if abs(x - sup.x0[near]) <= sup.zone[near]:
+        return complex(1.0 / sup.q0[near])
+    return complex(1.0 / _real_root(pop, sup, x))
 
 
 def density_f0(pop: PopulationSpec, x: float, cross_check: bool = True) -> float:
@@ -296,8 +511,15 @@ def _defined(pop: PopulationSpec, x) -> float:
 
 
 def _density(pop: PopulationSpec, xs) -> np.ndarray:
-    """f0 at every abscissa in xs through one batched boundary solve."""
-    return np.maximum(0.0, _m0_boundary(*pop.nonzero(), pop.n_dim, xs).imag / np.pi)
+    """f0 at every abscissa in xs: 0 outside the support and within an
+    edge's zone, and one batched solve for the rest."""
+    sup = _support(pop)
+    half, dist = _halves(sup, xs)
+    inside = np.flatnonzero(half >= 0)
+    f = np.zeros(xs.size)
+    q = _solve(pop, sup, xs[inside], half[inside], dist[inside])
+    f[inside] = (1.0 / q).imag / np.pi
+    return f
 
 
 def atom_mass_at_zero(pop: PopulationSpec) -> float:
@@ -343,15 +565,12 @@ class DensityGrid:
 
 def density_grid(pop: PopulationSpec, n_points: int = 2000, pad: float = 0.05) -> DensityGrid:
     """Tabulate f0 on a uniform grid spanning the support (plus padding)."""
-    from .edges import find_edges
-
-    report = find_edges(pop)
-    lo, hi = report.intervals[0][0], report.intervals[-1][1]
+    lo, hi = _support(pop).span.tolist()
     margin = pad * (hi - lo)
     xs = np.linspace(lo - margin, hi + margin, n_points)
     if pop.rank <= pop.n_dim:
         # m0 is unbounded at 0: tabulate a thousandth of a cell to its
-        # right, where the boundary kernel still resolves it.
+        # right instead.
         xs[xs == 0.0] = 1e-3 * (xs[-1] - xs[0]) / max(n_points - 1, 1)
     rows = tuple(zip(xs.tolist(), _density(pop, xs).tolist()))
     return DensityGrid(points=rows, atom_at_zero=atom_mass_at_zero(pop))

@@ -17,6 +17,7 @@ from specedge import (
     SimConfig,
     oneway_population,
     sample_spectrum,
+    spectral,
 )
 from specedge.cli import main
 
@@ -113,12 +114,15 @@ def test_edges_degenerate_exit(ws):
 
 
 def test_density_ambiguous_root_exit_3(ws, monkeypatch, capsys):
-    # every root of z0(m) = x reported twice: two admissible roots at each x
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.concatenate([eigvals(a)] * 2, axis=-1))
+    # chains that leave each edge into the wrong half plane: every Newton
+    # root is the conjugate of the boundary value, a second root with
+    # |Im m| > 0, and the certificate rejects each one
+    chains = spectral._chains
+    monkeypatch.setattr(spectral, "_chains", lambda t, c, a, anchors, *rest: chains(
+        t, c, a, (*anchors[:5], np.conj(anchors[5])), *rest))
     pop = write(ws, "pop.json", FIG1)
     assert main(["density", pop, "--grid", "10", "--out", "d.csv"]) == 3
-    assert "more than one admissible root" in capsys.readouterr().err
+    assert "no certified root of z0(m) = x" in capsys.readouterr().err
 
 
 def test_density_grid_rows(ws):

@@ -1,11 +1,12 @@
 """Inverse-transform and Stieltjes-transform solver checks.
 
 Expected values come from closed forms for the identity population
-(where the fixed point is a quadratic) and from route redundancy: the
-certified arrowhead boundary value against the independent fixed-point
-solve_m0 just above the axis.
+(where the fixed point is a quadratic), from 60-digit mpmath roots, and
+from route redundancy: the certified edge-anchored boundary value against
+the independent fixed-point solve_m0 just above the axis.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 from conftest import signed_populations
@@ -13,9 +14,9 @@ from hypothesis import example, given
 
 from specedge import (
     PopulationSpec, SpecEdgeError, atom_mass_at_zero, density_f0, find_edges, solve_m0,
-    stieltjes_boundary, z0_derivative, z0_eval,
+    spectral, stieltjes_boundary, z0_derivative, z0_eval,
 )
-from specedge.errors import DomainError, NonConvergence, PoleProximity, UndefinedAtZero
+from specedge.errors import DomainError, PoleProximity, UndefinedAtZero
 from specedge.spectral import density_grid, integrate_density, isolated_zero_in_support
 
 ID500 = PopulationSpec(((1.0, 500),), 500)
@@ -160,12 +161,54 @@ def test_solve_m0_bulk_interior_regression():
         assert abs(z0_eval(pop, m) - z) <= 1e-13
 
 
+def test_solve_m0_symmetric_full_rank_outer_bulk():
+    # the eta ladder runs out of budget here; Newton from the boundary
+    # value at Re z finishes in C+
+    t = (73.5, 57.3, 16.3, 7.75, 3.61, 3.14, 2.13, 1.05, 0.918, 0.873, 0.868, 0.5, 0.204,
+         0.128, 0.084, 0.0565, 0.0491, 0.0372, 0.0267, 0.0255, 0.0238, 0.0206, 0.018)
+    k = (11, 19, 40, 2, 34, 42, 18, 47, 43, 13, 11, 35, 9, 46, 49, 26, 50, 29, 44, 24, 14, 15, 36)
+    pop = PopulationSpec(tuple((s * v, n) for v, n in zip(t, k) for s in (1.0, -1.0)), 1314)
+    z = 66 + 1e-3j
+    m = solve_m0(pop, z)
+    assert m.imag > 0
+    assert abs(z0_eval(pop, m) - z) <= 1e-12
+    assert abs(m - (-0.0154004 + 0.0013071j)) <= 1e-6
+
+
 def near_axis_density(pop, x):
     """f0(x) from solve_m0 at z = x + 1e-9i, the independent C+ route,
     less the atom's -a/z, whose imaginary part a*eta/|z|^2 is not small
     next to 0."""
     z = complex(x, 1e-9)
     return max(0.0, (solve_m0(pop, z) + atom_mass_at_zero(pop) / z).imag / np.pi)
+
+
+def near_axis_value(pop, x):
+    """m0(x + 1e-9i) from solve_m0 less the atom's -a/z, and how far it may
+    lie from the boundary value less -a/x: 1e-6 relative, plus ten times
+    the 1e-9 * |m0'(x)| by which the offset moves it."""
+    z = complex(x, 1e-9)
+    m = stieltjes_boundary(pop, x)
+    slack = 1e-6 * max(1.0, abs(m)) + 1e-8 / abs(z0_derivative(pop, m, 1))
+    return solve_m0(pop, z) + atom_mass_at_zero(pop) / z, slack
+
+
+@given(signed_populations())
+def test_boundary_values_match_solve_m0_on_random_populations(pop):
+    try:
+        report = find_edges(pop)
+    except SpecEdgeError:
+        return
+    a = atom_mass_at_zero(pop)
+    lo, hi = report.intervals[0][0], report.intervals[-1][1]
+    # every row of the grid is solved; every fourth is checked
+    for x, f in density_grid(pop, n_points=65).points[::4]:
+        ref, slack = near_axis_value(pop, x)
+        assert abs(f - max(0.0, ref.imag / np.pi)) <= slack
+    rng = np.random.default_rng(len(pop.entries))
+    for x in rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), 8):
+        ref, slack = near_axis_value(pop, x)
+        assert abs(stieltjes_boundary(pop, x) + a / x - ref) <= slack
 
 
 def test_boundary_dual_routes_agree_randomized():
@@ -222,6 +265,19 @@ def test_density_at_zero_matches_solve_m0():
     assert f == pytest.approx(solve_m0(FIG1, 1e-9j).imag / np.pi, rel=1e-6)
 
 
+def test_failed_points_retry_from_chains_with_half_the_step(monkeypatch):
+    # one-step chains and two Newton steps per abscissa leave most points
+    # uncertified; the retries from chains with half the largest step,
+    # and half again, certify every one and reproduce the default grid
+    pop = spread_population(20)
+    grid = density_grid(pop, n_points=400)
+    monkeypatch.setattr(spectral, "CHAIN_NODES", 1)
+    monkeypatch.setattr(spectral, "CHAIN_TRUST", np.inf)
+    monkeypatch.setattr(spectral, "NEWTON_STEPS", 2)
+    coarse = density_grid(PopulationSpec(pop.entries, pop.n_dim), n_points=400)
+    assert np.allclose(coarse.points, grid.points, rtol=1e-12, atol=1e-14)
+
+
 def test_density_grid_mass_many_values():
     pop = spread_population(40)
     grid = density_grid(pop, n_points=400)
@@ -272,14 +328,14 @@ def test_cross_checked_density_vanishes_next_to_an_atom():
 
 @pytest.mark.parametrize("cross_check", [True, False])
 @pytest.mark.parametrize("x", [1e-18, 1e-300])
-def test_boundary_value_below_resolution_next_to_an_atom_raises(x, cross_check):
-    # m0 = -a/x there, and its root q = 1/m = -x/a lies below the
-    # eigensolver's resolution: the density is still 0, but the real
-    # boundary value fails its error estimate instead of coming back wrong
+def test_boundary_value_next_to_an_atom_is_the_closed_form(x, cross_check):
+    # m0 = -a/x there: in the chart q = 1/m its root q = -x/a keeps full
+    # relative precision, and the density is 0
     pop = PopulationSpec(((0.0, 200), (1.0, 300)), 500)
     assert density_f0(pop, x, cross_check=cross_check) == 0.0
-    with pytest.raises(NonConvergence):
-        stieltjes_boundary(pop, x, cross_check=cross_check)
+    m = stieltjes_boundary(pop, x, cross_check=cross_check)
+    assert m.imag == 0.0
+    assert m.real == pytest.approx(-0.4 / x, rel=1e-12)
 
 
 @pytest.mark.parametrize("x", [1e-8, 1e-10])
@@ -322,14 +378,76 @@ def test_density_grid_abscissa_at_zero_on_a_full_rank_population():
 
 
 def test_density_grid_next_to_a_soft_edge_near_zero():
-    # the lower edge (1 - sqrt(M/N))^2 = 2.5e-9, where single points just
-    # inside raise; a grid spanning the support keeps the closed form
+    # the lower edge (1 - sqrt(M/N))^2 = 2.5e-9; a grid spanning the
+    # support keeps the closed form
     pop = PopulationSpec(((0.0, 1), (1.0, 10000)), 10001)
     y = 10000 / 10001
     a, b = (1 - np.sqrt(y)) ** 2, (1 + np.sqrt(y)) ** 2
     x, f = np.array(density_grid(pop, n_points=400, pad=0.0).points).T
     closed_form = np.sqrt(np.maximum(0.0, (b - x) * (x - a))) / (2 * np.pi * x)
     assert f == pytest.approx(closed_form, rel=1e-10, abs=1e-12)
+
+
+NEGPOP = PopulationSpec(((-8.0, 100), (-0.5, 400)), 500)
+
+
+def mp_boundary(pop, x):
+    """m0(x + i0) to 60 digits from all k + 1 roots of g(q) = z0(1/q) = x:
+    the one root with Im q < 0 when there is one (m in C+), else the one
+    real root with g' < 0."""
+    mp.mp.dps = 60
+    vals, mults = pop.nonzero()
+    t = [mp.mpf(float(v)) for v in vals]
+    c = [mp.mpf(int(k)) / pop.n_dim for k in mults]
+
+    def mul(a, b):
+        out = [mp.mpf(0)] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+        return out
+
+    # (q + t_1)...(q + t_k) g(q) = (-q - x) prod (q + t) + sum c_i t_i q prod_(j != i) (q + t_j)
+    poly = [mp.mpf(-1), -mp.mpf(x)]
+    for tj in t:
+        poly = mul(poly, [mp.mpf(1), tj])
+    for i, ti in enumerate(t):
+        term = [c[i] * ti, mp.mpf(0)]
+        for j, tj in enumerate(t):
+            if j != i:
+                term = mul(term, [mp.mpf(1), tj])
+        poly = [p + s for p, s in zip(poly, [mp.mpf(0)] + term)]
+    roots = mp.polyroots(poly, maxsteps=400, extraprec=400)
+    lower = [q for q in roots if mp.im(q) < -mp.mpf(10) ** -40]
+    if lower:
+        assert len(lower) == 1
+        return complex(1 / lower[0])
+    slope = lambda q: -1 + sum(ci * ti**2 / (q + ti) ** 2 for ci, ti in zip(c, t))
+    real = [mp.re(q) for q in roots if slope(mp.re(q)) < 0]
+    assert len(real) == 1
+    return complex(1 / real[0])
+
+
+@pytest.mark.parametrize("pop", [FIG1, FIG2, NEGPOP, spread_population(8)],
+                         ids=["fig1", "fig2", "negpop", "k8"])
+def test_boundary_value_next_to_soft_edges_against_mpmath(pop):
+    # Offsets are relative to max(|E|, 1): an edge near 0 is known only to
+    # the rounding of g's summands, about 1e-14 absolute here.
+    for e in find_edges(pop).edges:
+        if not e.soft:
+            continue
+        for rel in (1e-12, 1e-9, 1e-6, 1e-3):
+            for x in e.e_star + np.array([-rel, rel]) * max(abs(e.e_star), 1.0):
+                ref = mp_boundary(pop, x)
+                assert abs(stieltjes_boundary(pop, x) - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("pop", [ID500, FIG2], ids=["identity", "fig2"])
+def test_boundary_value_next_to_the_hard_edge_against_mpmath(pop):
+    for x in (1e-12, 1e-9, 1e-6, 1e-3):
+        for side in (-1.0, 1.0):
+            ref = mp_boundary(pop, side * x)
+            assert abs(stieltjes_boundary(pop, side * x) - ref) <= 1e-9 * abs(ref)
 
 
 def test_atom_mass_examples():
@@ -345,6 +463,26 @@ def test_normalization_with_atom():
     rep = find_edges(pop)
     total = integrate_density(pop, rep.intervals) + rep.atom_at_zero
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def clustered_population(k, seed=1, n_dim=2000, mass=1600):
+    """k values in five clusters of +-10% around -6, -1.5, 0.5, 2 and 8,
+    evenly spaced inside each cluster and jittered by a quarter spacing."""
+    rng = np.random.default_rng([seed, k])
+    per = k // 5
+    vals = []
+    for c in (-6.0, -1.5, 0.5, 2.0, 8.0):
+        step = 0.2 / (per - 1)
+        u = np.linspace(-0.1, 0.1, per) + rng.uniform(-0.25, 0.25, per) * step
+        vals.extend(c * (1.0 + u))
+    return PopulationSpec(tuple((float(v), mass // k) for v in vals), n_dim)
+
+
+@pytest.mark.parametrize("k", [400, 1600])
+def test_normalization_on_clustered_populations(k):
+    pop = clustered_population(k)
+    rep = find_edges(pop)
+    assert abs(integrate_density(pop, rep.intervals) + rep.atom_at_zero - 1.0) <= 1e-6
 
 
 def test_integral_through_a_singular_zero():
