@@ -1,6 +1,7 @@
 """Edge enumeration and classification against closed forms and the
 documented example populations."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -228,6 +229,24 @@ def test_near_merged_values_are_resolved():
     assert_report_invariants(pop, report)
     assert [e.soft for e in report.edges] == [True, False]
     assert report.edges[1].e_star == 0.0
+
+
+@pytest.mark.parametrize("entries, n_dim, sha256", [
+    (((-2.0, 350), (0.5, 300), (6.0, 50)), 500,
+     "c11e9190d9080f2a225e8c5c8886be59e2e1e806ca96f5820c58319c3ba15f21"),
+    (((-1.0, 400), (4.0, 100)), 500,
+     "07105c1c65ce6f1b757c139b78493269f90910bbf03aebeeba9332a78b7e634c"),
+    (((-8.0, 100), (-0.5, 400)), 500,
+     "df1c96b810cb943e89ad1fe41c13d4b07628a8ea8879162ea2afd85de6bcd4b7"),
+    (((1.0, 100), (1.0001, 100), (3.0, 100)), 300,
+     "f830614f160766a2474b12ab8d8bed3dd77a936b122e2c9140b4ba56620d6ca3"),
+])
+def test_reports_are_pinned_bit_for_bit(entries, n_dim, sha256):
+    # Recorded from the search whose soft edges took z0' and z0'' from
+    # the m chart's derivative kernel: every e_star, m_star, gamma and
+    # margin must stay the same floats.
+    report = find_edges(PopulationSpec(entries, n_dim))
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("entries", [

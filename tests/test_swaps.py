@@ -251,6 +251,14 @@ def test_entries_digests_are_pinned(pop, pick, digests):
     assert {i: states[i].digest() for i in digests} == digests
 
 
+def test_fig1_export_is_pinned_bit_for_bit():
+    # Every record field (e_star, m_star, gamma, margin, drift) of every
+    # state, recorded from the builder before its kernels were folded.
+    text = export_sequence(build_swap_sequence(FIG1, rightmost(FIG1)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c05e4dc215ebae47c9f1d5b5be57cc59327f767dca9369f9ff3d62596506dabd")
+
+
 def test_sum_rules_identical_states_vanish():
     states = build_swap_sequence(ID500, rightmost(ID500))
     s = states[0]
