@@ -81,8 +81,13 @@ def _pick_edge(report, index):
     return report.edges[index]
 
 
-def _finish(manifest: RunManifest, out_path: str) -> None:
-    manifest.write(out_path + ".manifest.json", __version__)
+def _write_outputs(manifest: RunManifest, *files) -> None:
+    """Write each (path, text) atomically and record it in the manifest,
+    then write the manifest next to the first path."""
+    for path, text in files:
+        atomic_write(path, text)
+        manifest.record_output(path)
+    manifest.write(files[0][0] + ".manifest.json", __version__)
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +103,7 @@ def cmd_edges(args) -> int:
         body["tau"] = args.tau
         for rec, edge in zip(body["edges"], report.edges):
             rec["regular"] = check_regularity(pop, edge, args.tau)
-    atomic_write(args.out, json.dumps(body, indent=2) + "\n")
-    manifest.record_output(args.out)
-    _finish(manifest, args.out)
+    _write_outputs(manifest, (args.out, json.dumps(body, indent=2) + "\n"))
     print(f"{len(report.edges)} edges, {len(report.intervals)} support intervals -> {args.out}")
     return EXIT_OK
 
@@ -114,9 +117,7 @@ def cmd_density(args) -> int:
     lines.append(f"# atom_mass_at_zero = {grid.atom_at_zero:.12g}")
     if isolated_zero_in_support(pop):
         lines.append("# isolated point at zero: yes")
-    atomic_write(args.out, "\n".join(lines) + "\n")
-    manifest.record_output(args.out)
-    _finish(manifest, args.out)
+    _write_outputs(manifest, (args.out, "\n".join(lines) + "\n"))
     print(f"{args.grid} density rows -> {args.out}")
     return EXIT_OK
 
@@ -141,9 +142,7 @@ def cmd_test(args) -> int:
         edge = _pick_edge(support, args.edge_index)
         report_obj = edge_test(pop, eigs, edge, args.alpha, tau=args.tau, report=support)
     manifest = RunManifest("test", inputs, None)
-    atomic_write(args.out, report_obj.to_json() + "\n")
-    manifest.record_output(args.out)
-    _finish(manifest, args.out)
+    _write_outputs(manifest, (args.out, report_obj.to_json() + "\n"))
     print(
         f"statistic {report_obj.statistic:.6f}, p-value {report_obj.p_value:.6f}, "
         f"{'REJECT' if report_obj.reject else 'RETAIN'} at alpha={report_obj.alpha}"
@@ -189,9 +188,7 @@ def cmd_simulate(args) -> int:
             lines.append(f"median_m_err,{probe.median_m_err:.8g}")
             lines.append(f"median_entrywise_err,{probe.median_entrywise_err:.8g}")
             lines.append(f"psi,{probe.psi:.8g}")
-    atomic_write(args.out, "\n".join(lines) + "\n")
-    manifest.record_output(args.out)
-    _finish(manifest, args.out)
+    _write_outputs(manifest, (args.out, "\n".join(lines) + "\n"))
     print(f"{args.mode} results -> {args.out}")
     return EXIT_OK
 
@@ -228,9 +225,6 @@ def cmd_swapseq(args) -> int:
             verify_swappable(a, b, phi=args.phi)
         print(f"verified {len(states)} states against {args.verify}")
         return EXIT_OK
-    seq_path = args.out
-    diag_path = args.out + ".diagnostics.csv"
-    atomic_write(seq_path, export_sequence(states))
     rows = ["step,l1_t_diff,m_diff,e_diff,r1,r2,r_edge,r_gamma"]
     for a, b in zip(states[:-1], states[1:]):
         diag = verify_swappable(a, b, phi=args.phi)
@@ -239,11 +233,9 @@ def cmd_swapseq(args) -> int:
             f"{diag.sum_rule_1_residual:.8g},{diag.sum_rule_2_residual:.8g},"
             f"{diag.edge_identity_residual:.8g},{diag.gamma_diff:.8g}"
         )
-    atomic_write(diag_path, "\n".join(rows) + "\n")
-    manifest.record_output(seq_path)
-    manifest.record_output(diag_path)
-    _finish(manifest, seq_path)
-    print(f"{len(states) - 1} swaps -> {seq_path}")
+    _write_outputs(manifest, (args.out, export_sequence(states)),
+                   (args.out + ".diagnostics.csv", "\n".join(rows) + "\n"))
+    print(f"{len(states) - 1} swaps -> {args.out}")
     return EXIT_OK
 
 

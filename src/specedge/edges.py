@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BracketFailure, DegeneratePopulation, DomainError, NonConvergence, NoSuchEdge
 from .population import PopulationSpec
 from .spectral import (
-    BOUNDARY_BLOCK_ENTRIES, _z0, _z0_deriv, atom_mass_at_zero, isolated_zero_in_support,
+    BOUNDARY_BLOCK_ENTRIES, _z0, atom_mass_at_zero, isolated_zero_in_support,
 )
 
 S_RTOL = 1e-14             # Newton step, relative to the pole offset, that ends the edge search
@@ -285,7 +285,7 @@ def _soft_edge(vals, mults, n, m_star, e_star=None, side=None, d2=None) -> EdgeI
     curvature and is kept for a degenerate one.
     """
     if d2 is None:
-        d2 = float(_z0_deriv(vals, mults, n, m_star, 2))
+        d2 = float(_z0(vals, mults, n, m_star, 2))
     curv_side = "right" if d2 > 0 else "left"
     if e_star is None:
         e_star = float(_z0(vals, mults, n, m_star))
@@ -338,7 +338,7 @@ def find_edges(pop: PopulationSpec) -> SupportReport:
     infos = []
     # z0'(m*) and z0''(m*) of all soft edges, each in one call.
     m_soft = 1.0 / np.array([q for _, q, hard in asc if not hard])
-    soft = zip(m_soft.tolist(), *(_z0_deriv(vals, mults, n, m_soft, k).tolist() for k in (1, 2)))
+    soft = zip(m_soft.tolist(), *(_z0(vals, mults, n, m_soft, k).tolist() for k in (1, 2)))
     for pos, (e, q, hard) in enumerate(asc):
         geo_side = "left" if pos % 2 == 0 else "right"
         if hard:

@@ -43,7 +43,7 @@ class PoleProximity(NumericalError):
 
 
 class NonConvergence(NumericalError):
-    """Iteration budget exhausted or redundant solver paths disagree."""
+    """An iteration ran out of budget or could not certify its root."""
 
 
 class BracketFailure(NumericalError):

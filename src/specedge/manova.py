@@ -16,6 +16,7 @@ from .errors import ClusterAmbiguity, DesignError, ShapeError
 from .population import PopulationSpec
 
 CLUSTER_RTOL = 1e-9
+NORM_BOUND = 20.0          # C: ||U_r|| <= C and ||B|| <= C/n
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,6 @@ class GeneralDesign:
     variances: tuple[float, ...]
     p: int
     fixed_design: np.ndarray | None = None
-    norm_bound: float = 20.0
 
     def __post_init__(self):
         b = np.asarray(self.weight, dtype=float)
@@ -83,9 +83,9 @@ class GeneralDesign:
         for u in self.incidence:
             if np.asarray(u).shape[0] != n:
                 raise ShapeError("incidence maps must have n rows")
-            if np.linalg.norm(u, 2) > self.norm_bound:
+            if np.linalg.norm(u, 2) > NORM_BOUND:
                 raise DesignError("incidence map operator norm out of bounds")
-        if np.linalg.norm(b, 2) > self.norm_bound / n:
+        if np.linalg.norm(b, 2) > NORM_BOUND / n:
             raise DesignError("weight matrix norm exceeds C/n")
         if any(s < 0 for s in self.variances):
             raise DesignError("variance components must be nonnegative")
@@ -105,11 +105,7 @@ def oneway_population(design: OneWayDesign) -> PopulationSpec:
     t2 = -p * design.sigma2_sq / (j_sz * (n - i_grp))
     if t1 == 0.0 and t2 == 0.0:
         raise DesignError("both variance components vanish; population is all zero")
-    entries = [(t1, i_grp - 1), (t2, n - i_grp), (0.0, i_grp + 1)]
-    merged: dict[float, int] = {}
-    for t, k in entries:
-        merged[t] = merged.get(t, 0) + k
-    return PopulationSpec(tuple(sorted(merged.items())), n_dim=p)
+    return PopulationSpec(((t1, i_grp - 1), (t2, n - i_grp), (0.0, i_grp + 1)), n_dim=p)
 
 
 def oneway_B_matrices(n: int, I: int, J: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,10 +184,7 @@ def general_F_population(design: GeneralDesign) -> PopulationSpec:
             )
         mean = float(np.mean(cl))
         entries.append((0.0 if abs(mean) <= tol else mean, len(cl)))
-    merged: dict[float, int] = {}
-    for t, k in entries:
-        merged[t] = merged.get(t, 0) + k
-    return PopulationSpec(tuple(sorted(merged.items())), n_dim=design.p)
+    return PopulationSpec(tuple(entries), n_dim=design.p)
 
 
 def _nearest_gap(clusters, cl, scale):

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import PopulationError
 
-DEFAULT_RATIO_BAND = (1.0 / 20.0, 20.0)
-DEFAULT_VALUE_BOUND = 1e3
+RATIO_BAND = (1.0 / 20.0, 20.0)    # admissible M/N
+VALUE_BOUND = 1e3                  # admissible |t|
 
 
 def _derived(method):
@@ -43,13 +43,11 @@ class PopulationSpec:
 
     Entries are canonicalized on construction: equal values merged,
     sorted ascending, multiplicities positive.  M/N must stay inside
-    `ratio_band` and every |t| below `value_bound`.
+    RATIO_BAND and every |t| below VALUE_BOUND.
     """
 
     entries: tuple[tuple[float, int], ...]
     n_dim: int
-    ratio_band: tuple[float, float] = DEFAULT_RATIO_BAND
-    value_bound: float = DEFAULT_VALUE_BOUND
 
     def __post_init__(self):
         if not isinstance(self.n_dim, (int, np.integer)) or self.n_dim < 1:
@@ -63,10 +61,8 @@ class PopulationSpec:
             t = float(t)
             if not np.isfinite(t):
                 raise PopulationError(f"non-finite diagonal value {t!r}")
-            if abs(t) > self.value_bound:
-                raise PopulationError(
-                    f"|t|={abs(t):g} exceeds the configured bound {self.value_bound:g}"
-                )
+            if abs(t) > VALUE_BOUND:
+                raise PopulationError(f"|t|={abs(t):g} exceeds the bound {VALUE_BOUND:g}")
             if not isinstance(mult, (int, np.integer)) or mult < 1:
                 raise PopulationError(f"multiplicity {mult!r} is not a positive integer")
             merged[t] = merged.get(t, 0) + int(mult)
@@ -75,11 +71,9 @@ class PopulationSpec:
         canon = tuple(sorted(merged.items()))
         object.__setattr__(self, "entries", canon)
         m = sum(k for _, k in canon)
-        lo, hi = self.ratio_band
+        lo, hi = RATIO_BAND
         if not lo <= m / self.n_dim <= hi:
-            raise PopulationError(
-                f"M/N = {m}/{self.n_dim} outside the configured band [{lo:g}, {hi:g}]"
-            )
+            raise PopulationError(f"M/N = {m}/{self.n_dim} outside the band [{lo:g}, {hi:g}]")
 
     # -- basic descriptors -------------------------------------------------
 
@@ -128,23 +122,13 @@ class PopulationSpec:
 
     def reflected(self) -> "PopulationSpec":
         """The population of -T."""
-        return PopulationSpec(
-            tuple((-t, k) for t, k in self.entries),
-            self.n_dim,
-            self.ratio_band,
-            self.value_bound,
-        )
+        return PopulationSpec(tuple((-t, k) for t, k in self.entries), self.n_dim)
 
     def scaled(self, c: float) -> "PopulationSpec":
         """The population of c*T for c > 0."""
         if c <= 0:
             raise PopulationError(f"scale factor must be positive, got {c!r}")
-        return PopulationSpec(
-            tuple((c * t, k) for t, k in self.entries),
-            self.n_dim,
-            self.ratio_band,
-            self.value_bound,
-        )
+        return PopulationSpec(tuple((c * t, k) for t, k in self.entries), self.n_dim)
 
     # -- serialization -----------------------------------------------------
 
@@ -158,24 +142,24 @@ class PopulationSpec:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
-    def from_dict(cls, obj: dict, **kwargs) -> "PopulationSpec":
+    def from_dict(cls, obj: dict) -> "PopulationSpec":
         try:
             n_dim = int(obj["n_dim"])
             entries = tuple((float(e["t"]), int(e["mult"])) for e in obj["entries"])
         except (KeyError, TypeError, ValueError) as exc:
             raise PopulationError(f"malformed population document: {exc}") from exc
-        return cls(entries, n_dim, **kwargs)
+        return cls(entries, n_dim)
 
     @classmethod
-    def from_json(cls, text: str, **kwargs) -> "PopulationSpec":
+    def from_json(cls, text: str) -> "PopulationSpec":
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise PopulationError(f"population file is not valid JSON: {exc}") from exc
-        return cls.from_dict(obj, **kwargs)
+        return cls.from_dict(obj)
 
 
-def from_values(values, n_dim: int, **kwargs) -> PopulationSpec:
+def from_values(values, n_dim: int) -> PopulationSpec:
     """Build a spec from a raw vector of diagonal values (mult 1 each)."""
     vals, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
-    return PopulationSpec(tuple(zip(vals.tolist(), counts.tolist())), n_dim, **kwargs)
+    return PopulationSpec(tuple(zip(vals.tolist(), counts.tolist())), n_dim)

@@ -20,7 +20,7 @@ from .errors import DomainError, IrregularEdge
 from .manova import OneWayDesign, oneway_population
 from .population import PopulationSpec
 from .tw import f1_quantile
-from .twtest import DEFAULT_TAU, window_delta
+from .twtest import DEFAULT_TAU, tw_statistic, window_delta
 
 ENTRY_LAWS = ("gaussian", "rademacher")
 COVERAGE_LEVELS = (0.90, 0.95, 0.99)
@@ -124,14 +124,9 @@ def table1_experiment(design: OneWayDesign, cfg: SimConfig) -> CoverageResult:
     law-equivalent population route."""
     pop = oneway_population(design)
     edge = find_edges(pop).edges[0]
-    scale = (edge.gamma * pop.n_dim) ** (2.0 / 3.0)
     cutoffs = np.array([f1_quantile(q) for q in COVERAGE_LEVELS])
-
-    def one(rep):
-        lam_max = sample_spectrum(pop, cfg, rep)[-1]
-        return scale * (lam_max - edge.e_star)
-
-    stats = np.array(_map_reps(cfg, one))
+    lam_max = _map_reps(cfg, lambda rep: sample_spectrum(pop, cfg, rep)[-1])
+    stats = tw_statistic(edge, pop.n_dim, np.array(lam_max))
     cov = tuple(float(np.mean(stats <= c)) for c in cutoffs)
     ses = tuple(float(np.sqrt(q * (1 - q) / cfg.reps)) for q in COVERAGE_LEVELS)
     return CoverageResult(COVERAGE_LEVELS, cov, ses, cfg.reps)
@@ -141,6 +136,8 @@ def support_adherence(pop: PopulationSpec, cfg: SimConfig, delta: float) -> floa
     """Fraction of replicates with any eigenvalue farther than delta from
     the deterministic support (the atom at zero, when present, counts as
     part of the support)."""
+    if not (np.isfinite(delta) and delta >= 0):
+        raise DomainError(f"delta must be finite and nonnegative, got {delta!r}")
     report = find_edges(pop)
     lows, highs = np.array(report.intervals, dtype=float).reshape(-1, 2).T
     has_atom = report.atom_at_zero > 0

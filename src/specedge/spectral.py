@@ -22,6 +22,7 @@ the real value is the root of the decreasing g between the gap's edges.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,29 +57,19 @@ BOUNDARY_BLOCK_ENTRIES = 1 << 13
 # ---------------------------------------------------------------------------
 # array-level evaluators (vals = distinct nonzero values, mults, n = N)
 
-def _z0(vals, mults, n, m):
+def _z0(vals, mults, n, m, order=0):
+    """z0 at m, or its derivative of the given order (1..3): the k-th
+    derivative of t/(1 + t m) is (-1)^k k! t^(k+1) / (1 + t m)^(k+1)."""
     m = np.asarray(m)
-    if vals.size == 0:
-        return -1.0 / m
-    s = np.sum(mults * vals / (1.0 + np.multiply.outer(m, vals)), axis=-1)
-    return -1.0 / m + s / n
-
-
-def _z0_deriv(vals, mults, n, m, order):
-    m = np.asarray(m)
-    k = order
-    sign = (-1.0) ** k
-    lead = sign * _factorial(k) / m ** (k + 1)
+    k = order + 1
+    coef = (-1.0) ** order * (1, 1, 2, 6)[order]
+    lead = coef / (m ** k if order else m)
     if vals.size == 0:
         return -lead
-    denom = (1.0 + np.multiply.outer(m, vals)) ** (k + 1)
-    s = np.sum(mults * vals ** (k + 1) / denom, axis=-1)
-    # d^k/dm^k of t/(1+tm) = (-1)^k k! t^{k+1}/(1+tm)^{k+1}
-    return -lead + sign * _factorial(k) * s / n
-
-
-def _factorial(k):
-    return (1, 1, 2, 6, 24)[k]
+    t, r = vals, 1.0 + np.multiply.outer(m, vals)
+    if order:
+        t, r = t ** k, r ** k
+    return -lead + coef * np.sum(mults * t / r, axis=-1) / n
 
 
 def _pole_guard(pop: PopulationSpec, m) -> None:
@@ -113,21 +104,21 @@ def z0_eval(pop: PopulationSpec, m):
     """
     if np.isscalar(m) and not np.iscomplexobj(np.asarray(m)) and np.isinf(m):
         return 0.0
-    _pole_guard(pop, m)
-    vals, mults = pop.nonzero()
-    out = _z0(vals, mults, pop.n_dim, m)
-    if np.isscalar(m):
-        out = complex(out) if np.iscomplexobj(np.asarray(m)) else float(out)
-    return out
+    return _z0_at(pop, m, 0)
 
 
 def z0_derivative(pop: PopulationSpec, m, order: int = 1):
     """Exact rational-function derivative of z0 of the given order (1..3)."""
     if order not in (1, 2, 3):
         raise DomainError(f"derivative order must be 1, 2, or 3, got {order}")
+    return _z0_at(pop, m, order)
+
+
+def _z0_at(pop: PopulationSpec, m, order):
+    """z0 or its derivative at m off the pole set; a scalar m gives a
+    Python float or complex."""
     _pole_guard(pop, m)
-    vals, mults = pop.nonzero()
-    out = _z0_deriv(vals, mults, pop.n_dim, m, order)
+    out = _z0(*pop.nonzero(), pop.n_dim, m, order)
     if np.isscalar(m):
         out = complex(out) if np.iscomplexobj(np.asarray(m)) else float(out)
     return out
@@ -176,7 +167,7 @@ def solve_m0(pop: PopulationSpec, z: complex, tol: float = DEFAULT_TOL) -> compl
                 return m, abs(r), it
             stepped = False
             if abs(r) < gate:
-                dz = complex(_z0_deriv(vals, mults, n, m, 1))
+                dz = complex(_z0(vals, mults, n, m, 1))
                 if dz != 0:
                     for lam in (1.0, 0.5, 0.25):
                         m_new = m - lam * r / dz
@@ -221,21 +212,18 @@ def solve_m0(pop: PopulationSpec, z: complex, tol: float = DEFAULT_TOL) -> compl
 
 
 def _newton_from_boundary(pop: PopulationSpec, z: complex, tol: float):
-    """m0(z) by Newton in C+ from the boundary value at Re z, moved up by
-    i Im z along its tangent, or None.  z0(m) = z has one root in C+
+    """m0(z) by Newton in q = 1/m from the boundary value at Re z, moved up
+    by i Im z along its tangent, or None.  z0(m) = z has one root in C+
     (Silverstein & Choi 1995), so any converged root there is m0(z)."""
     if z.real == 0.0 and pop.rank <= pop.n_dim:
         return None
-    vals, mults = pop.nonzero()
-    n = pop.n_dim
-    m = stieltjes_boundary(pop, z.real)
+    t, c, a = _chart(pop)
+    q = np.array([_boundary_q(pop, z.real)], complex)
     with np.errstate(all="ignore"):
-        m += 1j * z.imag / complex(_z0_deriv(vals, mults, n, m, 1))
-        for _ in range(NEWTON_STEPS * 4):
-            r = complex(_z0(vals, mults, n, m)) - z
-            if abs(r) <= tol and m.imag > 0:
-                return m
-            m -= r / complex(_z0_deriv(vals, mults, n, m, 1))
+        q += 1j * z.imag / _gq(t, c, a, q)[1]
+        m = complex(1.0 / _newton(t, c, a, q, np.array([z]), NEWTON_STEPS * 4)[0][0])
+        if abs(complex(_z0(*pop.nonzero(), pop.n_dim, m)) - z) <= tol and m.imag > 0:
+            return m
     return None
 
 
@@ -306,7 +294,7 @@ def _gq(t, c, a, q):
 def _support(pop: PopulationSpec) -> _Support:
     """The support data of `pop`'s law, computed once per spec (the spec is
     frozen): anchors from `find_edges`, and their chains."""
-    from .edges import find_edges
+    from .edges import _g_derivs, _poles, find_edges
 
     t, c, a = _chart(pop)
     report = find_edges(pop)
@@ -326,10 +314,10 @@ def _support(pop: PopulationSpec) -> _Support:
     reach = np.abs(mid - x0) ** (1.0 / order)
     # x - x0 ~ g^(p)(q0)/p! (q - q0)^p, so q - q0 ~ lead*u, lead^p =
     # sigma p!/g^(p)(q0), on the one branch with Im q < 0 (m in C+).
-    r = 1.0 / np.add.outer(q0, t)
-    d = c * t * t
-    gp = np.where(order == 2.0, -((r**3) @ d), (r**4) @ d)
-    roots = (sigma / gp).astype(complex) ** (1.0 / order)
+    p, d = _poles(*pop.nonzero(), pop.n_dim)
+    j = np.clip(np.searchsorted(p, q0) - 1, 0, p.size - 1)
+    _, g2, g3 = _g_derivs(p, d, j, q0 - p[j])
+    roots = (sigma / np.where(order == 2.0, g2 / 2.0, g3 / 6.0)).astype(complex) ** (1.0 / order)
     roots = roots[:, None] * np.exp(2j * np.pi * np.arange(3) / order[:, None])
     lead = roots[np.arange(x0.size), np.argmin(roots.imag, axis=1)]
     anchors = x0, q0, sigma, order, reach, lead
@@ -485,14 +473,24 @@ def stieltjes_boundary(pop: PopulationSpec, x: float, cross_check: bool = True):
     the support, the real root in a gap, and m* within an edge's zone.
     `cross_check` is accepted and ignored."""
     x = _defined(pop, x)
+    with np.errstate(over="ignore"):
+        m = complex(1.0 / _boundary_q(pop, x))
+    if not cmath.isfinite(m):
+        raise PoleProximity(f"m0 at x={x!r} overflows a double: x is within rounding "
+                            "of the pole of m0 at 0")
+    return m
+
+
+def _boundary_q(pop: PopulationSpec, x: float):
+    """q = 1/m0(x + i0) at a defined real x."""
     sup = _support(pop)
     half, dist = _halves(sup, np.array([x]))
     if half[0] >= 0:
-        return complex(1.0 / _solve(pop, sup, np.array([x]), half, dist)[0])
+        return _solve(pop, sup, np.array([x]), half, dist)[0]
     near = int(np.argmin(np.abs(sup.x0 - x)))
     if abs(x - sup.x0[near]) <= sup.zone[near]:
-        return complex(1.0 / sup.q0[near])
-    return complex(1.0 / _real_root(pop, sup, x))
+        return sup.q0[near]
+    return _real_root(pop, sup, x)
 
 
 def density_f0(pop: PopulationSpec, x: float, cross_check: bool = True) -> float:
@@ -565,6 +563,8 @@ class DensityGrid:
 
 def density_grid(pop: PopulationSpec, n_points: int = 2000, pad: float = 0.05) -> DensityGrid:
     """Tabulate f0 on a uniform grid spanning the support (plus padding)."""
+    if n_points < 1:
+        raise DomainError(f"n_points must be at least 1, got {n_points}")
     lo, hi = _support(pop).span.tolist()
     margin = pad * (hi - lo)
     xs = np.linspace(lo - margin, hi + margin, n_points)

@@ -35,12 +35,12 @@ import numpy as np
 from .edges import (
     DEGENERATE_CURVATURE, EdgeInfo, _g_derivs, _newton_bisect_one, _poles, _soft_edge,
 )
-from .errors import NotSwappable, RegularityLost, SwapRejected
+from .errors import DomainError, NotSwappable, RegularityLost, SwapRejected
 from .population import PopulationSpec, from_values
-from .spectral import _z0_deriv
+from .spectral import _z0
 
 DEFAULT_PHI = 10.0
-DEFAULT_TAU_FLOOR = 0.01
+TAU_FLOOR = 0.01           # least regularity margin of a tracked edge; pole exclusion
 DEFAULT_C0 = 0.05
 UNIT_GAMMA_TOL = 1e-8
 
@@ -162,7 +162,7 @@ def _rescale_to_unit(vals, mults, n, m):
     Returns (c, EdgeInfo of the scaled population, |gamma-1| before
     scaling).  Scaling T by c moves the extremum exactly to m/c.
     """
-    d2 = float(_z0_deriv(vals, mults, n, m, 2))
+    d2 = float(_z0(vals, mults, n, m, 2))
     if abs(d2) < DEGENERATE_CURVATURE:
         raise SwapRejected(f"degenerate extremum at m={m:g}: vanishing curvature")
     gamma = math.sqrt(2.0 / abs(d2))
@@ -204,15 +204,13 @@ def track_edge_after_swap(
     edge: EdgeInfo,
     entry_index: int,
     new_t: float,
-    phi: float = DEFAULT_PHI,
-    tau: float = DEFAULT_TAU_FLOOR,
 ) -> EdgeInfo:
     """Edge of the population after one entry of group `entry_index`
     moves to `new_t`, located by the sign-rule bracket near m*."""
     if not 0 <= entry_index < len(pop.entries):
         raise SwapRejected(f"entry_index {entry_index} out of range")
     t_old = pop.entries[entry_index][0]
-    m_new, vals, mults = _track(*pop.nonzero(), t_old, new_t, pop.n_dim, edge.m_star, phi, tau)
+    m_new, vals, mults = _track(*pop.nonzero(), t_old, new_t, pop.n_dim, edge.m_star, DEFAULT_PHI)
     return _edge(vals, mults, pop.n_dim, m_new)
 
 
@@ -244,7 +242,7 @@ def _scaled(vals, mults, c):
     return vals[head], np.add.reduceat(mults, head)
 
 
-def _track(vals, mults, t_old, new_t, n, m_star, phi, tau):
+def _track(vals, mults, t_old, new_t, n, m_star, phi):
     """Locate the edge's m-value next to m_star after one entry t_old -> new_t.
 
     `vals, mults` are the grouped nonzero values before the swap.  Follows
@@ -259,9 +257,9 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, tau):
         norm = max(abs(vals[0]), abs(vals[-1])) if vals.size else 0.0
         if abs(new_t) > norm * (1 + 1e-12):
             raise SwapRejected(f"replacement value {new_t:g} exceeds the operator norm")
-        if new_t != 0.0 and abs(m_star + 1.0 / new_t) <= tau:
+        if new_t != 0.0 and abs(m_star + 1.0 / new_t) <= TAU_FLOOR:
             raise SwapRejected(
-                f"replacement pole {-1.0 / new_t:g} is within tau={tau:g} of m*"
+                f"replacement pole {-1.0 / new_t:g} is within tau={TAU_FLOOR:g} of m*"
             )
     vals, mults = _moved(vals, mults, t_old, new_t)
     if vals.size == 0:
@@ -311,7 +309,6 @@ def build_swap_sequence(
     edge: EdgeInfo,
     c0: float = DEFAULT_C0,
     phi: float = DEFAULT_PHI,
-    tau_floor: float = DEFAULT_TAU_FLOOR,
 ) -> list[SwapState]:
     """Construct the full interpolating sequence for a regular right edge.
 
@@ -319,32 +316,36 @@ def build_swap_sequence(
     construction retried whenever a tracked edge loses regularity, down
     to a single entry.
     """
+    if not (math.isfinite(phi) and phi > 0):
+        raise DomainError(f"phi must be finite and positive, got {phi!r}")
+    if not 0 < c0 <= 1:
+        raise DomainError(f"c0 must lie in (0, 1], got {c0!r}")
     if not edge.soft or edge.gamma is None:
         raise SwapRejected("swap sequences require a soft edge")
     if edge.side != "right":
         raise SwapRejected("swap sequences track right edges; reflect the population first")
     if edge.m_star < 0:
-        return _build(pop, edge, c0, phi, tau_floor)
+        return _build(pop, edge, c0, phi)
     m_total = pop.total_mult
     c0_try = c0
     while True:
         try:
-            return _build(pop, edge, c0_try, phi, tau_floor)
+            return _build(pop, edge, c0_try, phi)
         except RegularityLost:
             if c0_try <= 1.0 / m_total:
                 raise
             c0_try = max(c0_try / 2.0, 1.0 / m_total)
 
 
-def _build(pop, edge, c0, phi, tau_floor):
+def _build(pop, edge, c0, phi):
     n = pop.n_dim
     c, info, drift = _rescale_to_unit(*pop.nonzero(), n, edge.m_star)
     start, m = pop.expand() * c, info.m_star
     if info.side != "right":
         raise SwapRejected("the tracked extremum is not a local minimum")
-    if info.regularity_margin < tau_floor:
+    if info.regularity_margin < TAU_FLOOR:
         raise RegularityLost(
-            f"initial margin {info.regularity_margin:g} below the floor {tau_floor:g}"
+            f"initial margin {info.regularity_margin:g} below the floor {TAU_FLOOR:g}"
         )
     states = [SwapState(start, n, info, 0, None, "done", drift)]
     # The working vector of the last state, for candidate selection, and
@@ -355,11 +356,11 @@ def _build(pop, edge, c0, phi, tau_floor):
     def apply_swap(idx, new_t, phase):
         nonlocal values, groups, m
         state = states[-1]
-        m_tracked, vals, mults = _track(*groups, float(values[idx]), new_t, n, m, phi, tau_floor)
+        m_tracked, vals, mults = _track(*groups, float(values[idx]), new_t, n, m, phi)
         c, info, drift = _rescale_to_unit(vals, mults, n, m_tracked)
-        if info.regularity_margin < tau_floor:
+        if info.regularity_margin < TAU_FLOOR:
             raise RegularityLost(
-                f"margin {info.regularity_margin:g} fell below {tau_floor:g} "
+                f"margin {info.regularity_margin:g} fell below {TAU_FLOOR:g} "
                 f"at step {state.step + 1} ({phase})"
             )
         values *= c
@@ -431,7 +432,9 @@ def _build(pop, edge, c0, phi, tau_floor):
 
 def verify_swappable(a: SwapState, b: SwapState, phi: float = DEFAULT_PHI) -> SwapDiagnostics:
     """Check the swappability bounds for a consecutive pair and measure
-    the sum-rule residuals."""
+    the sum-rule residuals.  phi may be infinite, which disables the bounds."""
+    if not phi > 0:
+        raise DomainError(f"phi must be positive, got {phi!r}")
     t, tc = a.values, b.values
     if t.shape != tc.shape or a.n_dim != b.n_dim:
         raise NotSwappable("states are not aligned")

@@ -8,7 +8,7 @@ the GOE Tracy-Widom law, so the p-value is one minus the CDF.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,6 +63,13 @@ def window_delta(report: SupportReport, edge: EdgeInfo) -> float:
     return min(0.5 * gap, cap)
 
 
+def tw_statistic(edge: EdgeInfo, n_dim: int, lam):
+    """(gamma*N)^{2/3} * (lambda - E*) at a right edge, mirrored at a left
+    edge; `lam` may be an array."""
+    scale = (edge.gamma * n_dim) ** (2.0 / 3.0)
+    return scale * (lam - edge.e_star) if edge.side == "right" else scale * (edge.e_star - lam)
+
+
 def edge_test(
     pop: PopulationSpec,
     eigenvalues,
@@ -77,6 +84,8 @@ def edge_test(
     an error rather than a warning because the limit law is unjustified
     otherwise.
     """
+    if not 0.0 <= alpha <= 1.0:
+        raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
     if eigs.size == 0:
         raise EmptyWindow("eigenvalue list is empty")
@@ -99,8 +108,7 @@ def edge_test(
             f"no eigenvalue within {delta:g} of the edge at {edge.e_star:g}"
         )
     lam = float(inside[-1]) if edge.side == "right" else float(inside[0])
-    scale = (edge.gamma * pop.n_dim) ** (2.0 / 3.0)
-    stat = scale * (lam - edge.e_star) if edge.side == "right" else scale * (edge.e_star - lam)
+    stat = tw_statistic(edge, pop.n_dim, lam)
     p_value = float(1.0 - f1_cdf(stat))
     return TestReport(
         edge=edge,
@@ -138,13 +146,4 @@ def plugin_edge_test(
     report = find_edges(pop)
     eigs = np.linalg.eigvalsh(manova_estimate(y, b1))
     base = edge_test(pop, eigs, report.edges[0], alpha, tau=tau, report=report)
-    return TestReport(
-        edge=base.edge,
-        lambda_used=base.lambda_used,
-        statistic=base.statistic,
-        p_value=base.p_value,
-        alpha=base.alpha,
-        reject=base.reject,
-        window_delta=base.window_delta,
-        plugin_variances=(sigma1_hat, sigma2_hat),
-    )
+    return replace(base, plugin_variances=(sigma1_hat, sigma2_hat))

@@ -92,6 +92,27 @@ def test_cmd_test_non_finite_eigenvalue_exit_2(ws, capsys):
     assert not (ws / "r.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "{pop}", "--grid", "-1"],
+    ["density", "{pop}", "--grid", "0"],
+    ["test", "{pop}", "{eigs}", "--alpha", "1.5"],
+    ["test", "{pop}", "{eigs}", "--alpha", "nan"],
+    ["swapseq", "{pop}", "--phi", "nan"],
+    ["swapseq", "{pop}", "--phi", "0"],
+    ["swapseq", "{pop}", "--c0", "0"],
+    ["swapseq", "{pop}", "--c0", "1.5"],
+    ["simulate", "{pop}", "--mode", "adherence", "--reps", "1", "--delta", "nan"],
+    ["simulate", "{pop}", "--mode", "adherence", "--reps", "1", "--delta", "-0.1"],
+])
+def test_out_of_domain_arguments_exit_2(ws, capsys, argv):
+    pop = write(ws, "pop.json", FIG1)
+    np.savetxt(ws / "eigs.txt", np.linspace(-5.0, 20.0, 500))
+    args = [a.format(pop=pop, eigs=ws / "eigs.txt") for a in argv]
+    assert main(args + ["--out", "out.txt"]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (ws / "out.txt").exists()
+
+
 def test_edges_near_merged_exit_0(ws):
     pop = write(ws, "pop.json", {"n_dim": 300, "entries": [
         {"t": 1.0, "mult": 100}, {"t": 1.0001, "mult": 100}, {"t": 3.0, "mult": 100}]})

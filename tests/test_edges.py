@@ -242,9 +242,8 @@ def test_near_merged_values_are_resolved():
      "f830614f160766a2474b12ab8d8bed3dd77a936b122e2c9140b4ba56620d6ca3"),
 ])
 def test_reports_are_pinned_bit_for_bit(entries, n_dim, sha256):
-    # Recorded from the search whose soft edges took z0' and z0'' from
-    # the m chart's derivative kernel: every e_star, m_star, gamma and
-    # margin must stay the same floats.
+    # Every e_star, m_star, gamma and margin keeps its bits: swap records,
+    # and the sequences `swapseq --verify` checks, are built from them.
     report = find_edges(PopulationSpec(entries, n_dim))
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == sha256
 

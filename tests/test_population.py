@@ -23,8 +23,6 @@ def test_ratio_band_enforced():
         PopulationSpec(((1.0, 1),), 1000)   # M/N = 1/1000 < 1/20
     with pytest.raises(PopulationError):
         PopulationSpec(((1.0, 500),), 10)   # M/N = 50 > 20
-    # custom band admits it
-    PopulationSpec(((1.0, 1),), 1000, ratio_band=(1e-4, 1e4))
 
 
 def test_value_bound_and_finiteness():

@@ -55,7 +55,7 @@ def test_spectrum_deterministic_given_seed():
 
 
 def test_max_dim_guard():
-    big = PopulationSpec(((1.0, 2500),), 2500, ratio_band=(0.05, 20))
+    big = PopulationSpec(((1.0, 2500),), 2500)
     with pytest.raises(DomainError):
         sample_spectrum(big, SimConfig(reps=1, seed=0), 0)
     cfg = SimConfig(reps=1, seed=0, max_dim=3000)

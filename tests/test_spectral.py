@@ -6,6 +6,8 @@ from route redundancy: the certified edge-anchored boundary value against
 the independent fixed-point solve_m0 just above the axis.
 """
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -336,6 +338,17 @@ def test_boundary_value_next_to_an_atom_is_the_closed_form(x, cross_check):
     m = stieltjes_boundary(pop, x, cross_check=cross_check)
     assert m.imag == 0.0
     assert m.real == pytest.approx(-0.4 / x, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-310])
+def test_boundary_value_that_overflows_raises(x):
+    # q = -x/a is still right, but m = 1/q does not fit a double
+    pop = PopulationSpec(((0.0, 200), (1.0, 300)), 500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleProximity, match=f"x={x!r}"):
+            stieltjes_boundary(pop, x)
+        assert density_f0(pop, x) == 0.0
 
 
 @pytest.mark.parametrize("x", [1e-8, 1e-10])

@@ -252,8 +252,8 @@ def test_entries_digests_are_pinned(pop, pick, digests):
 
 
 def test_fig1_export_is_pinned_bit_for_bit():
-    # Every record field (e_star, m_star, gamma, margin, drift) of every
-    # state, recorded from the builder before its kernels were folded.
+    # Every record field of every state (e_star, m_star, gamma, margin,
+    # drift), which `swapseq --verify` compares exactly.
     text = export_sequence(build_swap_sequence(FIG1, rightmost(FIG1)))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "c05e4dc215ebae47c9f1d5b5be57cc59327f767dca9369f9ff3d62596506dabd")
