@@ -22,7 +22,6 @@ the real value is the root of the decreasing g between the gap's edges.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -475,7 +474,7 @@ def stieltjes_boundary(pop: PopulationSpec, x: float, cross_check: bool = True):
     x = _defined(pop, x)
     with np.errstate(over="ignore"):
         m = complex(1.0 / _boundary_q(pop, x))
-    if not cmath.isfinite(m):
+    if not np.isfinite(m):
         raise PoleProximity(f"m0 at x={x!r} overflows a double: x is within rounding "
                             "of the pole of m0 at 0")
     return m
