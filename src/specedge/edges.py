@@ -104,23 +104,31 @@ def _poles(vals, mults, n):
     return -vals[::-1], (mults * vals**2 / n)[::-1]
 
 
+def _g_row(p, d, pj, s):
+    """g', g'', g''' at q = pj + s, where pj is the anchor pole.
+
+    The kernel's one body: scalars pj, s give one row, and columns give a
+    block of rows.  The offset from the anchor pole is exact,
+    q + t_i = s + (pj - p_i), so an interval narrower than an ulp of its
+    poles stays resolved.  With d the reversed view `_poles` returns,
+    numpy's matmul sums each row in its own loop, not in BLAS, so a row's
+    values do not depend on the other rows of the call.
+    """
+    r = 1.0 / (s + (pj - p))
+    r2 = r * r
+    return r2 @ d - 1.0, -2.0 * ((r2 * r) @ d), 6.0 * ((r2 * r2) @ d)
+
+
 def _g_derivs(p, d, j, s):
     """g', g'', g''' at q = p[j] + s for the rows (j, s), in row blocks.
 
-    p are the sorted poles and d the weights c*t^2 in the same order.  The
-    offset from the anchor pole is exact, q + t_i = s + (p[j] - p[i]), so
-    an interval narrower than an ulp of its poles stays resolved.  With d
-    the reversed view `_poles` returns, numpy's matmul sums each row in its
-    own loop, not in BLAS, so a row's values do not depend on the other
-    rows of the call.
+    p are the sorted poles and d the weights c*t^2 in the same order.
     """
     out = np.empty((3, s.size))
     block = max(1, BOUNDARY_BLOCK_ENTRIES // p.size)
     for lo in range(0, s.size, block):
         rows = slice(lo, lo + block)
-        r = 1.0 / (s[rows, None] + (p[j[rows], None] - p))
-        r2 = r * r
-        out[:, rows] = (r2 @ d - 1.0, -2.0 * ((r2 * r) @ d), 6.0 * ((r2 * r2) @ d))
+        out[:, rows] = _g_row(p, d, p[j[rows], None], s[rows, None])
     return out
 
 
@@ -169,15 +177,15 @@ def _newton_bisect_one(p, d, j, lo, hi, s, g):
 
     The one-row form of `_newton_bisect(..., order=1, rising=True)`, with
     the same steps and floats under Python-float control flow.  It starts
-    at s, where the triple g = (g', g'', g''') is already known, and calls
-    `_g_derivs` only for new points.  Returns s and the triple at the last
-    point evaluated.
+    at s, where the triple g = (g', g'', g''') is already known, and
+    evaluates the kernel's one row only at new points.  Returns s and the
+    triple at the last point evaluated.
     """
-    rows = np.array([j])
+    pj, lo, hi, s = p[j], float(lo), float(hi), float(s)
     g = tuple(map(float, g))
     for it in range(160):
         if it:
-            g = tuple(_g_derivs(p, d, rows, np.array([s]))[:, 0].tolist())
+            g = tuple(map(float, _g_row(p, d, pj, s)))
         if not all(map(math.isfinite, g)):
             raise NonConvergence("edge search met a non-finite derivative of g")
         d1, d2 = g[0], g[1]
@@ -261,7 +269,7 @@ def _soft_extrema_q(vals, mults, n, flat_origin=False):
 
 def _margin(vals, m_star, gamma):
     """min(1/|m*|, 1/gamma, min_a |m* + 1/t_a|) over the nonzero values."""
-    pole_dist = float(np.min(np.abs(m_star + 1.0 / vals)))
+    pole_dist = float(np.abs(m_star + 1.0 / vals).min())
     return min(1.0 / abs(m_star), 1.0 / gamma, pole_dist)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,7 @@ class PopulationSpec:
             except (TypeError, ValueError):
                 raise PopulationError(f"entry {item!r} is not a (value, multiplicity) pair")
             t = float(t)
-            if not np.isfinite(t):
+            if not math.isfinite(t):
                 raise PopulationError(f"non-finite diagonal value {t!r}")
             if abs(t) > VALUE_BOUND:
                 raise PopulationError(f"|t|={abs(t):g} exceeds the bound {VALUE_BOUND:g}")

@@ -162,6 +162,8 @@ def edge_concentration(
 ) -> float:
     """Fraction of replicates with an eigenvalue in the exclusion zone
     between N^{-2/3+eps} and the edge window, outward of the edge."""
+    if not (np.isfinite(epsilon) and 0 <= epsilon < 2.0 / 3.0):
+        raise DomainError(f"epsilon must be finite and lie in [0, 2/3), got {epsilon!r}")
     if not (edge.soft and check_regularity(pop, edge, tau)):
         raise IrregularEdge("edge concentration is only meaningful at a regular edge")
     report = find_edges(pop)

@@ -68,7 +68,7 @@ def _z0(vals, mults, n, m, order=0):
     t, r = vals, 1.0 + np.multiply.outer(m, vals)
     if order:
         t, r = t ** k, r ** k
-    return -lead + coef * np.sum(mults * t / r, axis=-1) / n
+    return -lead + coef * (mults * t / r).sum(axis=-1) / n
 
 
 def _pole_guard(pop: PopulationSpec, m) -> None:

@@ -14,7 +14,9 @@ m-value:
 Every state is rescaled back to unit edge scale, so consecutive states
 satisfy the swappability bounds and the sum-rule identities.  A state
 stores only its step's delta; a step updates the grouped (value, mult)
-counts in O(k), and full vectors are rebuilt by replay on demand.
+counts in O(k), and full vectors are rebuilt by replay on demand.  A
+consecutive pair differs by one entry plus a uniform scale, so its
+bounds and sum rules run over the grouped values too, in O(k).
 
 A step tracks the edge in the chart q = 1/m on the grouped poles: one
 kernel call gives g' at q* and at the sign-rule bracket's widths on both
@@ -44,37 +46,52 @@ TAU_FLOOR = 0.01           # least regularity margin of a tracked edge; pole exc
 DEFAULT_C0 = 0.05
 UNIT_GAMMA_TOL = 1e-8
 
-# Signs and doubling factors of the tracking bracket's widths.
-_SIDES, _DOUBLINGS = np.array([[1.0], [-1.0]]), 2.0 ** np.arange(6)
+# The tracking bracket's widths in units of phi/N: six doublings from 1/8
+# on either side of m*.  Powers of two, so every width is exact.
+_BRACKET = np.concatenate((2.0 ** np.arange(6), -(2.0 ** np.arange(6)))) / 8.0
 
 PHASES = ("reflect", "raise_to_max", "seed_fraction", "zero_above", "zero_below", "done")
 
 
 class _Tape:
-    """A sequence's first vector and each later step's (index, new_t, c).
+    """A sequence's first vector and each later step's (index, new_t, c, t_old).
 
     Step s is rebuilt from step s - 1 as `v = v * c; v[index] = new_t * c`,
     the arithmetic the builder runs, so every replayed vector is
     bit-identical to the one built.  The last vector rebuilt and the one
     it started from are kept, so walking the states in order, singly or
-    in consecutive pairs, costs O(M) per access.
+    in consecutive pairs, costs O(M) per access.  t_old, the entry's value
+    before the step, lets the grouped nonzero values be replayed the same
+    way in O(k) per step, with the builder's own `_moved` and `_scaled`.
     """
 
     def __init__(self, start):
         self.start = start
         self.deltas = []
         self._kept = []
+        self._grouped = None
 
     def vector(self, pos):
         base, v = max([(0, self.start)] + [kept for kept in self._kept if kept[0] <= pos],
                       key=lambda kept: kept[0])
         if base < pos:
             self._kept = [(base, v)]
-            for idx, new_t, c in self.deltas[base:pos]:
+            for idx, new_t, c, _ in self.deltas[base:pos]:
                 v = v * c
                 v[idx] = new_t * c
             self._kept.append((pos, v))
         return v.copy()
+
+    def groups(self, pos):
+        """Distinct nonzero values of state pos, ascending, and their counts;
+        the arrays kept for the next call, not to be changed."""
+        if self._grouped is None or self._grouped[0] > pos:
+            self._grouped = (0, np.unique(self.start[self.start != 0.0], return_counts=True))
+        base, (vals, mults) = self._grouped
+        for _, new_t, c, t_old in self.deltas[base:pos]:
+            vals, mults = _scaled(*_moved(vals, mults, t_old, new_t), c)
+        self._grouped = (pos, (vals, mults))
+        return vals, mults
 
 
 class SwapState:
@@ -96,13 +113,13 @@ class SwapState:
         self.new_t, self.scale = None, 1.0
         self._tape, self._pos = _Tape(values), 0
 
-    def _after(self, idx, new_t, c, edge, phase, gamma_drift) -> "SwapState":
+    def _after(self, idx, t_old, new_t, c, edge, phase, gamma_drift) -> "SwapState":
         """The state one swap after this one, the last on its tape."""
         nxt = SwapState.__new__(SwapState)
         nxt.n_dim, nxt.edge, nxt.step = self.n_dim, edge, self.step + 1
         nxt.swapped_index, nxt.phase, nxt.gamma_drift = idx, phase, gamma_drift
         nxt.new_t, nxt.scale = new_t, c
-        self._tape.deltas.append((idx, new_t, c))
+        self._tape.deltas.append((idx, new_t, c, t_old))
         nxt._tape, nxt._pos = self._tape, len(self._tape.deltas)
         return nxt
 
@@ -222,12 +239,12 @@ def _moved(vals, mults, t_old, new_t):
     """
     mults = mults.copy()
     if t_old != 0.0:
-        i = np.searchsorted(vals, t_old)
+        i = vals.searchsorted(t_old)
         mults[i] -= 1
         if mults[i] == 0:
             vals, mults = np.delete(vals, i), np.delete(mults, i)
     if new_t != 0.0:
-        i = np.searchsorted(vals, new_t)
+        i = vals.searchsorted(new_t)
         if i < vals.size and vals[i] == new_t:
             mults[i] += 1
         else:
@@ -265,12 +282,11 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi):
     if vals.size == 0:
         raise SwapRejected("the swap leaves no nonzero value")
     p, d = _poles(vals, mults, n)
-    j = min(max(int(np.searchsorted(p, 1.0 / m_star)) - 1, 0), p.size - 1)
+    j = min(max(int(p.searchsorted(1.0 / m_star)) - 1, 0), p.size - 1)
     budget = phi / n
     # q* and the six doubling widths up to 4*phi/N on either side of m*,
     # in one kernel call; its rows are the values one-row calls give.
-    m_try = m_star + _SIDES * budget / 8.0 * _DOUBLINGS
-    s_all = np.concatenate(([1.0 / m_star], 1.0 / m_try.ravel())) - p[j]
+    s_all = np.concatenate(([1.0 / m_star], 1.0 / (m_star + budget * _BRACKET))) - p[j]
     g_all = _g_derivs(p, d, np.repeat(j, 13), s_all)
     g = g_all[:, 0]
     if g[0] == 0.0:
@@ -297,7 +313,7 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi):
     # m = 0 is a pole of z0 too, and no bracket in q = 1/m spans it.
     poles = -1.0 / vals
     if (lo <= 0.0 <= hi or (t_old != 0.0 and lo <= -1.0 / t_old <= hi)
-            or np.any((poles >= lo) & (poles <= hi))):
+            or ((poles >= lo) & (poles <= hi)).any()):
         raise SwapRejected("a pole crossed the tracking interval")
     if g[1] <= 0:
         raise SwapRejected("tracked extremum is not a local minimum after the swap")
@@ -355,8 +371,8 @@ def _build(pop, edge, c0, phi):
 
     def apply_swap(idx, new_t, phase):
         nonlocal values, groups, m
-        state = states[-1]
-        m_tracked, vals, mults = _track(*groups, float(values[idx]), new_t, n, m, phi)
+        state, t_old = states[-1], float(values[idx])
+        m_tracked, vals, mults = _track(*groups, t_old, new_t, n, m, phi)
         c, info, drift = _rescale_to_unit(vals, mults, n, m_tracked)
         if info.regularity_margin < TAU_FLOOR:
             raise RegularityLost(
@@ -366,25 +382,25 @@ def _build(pop, edge, c0, phi):
         values *= c
         values[idx] = new_t * c
         groups, m = _scaled(vals, mults, c), info.m_star
-        states.append(state._after(idx, float(new_t), c, info, phase, drift))
+        states.append(state._after(idx, t_old, float(new_t), c, info, phase, drift))
 
     if m < 0:
         # Reflect every pole right of m* about m*, rightmost pole first.
         while True:
             nz = values != 0.0
             poles = np.where(nz, -1.0 / np.where(nz, values, 1.0), -np.inf)
-            cands = np.nonzero(nz & (poles > m))[0]
+            cands = (nz & (poles > m)).nonzero()[0]
             if cands.size == 0:
                 break
-            idx = int(cands[np.argmax(poles[cands])])
+            idx = int(cands[poles[cands].argmax()])
             apply_swap(idx, -1.0 / (2.0 * m + 1.0 / values[idx]), "reflect")
         # Raise every positive entry to the running maximum, smallest first.
         while True:
-            t_max = float(np.max(values))
-            cands = np.nonzero((values > 0.0) & (values < t_max))[0]
+            t_max = float(values.max())
+            cands = ((values > 0.0) & (values < t_max)).nonzero()[0]
             if cands.size == 0:
                 break
-            idx = int(cands[np.argmin(values[cands])])
+            idx = int(cands[values[cands].argmin()])
             apply_swap(idx, t_max, "raise_to_max")
     else:
         # Identify the pole-adjacent negative value: -1/t in (0, m*), closest.
@@ -406,17 +422,17 @@ def _build(pop, edge, c0, phi):
             seeded += 1
         while True:
             t_seed = values[seed_rep]
-            cands = np.nonzero((values != 0.0) & (values > t_seed))[0]
+            cands = ((values != 0.0) & (values > t_seed)).nonzero()[0]
             if cands.size == 0:
                 break
-            idx = int(cands[np.argmax(values[cands])])
+            idx = int(cands[values[cands].argmax()])
             apply_swap(idx, 0.0, "zero_above")
         while True:
             t_seed = values[seed_rep]
-            cands = np.nonzero(values < t_seed)[0]
+            cands = (values < t_seed).nonzero()[0]
             if cands.size == 0:
                 break
-            idx = int(cands[np.argmin(values[cands])])
+            idx = int(cands[values[cands].argmin()])
             apply_swap(idx, 0.0, "zero_below")
 
     if len(states) > 1:
@@ -432,33 +448,54 @@ def _build(pop, edge, c0, phi):
 
 def verify_swappable(a: SwapState, b: SwapState, phi: float = DEFAULT_PHI) -> SwapDiagnostics:
     """Check the swappability bounds for a consecutive pair and measure
-    the sum-rule residuals.  phi may be infinite, which disables the bounds."""
+    the sum-rule residuals.  phi may be infinite, which disables the bounds.
+
+    Every measurement is a sum over the entry pairs (t, tc) of the two
+    states.  A pair of neighbours on one tape differs by one entry plus a
+    uniform scale c, so its sums run over the k value groups: (v, v*c) for
+    each nonzero group, one entry fewer on t_old's, and the moved entry
+    (t_old, new_t*c); zero entries add 0 to every sum.  Any other pair
+    sums over its full vectors with unit weights.
+    """
     if not phi > 0:
         raise DomainError(f"phi must be positive, got {phi!r}")
-    t, tc = a.values, b.values
-    if t.shape != tc.shape or a.n_dim != b.n_dim:
+    if a.n_dim != b.n_dim:
         raise NotSwappable("states are not aligned")
+    tape = a._tape
+    if b._tape is tape and b._pos == a._pos + 1:
+        vals, mults = tape.groups(a._pos)
+        _, new_t, c, t_old = tape.deltas[a._pos]
+        t, w = np.concatenate((vals, (t_old,))), np.concatenate((mults, (1.0,)))
+        tc = t * c
+        tc[-1] = new_t * c
+        if t_old != 0.0:
+            w[vals.searchsorted(t_old)] -= 1.0
+    else:
+        t, tc = a.values, b.values
+        if t.shape != tc.shape:
+            raise NotSwappable("states are not aligned")
+        w = np.ones(t.size)
     n = a.n_dim
     m, mc = a.edge.m_star, b.edge.m_star
-    l1 = float(np.sum(np.abs(t - tc)))
+
+    s = 1.0 / (1.0 + t * m)
+    sc = 1.0 / (1.0 + tc * mc)
+    ts, tcs, dt = t * s, tc * sc, t - tc
+    u = dt * s * sc
+    terms = np.array((np.abs(dt), ts ** 4, u * (ts + tcs), u * (ts * ts + ts * tcs + tcs * tcs), u))
+    l1, a4, sum1, sum2, sum_edge = (terms @ w).tolist()
     m_diff = abs(m - mc)
     if l1 >= phi:
         raise NotSwappable(f"l1 entry difference {l1:g} >= phi = {phi:g}")
     if m_diff >= phi / n:
         raise NotSwappable(f"m-value difference {m_diff:g} >= phi/N = {phi / n:g}")
 
-    s = 1.0 / (1.0 + t * m)
-    sc = 1.0 / (1.0 + tc * mc)
-    p = s * sc * (t * s + tc * sc)
-    q = s * sc * ((t * s) ** 2 + t * s * tc * sc + (tc * sc) ** 2)
-    a4 = float(np.sum((t * s) ** 4)) / n
-
+    a4 /= n
     dm = m - mc
-    dt = t - tc
-    r1 = abs(2.0 * n * dm - float(np.sum(dt * p)))
-    r2 = abs(3.0 * n * dm * (a4 - m ** -4) - float(np.sum(dt * q)))
+    r1 = abs(2.0 * n * dm - sum1)
+    r2 = abs(3.0 * n * dm * (a4 - m ** -4) - sum2)
     e_diff = a.edge.e_star - b.edge.e_star
-    r_edge = abs(e_diff - float(np.sum(dt * s * sc)) / n)
+    r_edge = abs(e_diff - sum_edge / n)
     return SwapDiagnostics(
         a4=a4, l1_t_diff=l1, m_diff=m_diff, e_diff=abs(e_diff),
         gamma_diff=abs(a.edge.gamma - b.edge.gamma),

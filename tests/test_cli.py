@@ -103,6 +103,7 @@ def test_cmd_test_non_finite_eigenvalue_exit_2(ws, capsys):
     ["swapseq", "{pop}", "--c0", "1.5"],
     ["simulate", "{pop}", "--mode", "adherence", "--reps", "1", "--delta", "nan"],
     ["simulate", "{pop}", "--mode", "adherence", "--reps", "1", "--delta", "-0.1"],
+    ["simulate", "{pop}", "--mode", "concentration", "--reps", "1", "--epsilon", "nan"],
 ])
 def test_out_of_domain_arguments_exit_2(ws, capsys, argv):
     pop = write(ws, "pop.json", FIG1)

@@ -22,7 +22,8 @@ from specedge import (
 )
 import specedge.edges
 from specedge.edges import (
-    DERIV_CERT, EPS, _g_derivs, _newton_bisect, _newton_bisect_one, _poles, _soft_extrema_q,
+    DERIV_CERT, EPS, _g_derivs, _g_row, _newton_bisect, _newton_bisect_one, _poles,
+    _soft_extrema_q,
 )
 from specedge.errors import (
     BracketFailure, DegeneratePopulation, DomainError, NonConvergence, NoSuchEdge,
@@ -340,6 +341,20 @@ def test_one_row_solver_matches_the_batched_solver(pop, data):
     np.testing.assert_array_equal(batch, np.array(rows).T)
 
 
+@given(signed_populations(), st.data())
+def test_one_row_kernel_equals_its_row_of_a_batched_call(pop, data):
+    # The one-row solver evaluates the kernel's body on one 1-D row; with
+    # d the reversed view `_poles` returns, every row of a 13-row call
+    # (the size of a swap step's bracket call) must give the same bits.
+    p, d = _poles(*pop.nonzero(), pop.n_dim)
+    j = np.array(data.draw(st.lists(st.integers(0, p.size - 1), min_size=13, max_size=13)))
+    s = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=13, max_size=13)))
+    with np.errstate(all="ignore"):     # an offset may land on a pole
+        batch = _g_derivs(p, d, j, s)
+        rows = [_g_row(p, d, p[j[i]], float(s[i])) for i in range(13)]
+    np.testing.assert_array_equal(batch, np.array(rows).T)
+
+
 def test_one_row_solver_when_newton_leaves_the_bracket():
     # Far left of the first pole g' is near -1 and flat, so the first
     # Newton point overshoots the bracket.
@@ -357,15 +372,20 @@ def solve_both_on(monkeypatch, derivs, lo, hi, s0):
     result must be the same and reached through the same points."""
     seen = []
 
-    def kernel(p, d, j, s):
-        seen.extend(s.tolist())
-        return np.array([derivs(x) for x in s.tolist()]).T
+    def kernel(p, d, pj, s):
+        # The kernel's one body takes a scalar offset (one row) or a
+        # column of offsets (a block of rows).
+        xs = np.ravel(s).tolist()
+        seen.extend(xs)
+        g = np.array([derivs(x) for x in xs]).T
+        return g if np.ndim(s) else g[:, 0]
 
-    monkeypatch.setattr(specedge.edges, "_g_derivs", kernel)
-    one = solve_one(None, None, 0, lo, hi, s0)
+    monkeypatch.setattr(specedge.edges, "_g_row", kernel)
+    one_pole = np.zeros(1)
+    one = solve_one(one_pole, None, 0, lo, hi, s0)
     one_seen = seen[:]
     seen.clear()
-    assert solve_many(None, None, 0, lo, hi, s0) == one
+    assert solve_many(one_pole, None, 0, lo, hi, s0) == one
     assert seen == one_seen
     return one, len(seen)
 

@@ -30,6 +30,11 @@ def test_value_bound_and_finiteness():
         PopulationSpec(((2e3, 10),), 10)
     with pytest.raises(PopulationError):
         PopulationSpec(((float("nan"), 10),), 10)
+    for t in (float("inf"), float("-inf")):
+        with pytest.raises(PopulationError, match="non-finite diagonal value"):
+            PopulationSpec(((t, 10),), 10)
+    with pytest.raises(PopulationError, match="non-finite diagonal value inf"):
+        PopulationSpec.from_json('{"entries": [{"t": 1e400, "mult": 10}], "n_dim": 10}')
     with pytest.raises(PopulationError):
         PopulationSpec(((1.0, 0),), 10)
 

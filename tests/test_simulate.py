@@ -212,6 +212,13 @@ def test_concentration_requires_regular_edge():
         edge_concentration(ID500, hard, SimConfig(reps=5, seed=1), 0.2)
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 5.0, -1.0, 2.0 / 3.0])
+def test_concentration_rejects_epsilon_outside_its_range(epsilon):
+    # The zone starts at N^(-2/3 + eps) from the edge: eps must lie in [0, 2/3).
+    with pytest.raises(DomainError, match="epsilon"):
+        edge_concentration(ID500, find_edges(ID500).edges[0], SimConfig(reps=1, seed=1), epsilon)
+
+
 def test_concentration_identity_small():
     # zone starts ~1.4 fluctuation units above the edge here, so the
     # occupancy expectation is about 3%; 0.1 bounds it with headroom

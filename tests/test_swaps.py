@@ -18,7 +18,7 @@ from specedge import (
     verify_swappable,
 )
 from specedge.errors import NotSwappable, SwapRejected
-from specedge.swaps import SwapState, _moved, _scaled, export_sequence
+from specedge.swaps import SwapDiagnostics, SwapState, _moved, _scaled, _Tape, export_sequence
 
 ID500 = PopulationSpec(((1.0, 500),), 500)
 FIG1 = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
@@ -259,6 +259,19 @@ def test_fig1_export_is_pinned_bit_for_bit():
         "c05e4dc215ebae47c9f1d5b5be57cc59327f767dca9369f9ff3d62596506dabd")
 
 
+@pytest.mark.parametrize("pop, pick, sha", [
+    (NEGPOP, right_soft, "7cea24b074fd6088d12deeaa51123ed8289219758b3699dd37ebe1b883924379"),
+    (NEGHALF, right_soft, "2b1769f9a63c121c90ab0468197f8cc5b1c773c2e23281293d57396c44bbe46c"),
+    (FIG2, rightmost, "460195f2b64505bb6b18553b01911530164f520035be9d5a477d2fb8ef3d067d"),
+    (FIG1X2, rightmost, "be09fcc8c15a8868d1c9e337f67889f3ebf7dc21b94e1c679032f546da1d5f4c"),
+], ids=["negpop", "neghalf", "fig2", "fig1x2"])
+def test_bench_exports_are_pinned_bit_for_bit(pop, pick, sha):
+    # The other swap populations of the benchmark, the m* > 0 branch's
+    # seed and zero phases included, pinned like FIG1 above.
+    text = export_sequence(build_swap_sequence(pop, pick(pop)))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
 def test_sum_rules_identical_states_vanish():
     states = build_swap_sequence(ID500, rightmost(ID500))
     s = states[0]
@@ -306,6 +319,33 @@ def test_sequence_deterministic():
     assert len(a) == len(b)
     for s, t in zip(a, b):
         assert s.digest() == t.digest()
+
+
+# -- pair diagnostics over the value groups -------------------------------------
+
+def rebuilt(state):
+    """The same state as a directly constructed one, holding its vector."""
+    return SwapState(state.values, state.n_dim, state.edge, state.step,
+                     state.swapped_index, state.phase, state.gamma_drift)
+
+
+@pytest.mark.parametrize("pop, pick", [(FIG1, rightmost), (FIG2, rightmost), (NEGPOP, right_soft)],
+                         ids=["fig1", "fig2", "negpop"])
+def test_grouped_pair_diagnostics_match_the_vector_sums(pop, pick, monkeypatch):
+    # A pair of tape neighbours sums over the value groups; the same pair
+    # rebuilt from its vectors sums over all M entries.
+    states = build_swap_sequence(pop, pick(pop))
+    fields = SwapDiagnostics.__dataclass_fields__
+    for a, b in zip(states[:-1], states[1:]):
+        grouped, full = verify_swappable(a, b), verify_swappable(rebuilt(a), rebuilt(b))
+        for field in fields:
+            assert getattr(grouped, field) == pytest.approx(getattr(full, field), rel=0, abs=1e-12)
+    # A pair two steps apart is no tape-neighbour pair: it takes the
+    # vector sums, the same floats as its rebuilt states give.
+    monkeypatch.setattr(_Tape, "groups", None)
+    for i in range(0, len(states) - 2, 97):
+        assert (verify_swappable(states[i], states[i + 2], np.inf)
+                == verify_swappable(rebuilt(states[i]), rebuilt(states[i + 2]), np.inf))
 
 
 # -- states stored as deltas -----------------------------------------------------
