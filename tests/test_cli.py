@@ -1,5 +1,6 @@
 """End-to-end command-line checks: outputs, manifests, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -303,6 +304,27 @@ def test_swapseq_verify_rejects_a_non_object_line(ws):
     assert main(["swapseq", pop, "--out", "seq.jsonl"]) == 0
     (ws / "seq.jsonl").write_text("[1, 2]\n")
     assert main(["swapseq", pop, "--verify", "seq.jsonl", "--out", "x.jsonl"]) == 2
+
+
+NEGPOP = {"n_dim": 500, "entries": [{"t": -8.0, "mult": 100}, {"t": -0.5, "mult": 400}]}
+NEGHALF = {"n_dim": 250, "entries": [{"t": -8.0, "mult": 50}, {"t": -0.5, "mult": 200}]}
+FIG1X2 = {"n_dim": 1000, "entries": [
+    {"t": -2.0, "mult": 700}, {"t": 0.5, "mult": 600}, {"t": 6.0, "mult": 100}]}
+
+
+@pytest.mark.parametrize("obj, edge_arg, sha", [
+    (FIG1, [], "bf929b71e49c2e580f6e17d04eb2480104ab1045b08d0f8ae0b16a6190989405"),
+    (NEGPOP, ["--edge-index", "2"], "9f1d270485a636e9209ea4db88036d6595fe299ec467c35e35ab5b60d8251d47"),
+    (NEGHALF, ["--edge-index", "2"], "9e015b851ccc5f10a79b9a9100843132334672413c0e642bea27d76ff3da8a2d"),
+    (FIG2, [], "7378fa7bc2673ed6339f5e37660262b220e91b4129d52472dfef5407634feb5b"),
+    (FIG1X2, [], "6764715b3cb0af0d095a26c95d42d93aebd2e57659e72d88199c93f1528bdc0e"),
+], ids=["fig1", "negpop", "neghalf", "fig2", "fig1x2"])
+def test_swapseq_diagnostics_are_pinned_bit_for_bit(ws, obj, edge_arg, sha):
+    # Every pair check's measurements and sum-rule residuals, as written.
+    pop = write(ws, "pop.json", obj)
+    assert main(["swapseq", pop, *edge_arg, "--out", "seq.jsonl"]) == 0
+    text = (ws / "seq.jsonl.diagnostics.csv").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == sha
 
 
 def test_console_entry_point(ws):

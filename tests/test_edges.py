@@ -355,6 +355,20 @@ def test_one_row_kernel_equals_its_row_of_a_batched_call(pop, data):
     np.testing.assert_array_equal(batch, np.array(rows).T)
 
 
+@given(signed_populations(), st.data())
+def test_bracket_rows_of_one_kernel_call_equal_the_block_loop(pop, data):
+    # A swap step evaluates its 13 bracket offsets around one anchor pole
+    # as a column in one `_g_row` call; every row must be the bits the
+    # block loop of `_g_derivs` gives for it.
+    p, d = _poles(*pop.nonzero(), pop.n_dim)
+    j = data.draw(st.integers(0, p.size - 1))
+    s = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=13, max_size=13)))
+    with np.errstate(all="ignore"):     # an offset may land on a pole
+        column = _g_row(p, d, p[j], s[:, None])
+        blocks = _g_derivs(p, d, np.repeat(j, 13), s)
+    np.testing.assert_array_equal(np.array(column), blocks)
+
+
 def test_one_row_solver_when_newton_leaves_the_bracket():
     # Far left of the first pole g' is near -1 and flat, so the first
     # Newton point overshoots the bracket.

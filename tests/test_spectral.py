@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from conftest import signed_populations
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from specedge import (
     PopulationSpec, SpecEdgeError, atom_mass_at_zero, density_f0, find_edges, solve_m0,
@@ -94,6 +95,41 @@ def test_z0_derivative_matches_finite_differences():
         fd2 = (z0_eval(pop, m + h) - 2 * z0_eval(pop, m) + z0_eval(pop, m - h)) / h**2
         assert d2 == pytest.approx(fd2, rel=1e-4, abs=1e-3)
         checked += 1
+
+
+def z0_outer(vals, mults, n, m, order=0):
+    """`_z0` as it formed 1 + m*t with np.multiply.outer: the oracle for
+    the broadcast product."""
+    m = np.asarray(m)
+    k = order + 1
+    coef = (-1.0) ** order * (1, 1, 2, 6)[order]
+    lead = coef / (m ** k if order else m)
+    if vals.size == 0:
+        return -lead
+    t, r = vals, 1.0 + np.multiply.outer(m, vals)
+    if order:
+        t, r = t ** k, r ** k
+    return -lead + coef * (mults * t / r).sum(axis=-1) / n
+
+
+finite = st.floats(-50.0, 50.0).filter(lambda x: x != 0.0)
+
+
+@given(signed_populations(), st.one_of(
+    finite, st.builds(complex, finite, st.floats(-5.0, 5.0)),
+    st.lists(finite, min_size=1, max_size=6).map(np.array),
+    st.lists(st.builds(complex, finite, finite), min_size=1, max_size=6).map(np.array),
+))
+def test_z0_equals_the_outer_product_form_bit_for_bit(pop, m):
+    # The swap rescale factors, and so the pinned state digests, come
+    # from these bits.
+    vals, mults = pop.nonzero()
+    with np.errstate(all="ignore"):     # m may land on a pole
+        for order in range(4):
+            got = spectral._z0(vals, mults, pop.n_dim, m, order)
+            want = z0_outer(vals, mults, pop.n_dim, m, order)
+            assert np.shape(got) == np.shape(want)
+            np.testing.assert_array_equal(got, want)
 
 
 # -- solve_m0 ----------------------------------------------------------------

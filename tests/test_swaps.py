@@ -321,6 +321,87 @@ def test_sequence_deterministic():
         assert s.digest() == t.digest()
 
 
+# -- candidate picks -------------------------------------------------------------
+
+def scan_picks(states):
+    """Check every swap of a built sequence against the builder's O(M)
+    candidate scans over the full vector of the state before it.
+
+    Returns the number of picks where distinct values share the chosen
+    pole, so the first index among them decides.
+    """
+    pos, ties = 0, 0
+    v, m = states[0].values, states[0].edge.m_star
+
+    def apply(idx, new_t, phase):
+        nonlocal pos, v, m
+        pos += 1
+        nxt = states[pos]
+        assert (nxt.swapped_index, nxt.new_t) == (idx, float(new_t))
+        assert nxt.phase == phase or pos == len(states) - 1
+        v, m = nxt.values, nxt.edge.m_star
+
+    def first_max_pole(cands, poles):
+        nonlocal ties
+        idx = int(cands[poles[cands].argmax()])
+        ties += np.unique(v[cands][poles[cands] == poles[idx]]).size > 1
+        return idx
+
+    if m < 0:
+        while True:
+            nz = v != 0.0
+            poles = np.where(nz, -1.0 / np.where(nz, v, 1.0), -np.inf)
+            cands = (nz & (poles > m)).nonzero()[0]
+            if cands.size == 0:
+                break
+            idx = first_max_pole(cands, poles)
+            apply(idx, -1.0 / (2.0 * m + 1.0 / v[idx]), "reflect")
+        while True:
+            t_max = float(v.max())
+            cands = ((v > 0.0) & (v < t_max)).nonzero()[0]
+            if cands.size == 0:
+                break
+            apply(int(cands[v[cands].argmin()]), t_max, "raise_to_max")
+    else:
+        nz = v != 0.0
+        poles = np.where(nz, -1.0 / np.where(nz, v, 1.0), np.nan)
+        seed_rep = first_max_pole(np.flatnonzero(nz & (poles > 0.0) & (poles < m)), poles)
+        seeded, k1 = 0, sum(s.phase == "seed_fraction" for s in states[1:])
+        for idx in range(v.size):
+            if seeded == k1:
+                break
+            if v[idx] == v[seed_rep] or idx == seed_rep:
+                continue
+            apply(idx, v[seed_rep], "seed_fraction")
+            seeded += 1
+        for phase, below in (("zero_above", False), ("zero_below", True)):
+            while True:
+                cands = ((v < v[seed_rep]) if below
+                         else (v != 0.0) & (v > v[seed_rep])).nonzero()[0]
+                if cands.size == 0:
+                    break
+                pick = v[cands].argmin() if below else v[cands].argmax()
+                apply(int(cands[pick]), 0.0, phase)
+    assert pos == len(states) - 1
+    return ties
+
+
+# Two adjacent floats which, scaled to unit edge scale, become
+# -0.1249999999845154 and -0.12499999998451539: distinct values with one
+# pole, -1/v = 8.000000000991015, the largest, so the first reflect step
+# must take the first index holding either.
+POLE_TIE = PopulationSpec(((-1.574329376053362, 1), (-1.5743293760533619, 1))
+                          + FIG1.entries, 500)
+
+
+@pytest.mark.parametrize("pop, pick, ties", [
+    (FIG1, rightmost, 0), (NEGPOP, right_soft, 0), (FIG2, rightmost, 0),
+    (NEGHALF, right_soft, 0), (POLE_TIE, rightmost, 1),
+], ids=["fig1", "negpop", "fig2", "neghalf", "pole-tie"])
+def test_picks_equal_the_full_vector_scans(pop, pick, ties):
+    assert scan_picks(build_swap_sequence(pop, pick(pop))) == ties
+
+
 # -- pair diagnostics over the value groups -------------------------------------
 
 def rebuilt(state):
