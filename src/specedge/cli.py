@@ -200,9 +200,10 @@ def cmd_swapseq(args) -> int:
     manifest = RunManifest(
         "swapseq", {args.population: file_digest(args.population)}, None
     )
+    # A missing or malformed --verify file fails before the build.
+    recorded = None if args.verify is None else _read(args.verify, _records)
     states = build_swap_sequence(pop, edge, c0=args.c0, phi=args.phi)
-    if args.verify is not None:
-        recorded = _read(args.verify, _records)
+    if recorded is not None:
         if len(recorded) != len(states):
             print(
                 f"verification failed: {len(recorded)} recorded states, "

@@ -182,13 +182,12 @@ def _newton_bisect_one(p, d, j, lo, hi, s, g):
     triple at the last point evaluated.
     """
     pj, lo, hi, s = p[j], float(lo), float(hi), float(s)
-    g = tuple(map(float, g))
+    d1, d2, d3 = map(float, g)
     for it in range(160):
         if it:
-            g = tuple(map(float, _g_row(p, d, pj, s)))
-        if not all(map(math.isfinite, g)):
+            d1, d2, d3 = map(float, _g_row(p, d, pj, s))
+        if not (math.isfinite(d1) and math.isfinite(d2) and math.isfinite(d3)):
             raise NonConvergence("edge search met a non-finite derivative of g")
-        d1, d2 = g[0], g[1]
         if d1 < 0:
             lo = s
         else:
@@ -200,7 +199,7 @@ def _newton_bisect_one(p, d, j, lo, hi, s, g):
         nxt = s - step
         tol = S_RTOL * abs(s)
         if abs(step) <= tol or hi - lo <= tol:
-            return nxt, g
+            return nxt, (d1, d2, d3)
         s = nxt if lo < nxt < hi and it < 40 else 0.5 * (lo + hi)
     raise NonConvergence("edge search did not converge on its pole interval")
 
@@ -269,7 +268,7 @@ def _soft_extrema_q(vals, mults, n, flat_origin=False):
 
 def _margin(vals, m_star, gamma):
     """min(1/|m*|, 1/gamma, min_a |m* + 1/t_a|) over the nonzero values."""
-    pole_dist = float(np.abs(m_star + 1.0 / vals).min())
+    pole_dist = float(np.minimum.reduce(np.abs(m_star + 1.0 / vals)))
     return min(1.0 / abs(m_star), 1.0 / gamma, pole_dist)
 
 
@@ -288,15 +287,14 @@ def _soft_edge(vals, mults, n, m_star, e_star=None, side=None, d2=None) -> EdgeI
 
     The curvature d2 = z0''(m*) gives gamma = sqrt(2/|z0''|) and the side
     (a minimum is a right edge); below DEGENERATE_CURVATURE the edges merge
-    and gamma is None with margin 0.  `e_star` defaults to z0(m*) and `d2`
-    to z0''(m*).  A given `side` must agree with a non-degenerate
-    curvature and is kept for a degenerate one.
+    and gamma is None with margin 0.  `e_star` and `d2` are given together
+    or not at all, and default to z0(m*) and z0''(m*) from one `_z0` pass.
+    A given `side` must agree with a non-degenerate curvature and is kept
+    for a degenerate one.
     """
     if d2 is None:
-        d2 = float(_z0(vals, mults, n, m_star, 2))
+        d2, e_star = map(float, _z0(vals, mults, n, m_star, (2, 0)))
     curv_side = "right" if d2 > 0 else "left"
-    if e_star is None:
-        e_star = float(_z0(vals, mults, n, m_star))
     if abs(d2) < DEGENERATE_CURVATURE:
         return EdgeInfo(e_star, m_star, None, side or curv_side, True, 0.0)
     if side is not None and side != curv_side:

@@ -58,17 +58,20 @@ BOUNDARY_BLOCK_ENTRIES = 1 << 13
 
 def _z0(vals, mults, n, m, order=0):
     """z0 at m, or its derivative of the given order (1..3): the k-th
-    derivative of t/(1 + t m) is (-1)^k k! t^(k+1) / (1 + t m)^(k+1)."""
+    derivative of t/(1 + t m) is (-1)^k k! t^(k+1) / (1 + t m)^(k+1).
+    A tuple of orders gives a list, one value per order, from one 1 + t m."""
     m = np.asarray(m)
-    k = order + 1
-    coef = (-1.0) ** order * (1, 1, 2, 6)[order]
-    lead = coef / (m ** k if order else m)
-    if vals.size == 0:
-        return -lead
-    t, r = vals, 1.0 + np.multiply.outer(m, vals)
-    if order:
-        t, r = t ** k, r ** k
-    return -lead + coef * (mults * t / r).sum(axis=-1) / n
+    r = 1.0 + (m[..., None] if m.ndim else m) * vals
+    out = []
+    for k in (order if isinstance(order, tuple) else (order,)):
+        coef = (-1.0) ** k * (1, 1, 2, 6)[k]
+        lead = coef / (m ** (k + 1) if k else m)
+        if vals.size == 0:
+            out.append(-lead)
+            continue
+        terms = mults * vals ** (k + 1) / r ** (k + 1) if k else mults * vals / r
+        out.append(-lead + coef * np.add.reduce(terms, axis=-1) / n)
+    return out if isinstance(order, tuple) else out[0]
 
 
 def _pole_guard(pop: PopulationSpec, m) -> None:

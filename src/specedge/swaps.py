@@ -18,11 +18,13 @@ counts in O(k), and full vectors are rebuilt by replay on demand.  A
 consecutive pair differs by one entry plus a uniform scale, so its
 bounds and sum rules run over the grouped values too, in O(k).
 
-A step tracks the edge in the chart q = 1/m on the grouped poles: one
-kernel call gives g' at q* and at the sign-rule bracket's widths on both
-sides, and the one-row Newton-bisection (`edges._newton_bisect_one`)
-solves from q*.  The rescale needs only the curvature z0''(m*) before
-scaling, and the full soft edge after it.
+A step picks its entry from the grouped values and looks up only its
+index, the first entry holding the value, in the length-M vector.  It
+tracks the edge in the chart q = 1/m on the grouped poles: 13 rows of
+one `edges._g_row` call give g' at q* and at the sign-rule bracket's
+widths on both sides, and the one-row Newton-bisection
+(`edges._newton_bisect_one`) solves from q*.  The rescale needs only the
+curvature z0''(m*) before scaling, and z0, z0'' from one pass after it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edges import (
-    DEGENERATE_CURVATURE, EdgeInfo, _g_derivs, _newton_bisect_one, _poles, _soft_edge,
+    DEGENERATE_CURVATURE, EdgeInfo, _g_row, _newton_bisect_one, _poles, _soft_edge,
 )
 from .errors import DomainError, NotSwappable, RegularityLost, SwapRejected
 from .population import PopulationSpec, from_values
@@ -46,9 +48,9 @@ TAU_FLOOR = 0.01           # least regularity margin of a tracked edge; pole exc
 DEFAULT_C0 = 0.05
 UNIT_GAMMA_TOL = 1e-8
 
-# The tracking bracket's widths in units of phi/N: six doublings from 1/8
-# on either side of m*.  Powers of two, so every width is exact.
-_BRACKET = np.concatenate((2.0 ** np.arange(6), -(2.0 ** np.arange(6)))) / 8.0
+# The tracking bracket's widths in units of phi/N: 0 (m* itself), then six
+# doublings from 1/8 on either side of m*.  Every width is exact.
+_BRACKET = np.concatenate(([0.0], 2.0 ** np.arange(6), -(2.0 ** np.arange(6)))) / 8.0
 
 PHASES = ("reflect", "raise_to_max", "seed_fraction", "zero_above", "zero_below", "done")
 
@@ -66,12 +68,13 @@ class _Tape:
     """
 
     def __init__(self, start):
-        self.start = start
+        self.start = np.ascontiguousarray(start)
         self.deltas = []
         self._kept = []
         self._grouped = None
 
     def vector(self, pos):
+        """The vector of state pos, kept for the next call: not to be changed."""
         base, v = max([(0, self.start)] + [kept for kept in self._kept if kept[0] <= pos],
                       key=lambda kept: kept[0])
         if base < pos:
@@ -80,13 +83,13 @@ class _Tape:
                 v = v * c
                 v[idx] = new_t * c
             self._kept.append((pos, v))
-        return v.copy()
+        return v
 
     def groups(self, pos):
         """Distinct nonzero values of state pos, ascending, and their counts;
         the arrays kept for the next call, not to be changed."""
         if self._grouped is None or self._grouped[0] > pos:
-            self._grouped = (0, np.unique(self.start[self.start != 0.0], return_counts=True))
+            self._grouped = (0, _grouped(self.start))
         base, (vals, mults) = self._grouped
         for _, new_t, c, t_old in self.deltas[base:pos]:
             vals, mults = _scaled(*_moved(vals, mults, t_old, new_t), c)
@@ -125,14 +128,14 @@ class SwapState:
 
     @property
     def values(self) -> np.ndarray:
-        return self._tape.vector(self._pos)
+        return self._tape.vector(self._pos).copy()
 
     @property
     def pop(self) -> PopulationSpec:
         return from_values(self.values, self.n_dim)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.values.tobytes()).hexdigest()[:16]
+        return hashlib.sha256(self._tape.vector(self._pos)).hexdigest()[:16]
 
     def to_record(self) -> dict:
         return {
@@ -224,11 +227,20 @@ def track_edge_after_swap(
 ) -> EdgeInfo:
     """Edge of the population after one entry of group `entry_index`
     moves to `new_t`, located by the sign-rule bracket near m*."""
+    if not math.isfinite(new_t):
+        raise DomainError(f"new_t must be finite, got {new_t!r}")
     if not 0 <= entry_index < len(pop.entries):
         raise SwapRejected(f"entry_index {entry_index} out of range")
     t_old = pop.entries[entry_index][0]
     m_new, vals, mults = _track(*pop.nonzero(), t_old, new_t, pop.n_dim, edge.m_star, DEFAULT_PHI)
     return _edge(vals, mults, pop.n_dim, m_new)
+
+
+def _grouped(values):
+    """Distinct nonzero values, ascending, and their counts as floats, which
+    the kernels multiply without a cast."""
+    vals, counts = np.unique(values[values != 0.0], return_counts=True)
+    return vals, counts.astype(float)
 
 
 def _moved(vals, mults, t_old, new_t):
@@ -242,20 +254,23 @@ def _moved(vals, mults, t_old, new_t):
         i = vals.searchsorted(t_old)
         mults[i] -= 1
         if mults[i] == 0:
-            vals, mults = np.delete(vals, i), np.delete(mults, i)
+            vals = np.concatenate((vals[:i], vals[i + 1:]))
+            mults = np.concatenate((mults[:i], mults[i + 1:]))
     if new_t != 0.0:
         i = vals.searchsorted(new_t)
         if i < vals.size and vals[i] == new_t:
             mults[i] += 1
         else:
-            vals, mults = np.insert(vals, i, new_t), np.insert(mults, i, 1)
+            vals = np.concatenate((vals[:i], (new_t,), vals[i:]))
+            mults = np.concatenate((mults[:i], (1,), mults[i:]))
     return vals, mults
 
 
 def _scaled(vals, mults, c):
     """Grouped values of c*T: scaling may round distinct values together."""
     vals = vals * c
-    head = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
+    # A group starts where a value differs from the one before it (nan, first).
+    head = (vals != np.concatenate(((np.nan,), vals[:-1]))).nonzero()[0]
     return vals[head], np.add.reduceat(mults, head)
 
 
@@ -283,27 +298,27 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi):
         raise SwapRejected("the swap leaves no nonzero value")
     p, d = _poles(vals, mults, n)
     j = min(max(int(p.searchsorted(1.0 / m_star)) - 1, 0), p.size - 1)
-    budget = phi / n
+    pj, budget = p[j], phi / n
     # q* and the six doubling widths up to 4*phi/N on either side of m*,
-    # in one kernel call; its rows are the values one-row calls give.
-    s_all = np.concatenate(([1.0 / m_star], 1.0 / (m_star + budget * _BRACKET))) - p[j]
-    g_all = _g_derivs(p, d, np.repeat(j, 13), s_all)
-    g = g_all[:, 0]
-    if g[0] == 0.0:
+    # as a column of rows of one kernel call: each row is what a one-row
+    # call gives.
+    s_all = 1.0 / (m_star + budget * _BRACKET) - pj
+    g1, g2, g3 = _g_row(p, d, pj, s_all[:, None])
+    g, sign = (g1[0], g2[0], g3[0]), np.sign(g1).tolist()
+    if sign[0] == 0.0:
         m_new = m_star
     else:
         # z0'(m) = -q^2 g'(q): the extremum lies toward sign(g'(q*)) in m,
         # at the first doubling width where g' flips.
-        sign = np.sign(g[0])
-        side = slice(1, 7) if sign > 0 else slice(7, 13)
-        flip = np.flatnonzero(np.sign(g_all[0, side]) != sign)
-        if flip.size == 0:
+        side = range(1, 7) if sign[0] > 0 else range(7, 13)
+        b = next((i for i in side if sign[i] != sign[0]), None)
+        if b is None:
             raise SwapRejected(
                 f"sign-rule bracket failed within {4 * budget:g} of m* = {m_star:g}"
             )
-        s0, s_b = s_all[0], s_all[side][flip[0]]
+        s0, s_b = s_all[0], s_all[b]
         s, g = _newton_bisect_one(p, d, j, min(s0, s_b), max(s0, s_b), s0, g)
-        m_new = float(1.0 / (p[j] + s))
+        m_new = float(1.0 / (pj + s))
 
     if abs(m_new - m_star) > budget:
         raise SwapRejected(
@@ -364,10 +379,16 @@ def _build(pop, edge, c0, phi):
             f"initial margin {info.regularity_margin:g} below the floor {TAU_FLOOR:g}"
         )
     states = [SwapState(start, n, info, 0, None, "done", drift)]
-    # The working vector of the last state, for candidate selection, and
-    # its grouped nonzero values, for the edge kernel.
+    # The working vector of the last state, for the index of each pick, and
+    # its grouped nonzero values, for the edge kernel and the picks.
     values = start.copy()
-    groups = np.unique(values[values != 0.0], return_counts=True)
+    groups = _grouped(values)
+
+    def first_index(group_vals):
+        """The first index holding one of the given values, where a scan
+        of the whole vector finds its argmin or argmax.  Distinct values
+        may share a pole, so a pick by pole may name several."""
+        return min(int((values == v).argmax()) for v in group_vals)
 
     def apply_swap(idx, new_t, phase):
         nonlocal values, groups, m
@@ -387,29 +408,28 @@ def _build(pop, edge, c0, phi):
     if m < 0:
         # Reflect every pole right of m* about m*, rightmost pole first.
         while True:
-            nz = values != 0.0
-            poles = np.where(nz, -1.0 / np.where(nz, values, 1.0), -np.inf)
-            cands = (nz & (poles > m)).nonzero()[0]
-            if cands.size == 0:
+            vals = groups[0]
+            poles = -1.0 / vals
+            top = poles.max()
+            if not top > m:
                 break
-            idx = int(cands[poles[cands].argmax()])
+            idx = first_index(vals[poles == top])
             apply_swap(idx, -1.0 / (2.0 * m + 1.0 / values[idx]), "reflect")
         # Raise every positive entry to the running maximum, smallest first.
         while True:
-            t_max = float(values.max())
-            cands = ((values > 0.0) & (values < t_max)).nonzero()[0]
-            if cands.size == 0:
+            vals = groups[0]
+            i = int(vals.searchsorted(0.0, "right"))
+            if i >= vals.size - 1:
                 break
-            idx = int(cands[values[cands].argmin()])
-            apply_swap(idx, t_max, "raise_to_max")
+            apply_swap(first_index(vals[i:i + 1]), float(vals[-1]), "raise_to_max")
     else:
         # Identify the pole-adjacent negative value: -1/t in (0, m*), closest.
-        nz = values != 0.0
-        poles = np.where(nz, -1.0 / np.where(nz, values, 1.0), np.nan)
-        in_gap = nz & (poles > 0.0) & (poles < m)
-        if not np.any(in_gap):
+        vals = groups[0]
+        poles = -1.0 / vals
+        in_gap = (poles > 0.0) & (poles < m)
+        if not in_gap.any():
             raise SwapRejected("no pole between 0 and m*; cannot run the positive-m branch")
-        seed_rep = int(np.nonzero(in_gap)[0][np.argmax(poles[in_gap])])
+        seed_rep = first_index(vals[in_gap & (poles == poles[in_gap].max())])
 
         k1 = int(np.floor(c0 * values.size))
         seeded = 0
@@ -420,20 +440,12 @@ def _build(pop, edge, c0, phi):
                 continue
             apply_swap(idx, values[seed_rep], "seed_fraction")
             seeded += 1
-        while True:
-            t_seed = values[seed_rep]
-            cands = ((values != 0.0) & (values > t_seed)).nonzero()[0]
-            if cands.size == 0:
-                break
-            idx = int(cands[values[cands].argmax()])
-            apply_swap(idx, 0.0, "zero_above")
-        while True:
-            t_seed = values[seed_rep]
-            cands = (values < t_seed).nonzero()[0]
-            if cands.size == 0:
-                break
-            idx = int(cands[values[cands].argmin()])
-            apply_swap(idx, 0.0, "zero_below")
+        # The seed value is negative, so zero entries are neither above nor
+        # below it: the largest and the smallest group decide.
+        while groups[0][-1] > values[seed_rep]:
+            apply_swap(first_index(groups[0][-1:]), 0.0, "zero_above")
+        while groups[0][0] < values[seed_rep]:
+            apply_swap(first_index(groups[0][:1]), 0.0, "zero_below")
 
     if len(states) > 1:
         states[0].phase = states[1].phase

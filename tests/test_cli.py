@@ -327,6 +327,20 @@ def test_swapseq_diagnostics_are_pinned_bit_for_bit(ws, obj, edge_arg, sha):
     assert hashlib.sha256(text).hexdigest() == sha
 
 
+@pytest.mark.parametrize("content", [None, "not json\n", "[1, 2]\n"],
+                         ids=["missing", "malformed", "non-object"])
+def test_swapseq_verify_file_is_read_before_the_build(ws, monkeypatch, content):
+    pop = write(ws, "pop.json", FIG1)
+    if content is not None:
+        (ws / "seq.jsonl").write_text(content)
+    builds = []
+    build = specedge.cli.build_swap_sequence
+    monkeypatch.setattr(specedge.cli, "build_swap_sequence",
+                        lambda *args, **kw: builds.append(1) or build(*args, **kw))
+    assert main(["swapseq", pop, "--verify", "seq.jsonl", "--out", "x.jsonl"]) == 2
+    assert builds == []
+
+
 def test_console_entry_point(ws):
     # The fixture has chdir'd away from the checkout, so a relative
     # PYTHONPATH (e.g. `src`) no longer resolves in the child; point it at

@@ -2,6 +2,7 @@
 it must satisfy step by step."""
 
 import hashlib
+import math
 import tracemalloc
 from collections import Counter
 
@@ -17,7 +18,8 @@ from specedge import (
     track_edge_after_swap,
     verify_swappable,
 )
-from specedge.errors import NotSwappable, SwapRejected
+import specedge.swaps
+from specedge.errors import DomainError, NotSwappable, SwapRejected
 from specedge.swaps import SwapDiagnostics, SwapState, _moved, _scaled, _Tape, export_sequence
 
 ID500 = PopulationSpec(((1.0, 500),), 500)
@@ -141,6 +143,19 @@ def test_track_rejects_pole_collision():
     collide = -1.0 / edge.m_star            # puts a pole exactly at m*
     with pytest.raises(SwapRejected):
         track_edge_after_swap(pop, edge, 0, collide)
+
+
+@pytest.mark.parametrize("new_t", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+def test_track_rejects_a_non_finite_value_before_any_kernel_call(monkeypatch, new_t):
+    # A non-finite value is an invalid argument, not a numerical failure
+    # of the edge search (nan) or a rejected swap (inf).
+    def no_kernel(*args):
+        raise AssertionError("the edge kernels were called")
+
+    for name in ("_track", "_g_row", "_soft_edge"):
+        monkeypatch.setattr(specedge.swaps, name, no_kernel)
+    with pytest.raises(DomainError, match="finite"):
+        track_edge_after_swap(FIG1, rightmost(FIG1), 0, new_t)
 
 
 # -- sequence construction -----------------------------------------------------
@@ -469,7 +484,18 @@ def test_random_access_matches_sequential_walk():
 def test_digest_is_sha256_of_rebuilt_vector():
     states = build_swap_sequence(NEGPOP, right_soft(NEGPOP))
     for s in states[::37] + states[-1:]:
-        assert s.digest() == hashlib.sha256(s.values.tobytes()).hexdigest()[:16]
+        digest = s.digest()
+        assert digest == hashlib.sha256(s.values.tobytes()).hexdigest()[:16]
+        # The digest hashes the tape's own vector; `values` is a fresh copy.
+        held = s.values
+        held[:] = 0.0
+        assert s.digest() == digest
+    # A directly constructed state hashes its vector in C order, as
+    # `tobytes` gives it, even from a strided view.
+    vector = states[3].values
+    strided = np.repeat(vector, 2)[::2]
+    direct = SwapState(strided, NEGPOP.n_dim, states[3].edge, 3, None, "done", 0.0)
+    assert direct.digest() == states[3].digest()
 
 
 def test_grouped_updates_match_np_unique():
