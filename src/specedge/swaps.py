@@ -68,7 +68,7 @@ class _Tape:
     """
 
     def __init__(self, start):
-        self.start = np.ascontiguousarray(start)
+        self.start = np.array(start)       # the tape's own contiguous copy
         self.deltas = []
         self._kept = []
         self._grouped = None
@@ -104,7 +104,7 @@ class SwapState:
     index, its new value `new_t` and the rescale factor `scale` applied
     to the whole vector, on a tape the sequence shares.  `values`
     rebuilds the length-M diagonal, aligned across states, as a fresh
-    array.  A state constructed directly holds its full vector.
+    array.  A state constructed directly holds a copy of its full vector.
     """
 
     __slots__ = ("n_dim", "edge", "step", "swapped_index", "phase", "gamma_drift",
@@ -381,7 +381,7 @@ def _build(pop, edge, c0, phi):
     states = [SwapState(start, n, info, 0, None, "done", drift)]
     # The working vector of the last state, for the index of each pick, and
     # its grouped nonzero values, for the edge kernel and the picks.
-    values = start.copy()
+    values = start
     groups = _grouped(values)
 
     def first_index(group_vals):

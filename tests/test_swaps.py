@@ -491,11 +491,14 @@ def test_digest_is_sha256_of_rebuilt_vector():
         held[:] = 0.0
         assert s.digest() == digest
     # A directly constructed state hashes its vector in C order, as
-    # `tobytes` gives it, even from a strided view.
+    # `tobytes` gives it, even from a strided view, and keeps its own copy.
     vector = states[3].values
     strided = np.repeat(vector, 2)[::2]
     direct = SwapState(strided, NEGPOP.n_dim, states[3].edge, 3, None, "done", 0.0)
     assert direct.digest() == states[3].digest()
+    strided[:] = 0.0
+    assert direct.digest() == states[3].digest()
+    assert np.array_equal(direct.values, vector)
 
 
 def test_grouped_updates_match_np_unique():
