@@ -444,6 +444,21 @@ def test_grouped_pair_diagnostics_match_the_vector_sums(pop, pick, monkeypatch):
                 == verify_swappable(rebuilt(states[i]), rebuilt(states[i + 2]), np.inf))
 
 
+@pytest.mark.parametrize("pop, pick, sha", [
+    (FIG1, rightmost, "b6ab97984c0214dfbc143b0ccd8520aa884aacfa5c51067ac61e73745c4cdbc1"),
+    (NEGPOP, right_soft, "caedb4693685665629504ae86814e838b7b7a8554da43ba30a292ed2409a0949"),
+    (FIG2, rightmost, "b5ebdcdf5479750b1f865f824d1c25aea9c2d7e890723f736ee0a56850db4d8a"),
+], ids=["fig1", "negpop", "fig2"])
+def test_pair_diagnostics_are_pinned_at_full_precision(pop, pick, sha):
+    # Every field of every consecutive pair's diagnostics, as repr prints
+    # the floats: the diagnostics CSV rounds them to 8 digits.
+    states = build_swap_sequence(pop, pick(pop))
+    fields = tuple(SwapDiagnostics.__dataclass_fields__)
+    rows = [tuple(getattr(verify_swappable(a, b), f) for f in fields)
+            for a, b in zip(states[:-1], states[1:])]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == sha
+
+
 # -- states stored as deltas -----------------------------------------------------
 
 def test_sequence_memory_is_not_quadratic():
