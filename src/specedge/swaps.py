@@ -15,8 +15,9 @@ Every state is rescaled back to unit edge scale, so consecutive states
 satisfy the swappability bounds and the sum-rule identities.  A state
 stores only its step's delta; a step updates the grouped (value, mult)
 counts in O(k), and full vectors are rebuilt by replay on demand.  A
-consecutive pair differs by one entry plus a uniform scale, so its
-bounds and sum rules run over the grouped values too, in O(k).
+consecutive pair differs by one entry plus a uniform scale, so the step
+measures the pair's bound and sum-rule sums over the groups it holds, in
+O(k), and the pair check reads them back.
 
 A step picks its entry from the grouped values and looks up only its
 index, the first entry holding the value, in the length-M vector.  It
@@ -32,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,22 +58,22 @@ PHASES = ("reflect", "raise_to_max", "seed_fraction", "zero_above", "zero_below"
 
 
 class _Tape:
-    """A sequence's first vector and each later step's (index, new_t, c, t_old).
+    """A sequence's first vector, each later step's (index, new_t, c), and
+    the sums of each consecutive pair.
 
     Step s is rebuilt from step s - 1 as `v = v * c; v[index] = new_t * c`,
     the arithmetic the builder runs, so every replayed vector is
     bit-identical to the one built.  The last vector rebuilt and the one
     it started from are kept, so walking the states in order, singly or
-    in consecutive pairs, costs O(M) per access.  t_old, the entry's value
-    before the step, lets the grouped nonzero values be replayed the same
-    way in O(k) per step, with the builder's own `_moved` and `_scaled`.
+    in consecutive pairs, costs O(M) per access.  `sums[5 * s:5 * s + 5]`
+    are the `_pair_sums` of states s and s + 1, measured by the builder.
     """
 
     def __init__(self, start):
         self.start = np.array(start)       # the tape's own contiguous copy
         self.deltas = []
+        self.sums = array("d")
         self._kept = []
-        self._grouped = None
 
     def vector(self, pos):
         """The vector of state pos, kept for the next call: not to be changed."""
@@ -79,22 +81,11 @@ class _Tape:
                       key=lambda kept: kept[0])
         if base < pos:
             self._kept = [(base, v)]
-            for idx, new_t, c, _ in self.deltas[base:pos]:
+            for idx, new_t, c in self.deltas[base:pos]:
                 v = v * c
                 v[idx] = new_t * c
             self._kept.append((pos, v))
         return v
-
-    def groups(self, pos):
-        """Distinct nonzero values of state pos, ascending, and their counts;
-        the arrays kept for the next call, not to be changed."""
-        if self._grouped is None or self._grouped[0] > pos:
-            self._grouped = (0, _grouped(self.start))
-        base, (vals, mults) = self._grouped
-        for _, new_t, c, t_old in self.deltas[base:pos]:
-            vals, mults = _scaled(*_moved(vals, mults, t_old, new_t), c)
-        self._grouped = (pos, (vals, mults))
-        return vals, mults
 
 
 class SwapState:
@@ -116,13 +107,15 @@ class SwapState:
         self.new_t, self.scale = None, 1.0
         self._tape, self._pos = _Tape(values), 0
 
-    def _after(self, idx, t_old, new_t, c, edge, phase, gamma_drift) -> "SwapState":
-        """The state one swap after this one, the last on its tape."""
+    def _after(self, idx, new_t, c, sums, edge, phase, gamma_drift) -> "SwapState":
+        """The state one swap after this one, the last on its tape; `sums`
+        are the pair's `_pair_sums`."""
         nxt = SwapState.__new__(SwapState)
         nxt.n_dim, nxt.edge, nxt.step = self.n_dim, edge, self.step + 1
         nxt.swapped_index, nxt.phase, nxt.gamma_drift = idx, phase, gamma_drift
         nxt.new_t, nxt.scale = new_t, c
-        self._tape.deltas.append((idx, new_t, c, t_old))
+        self._tape.deltas.append((idx, new_t, c))
+        self._tape.sums.extend(sums)
         nxt._tape, nxt._pos = self._tape, len(self._tape.deltas)
         return nxt
 
@@ -380,7 +373,7 @@ def _build(pop, edge, c0, phi):
         )
     states = [SwapState(start, n, info, 0, None, "done", drift)]
     # The working vector of the last state, for the index of each pick, and
-    # its grouped nonzero values, for the edge kernel and the picks.
+    # its grouped nonzero values, for the edge kernel, picks and pair sums.
     values = start
     groups = _grouped(values)
 
@@ -400,10 +393,19 @@ def _build(pop, edge, c0, phi):
                 f"margin {info.regularity_margin:g} fell below {TAU_FLOOR:g} "
                 f"at step {state.step + 1} ({phase})"
             )
+        # The pair's entries, grouped: (v, v*c) for each nonzero group, one
+        # fewer on t_old's, and the moved entry (t_old, new_t*c); zero
+        # entries add 0 to every sum.
+        t, w = np.concatenate((groups[0], (t_old,))), np.concatenate((groups[1], (1.0,)))
+        tc = t * c
+        tc[-1] = new_t * c
+        if t_old != 0.0:
+            w[groups[0].searchsorted(t_old)] -= 1.0
+        sums = _pair_sums(t, tc, w, m, info.m_star)
         values *= c
         values[idx] = new_t * c
         groups, m = _scaled(vals, mults, c), info.m_star
-        states.append(state._after(idx, t_old, float(new_t), c, info, phase, drift))
+        states.append(state._after(idx, float(new_t), c, sums, info, phase, drift))
 
     if m < 0:
         # Reflect every pole right of m* about m*, rightmost pole first.
@@ -458,44 +460,40 @@ def _build(pop, edge, c0, phi):
     return states
 
 
-def verify_swappable(a: SwapState, b: SwapState, phi: float = DEFAULT_PHI) -> SwapDiagnostics:
-    """Check the swappability bounds for a consecutive pair and measure
-    the sum-rule residuals.  phi may be infinite, which disables the bounds.
-
-    Every measurement is a sum over the entry pairs (t, tc) of the two
-    states.  A pair of neighbours on one tape differs by one entry plus a
-    uniform scale c, so its sums run over the k value groups: (v, v*c) for
-    each nonzero group, one entry fewer on t_old's, and the moved entry
-    (t_old, new_t*c); zero entries add 0 to every sum.  Any other pair
-    sums over its full vectors with unit weights.
-    """
-    if not phi > 0:
-        raise DomainError(f"phi must be positive, got {phi!r}")
-    if a.n_dim != b.n_dim:
-        raise NotSwappable("states are not aligned")
-    tape = a._tape
-    if b._tape is tape and b._pos == a._pos + 1:
-        vals, mults = tape.groups(a._pos)
-        _, new_t, c, t_old = tape.deltas[a._pos]
-        t, w = np.concatenate((vals, (t_old,))), np.concatenate((mults, (1.0,)))
-        tc = t * c
-        tc[-1] = new_t * c
-        if t_old != 0.0:
-            w[vals.searchsorted(t_old)] -= 1.0
-    else:
-        t, tc = a.values, b.values
-        if t.shape != tc.shape:
-            raise NotSwappable("states are not aligned")
-        w = np.ones(t.size)
-    n = a.n_dim
-    m, mc = a.edge.m_star, b.edge.m_star
-
+def _pair_sums(t, tc, w, m, mc):
+    """l1, a4*N, sum-rule 1, sum-rule 2 and edge sums over the entry pairs
+    (t, tc) of two states with m-values m and mc, pair i weighted by w[i]."""
     s = 1.0 / (1.0 + t * m)
     sc = 1.0 / (1.0 + tc * mc)
     ts, tcs, dt = t * s, tc * sc, t - tc
     u = dt * s * sc
     terms = np.array((np.abs(dt), ts ** 4, u * (ts + tcs), u * (ts * ts + ts * tcs + tcs * tcs), u))
-    l1, a4, sum1, sum2, sum_edge = (terms @ w).tolist()
+    return (terms @ w).tolist()
+
+
+def verify_swappable(a: SwapState, b: SwapState, phi: float = DEFAULT_PHI) -> SwapDiagnostics:
+    """Check the swappability bounds for a consecutive pair and measure
+    the sum-rule residuals.  phi may be infinite, which disables the bounds.
+
+    Every measurement is a sum over the entry pairs (t, tc) of the two
+    states, `_pair_sums`.  A pair of neighbours on one tape reads the sums
+    the builder measured over the value groups at that step; any other
+    pair sums over its full vectors with unit weights.
+    """
+    if not phi > 0:
+        raise DomainError(f"phi must be positive, got {phi!r}")
+    if a.n_dim != b.n_dim:
+        raise NotSwappable("states are not aligned")
+    n = a.n_dim
+    m, mc = a.edge.m_star, b.edge.m_star
+    tape, pos = a._tape, a._pos
+    if b._tape is tape and b._pos == pos + 1:
+        l1, a4, sum1, sum2, sum_edge = tape.sums[5 * pos:5 * pos + 5]
+    else:
+        t, tc = a.values, b.values
+        if t.shape != tc.shape:
+            raise NotSwappable("states are not aligned")
+        l1, a4, sum1, sum2, sum_edge = _pair_sums(t, tc, np.ones(t.size), m, mc)
     m_diff = abs(m - mc)
     if l1 >= phi:
         raise NotSwappable(f"l1 entry difference {l1:g} >= phi = {phi:g}")

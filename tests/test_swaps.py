@@ -20,7 +20,7 @@ from specedge import (
 )
 import specedge.swaps
 from specedge.errors import DomainError, NotSwappable, SwapRejected
-from specedge.swaps import SwapDiagnostics, SwapState, _moved, _scaled, _Tape, export_sequence
+from specedge.swaps import SwapDiagnostics, SwapState, _moved, _scaled, export_sequence
 
 ID500 = PopulationSpec(((1.0, 500),), 500)
 FIG1 = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
@@ -428,8 +428,9 @@ def rebuilt(state):
 @pytest.mark.parametrize("pop, pick", [(FIG1, rightmost), (FIG2, rightmost), (NEGPOP, right_soft)],
                          ids=["fig1", "fig2", "negpop"])
 def test_grouped_pair_diagnostics_match_the_vector_sums(pop, pick, monkeypatch):
-    # A pair of tape neighbours sums over the value groups; the same pair
-    # rebuilt from its vectors sums over all M entries.
+    # A pair of tape neighbours reads the sums the builder measured over
+    # the value groups; the same pair rebuilt from its vectors sums over
+    # all M entries.
     states = build_swap_sequence(pop, pick(pop))
     fields = SwapDiagnostics.__dataclass_fields__
     for a, b in zip(states[:-1], states[1:]):
@@ -437,8 +438,9 @@ def test_grouped_pair_diagnostics_match_the_vector_sums(pop, pick, monkeypatch):
         for field in fields:
             assert getattr(grouped, field) == pytest.approx(getattr(full, field), rel=0, abs=1e-12)
     # A pair two steps apart is no tape-neighbour pair: it takes the
-    # vector sums, the same floats as its rebuilt states give.
-    monkeypatch.setattr(_Tape, "groups", None)
+    # vector sums, the same floats as its rebuilt states give, and reads
+    # none of the sums the builder stored.
+    monkeypatch.setattr(states[0]._tape, "sums", None)
     for i in range(0, len(states) - 2, 97):
         assert (verify_swappable(states[i], states[i + 2], np.inf)
                 == verify_swappable(rebuilt(states[i]), rebuilt(states[i + 2]), np.inf))
