@@ -40,8 +40,16 @@ class SimConfig:
     def __post_init__(self):
         if self.entry_law not in ENTRY_LAWS:
             raise DomainError(f"entry_law must be one of {ENTRY_LAWS}")
-        if self.reps < 1 or self.parallel_width < 1:
-            raise DomainError("reps and parallel_width must be positive")
+        counts = (self.reps, self.parallel_width, self.max_dim)
+        if not all(_is_int(v) and v >= 1 for v in counts):
+            raise DomainError(f"reps, parallel_width and max_dim must be positive integers, "
+                              f"got {counts}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)

@@ -136,10 +136,10 @@ def solve_m0(pop: PopulationSpec, z: complex, tol: float = DEFAULT_TOL) -> compl
     out of budget, Newton from the boundary value at Re z finishes.
     """
     z = complex(z)
-    if not z.imag > 0:
-        raise DomainError(f"z must lie in the open upper half plane, got {z}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not (np.isfinite(z) and z.imag > 0):
+        raise DomainError(f"z must be finite and lie in the open upper half plane, got {z}")
+    if not 0 < tol < np.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
     # Roundoff in z0 scales with |z|; below this floor the residual is noise.
     tol = max(tol, 4.0 * np.finfo(float).eps * abs(z))
     vals, mults = pop.nonzero()
@@ -553,7 +553,7 @@ class DensityGrid:
 
     def __post_init__(self):
         xs = [x for x, _ in self.points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        if any(not b > a for a, b in zip(xs, xs[1:])):
             raise DomainError("grid abscissae must strictly increase")
         if any(f < 0 for _, f in self.points):
             raise DomainError("density values must be nonnegative")
@@ -565,8 +565,10 @@ class DensityGrid:
 
 def density_grid(pop: PopulationSpec, n_points: int = 2000, pad: float = 0.05) -> DensityGrid:
     """Tabulate f0 on a uniform grid spanning the support (plus padding)."""
-    if n_points < 1:
-        raise DomainError(f"n_points must be at least 1, got {n_points}")
+    if not (isinstance(n_points, (int, np.integer)) and n_points >= 1):
+        raise DomainError(f"n_points must be an integer of at least 1, got {n_points!r}")
+    if not 0 <= pad < np.inf:
+        raise DomainError(f"pad must be finite and nonnegative, got {pad!r}")
     lo, hi = _support(pop).span.tolist()
     margin = pad * (hi - lo)
     xs = np.linspace(lo - margin, hi + margin, n_points)
@@ -588,7 +590,12 @@ def integrate_density(pop: PopulationSpec, intervals, points_per_interval: int =
     support.  The nodes of all intervals go through one batched boundary
     solve.
     """
+    if not (isinstance(points_per_interval, (int, np.integer)) and points_per_interval >= 1):
+        raise DomainError(f"points_per_interval must be an integer of at least 1, "
+                          f"got {points_per_interval!r}")
     ivs = [(float(lo), float(hi)) for lo, hi in intervals]
+    if not all(-np.inf < lo <= hi < np.inf for lo, hi in ivs):
+        raise DomainError(f"intervals need finite ends with lo <= hi, got {ivs}")
     if pop.rank == pop.n_dim:
         ivs = [iv for lo, hi in ivs
                for iv in ([(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)])]

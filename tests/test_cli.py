@@ -251,6 +251,16 @@ def test_simulate_adherence_mode(ws):
     assert "outside_support_fraction,0.000000" in (ws / "a.csv").read_text()
 
 
+def test_simulate_negative_seed_exits_2_without_a_traceback(ws, capsys):
+    pop = write(ws, "pop.json", ID500)
+    code = main(["simulate", pop, "--mode", "adherence", "--reps", "2",
+                 "--seed", "-1", "--out", "a.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+    assert not (ws / "a.csv").exists()
+
+
 def test_simulate_locallaw_mode(ws):
     pop = write(ws, "pop.json", {"n_dim": 200, "entries": [{"t": 1.0, "mult": 200}]})
     code = main(["simulate", pop, "--mode", "locallaw", "--reps", "5",

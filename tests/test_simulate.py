@@ -30,6 +30,22 @@ def test_config_validation():
         SimConfig(reps=0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"reps": 2, "seed": -1}, {"reps": 2.5}, {"reps": 2, "seed": 1.5},
+    {"reps": 2, "parallel_width": 1.5}, {"reps": True}, {"reps": 2, "max_dim": 0},
+    {"reps": 2, "seed": np.int64(-1)},
+], ids=["negative-seed", "fractional-reps", "fractional-seed", "fractional-width",
+        "bool-reps", "zero-max-dim", "negative-numpy-seed"])
+def test_config_rejects_non_integer_counts_and_negative_seeds(kwargs):
+    with pytest.raises(DomainError):
+        SimConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = SimConfig(reps=np.int64(2), seed=np.uint32(7), parallel_width=np.int32(2))
+    assert sample_spectrum(ID500, cfg, 0).size == 500
+
+
 def test_zero_population_gives_zero_spectrum():
     pop = PopulationSpec(((0.0, 100),), 100)
     eigs = sample_spectrum(pop, SimConfig(reps=1, seed=1), 0)

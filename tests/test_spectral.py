@@ -166,6 +166,17 @@ def test_solve_m0_rejects_lower_half_plane():
         solve_m0(ID500, 2 + 1j, tol=-1.0)
 
 
+@pytest.mark.parametrize("z, tol", [
+    (complex(np.nan, 1.0), 1e-12), (complex(np.inf, 1.0), 1e-12), (complex(2.0, np.inf), 1e-12),
+    (2 + 1j, np.nan), (2 + 1j, np.inf),
+], ids=["nan-z", "inf-z", "inf-eta", "nan-tol", "inf-tol"])
+def test_solve_m0_rejects_non_finite_arguments_up_front(monkeypatch, z, tol):
+    # Rejected before the first kernel call, not after the whole eta ladder.
+    monkeypatch.setattr(spectral, "_z0", None)
+    with pytest.raises(DomainError, match="finite"):
+        solve_m0(FIG1, z, tol)
+
+
 def test_solve_m0_fixed_point_residual_random():
     rng = np.random.default_rng(11)
     for _ in range(1000):
@@ -564,3 +575,31 @@ def test_density_grid_type():
         DensityGrid(points=((0.0, 0.1), (0.0, 0.2)), atom_at_zero=0.0)
     with pytest.raises(DomainError):
         DensityGrid(points=((0.0, 0.1), (1.0, -0.2)), atom_at_zero=0.0)
+    with pytest.raises(DomainError):
+        DensityGrid(points=((0.0, 0.1), (np.nan, 0.2)), atom_at_zero=0.0)
+
+
+@pytest.mark.parametrize("pad", [np.nan, np.inf, -0.05])
+def test_density_grid_rejects_a_non_finite_or_negative_pad(pad):
+    with pytest.raises(DomainError, match="pad"):
+        density_grid(FIG1, 3, pad=pad)
+
+
+@pytest.mark.parametrize("n_points", [0, 2.5])
+def test_density_grid_rejects_a_non_integer_or_empty_grid(n_points):
+    with pytest.raises(DomainError, match="n_points"):
+        density_grid(FIG1, n_points)
+
+
+@pytest.mark.parametrize("intervals, points", [
+    (None, 0), (None, -5), (None, 2.5), (((-3.0, np.nan),), 800), (((np.inf, 9.0),), 800),
+    ("reversed", 800),
+], ids=["zero-points", "negative-points", "fractional-points", "nan-end", "inf-end", "reversed"])
+def test_integrate_density_rejects_empty_rules_and_bad_intervals(intervals, points):
+    ivs = find_edges(FIG1).intervals
+    if intervals is None:
+        intervals = ivs
+    elif intervals == "reversed":
+        intervals = ((ivs[0][1], ivs[0][0]),) + tuple(ivs[1:])
+    with pytest.raises(DomainError):
+        integrate_density(FIG1, intervals, points)
