@@ -342,9 +342,9 @@ def find_edges(pop: PopulationSpec) -> SupportReport:
     asc = records[::-1]
     intervals = []
     infos = []
-    # z0'(m*) and z0''(m*) of all soft edges, each in one call.
+    # z0'(m*) and z0''(m*) of all soft edges, in one call.
     m_soft = 1.0 / np.array([q for _, q, hard in asc if not hard])
-    soft = zip(m_soft.tolist(), *(_z0(vals, mults, n, m_soft, k).tolist() for k in (1, 2)))
+    soft = zip(m_soft.tolist(), *(d.tolist() for d in _z0(vals, mults, n, m_soft, (1, 2))))
     for pos, (e, q, hard) in enumerate(asc):
         geo_side = "left" if pos % 2 == 0 else "right"
         if hard:

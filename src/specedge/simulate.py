@@ -19,6 +19,7 @@ from .edges import EdgeInfo, check_regularity, find_edges
 from .errors import DomainError, IrregularEdge
 from .manova import OneWayDesign, oneway_population
 from .population import PopulationSpec
+from .spectral import solve_m0
 from .tw import f1_quantile
 from .twtest import DEFAULT_TAU, tw_statistic, window_delta
 
@@ -120,6 +121,8 @@ def _map_reps(cfg: SimConfig, fn):
 def sample_spectrum(pop: PopulationSpec, cfg: SimConfig, rep_index: int) -> np.ndarray:
     """All N eigenvalues of one replicate of X'TX = x'(T/N)x, sorted ascending;
     the 1/N lives in the weights, and `eigvalsh` reads the lower triangle."""
+    if not (_is_int(rep_index) and rep_index >= 0):
+        raise DomainError(f"rep_index must be a non-negative integer, got {rep_index!r}")
     m, n = pop.total_mult, pop.n_dim
     _check_dim(cfg, m, n)
     x = _draw_x(_rep_rng(cfg, rep_index), m, n, cfg.entry_law)
@@ -202,8 +205,6 @@ def local_law_probe(
     [[G_N - m0, G_N X'], [X G_N, X G_N X' - m0 (Id + m0 T)^{-1}]],
     which is the (G - Pi)_{AB} / (t_A t_B) array extended to zero values.
     """
-    from .spectral import solve_m0
-
     n, mdim = pop.n_dim, pop.total_mult
     _check_dim(cfg, mdim, n)
     if not (edge.soft and check_regularity(pop, edge, tau)):

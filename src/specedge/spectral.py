@@ -129,104 +129,50 @@ def _z0_at(pop: PopulationSpec, m, order):
 def solve_m0(pop: PopulationSpec, z: complex, tol: float = DEFAULT_TOL) -> complex:
     """Solve the fixed-point equation for m0(z), z in the upper half plane.
 
-    Damped fixed-point iteration seeded at -1/z, accelerated by a
-    safeguarded Newton step on z0(m) - z = 0.  The iteration map and the
-    damping both preserve the upper half plane, so the returned root is
-    the unique one with positive imaginary part.  When the eta ladder runs
-    out of budget, Newton from the boundary value at Re z finishes.
+    Damped Newton on z0(m) = z, continued in eta = Im z.  It starts high
+    enough above the support that -1/z is within half its size of the
+    root, and each rung divides eta by 4 until it reaches Im z.  The first
+    Newton step of a rung, taken from the last root, is that root moved
+    along its tangent dm/deta = i/z0'(m).  A step is halved until it stays
+    in the upper half plane and lowers |z0(m) - z| or meets the tolerance.
+    z0(m) = z has one root there (Silverstein & Choi 1995), so the
+    returned root is m0(z).
     """
     z = complex(z)
     if not (np.isfinite(z) and z.imag > 0):
         raise DomainError(f"z must be finite and lie in the open upper half plane, got {z}")
     if not 0 < tol < np.inf:
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
-    # Roundoff in z0 scales with |z|; below this floor the residual is noise.
-    tol = max(tol, 4.0 * np.finfo(float).eps * abs(z))
     vals, mults = pop.nonzero()
     n = pop.n_dim
-
-    def hybrid(z_cur, m, budget, goal):
-        """Damped fixed-point iteration with gated Newton refinement.
-
-        The damped fixed point is a self-map of C+ with the solution as
-        its unique attracting point, so it transports any seed into the
-        right basin; Newton is only allowed once the residual is small
-        and with a bounded step, which keeps it off the z0 -> 0 plateau
-        at large |m| where the residual falsely flattens at |z|.
-        Returns (m, residual, iterations used).
-        """
-        def fp(m):
-            s = np.sum(mults * vals / (1.0 + vals * m)) / n if vals.size else 0.0
-            return 1.0 / (-z_cur + s)
-
-        def resid(m):
-            return complex(_z0(vals, mults, n, m)) - z_cur
-
-        gate = 0.05 * (1.0 + abs(z_cur))
-        r = resid(m)
-        for it in range(budget):
-            if abs(r) <= goal:
-                return m, abs(r), it
-            stepped = False
-            if abs(r) < gate:
-                dz = complex(_z0(vals, mults, n, m, 1))
-                if dz != 0:
-                    for lam in (1.0, 0.5, 0.25):
-                        m_new = m - lam * r / dz
-                        if m_new.imag > 0 and abs(m_new - m) <= 0.5 * (1.0 + abs(m)):
-                            r_new = resid(m_new)
-                            if abs(r_new) < abs(r):
-                                m, r = m_new, r_new
-                                stepped = True
-                                break
-            if not stepped:
-                m_new = 0.5 * m + 0.5 * fp(m)
-                m, r = m_new, resid(m_new)
-        return m, abs(r), budget
-
-    m, r, used = hybrid(z, -1.0 / z, 500, tol)
-    if r <= tol:
-        return m
-    # Continuity ladder: solve at a comfortable height, then walk eta down
-    # to the target with warm starts.  A rung is never left unconverged;
-    # leftover budget keeps grinding the current rung.
-    eta_target = z.imag
-    eta = max(1.0, 2.0 * eta_target)
-    m = -1.0 / complex(z.real, eta)
-    remaining = MAX_ITER - used
-    while remaining > 0:
-        z_cur = complex(z.real, eta)
-        goal = tol if eta <= eta_target else max(tol, 1e-12)
-        m, r, used = hybrid(z_cur, m, min(remaining, 3000), goal)
-        remaining -= used
-        if r > goal:
-            continue
-        if eta <= eta_target:
-            return m
-        eta = max(eta_target, eta / 4.0)
-    m = _newton_from_boundary(pop, z, tol)
-    if m is None:
-        raise NonConvergence(
-            f"fixed-point solve for m0({z}) did not reach |residual| <= {tol:g} "
-            f"within the iteration budget"
-        )
-    return m
-
-
-def _newton_from_boundary(pop: PopulationSpec, z: complex, tol: float):
-    """m0(z) by Newton in q = 1/m from the boundary value at Re z, moved up
-    by i Im z along its tangent, or None.  z0(m) = z has one root in C+
-    (Silverstein & Choi 1995), so any converged root there is m0(z)."""
-    if z.real == 0.0 and pop.rank <= pop.n_dim:
-        return None
-    t, c, a = _chart(pop)
-    q = np.array([_boundary_q(pop, z.real)], complex)
+    # The support lies in [-R, R], R = ||T|| (1 + sqrt(rank/N))^2, and
+    # |m0(z) + 1/z| <= R/(|z| Im z): at Im z >= 2R the seed is within half.
+    height = 4.0 * np.abs(vals).max(initial=0.0) * (1.0 + pop.rank / n)
+    z_cur = complex(z.real, max(z.imag, height))
+    m, res, step = -1.0 / z_cur, np.inf, 0.0
+    # A trial or step that overflows is not finite, so it is rejected.
     with np.errstate(all="ignore"):
-        q += 1j * z.imag / _gq(t, c, a, q)[1]
-        m = complex(1.0 / _newton(t, c, a, q, np.array([z]), NEWTON_STEPS * 4)[0][0])
-        if abs(complex(_z0(*pop.nonzero(), pop.n_dim, m)) - z) <= tol and m.imag > 0:
-            return m
-    return None
+        for _ in range(MAX_ITER):
+            trial = m - step
+            if trial.imag > 0:
+                val, d1 = _z0(vals, mults, n, trial, (0, 1))
+                r = val - z_cur
+                # Roundoff in z0 scales with |z|; below this floor the
+                # residual is noise, so each rung takes at least one step.
+                goal = max(tol, 4.0 * EPS * abs(z_cur))
+                if abs(r) < abs(res) or abs(r) <= goal:
+                    m, res = trial, r
+                    if abs(res) <= goal:
+                        if z_cur == z:
+                            return complex(m)
+                        z_cur = complex(z.real, max(z.imag, z_cur.imag / 4.0))
+                        res = val - z_cur
+                    step = res / d1
+                    continue
+            step *= 0.5
+    raise NonConvergence(
+        f"Newton solve for m0({z}) did not reach |residual| <= {max(tol, 4.0 * EPS * abs(z)):g} "
+        f"within {MAX_ITER} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -475,24 +421,21 @@ def stieltjes_boundary(pop: PopulationSpec, x: float, cross_check: bool = True):
     the support, the real root in a gap, and m* within an edge's zone.
     `cross_check` is accepted and ignored."""
     x = _defined(pop, x)
+    sup = _support(pop)
+    half, dist = _halves(sup, np.array([x]))
+    near = int(np.argmin(np.abs(sup.x0 - x)))
+    if half[0] >= 0:
+        q = _solve(pop, sup, np.array([x]), half, dist)[0]
+    elif abs(x - sup.x0[near]) <= sup.zone[near]:
+        q = sup.q0[near]
+    else:
+        q = _real_root(pop, sup, x)
     with np.errstate(over="ignore"):
-        m = complex(1.0 / _boundary_q(pop, x))
+        m = complex(1.0 / q)
     if not np.isfinite(m):
         raise PoleProximity(f"m0 at x={x!r} overflows a double: x is within rounding "
                             "of the pole of m0 at 0")
     return m
-
-
-def _boundary_q(pop: PopulationSpec, x: float):
-    """q = 1/m0(x + i0) at a defined real x."""
-    sup = _support(pop)
-    half, dist = _halves(sup, np.array([x]))
-    if half[0] >= 0:
-        return _solve(pop, sup, np.array([x]), half, dist)[0]
-    near = int(np.argmin(np.abs(sup.x0 - x)))
-    if abs(x - sup.x0[near]) <= sup.zone[near]:
-        return sup.q0[near]
-    return _real_root(pop, sup, x)
 
 
 def density_f0(pop: PopulationSpec, x: float, cross_check: bool = True) -> float:
@@ -570,7 +513,9 @@ def density_grid(pop: PopulationSpec, n_points: int = 2000, pad: float = 0.05) -
     if not 0 <= pad < np.inf:
         raise DomainError(f"pad must be finite and nonnegative, got {pad!r}")
     lo, hi = _support(pop).span.tolist()
-    margin = pad * (hi - lo)
+    margin = float(pad) * (hi - lo)
+    if not np.isfinite((hi + margin) - (lo - margin)):
+        raise DomainError(f"pad={pad!r} stretches the grid beyond the range of a double")
     xs = np.linspace(lo - margin, hi + margin, n_points)
     if pop.rank <= pop.n_dim:
         # m0 is unbounded at 0: tabulate a thousandth of a cell to its

@@ -46,6 +46,19 @@ def test_config_accepts_numpy_integers():
     assert sample_spectrum(ID500, cfg, 0).size == 500
 
 
+@pytest.mark.parametrize("rep_index", [-1, 1.5, True, np.int64(-1), "0"],
+                         ids=["negative", "fractional", "bool", "negative-numpy", "str"])
+def test_sample_spectrum_rejects_bad_rep_index(rep_index):
+    with pytest.raises(DomainError, match="rep_index"):
+        sample_spectrum(ID500, SimConfig(reps=2, seed=1), rep_index)
+
+
+def test_sample_spectrum_accepts_numpy_rep_index():
+    cfg = SimConfig(reps=2, seed=1)
+    np.testing.assert_array_equal(sample_spectrum(SIGNED, cfg, np.uint8(1)),
+                                  sample_spectrum(SIGNED, cfg, 1))
+
+
 def test_zero_population_gives_zero_spectrum():
     pop = PopulationSpec(((0.0, 100),), 100)
     eigs = sample_spectrum(pop, SimConfig(reps=1, seed=1), 0)

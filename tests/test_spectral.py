@@ -3,7 +3,7 @@
 Expected values come from closed forms for the identity population
 (where the fixed point is a quadratic), from 60-digit mpmath roots, and
 from route redundancy: the certified edge-anchored boundary value against
-the independent fixed-point solve_m0 just above the axis.
+solve_m0 just above the axis, an independent Newton continuation in eta.
 """
 
 import warnings
@@ -159,6 +159,14 @@ def test_solve_m0_large_z_asymptote():
         assert abs(m + 1 / z) <= 10 / abs(z) ** 2
 
 
+@pytest.mark.parametrize("z", [-1e8 + 1e-12j, 1e7 + 1e-9j])
+def test_solve_m0_imaginary_part_far_outside_the_support(z):
+    # m0 ~ -1/z here, so Im m0 ~ eta/x^2, though eta lies below the
+    # residual's rounding floor 4 eps |z|
+    for pop in (ID500, FIG1):
+        assert solve_m0(pop, z).imag == pytest.approx(z.imag / z.real ** 2, rel=1e-6, abs=0.0)
+
+
 def test_solve_m0_rejects_lower_half_plane():
     with pytest.raises(DomainError):
         solve_m0(ID500, 2 - 1j)
@@ -201,7 +209,7 @@ def test_solve_m0_lipschitz_in_z():
 
 def test_solve_m0_bulk_interior_regression():
     # cold starts here once chased the z0 -> 0 plateau at |m| -> infinity;
-    # the gated-Newton + ladder design must hold the residual contract
+    # the Newton continuation in eta must hold the residual contract
     pop = PopulationSpec(((-3.696, 125), (-3.462, 103), (-1.787, 102), (2.757, 236)), 281)
     for eta in (0.5, 1e-2, 1e-4, 1e-6):
         z = complex(0.7032603127893147, eta)
@@ -211,8 +219,8 @@ def test_solve_m0_bulk_interior_regression():
 
 
 def test_solve_m0_symmetric_full_rank_outer_bulk():
-    # the eta ladder runs out of budget here; Newton from the boundary
-    # value at Re z finishes in C+
+    # the outer bulk of a symmetric full-rank population, close to the
+    # axis: the Newton continuation in eta reaches the root in C+
     t = (73.5, 57.3, 16.3, 7.75, 3.61, 3.14, 2.13, 1.05, 0.918, 0.873, 0.868, 0.5, 0.204,
          0.128, 0.084, 0.0565, 0.0491, 0.0372, 0.0267, 0.0255, 0.0238, 0.0206, 0.018)
     k = (11, 19, 40, 2, 34, 42, 18, 47, 43, 13, 11, 35, 9, 46, 49, 26, 50, 29, 44, 24, 14, 15, 36)
@@ -222,6 +230,25 @@ def test_solve_m0_symmetric_full_rank_outer_bulk():
     assert m.imag > 0
     assert abs(z0_eval(pop, m) - z) <= 1e-12
     assert abs(m - (-0.0154004 + 0.0013071j)) <= 1e-6
+
+
+def test_solve_m0_is_independent_of_the_boundary_solver(monkeypatch):
+    # solve_m0 is the tests' oracle for the boundary solver, so it must
+    # never call it; the FIG1 boundary values are taken before the patch
+    xs = (-6.0, -1.0, 0.3, 5.0, 9.0)
+    boundary = [stieltjes_boundary(FIG1, x) for x in xs]
+
+    def no_support(pop):
+        raise AssertionError("solve_m0 called the boundary solver")
+
+    monkeypatch.setattr(spectral, "_support", no_support)
+    test_solve_m0_symmetric_full_rank_outer_bulk()
+    for x, want in zip(xs, boundary):
+        z = complex(x, 1e-9)
+        m = solve_m0(FIG1, z)
+        assert m.imag > 0
+        assert abs(z0_eval(FIG1, m) - z) <= 1e-12
+        assert m == pytest.approx(want, rel=1e-6)
 
 
 def near_axis_density(pop, x):
@@ -583,6 +610,16 @@ def test_density_grid_type():
 def test_density_grid_rejects_a_non_finite_or_negative_pad(pad):
     with pytest.raises(DomainError, match="pad"):
         density_grid(FIG1, 3, pad=pad)
+
+
+@pytest.mark.parametrize("pad", [1e307, 1e308, np.float64(1e308)])
+def test_density_grid_rejects_a_pad_that_overflows_the_grid(pad):
+    # a finite pad whose grid ends or spacing overflow a double names pad,
+    # with no numpy overflow warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="pad"):
+            density_grid(FIG1, 3, pad=pad)
 
 
 @pytest.mark.parametrize("n_points", [0, 2.5])
