@@ -8,6 +8,7 @@ Commands: edges, density, test, simulate, swapseq.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -254,13 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("population")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--out", default="edges.json")
-    p.set_defaults(func=cmd_edges)
 
     p = sub.add_parser("density", help="tabulate the spectral density")
     p.add_argument("population")
     p.add_argument("--grid", type=int, default=2000)
     p.add_argument("--out", default="density.csv")
-    p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("test", help="Tracy-Widom edge test")
     p.add_argument("input", help="population or design file")
@@ -272,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plugin", action="store_true",
                    help="treat DATA as a raw n-by-p matrix and estimate variances")
     p.add_argument("--out", default="test_report.json")
-    p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("simulate", help="Monte Carlo experiments")
     p.add_argument("input", help="population or design file")
@@ -289,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge-index", type=int, default=None,
                    help="0-based index into the E-descending edge list (default: rightmost)")
     p.add_argument("--out", default="simulation.csv")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("swapseq", help="build or verify an interpolating sequence")
     p.add_argument("population")
@@ -299,16 +296,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c0", type=float, default=0.05, help="seeding fraction, positive-m branch")
     p.add_argument("--verify", default=None, help="previously exported sequence to check")
     p.add_argument("--out", default="swap_sequence.jsonl")
-    p.set_defaults(func=cmd_swapseq)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call so that importing
+    this module stays cheap.  Parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up at call time, so a command replaced after the first call
+    # (a test's patch, a tracer's wrapper) is the one that runs.
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusterAmbiguity, DesignError, ShapeError
-from .population import PopulationSpec
+from .population import PopulationSpec, _document_int
 
 CLUSTER_RTOL = 1e-9
 NORM_BOUND = 20.0          # C: ||U_r|| <= C and ||B|| <= C/n
@@ -37,8 +37,10 @@ class OneWayDesign:
             raise DesignError(f"n = {self.n} != I*J = {self.I * self.J}")
         if self.p < 1:
             raise DesignError("p must be at least 1")
-        if self.sigma1_sq < 0 or self.sigma2_sq < 0:
-            raise DesignError("variance components must be nonnegative")
+        for field in ("sigma1_sq", "sigma2_sq"):
+            value = getattr(self, field)
+            if not 0 <= value < np.inf:
+                raise DesignError(f"{field} must be finite and nonnegative, got {value!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -50,7 +52,7 @@ class OneWayDesign:
     def from_dict(cls, obj: dict) -> "OneWayDesign":
         try:
             return cls(
-                n=int(obj["n"]), p=int(obj["p"]), I=int(obj["I"]), J=int(obj["J"]),
+                **{f: _document_int(obj[f], DesignError, f) for f in ("n", "p", "I", "J")},
                 sigma1_sq=float(obj["sigma1_sq"]), sigma2_sq=float(obj["sigma2_sq"]),
             )
         except KeyError as exc:

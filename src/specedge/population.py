@@ -38,6 +38,18 @@ def _derived(method):
     return get
 
 
+def _document_int(value, error: type[Exception], field: str, *index) -> int:
+    """A JSON document's integer field read exactly: integers and integral
+    floats such as 100.0 pass; booleans, strings, fractional and non-finite
+    numbers raise `error` naming the field, `field.format(*index)`.  The
+    name is formatted only then: a document can hold thousands of entries."""
+    if type(value) is int:
+        return value
+    if isinstance(value, np.integer) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise error(f"{field.format(*index)} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PopulationSpec:
     """Diagonal population T as merged (t, multiplicity) pairs, plus N.
@@ -145,8 +157,10 @@ class PopulationSpec:
     @classmethod
     def from_dict(cls, obj: dict) -> "PopulationSpec":
         try:
-            n_dim = int(obj["n_dim"])
-            entries = tuple((float(e["t"]), int(e["mult"])) for e in obj["entries"])
+            n_dim = _document_int(obj["n_dim"], PopulationError, "n_dim")
+            entries = tuple(
+                (float(e["t"]), _document_int(e["mult"], PopulationError, "entries[{}].mult", i))
+                for i, e in enumerate(obj["entries"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise PopulationError(f"malformed population document: {exc}") from exc
         return cls(entries, n_dim)

@@ -35,6 +35,7 @@ DEFAULT_TOL = 1e-12
 MAX_ITER = 10_000
 
 EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny     # smallest normal double
 
 # Boundary solver.  A chain takes steps of at most 1/CHAIN_NODES of its
 # half-interval (in u); a point that fails its certificate is retried from
@@ -143,6 +144,12 @@ def solve_m0(pop: PopulationSpec, z: complex, tol: float = DEFAULT_TOL) -> compl
         raise DomainError(f"z must be finite and lie in the open upper half plane, got {z}")
     if not 0 < tol < np.inf:
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
+    # Far out, m0(z) ~ -1/z; once Im(-1/z) = Im z/|z|^2 is subnormal or 0,
+    # no seed or step can be told to lie in the upper half plane.
+    if (-1.0 / z).imag < TINY:
+        raise DomainError(
+            f"solve_m0 needs Im z/|z|^2 >= {TINY:g}, the smallest normal double, "
+            f"so that m0(z) ~ -1/z stays in the upper half plane; got z = {z}")
     vals, mults = pop.nonzero()
     n = pop.n_dim
     # The support lies in [-R, R], R = ||T|| (1 + sqrt(rank/N))^2, and

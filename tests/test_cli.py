@@ -81,6 +81,18 @@ def test_malformed_data_files_exit_2(ws):
     assert main(["simulate", bad_design, "--reps", "1", "--out", "s.csv"]) == 2
 
 
+def test_fractional_document_integers_exit_2(ws, capsys):
+    # int() would read mult 2.5 as 2 and report edges of another population.
+    pop = write(ws, "pop.json", {"n_dim": 10, "entries": [
+        {"t": 1.0, "mult": 8}, {"t": 2.0, "mult": 2.5}]})
+    assert main(["edges", pop, "--out", "edges.json"]) == 2
+    assert "entries[1].mult must be an integer, got 2.5" in capsys.readouterr().err
+    assert not (ws / "edges.json").exists()
+    design = write(ws, "design.json", dict(DESIGN20, n=20.9))
+    assert main(["simulate", design, "--reps", "1", "--out", "s.csv"]) == 2
+    assert "n must be an integer, got 20.9" in capsys.readouterr().err
+
+
 def test_cmd_test_non_finite_eigenvalue_exit_2(ws, capsys):
     # A NaN lies in no edge window; it must not be skipped silently.
     pop = write(ws, "pop.json", FIG1)
@@ -349,6 +361,44 @@ def test_swapseq_verify_file_is_read_before_the_build(ws, monkeypatch, content):
                         lambda *args, **kw: builds.append(1) or build(*args, **kw))
     assert main(["swapseq", pop, "--verify", "seq.jsonl", "--out", "x.jsonl"]) == 2
     assert builds == []
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(ws, monkeypatch, capsys):
+    from specedge import cli
+
+    pop = write(ws, "pop.json", FIG1)
+    spec = PopulationSpec(tuple((e["t"], e["mult"]) for e in FIG1["entries"]), FIG1["n_dim"])
+    np.savetxt(ws / "eigs.txt", sample_spectrum(spec, SimConfig(reps=1, seed=1), 0))
+    runs = {"edges": ["edges", pop],
+            "test": ["test", pop, str(ws / "eigs.txt"), "--tau", "0.01"]}
+    first = {}
+    for name, argv in runs.items():
+        cli._parser.cache_clear()
+        assert main(argv + ["--out", f"first_{name}.out"]) == 0
+        first[name] = (ws / f"first_{name}.out").read_bytes()
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["edges"])
+    assert exc.value.code == 2
+    assert "usage: specedge edges" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == specedge.__version__
+    for name, argv in runs.items():
+        assert main(argv + ["--out", f"again_{name}.out"]) == 0
+        assert (ws / f"again_{name}.out").read_bytes() == first[name]
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_edges", lambda args: seen.append(args.population) or 7)
+    assert main(["edges", pop]) == 7
+    assert seen == [pop]
+    assert len(builds) == 1
 
 
 def test_console_entry_point(ws):

@@ -26,6 +26,33 @@ def test_design_invariants():
         OneWayDesign(n=4, p=5, I=2, J=2, sigma1_sq=-1, sigma2_sq=1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 20.9), ("p", True), ("I", "10"), ("J", 2.5), ("n", float("inf")),
+])
+def test_design_document_integers_are_read_exactly(field, value):
+    doc = dict(n=20, p=20, I=10, J=2, sigma1_sq=0.0, sigma2_sq=1.0)
+    doc[field] = value
+    with pytest.raises(DesignError, match=f"{field} must be an integer"):
+        OneWayDesign.from_dict(doc)
+
+
+def test_design_document_accepts_integral_floats():
+    design = OneWayDesign.from_dict(dict(n=20.0, p=20, I=10.0, J=2, sigma1_sq=0, sigma2_sq=1))
+    assert design == OneWayDesign(n=20, p=20, I=10, J=2, sigma1_sq=0.0, sigma2_sq=1.0)
+    assert type(design.n) is int and type(design.I) is int
+
+
+@pytest.mark.parametrize("field", ["sigma1_sq", "sigma2_sq"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
+def test_design_rejects_non_finite_variances(field, value):
+    doc = dict(n=20, p=20, I=10, J=2, sigma1_sq=0.0, sigma2_sq=1.0)
+    doc[field] = value
+    with pytest.raises(DesignError, match=field):
+        OneWayDesign(**doc)
+    with pytest.raises(DesignError, match=field):
+        OneWayDesign.from_dict(doc)
+
+
 def test_oneway_population_small_example():
     d = OneWayDesign(n=20, p=20, I=10, J=2, sigma1_sq=0.0, sigma2_sq=1.0)
     pop = oneway_population(d)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,32 @@ def test_malformed_documents():
         PopulationSpec.from_json("not json")
     with pytest.raises(PopulationError):
         PopulationSpec.from_json('{"n_dim": 10}')
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"n_dim": 10.7, "entries": [{"t": 1.0, "mult": 10}]}', "n_dim"),
+    ('{"n_dim": true, "entries": [{"t": 1.0, "mult": 1}]}', "n_dim"),
+    ('{"n_dim": "10", "entries": [{"t": 1.0, "mult": 10}]}', "n_dim"),
+    ('{"n_dim": Infinity, "entries": [{"t": 1.0, "mult": 10}]}', "n_dim"),
+    ('{"n_dim": 10, "entries": [{"t": 1.0, "mult": 8}, {"t": 2.0, "mult": 2.5}]}',
+     "entries[1].mult"),
+    ('{"n_dim": 10, "entries": [{"t": 1.0, "mult": true}]}', "entries[0].mult"),
+    ('{"n_dim": 10, "entries": [{"t": 1.0, "mult": "10"}]}', "entries[0].mult"),
+    ('{"n_dim": 10, "entries": [{"t": 1.0, "mult": NaN}]}', "entries[0].mult"),
+], ids=["n_dim-fraction", "n_dim-bool", "n_dim-string", "n_dim-inf",
+        "mult-fraction", "mult-bool", "mult-string", "mult-nan"])
+def test_document_integers_are_read_exactly(text, field):
+    # int() would truncate 10.7 to 10 and take true and "10": a different
+    # population from the one the document describes.
+    with pytest.raises(PopulationError, match=re.escape(field)):
+        PopulationSpec.from_json(text)
+
+
+def test_document_integers_accept_integral_floats():
+    pop = PopulationSpec.from_json(
+        '{"n_dim": 100.0, "entries": [{"t": 1.0, "mult": 60.0}, {"t": 3, "mult": 40}]}')
+    assert pop == PopulationSpec(((1.0, 60), (3.0, 40)), 100)
+    assert all(type(k) is int for _, k in pop.entries) and type(pop.n_dim) is int
 
 
 def test_from_values_counts():

@@ -167,6 +167,27 @@ def test_solve_m0_imaginary_part_far_outside_the_support(z):
         assert solve_m0(pop, z).imag == pytest.approx(z.imag / z.real ** 2, rel=1e-6, abs=0.0)
 
 
+ZERO_ATOM = PopulationSpec(((0.0, 200), (1.0, 300)), 500)
+
+
+@pytest.mark.parametrize("z", [1e300 + 1j, 1e155 + 1j])
+@pytest.mark.parametrize("pop", [FIG1, ID500, ZERO_ATOM], ids=["FIG1", "ID500", "zero-atom"])
+def test_solve_m0_rejects_z_whose_seed_underflows_up_front(monkeypatch, pop, z):
+    # Im(-1/z) lies below the smallest normal double: rejected before the
+    # first kernel call, not after the loop has spent its budget halving.
+    monkeypatch.setattr(spectral, "_z0", None)
+    with pytest.raises(DomainError, match="smallest normal double"):
+        solve_m0(pop, z)
+
+
+@pytest.mark.parametrize("pop", [FIG1, ID500, ZERO_ATOM], ids=["FIG1", "ID500", "zero-atom"])
+def test_solve_m0_far_out_with_a_normal_seed(pop):
+    z = 1e150 + 1j
+    m = solve_m0(pop, z)
+    assert m.real == pytest.approx((-1 / z).real, rel=1e-12, abs=0.0)
+    assert m.imag == pytest.approx((-1 / z).imag, rel=1e-12, abs=0.0)
+
+
 def test_solve_m0_rejects_lower_half_plane():
     with pytest.raises(DomainError):
         solve_m0(ID500, 2 - 1j)
