@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusterAmbiguity, DesignError, ShapeError
-from .population import PopulationSpec, _document_int
+from .population import PopulationSpec, _document_float, _document_int
 
 CLUSTER_RTOL = 1e-9
 NORM_BOUND = 20.0          # C: ||U_r|| <= C and ||B|| <= C/n
@@ -53,7 +53,7 @@ class OneWayDesign:
         try:
             return cls(
                 **{f: _document_int(obj[f], DesignError, f) for f in ("n", "p", "I", "J")},
-                sigma1_sq=float(obj["sigma1_sq"]), sigma2_sq=float(obj["sigma2_sq"]),
+                **{f: _document_float(obj[f], DesignError, f) for f in ("sigma1_sq", "sigma2_sq")},
             )
         except KeyError as exc:
             raise DesignError(f"design document missing field {exc}") from exc

@@ -50,6 +50,20 @@ def _document_int(value, error: type[Exception], field: str, *index) -> int:
     raise error(f"{field.format(*index)} must be an integer, got {value!r}")
 
 
+def _document_float(value, error: type[Exception], field: str, *index) -> float:
+    """A JSON document's real field: integers, floats and numpy reals pass;
+    booleans, strings, None and integers beyond the float range raise
+    `error` naming the field, `field.format(*index)`."""
+    if type(value) is float:
+        return value
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise error(f"{field.format(*index)} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PopulationSpec:
     """Diagonal population T as merged (t, multiplicity) pairs, plus N.
@@ -159,7 +173,8 @@ class PopulationSpec:
         try:
             n_dim = _document_int(obj["n_dim"], PopulationError, "n_dim")
             entries = tuple(
-                (float(e["t"]), _document_int(e["mult"], PopulationError, "entries[{}].mult", i))
+                (_document_float(e["t"], PopulationError, "entries[{}].t", i),
+                 _document_int(e["mult"], PopulationError, "entries[{}].mult", i))
                 for i, e in enumerate(obj["entries"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise PopulationError(f"malformed population document: {exc}") from exc

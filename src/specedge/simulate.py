@@ -6,6 +6,17 @@ counter-based generator, so results are bit-identical for a given
 (seed, config) regardless of how the replicate loop is scheduled. A
 replicate draws x with unit-variance entries and forms X'TX as x'(T/N)x:
 the 1/N lives in the weights, and `eigvalsh` gets the Gram as it is.
+
+The two threshold experiments, `table1_experiment` and
+`edge_concentration` at an outermost edge, ask of each replicate only
+whether its whole spectrum lies below (or above) a level sigma. A
+replicate is decided without an eigensolve when the Cholesky
+factorization of (sigma - mu)I - G succeeds: by Sylvester's law of
+inertia that matrix is then positive definite, up to the factorization's
+backward error, so every eigenvalue lies below sigma; the margin mu
+covers that error and `eigvalsh`'s own, so the eigensolve would have
+given the same answer. Every other replicate takes the full `eigvalsh`,
+and every output is what the eigensolve alone gives.
 """
 
 from __future__ import annotations
@@ -102,12 +113,49 @@ def _check_dim(cfg: SimConfig, m: int, n: int):
                           "raise SimConfig.max_dim to override")
 
 
-def _gram(x, w):
-    """x'Wx for W = diag(w); rows with w = 0 add nothing and are dropped."""
+def _weights(pop: PopulationSpec):
+    """The rows of x that enter the Gram, those with t != 0 (a slice when
+    every row does, so no copy is made), and T/N over them as a column."""
+    w = pop.expand() / pop.n_dim
     keep = w != 0
-    if not keep.all():
-        x, w = x[keep], w[keep]
-    return x.T @ (w[:, None] * x)
+    rows = slice(None) if keep.all() else keep
+    return rows, w[rows][:, None]
+
+
+def _gram(x, rows, wcol):
+    """x'Wx for W = diag(T/N); rows with t = 0 add nothing and are dropped."""
+    x = x[rows]
+    return x.T @ (wcol * x)
+
+
+def _replicate_gram(pop: PopulationSpec, cfg: SimConfig):
+    """rep -> that replicate's Gram x'(T/N)x; the dimension check, the
+    weights and the zero-row mask are fixed once per experiment."""
+    m, n = pop.total_mult, pop.n_dim
+    _check_dim(cfg, m, n)
+    rows, wcol = _weights(pop)
+    return lambda rep: _gram(_draw_x(_rep_rng(cfg, rep), m, n, cfg.entry_law), rows, wcol)
+
+
+def _below(g, sigma) -> bool:
+    """True only if every eigenvalue of the symmetric g, and every one
+    `eigvalsh` would compute, lies below sigma: the Cholesky factorization
+    of (sigma - mu)I - g succeeds.  mu = 8 N(N+1) u (|g|_F + |sigma|) covers
+    the factorization's backward error, about N(N+1) u |A|_2 (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 10.1), the
+    eigensolver's O(N u |g|) and the rounding-level asymmetry of `_gram`,
+    since the two LAPACK calls may read different triangles."""
+    n = g.shape[0]
+    mu = 8.0 * n * (n + 1) * (np.finfo(float).eps / 2) * (np.linalg.norm(g) + abs(sigma))
+    if not np.isfinite(mu):  # numpy's cholesky passes NaN through without raising
+        return False
+    a = -g
+    a.flat[:: n + 1] += sigma - mu
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _map_reps(cfg: SimConfig, fn):
@@ -123,21 +171,28 @@ def sample_spectrum(pop: PopulationSpec, cfg: SimConfig, rep_index: int) -> np.n
     the 1/N lives in the weights, and `eigvalsh` reads the lower triangle."""
     if not (_is_int(rep_index) and rep_index >= 0):
         raise DomainError(f"rep_index must be a non-negative integer, got {rep_index!r}")
-    m, n = pop.total_mult, pop.n_dim
-    _check_dim(cfg, m, n)
-    x = _draw_x(_rep_rng(cfg, rep_index), m, n, cfg.entry_law)
-    return np.linalg.eigvalsh(_gram(x, pop.expand() / n))
+    return np.linalg.eigvalsh(_replicate_gram(pop, cfg)(rep_index))
 
 
 def table1_experiment(design: OneWayDesign, cfg: SimConfig) -> CoverageResult:
     """Coverage of the TW approximation for the standardized largest
     eigenvalue of the group-level estimator, simulated through the
-    law-equivalent population route."""
+    law-equivalent population route.
+
+    A replicate whose spectrum `_below` certifies under the lowest cutoff
+    is covered at every level and stands in as lambda_max = -inf; the
+    others take the top eigenvalue of a full eigensolve."""
     pop = oneway_population(design)
     edge = find_edges(pop).edges[0]
     cutoffs = np.array([f1_quantile(q) for q in COVERAGE_LEVELS])
-    lam_max = _map_reps(cfg, lambda rep: sample_spectrum(pop, cfg, rep)[-1])
-    stats = tw_statistic(edge, pop.n_dim, np.array(lam_max))
+    sigma = edge.e_star + cutoffs.min() / (edge.gamma * pop.n_dim) ** (2.0 / 3.0)
+    gram = _replicate_gram(pop, cfg)
+
+    def top(rep):
+        g = gram(rep)
+        return -np.inf if _below(g, sigma) else np.linalg.eigvalsh(g)[-1]
+
+    stats = tw_statistic(edge, pop.n_dim, np.array(_map_reps(cfg, top)))
     cov = tuple(float(np.mean(stats <= c)) for c in cutoffs)
     ses = tuple(float(np.sqrt(q * (1 - q) / cfg.reps)) for q in COVERAGE_LEVELS)
     return CoverageResult(COVERAGE_LEVELS, cov, ses, cfg.reps)
@@ -152,9 +207,10 @@ def support_adherence(pop: PopulationSpec, cfg: SimConfig, delta: float) -> floa
     report = find_edges(pop)
     lows, highs = np.array(report.intervals, dtype=float).reshape(-1, 2).T
     has_atom = report.atom_at_zero > 0
+    gram = _replicate_gram(pop, cfg)
 
     def one(rep):
-        eigs = sample_spectrum(pop, cfg, rep)
+        eigs = np.linalg.eigvalsh(gram(rep))
         col = eigs[:, None]
         inside = np.any((col >= lows - delta) & (col <= highs + delta), axis=1)
         if has_atom:
@@ -172,7 +228,12 @@ def edge_concentration(
     tau: float = DEFAULT_TAU,
 ) -> float:
     """Fraction of replicates with an eigenvalue in the exclusion zone
-    between N^{-2/3+eps} and the edge window, outward of the edge."""
+    between N^{-2/3+eps} and the edge window, outward of the edge.
+
+    When the zone lies outside the whole support (the rightmost edge on
+    its right, the leftmost on its left), a replicate whose spectrum
+    `_below` certifies to lie on the support's side of the zone has no
+    eigenvalue in it; the others take a full eigensolve."""
     if not (np.isfinite(epsilon) and 0 <= epsilon < 2.0 / 3.0):
         raise DomainError(f"epsilon must be finite and lie in [0, 2/3), got {epsilon!r}")
     if not (edge.soft and check_regularity(pop, edge, tau)):
@@ -182,11 +243,18 @@ def edge_concentration(
     inner = pop.n_dim ** (-2.0 / 3.0 + epsilon)
     if edge.side == "right":
         lo, hi = edge.e_star + inner, edge.e_star + delta
+        outermost = edge == report.edges[0]
     else:
         lo, hi = edge.e_star - delta, edge.e_star - inner
+        outermost = edge == report.edges[-1]
+    gram = _replicate_gram(pop, cfg)
 
     def one(rep):
-        eigs = sample_spectrum(pop, cfg, rep)
+        g = gram(rep)
+        # a spectrum below lo, or above hi (-G's below -hi), misses the zone
+        if outermost and (_below(g, lo) if edge.side == "right" else _below(-g, -hi)):
+            return False
+        eigs = np.linalg.eigvalsh(g)
         return bool(np.any((eigs >= lo) & (eigs <= hi)))
 
     return float(np.mean(_map_reps(cfg, one)))
@@ -212,12 +280,13 @@ def local_law_probe(
     z = complex(edge.e_star, eta)
     m0 = solve_m0(pop, z)
     tvals = pop.expand()
+    rows, wcol = _weights(pop)
     psi = float(np.sqrt(m0.imag / (n * eta)) + 1.0 / (n * eta))
     corner = n * m0 / (1.0 + m0 * tvals)  # N m0 (Id + m0 T)^{-1}, diagonal
 
     def one(rep):
         x = _draw_x(_rep_rng(cfg, rep), mdim, n, cfg.entry_law)
-        g = _gram(x, tvals / n).astype(complex)
+        g = _gram(x, rows, wcol).astype(complex)
         g.flat[:: n + 1] -= z
         g = np.linalg.inv(g)
         m_n = complex(np.trace(g)) / n

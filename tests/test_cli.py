@@ -93,6 +93,19 @@ def test_fractional_document_integers_exit_2(ws, capsys):
     assert "n must be an integer, got 20.9" in capsys.readouterr().err
 
 
+def test_document_values_that_are_not_numbers_exit_2(ws, capsys):
+    # float() would read t = true as 1.0 and sigma2_sq = "1" as 1.0.
+    pop = write(ws, "pop.json", {"n_dim": 10, "entries": [
+        {"t": 1.0, "mult": 8}, {"t": True, "mult": 2}]})
+    assert main(["edges", pop, "--out", "edges.json"]) == 2
+    assert "entries[1].t must be a number, got True" in capsys.readouterr().err
+    assert not (ws / "edges.json").exists()
+    design = write(ws, "design.json", dict(DESIGN20, sigma2_sq="1"))
+    assert main(["simulate", design, "--reps", "1", "--out", "s.csv"]) == 2
+    assert "sigma2_sq must be a number, got '1'" in capsys.readouterr().err
+    assert not (ws / "s.csv").exists()
+
+
 def test_cmd_test_non_finite_eigenvalue_exit_2(ws, capsys):
     # A NaN lies in no edge window; it must not be skipped silently.
     pop = write(ws, "pop.json", FIG1)

@@ -43,6 +43,23 @@ def test_design_document_accepts_integral_floats():
 
 
 @pytest.mark.parametrize("field", ["sigma1_sq", "sigma2_sq"])
+@pytest.mark.parametrize("value", [True, "1", None], ids=["bool", "string", "null"])
+def test_design_document_variances_must_be_numbers(field, value):
+    # float() would read true as 1.0 and "1" as 1.0.
+    doc = dict(n=20, p=20, I=10, J=2, sigma1_sq=0.0, sigma2_sq=1.0)
+    doc[field] = value
+    with pytest.raises(DesignError, match=f"{field} must be a number"):
+        OneWayDesign.from_dict(doc)
+
+
+def test_design_document_variances_accept_integers_and_numpy_reals():
+    design = OneWayDesign.from_dict(dict(n=20, p=20, I=10, J=2, sigma1_sq=np.float32(0.5),
+                                         sigma2_sq=1))
+    assert design == OneWayDesign(n=20, p=20, I=10, J=2, sigma1_sq=0.5, sigma2_sq=1.0)
+    assert type(design.sigma2_sq) is float
+
+
+@pytest.mark.parametrize("field", ["sigma1_sq", "sigma2_sq"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
 def test_design_rejects_non_finite_variances(field, value):
     doc = dict(n=20, p=20, I=10, J=2, sigma1_sq=0.0, sigma2_sq=1.0)

@@ -111,6 +111,23 @@ def test_document_integers_are_read_exactly(text, field):
         PopulationSpec.from_json(text)
 
 
+@pytest.mark.parametrize("t", [True, "2.5", None, 10**400],
+                         ids=["bool", "string", "null", "beyond-float"])
+def test_document_values_must_be_numbers(t):
+    # float() would read true as 1.0 and "2.5" as 2.5.
+    doc = {"n_dim": 10, "entries": [{"t": 1.0, "mult": 5}, {"t": t, "mult": 5}]}
+    with pytest.raises(PopulationError, match=re.escape("entries[1].t must be a number")):
+        PopulationSpec.from_dict(doc)
+
+
+def test_document_values_accept_integers_and_numpy_reals():
+    doc = {"n_dim": 10, "entries": [{"t": 3, "mult": 5}, {"t": np.float32(0.5), "mult": 3},
+                                    {"t": np.int64(-2), "mult": 2}]}
+    pop = PopulationSpec.from_dict(doc)
+    assert pop == PopulationSpec(((-2.0, 2), (0.5, 3), (3.0, 5)), 10)
+    assert all(type(t) is float for t, _ in pop.entries)
+
+
 def test_document_integers_accept_integral_floats():
     pop = PopulationSpec.from_json(
         '{"n_dim": 100.0, "entries": [{"t": 1.0, "mult": 60.0}, {"t": 3, "mult": 40}]}')

@@ -3,6 +3,8 @@ experiments (heavier verification lives in the acceptance suite)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specedge import (
     OneWayDesign,
@@ -16,7 +18,11 @@ from specedge import (
     support_adherence,
     table1_experiment,
 )
+from specedge import simulate
 from specedge.errors import DomainError, IrregularEdge
+from specedge.simulate import COVERAGE_LEVELS
+from specedge.tw import f1_quantile
+from specedge.twtest import tw_statistic, window_delta
 
 ID500 = PopulationSpec(((1.0, 500),), 500)
 SIGNED = PopulationSpec(((-1.0, 40), (2.0, 40)), 60)
@@ -318,3 +324,121 @@ def test_local_law_probe_basics():
     assert all(e >= 0 for e in probe.m_n_err)
     # global scale: the averaged transform is within 10/N of the limit
     assert probe.median_m_err <= 10 / 200
+
+
+# -- the Cholesky certificate and the threshold experiments it decides -------
+
+U = np.finfo(float).eps / 2
+
+
+def _margin(g, sigma):
+    """The certificate's margin mu at level sigma."""
+    n = g.shape[0]
+    return 8.0 * n * (n + 1) * U * (np.linalg.norm(g) + abs(sigma))
+
+
+@st.composite
+def _grams(draw):
+    """x'(T/N)x of a Gaussian draw with signed weights, N from 2 to 120."""
+    n = draw(st.integers(2, 120))
+    m = draw(st.integers(1, 2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((m, n))
+    w = rng.choice([-2.0, 0.5, 1.0, 6.0], size=m) * np.exp(rng.standard_normal(m))
+    return simulate._gram(x, slice(None), (w / n)[:, None])
+
+
+def _levels(top, mu):
+    """sigma at k ulps from the computed extreme eigenvalue, and at
+    {0.5, 1, 2} margins from it, on both sides."""
+    ulps = [top * (1 + s * k * np.finfo(float).eps) for k in (1, 4, 64) for s in (-1, 1)]
+    return ulps + [top + s * f * mu for f in (0.5, 1.0, 2.0) for s in (-1, 1)]
+
+
+@settings(max_examples=60)
+@given(_grams())
+def test_certificate_never_passes_a_spectrum_that_reaches_sigma(g):
+    eigs = np.linalg.eigvalsh(g)
+    for sigma in _levels(eigs[-1], _margin(g, eigs[-1])):
+        if simulate._below(g, sigma):
+            assert eigs[-1] < sigma
+    # the left-edge use: -G below -sigma puts the whole spectrum above sigma
+    for sigma in _levels(eigs[0], _margin(g, eigs[0])):
+        if simulate._below(-g, -sigma):
+            assert eigs[0] > sigma
+    # four margins beyond the extreme eigenvalue the factorization succeeds
+    assert simulate._below(g, eigs[-1] + 4 * _margin(g, eigs[-1]))
+    assert simulate._below(-g, -eigs[0] + 4 * _margin(g, eigs[0]))
+
+
+def test_certificate_rejects_what_it_cannot_factor():
+    g = np.diag([1.0, 2.0, 3.0])
+    assert simulate._below(g, 3.5) and not simulate._below(g, 3.0)
+    # numpy's cholesky returns NaN factors of a NaN matrix without raising
+    assert not simulate._below(np.full((3, 3), np.nan), 1.0)
+
+
+def _table1_by_eigensolve(design, cfg):
+    pop = oneway_population(design)
+    edge = find_edges(pop).edges[0]
+    lam = np.array([sample_spectrum(pop, cfg, r)[-1] for r in range(cfg.reps)])
+    stats = tw_statistic(edge, pop.n_dim, lam)
+    return tuple(float(np.mean(stats <= f1_quantile(q))) for q in COVERAGE_LEVELS)
+
+
+def _zone_by_eigensolve(pop, edge, cfg, epsilon):
+    delta = window_delta(find_edges(pop), edge)
+    inner = pop.n_dim ** (-2.0 / 3.0 + epsilon)
+    if edge.side == "right":
+        lo, hi = edge.e_star + inner, edge.e_star + delta
+    else:
+        lo, hi = edge.e_star - delta, edge.e_star - inner
+    hits = [np.any((e >= lo) & (e <= hi))
+            for e in (sample_spectrum(pop, cfg, r) for r in range(cfg.reps))]
+    return float(np.mean(hits))
+
+
+def _no_cholesky(a):
+    raise np.linalg.LinAlgError("factorization withheld")
+
+
+ONEWAY100 = OneWayDesign(n=100, p=100, I=50, J=2, sigma1_sq=0.0, sigma2_sq=1.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("design, reps", [(ONEWAY20, 300), (ONEWAY100, 40)],
+                         ids=["n20", "n100"])
+def test_table1_matches_the_eigensolve_route(design, reps, seed, monkeypatch):
+    cfg = SimConfig(reps=reps, seed=seed)
+    want = _table1_by_eigensolve(design, cfg)
+    assert table1_experiment(design, cfg).coverage == want
+    monkeypatch.setattr(np.linalg, "cholesky", _no_cholesky)
+    assert table1_experiment(design, cfg).coverage == want
+
+
+FIG1 = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
+
+
+@pytest.mark.parametrize("pop, pick", [
+    (FIG1, 0), (FIG1.reflected(), -1), (FIG1, 1),
+], ids=["fig1-right", "reflected-leftmost", "fig1-interior"])
+def test_concentration_matches_the_eigensolve_route(pop, pick, monkeypatch):
+    edge = find_edges(pop).edges[pick]
+    cfg = SimConfig(reps=12, seed=4)
+    want = _zone_by_eigensolve(pop, edge, cfg, 0.05)
+    assert edge_concentration(pop, edge, cfg, 0.05, tau=0.01) == want
+    monkeypatch.setattr(np.linalg, "cholesky", _no_cholesky)
+    assert edge_concentration(pop, edge, cfg, 0.05, tau=0.01) == want
+
+
+@pytest.mark.parametrize("pop, pick, want", [
+    (FIG1, 0, 0.05), (FIG1.reflected(), -1, 0.1),
+], ids=["fig1-right", "reflected-leftmost"])
+def test_concentration_eigensolves_only_undecided_replicates(pop, pick, want, monkeypatch):
+    # A certificate that stopped holding would fall back to 20 eigensolves
+    # with the same answer; the count shows it.
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    frac = edge_concentration(pop, find_edges(pop).edges[pick], SimConfig(reps=20, seed=1),
+                              0.2, tau=0.01)
+    assert frac == want and len(calls) <= 2
