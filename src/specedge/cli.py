@@ -3,6 +3,11 @@
 Commands: edges, density, test, simulate, swapseq.  Exit codes:
 0 success, 2 input error, 3 numerical failure, 4 precondition failure
 (for scriptable acceptance pipelines).
+
+Import rule: this module imports at its top only the layers every command
+runs (errors, manifest, population, spectral, edges).  A command imports
+the layers only it needs (twtest, simulate, swaps, manova) when it runs,
+so each process pays start-up only for what its command uses.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .edges import edge_for_m_sign, find_edges
+from .edges import check_regularity, edge_for_m_sign, find_edges
 from .errors import (
     InputError,
     NumericalError,
@@ -24,18 +29,8 @@ from .errors import (
     SpecEdgeError,
 )
 from .manifest import RunManifest, atomic_write, file_digest
-from .manova import OneWayDesign, oneway_population
 from .population import PopulationSpec
-from .simulate import (
-    SimConfig,
-    edge_concentration,
-    local_law_probe,
-    support_adherence,
-    table1_experiment,
-)
 from .spectral import density_grid, isolated_zero_in_support
-from .swaps import build_swap_sequence, export_sequence, verify_swappable
-from .twtest import edge_test, plugin_edge_test
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -69,6 +64,8 @@ def _load_input(path: str):
         raise InputError(f"{path}: expected a JSON object")
     if "entries" in obj:
         return PopulationSpec.from_dict(obj)
+    from .manova import OneWayDesign
+
     return OneWayDesign.from_dict(obj)
 
 
@@ -99,8 +96,6 @@ def cmd_edges(args) -> int:
     manifest = RunManifest("edges", {args.population: file_digest(args.population)}, None)
     body = report.to_dict()
     if args.tau is not None:
-        from .edges import check_regularity
-
         body["tau"] = args.tau
         for rec, edge in zip(body["edges"], report.edges):
             rec["regular"] = check_regularity(pop, edge, args.tau)
@@ -124,6 +119,9 @@ def cmd_density(args) -> int:
 
 
 def cmd_test(args) -> int:
+    from .manova import OneWayDesign, oneway_population
+    from .twtest import edge_test, plugin_edge_test
+
     spec = _load_input(args.input)
     inputs = {args.input: file_digest(args.input)}
     if args.plugin:
@@ -152,6 +150,15 @@ def cmd_test(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .manova import OneWayDesign, oneway_population
+    from .simulate import (
+        SimConfig,
+        edge_concentration,
+        local_law_probe,
+        support_adherence,
+        table1_experiment,
+    )
+
     spec = _load_input(args.input)
     cfg = SimConfig(
         reps=args.reps, seed=args.seed, entry_law=args.law,
@@ -195,6 +202,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_swapseq(args) -> int:
+    from .swaps import build_swap_sequence, export_sequence, verify_swappable
+
     pop = _load_population(args.population)
     report = find_edges(pop)
     edge = _pick_edge(report, args.edge_index)

@@ -21,7 +21,6 @@ and every output is what the eigensolve alone gives.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +161,8 @@ def _map_reps(cfg: SimConfig, fn):
     """Run fn(rep_index) for every replicate; order-invariant collection."""
     if cfg.parallel_width == 1:
         return [fn(i) for i in range(cfg.reps)]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=cfg.parallel_width) as pool:
         return list(pool.map(fn, range(cfg.reps)))
 

@@ -33,6 +33,7 @@ from .population import PopulationSpec, _derived
 POLE_PROXIMITY_REL = 1e-12
 DEFAULT_TOL = 1e-12
 MAX_ITER = 10_000
+STEP_ULPS = 4              # solve_m0 stops on a Newton step this small, in ulps of |m|
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny     # smallest normal double
@@ -138,6 +139,12 @@ def solve_m0(pop: PopulationSpec, z: complex, tol: float = DEFAULT_TOL) -> compl
     in the upper half plane and lowers |z0(m) - z| or meets the tolerance.
     z0(m) = z has one root there (Silverstein & Choi 1995), so the
     returned root is m0(z).
+
+    z0 is evaluated in the atom form g(1/m) (`_gq`), which keeps full
+    relative precision where |m| is large, next to z = 0 when
+    rank(T) <= N.  The root is returned once the residual meets the
+    tolerance and either the next Newton step is below a few ulps of |m|
+    or the residual is at the rounding floor of its summands.
     """
     z = complex(z)
     if not (np.isfinite(z) and z.imag > 0):
@@ -150,36 +157,41 @@ def solve_m0(pop: PopulationSpec, z: complex, tol: float = DEFAULT_TOL) -> compl
         raise DomainError(
             f"solve_m0 needs Im z/|z|^2 >= {TINY:g}, the smallest normal double, "
             f"so that m0(z) ~ -1/z stays in the upper half plane; got z = {z}")
-    vals, mults = pop.nonzero()
-    n = pop.n_dim
+    t, c, a = _chart(pop)
     # The support lies in [-R, R], R = ||T|| (1 + sqrt(rank/N))^2, and
     # |m0(z) + 1/z| <= R/(|z| Im z): at Im z >= 2R the seed is within half.
-    height = 4.0 * np.abs(vals).max(initial=0.0) * (1.0 + pop.rank / n)
+    height = 4.0 * np.abs(t).max(initial=0.0) * (1.0 + pop.rank / pop.n_dim)
     z_cur = complex(z.real, max(z.imag, height))
     m, res, step = -1.0 / z_cur, np.inf, 0.0
+    q = np.empty(1, dtype=complex)
     # A trial or step that overflows is not finite, so it is rejected.
     with np.errstate(all="ignore"):
         for _ in range(MAX_ITER):
             trial = m - step
             if trial.imag > 0:
-                val, d1 = _z0(vals, mults, n, trial, (0, 1))
-                r = val - z_cur
-                # Roundoff in z0 scales with |z|; below this floor the
-                # residual is noise, so each rung takes at least one step.
-                goal = max(tol, 4.0 * EPS * abs(z_cur))
+                q[0] = qt = 1.0 / trial
+                g, g1, h = (v.item() for v in _gq(t, c, a, q))
+                r = g - z_cur
+                # Below the rounding floor of z0's summands the residual is
+                # noise, so each rung takes at least one step.
+                size = abs(qt)
+                floor = NOISE_ULPS * EPS * (abs(z_cur) + size * (abs(a) + size * h))
+                goal = max(tol, floor)
                 if abs(r) < abs(res) or abs(r) <= goal:
-                    m, res = trial, r
+                    m, res, d1 = trial, r, -g1 * qt * qt     # dz0/dm = -g'(q) q^2
                     if abs(res) <= goal:
                         if z_cur == z:
-                            return complex(m)
-                        z_cur = complex(z.real, max(z.imag, z_cur.imag / 4.0))
-                        res = val - z_cur
+                            if abs(res) <= floor or abs(res / d1) <= STEP_ULPS * EPS * abs(m):
+                                return complex(m)
+                        else:
+                            z_cur = complex(z.real, max(z.imag, z_cur.imag / 4.0))
+                            res = g - z_cur
                     step = res / d1
                     continue
             step *= 0.5
     raise NonConvergence(
-        f"Newton solve for m0({z}) did not reach |residual| <= {max(tol, 4.0 * EPS * abs(z)):g} "
-        f"within {MAX_ITER} steps")
+        f"Newton solve for m0({z}) did not converge to |residual| <= {tol:g} (or the "
+        f"rounding floor) within {MAX_ITER} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +245,7 @@ def _gq(t, c, a, q):
     with the number of points.
     """
     g, g1, h = np.empty_like(q), np.empty_like(q), np.empty(q.shape)
-    block = max(1, BOUNDARY_BLOCK_ENTRIES // t.size)
+    block = max(1, BOUNDARY_BLOCK_ENTRIES // max(t.size, 1))
     for lo in range(0, q.size, block):
         rows = slice(lo, lo + block)
         qb = q[rows]

@@ -188,17 +188,21 @@ def test_criterion_6_averaged_law_order():
 
 def test_criterion_6_entrywise_law():
     """Contested pin: the max runs over (N+M)^2 entries whose worst block
-    carries the 1/(1+m0 t)^2 ~ 4 edge amplification, so the observed max
-    is 10-17 Psi.  Asserted as stated."""
+    carries the 1/(1+m0 t)^2 ~ 4 edge amplification.  Over these 60 probes
+    the max-entry error has median 12 Psi and quartiles 8 and 16 Psi, its
+    upper quartile grows with N (16, 16, 20 Psi at N = 200, 400, 800), and
+    it reaches 33 Psi at N = 800.  Asserted as stated."""
     probes = local_law_probes()
     errs = np.concatenate([np.asarray(p.entrywise_err) / p.psi for _, p in probes])
     frac = float(np.mean(errs <= 10.0))
     ok = frac >= 0.9
     report_line(ok, "criterion 6b: entrywise error <= 10*Psi in >= 90% of probes",
                 f"measured {100 * frac:.0f}%")
+    q1, med, q3 = np.percentile(errs, [25, 50, 75])
     assert ok, (
-        f"only {100 * frac:.0f}% of probes meet 10*Psi; the max-entry "
-        "statistic concentrates at 10-17 Psi here"
+        f"only {100 * frac:.0f}% of probes meet 10*Psi; the max-entry statistic has "
+        f"median {med:.1f} Psi, quartiles {q1:.1f} and {q3:.1f} Psi, and maximum "
+        f"{errs.max():.1f} Psi here"
     )
 
 

@@ -369,8 +369,8 @@ def test_swapseq_verify_file_is_read_before_the_build(ws, monkeypatch, content):
     if content is not None:
         (ws / "seq.jsonl").write_text(content)
     builds = []
-    build = specedge.cli.build_swap_sequence
-    monkeypatch.setattr(specedge.cli, "build_swap_sequence",
+    build = specedge.swaps.build_swap_sequence
+    monkeypatch.setattr(specedge.swaps, "build_swap_sequence",
                         lambda *args, **kw: builds.append(1) or build(*args, **kw))
     assert main(["swapseq", pop, "--verify", "seq.jsonl", "--out", "x.jsonl"]) == 2
     assert builds == []

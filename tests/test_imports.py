@@ -1,0 +1,92 @@
+"""What importing the package and running each CLI command loads.
+
+The import checks run in a child interpreter, so that what this test
+session has already imported does not count."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import specedge
+
+COMMON = ["specedge.cli", "specedge.edges", "specedge.errors", "specedge.manifest",
+          "specedge.population", "specedge.spectral"]
+FIG1 = {"n_dim": 500, "entries": [
+    {"t": -2.0, "mult": 350}, {"t": 0.5, "mult": 300}, {"t": 6.0, "mult": 50}]}
+SMALL = {"n_dim": 40, "entries": [{"t": 1.0, "mult": 60}]}
+
+
+def loaded_after(code, cwd):
+    """The specedge submodules, and concurrent.futures if loaded, once
+    `code` has run in a fresh interpreter, with whatever `code` printed."""
+    package_root = str(Path(specedge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    probe = (
+        "import json, sys\n" + code + "\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.startswith('specedge.') or m == 'concurrent.futures')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    *printed, last = proc.stdout.splitlines()
+    return json.loads(last), printed
+
+
+def test_package_import_loads_no_submodule_and_binds_names_on_first_use(tmp_path):
+    loaded, _ = loaded_after("import specedge", tmp_path)
+    assert loaded == []
+    loaded, printed = loaded_after(
+        "import specedge\n"
+        "print('find_edges' in vars(specedge))\n"
+        "f = specedge.find_edges\n"
+        "print(vars(specedge)['find_edges'] is f)\n"
+        "specedge.tw.f1_cdf(0.0)\n", tmp_path)
+    assert printed == ["False", "True"]
+    # specedge.data is the package the TW table is read from.
+    assert loaded == ["specedge.data", "specedge.edges", "specedge.errors",
+                      "specedge.population", "specedge.spectral", "specedge.tw"]
+
+
+def test_cli_import_loads_only_the_layers_every_command_runs(tmp_path):
+    loaded, _ = loaded_after("import specedge.cli", tmp_path)
+    assert loaded == COMMON
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["edges", "pop.json", "--tau", "0.05", "--out", "e.json"],
+     ["simulate", "swaps", "twtest", "manova", "tw"]),
+    (["density", "pop.json", "--grid", "50", "--out", "d.csv"],
+     ["simulate", "swaps", "twtest", "manova", "tw"]),
+    (["simulate", "small.json", "--mode", "adherence", "--reps", "2",
+      "--parallel-width", "1", "--out", "s.csv"],
+     ["swaps"]),
+], ids=["edges", "density", "simulate"])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, absent):
+    (tmp_path / "pop.json").write_text(json.dumps(FIG1))
+    (tmp_path / "small.json").write_text(json.dumps(SMALL))
+    loaded, _ = loaded_after(
+        f"from specedge.cli import main\nassert main({argv!r}) == 0", tmp_path)
+    assert set(COMMON) <= set(loaded)
+    assert "concurrent.futures" not in loaded
+    assert not {f"specedge.{name}" for name in absent} & set(loaded)
+
+
+def test_public_names_resolve_to_their_definitions():
+    for name in specedge.__all__:
+        obj = getattr(specedge, name)
+        owner = importlib.import_module(obj.__module__)
+        assert owner.__name__.startswith("specedge.")
+        assert getattr(owner, name) is obj, name
+    scope = {}
+    exec("from specedge import *", scope)
+    assert all(scope[name] is getattr(specedge, name) for name in specedge.__all__)
+    assert set(specedge.__all__) <= set(dir(specedge))
+    with pytest.raises(AttributeError, match="nope"):
+        specedge.nope

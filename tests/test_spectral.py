@@ -132,6 +132,24 @@ def test_z0_equals_the_outer_product_form_bit_for_bit(pop, m):
             np.testing.assert_array_equal(got, want)
 
 
+def test_atom_form_kernel_matches_the_m_chart():
+    # solve_m0 and the boundary solver both evaluate z0 through _gq, so
+    # _gq is checked here against the m-chart _z0, the independent form:
+    # g(q) = z0(1/q) and g'(q) = -z0'(m) m^2, to rounding of the summands.
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        pop = random_population(rng, n=int(rng.integers(20, 400)))
+        t, c, a = spectral._chart(pop)
+        vals, mults = pop.nonzero()
+        m = complex(rng.normal(0.0, 3.0), 10.0 ** rng.uniform(-6.0, 1.0))
+        g, g1, _ = spectral._gq(t, c, a, np.array([1.0 / m]))
+        z0, z1 = spectral._z0(vals, mults, pop.n_dim, m, (0, 1))
+        scale = 1.0 / abs(m) + float(np.sum(c * np.abs(t / (1.0 + t * m))))
+        assert abs(g[0] - z0) <= 1e-12 * scale
+        scale1 = 1.0 / abs(m) ** 2 + float(np.sum(c * np.abs(t / (1.0 + t * m)) ** 2))
+        assert abs(-g1[0] / m ** 2 - z1) <= 1e-12 * scale1
+
+
 # -- solve_m0 ----------------------------------------------------------------
 
 def quadratic_oracle(z, ratio):
@@ -150,6 +168,25 @@ def test_solve_m0_identity_against_quadratic():
         m = solve_m0(ID500, z, tol=1e-13)
         assert m.imag > 0
         assert m == pytest.approx(quadratic_oracle(z, 1.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("pop", [ID500, PopulationSpec(((1.0, 300),), 500)])
+@pytest.mark.parametrize("eta", [1e-6, 1e-10, 1e-13])
+def test_solve_m0_is_relatively_accurate_next_to_zero(pop, eta):
+    # With rank(T) <= N, |m0(z)| grows without bound as z -> 0, so an
+    # absolute residual says little there; the root must still be exact to
+    # 1e-12 relative.  The closed form is the quadratic's root in C+, each
+    # root taken without cancellation: the larger from the formula, the
+    # other as the product 1/z over it.
+    z = complex(0.0, eta)
+    b = z + 1.0 - pop.total_mult / pop.n_dim
+    d = np.sqrt(b * b - 4.0 * z)
+    if (b.conjugate() * d).real < 0:
+        d = -d
+    big = -0.5 * (b + d)
+    (root,) = [r for r in (big / z, 1.0 / big) if r.imag > 0]
+    m = solve_m0(pop, z)
+    assert abs(m - root) <= 1e-12 * abs(root)
 
 
 def test_solve_m0_large_z_asymptote():
