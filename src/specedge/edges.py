@@ -26,7 +26,7 @@ from .spectral import (
 )
 
 S_RTOL = 1e-14             # Newton step, relative to the pole offset, that ends the edge search
-DERIV_CERT = 1e-8          # |z0'(m*)| certificate after back-transform
+CERT_ULPS = 16             # rounding allowance of the |z0'(m*)| certificate, in ulps of its summands
 DEGENERATE_CURVATURE = 1e-8
 HARD_Q_TOL = 1e-11         # |q| below this (times scale) is the m=infinity chart
 EPS = np.finfo(float).eps
@@ -107,16 +107,36 @@ def _poles(vals, mults, n):
 def _g_row(p, d, pj, s):
     """g', g'', g''' at q = pj + s, where pj is the anchor pole.
 
-    The kernel's one body: scalars pj, s give one row, and columns give a
-    block of rows.  The offset from the anchor pole is exact,
+    The kernel's numpy body: scalars pj, s give one row, and columns give
+    a block of rows.  The offset from the anchor pole is exact,
     q + t_i = s + (pj - p_i), so an interval narrower than an ulp of its
     poles stays resolved.  With d the reversed view `_poles` returns,
-    numpy's matmul sums each row in its own loop, not in BLAS, so a row's
-    values do not depend on the other rows of the call.
+    numpy's matmul sums each row in its own loop, not in BLAS, from 0.0 in
+    index order, so a row's values do not depend on the other rows of the
+    call, and `_g_row_floats` gives the same bits.
     """
     r = 1.0 / (s + (pj - p))
     r2 = r * r
     return r2 @ d - 1.0, -2.0 * ((r2 * r) @ d), 6.0 * ((r2 * r2) @ d)
+
+
+def _g_row_floats(offsets, weights, s):
+    """One row of `_g_row` on Python floats, with `offsets` pj - p and
+    `weights` d as lists in the order `_poles` gives.
+
+    Each float operation runs as in `_g_row`, in the same order, so the
+    bits are the same; a point on a pole gives +-inf, as numpy does.  On a
+    few poles it costs a fraction of one numpy call.
+    """
+    a1 = a2 = a3 = 0.0
+    for o, w in zip(offsets, weights):
+        x = s + o
+        r = 1.0 / x if x else math.copysign(math.inf, x)
+        r2 = r * r
+        a1 += r2 * w
+        a2 += r2 * r * w
+        a3 += r2 * r2 * w
+    return a1 - 1.0, -2.0 * a2, 6.0 * a3
 
 
 def _g_derivs(p, d, j, s):
@@ -172,20 +192,22 @@ def _newton_bisect(p, d, j, lo, hi, s, order, rising, settle=None):
     raise NonConvergence(f"edge search did not converge on {todo.size} pole intervals")
 
 
-def _newton_bisect_one(p, d, j, lo, hi, s, g):
-    """Zero of the increasing g' in one bracket (lo, hi) of s on row j.
+def _newton_bisect_one(row, lo, hi, s, g):
+    """Zero of the increasing g' in one bracket (lo, hi) of s.
 
     The one-row form of `_newton_bisect(..., order=1, rising=True)`, with
-    the same steps and floats under Python-float control flow.  It starts
-    at s, where the triple g = (g', g'', g''') is already known, and
-    evaluates the kernel's one row only at new points.  Returns s and the
-    triple at the last point evaluated.
+    the same steps and floats under Python-float control flow.  `row(s)`
+    gives g', g'', g''' at offset s from the anchor pole as Python floats:
+    `_g_row_floats`, or one row of `_g_row`, which has the same bits.  It
+    starts at s, where the triple g is already known, and evaluates the
+    row only at new points.  Returns s and the triple at the last point
+    evaluated.
     """
-    pj, lo, hi, s = p[j], float(lo), float(hi), float(s)
+    lo, hi, s = float(lo), float(hi), float(s)
     d1, d2, d3 = map(float, g)
     for it in range(160):
         if it:
-            d1, d2, d3 = map(float, _g_row(p, d, pj, s))
+            d1, d2, d3 = row(s)
         if not (math.isfinite(d1) and math.isfinite(d2) and math.isfinite(d3)):
             raise NonConvergence("edge search met a non-finite derivative of g")
         if d1 < 0:
@@ -266,6 +288,31 @@ def _soft_extrema_q(vals, mults, n, flat_origin=False):
     return sorted((p[j] + s).tolist()), scale
 
 
+def _deriv_cert(vals, mults, n, m, d2):
+    """Largest |z0'(m)| that certifies m as a root of z0' located by
+    `_soft_extrema_q`, given d2 = z0''(m).  Two allowances add up:
+
+    - rounding: CERT_ULPS ulps of 1/m^2 plus the summands
+      c t^2/(1 + tm)^2 / N of z0'(m) as `_z0` sums them, each grown by
+      1 + 2|tm/(1 + tm)|, the relative error that rounding 1 + tm passes
+      on to its square;
+    - location: the search stops within S_RTOL of the offset of q = 1/m
+      from its anchor pole, the left pole of its interval, and q rounds
+      by an ulp; z0' moves by |z0''(m)| m^2 per unit of q.
+
+    Both scale with T and with m; an absolute bound fails where 1/m^2
+    alone is large and passes anything where it is small.
+    """
+    q = 1.0 / m
+    tm = m[..., None] * vals
+    r = 1.0 + tm
+    terms = mults * vals**2 / r**2 * (1.0 + 2.0 * np.abs(tm / r))
+    rounding = CERT_ULPS * EPS * (1.0 / m**2 + np.add.reduce(terms, axis=-1) / n)
+    p = -vals[::-1]
+    anchor = p[np.clip(np.searchsorted(p, q) - 1, 0, p.size - 1)]
+    return rounding + np.abs(d2) * m * m * (S_RTOL * np.abs(q - anchor) + EPS * np.abs(q))
+
+
 def _margin(vals, m_star, gamma):
     """min(1/|m*|, 1/gamma, min_a |m* + 1/t_a|) over the nonzero values."""
     pole_dist = float(np.minimum.reduce(np.abs(m_star + 1.0 / vals)))
@@ -342,9 +389,11 @@ def find_edges(pop: PopulationSpec) -> SupportReport:
     asc = records[::-1]
     intervals = []
     infos = []
-    # z0'(m*) and z0''(m*) of all soft edges, in one call.
+    # z0'(m*), z0''(m*) and the certificate's bound on |z0'(m*)| at all soft edges.
     m_soft = 1.0 / np.array([q for _, q, hard in asc if not hard])
-    soft = zip(m_soft.tolist(), *(d.tolist() for d in _z0(vals, mults, n, m_soft, (1, 2))))
+    z1, z2 = _z0(vals, mults, n, m_soft, (1, 2))
+    soft = zip(m_soft.tolist(), z1.tolist(), z2.tolist(),
+               _deriv_cert(vals, mults, n, m_soft, z2).tolist())
     for pos, (e, q, hard) in enumerate(asc):
         geo_side = "left" if pos % 2 == 0 else "right"
         if hard:
@@ -353,9 +402,10 @@ def find_edges(pop: PopulationSpec) -> SupportReport:
             m_label = "right" if curv > 0 else "left"
             infos.append(EdgeInfo(0.0, math.inf, None, geo_side, False, 0.0, m_label))
         else:
-            m_star, d1, d2 = next(soft)
-            if abs(d1) > DERIV_CERT:
-                raise BracketFailure(f"z0'(m*) = {d1:.3e} fails the vanishing certificate")
+            m_star, d1, d2, cert = next(soft)
+            if abs(d1) > cert:
+                raise BracketFailure(f"z0'(m*) = {d1:.3e} fails the vanishing certificate "
+                                     f"|z0'(m*)| <= {cert:.3e}")
             infos.append(_soft_edge(vals, mults, n, m_star, float(e), geo_side, d2))
     for i in range(0, len(asc), 2):
         intervals.append((asc[i][0], asc[i + 1][0]))

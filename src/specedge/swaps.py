@@ -21,11 +21,14 @@ O(k), and the pair check reads them back.
 
 A step picks its entry from the grouped values and looks up only its
 index, the first entry holding the value, in the length-M vector.  It
-tracks the edge in the chart q = 1/m on the grouped poles: 13 rows of
-one `edges._g_row` call give g' at q* and at the sign-rule bracket's
-widths on both sides, and the one-row Newton-bisection
-(`edges._newton_bisect_one`) solves from q*.  The rescale needs only the
-curvature z0''(m*) before scaling, and z0, z0'' from one pass after it.
+tracks the edge in the chart q = 1/m on the grouped poles, one kernel
+row at a time: g' at q*, then at the sign-rule bracket's widths on the
+side it points to until g' flips, and the one-row Newton-bisection
+(`edges._newton_bisect_one`) solves from q*.  The rows run on Python
+floats (`edges._g_row_floats`) up to FLOAT_ROW_GROUPS value groups and
+through the numpy kernel `edges._g_row` above; both give the same bits.
+The rescale needs only the curvature z0''(m*) before scaling, and z0,
+z0'' from one pass after it.
 """
 
 from __future__ import annotations
@@ -34,12 +37,15 @@ import hashlib
 import json
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .edges import (
-    DEGENERATE_CURVATURE, EdgeInfo, _g_row, _newton_bisect_one, _poles, _soft_edge,
+    DEGENERATE_CURVATURE, EdgeInfo, _g_row, _g_row_floats, _newton_bisect_one, _poles,
+    _soft_edge,
 )
 from .errors import DomainError, NotSwappable, RegularityLost, SwapRejected
 from .population import PopulationSpec, from_values
@@ -52,7 +58,11 @@ UNIT_GAMMA_TOL = 1e-8
 
 # The tracking bracket's widths in units of phi/N: 0 (m* itself), then six
 # doublings from 1/8 on either side of m*.  Every width is exact.
-_BRACKET = np.concatenate(([0.0], 2.0 ** np.arange(6), -(2.0 ** np.arange(6)))) / 8.0
+_BRACKET = [0.0] + [sign * 2.0 ** i / 8.0 for sign in (1.0, -1.0) for i in range(6)]
+# Most value groups whose tracking rows run on Python floats: a float row
+# costs about 0.15 us a group and a numpy row a flat 6 us or more, and a
+# whole `_track` breaks even near 40 groups.
+FLOAT_ROW_GROUPS = 40
 
 PHASES = ("reflect", "raise_to_max", "seed_fraction", "zero_above", "zero_below", "done")
 
@@ -267,6 +277,16 @@ def _scaled(vals, mults, c):
     return vals[head], np.add.reduceat(mults, head)
 
 
+def _inv(x):
+    """1/x on Python floats as numpy divides: +-inf at +-0."""
+    return 1.0 / x if x else math.copysign(math.inf, x)
+
+
+def _sign(x):
+    """np.sign on a Python float: a nan stays nan, unequal to every sign."""
+    return math.nan if x != x else (x > 0) - (x < 0)
+
+
 def _track(vals, mults, t_old, new_t, n, m_star, phi):
     """Locate the edge's m-value next to m_star after one entry t_old -> new_t.
 
@@ -276,7 +296,8 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi):
     transform in between.  The rising zero of g' is solved in the q = 1/m
     chart on the new grouped poles, in offsets from the pole interval that
     holds q* = 1/m_star.  Returns (m, vals, mults), the last two the new
-    population's grouped nonzero values.
+    population's grouped nonzero values.  Its control flow runs on Python
+    floats, and so do its kernel rows up to FLOAT_ROW_GROUPS groups.
     """
     if new_t != t_old:
         norm = max(abs(vals[0]), abs(vals[-1])) if vals.size else 0.0
@@ -289,29 +310,39 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi):
     vals, mults = _moved(vals, mults, t_old, new_t)
     if vals.size == 0:
         raise SwapRejected("the swap leaves no nonzero value")
-    p, d = _poles(vals, mults, n)
-    j = min(max(int(p.searchsorted(1.0 / m_star)) - 1, 0), p.size - 1)
+    v = vals.tolist()
+    p = [-t for t in reversed(v)]            # the poles `_poles` gives, ascending
+    j = min(max(bisect_left(p, 1.0 / m_star) - 1, 0), len(p) - 1)
     pj, budget = p[j], phi / n
-    # q* and the six doubling widths up to 4*phi/N on either side of m*,
-    # as a column of rows of one kernel call: each row is what a one-row
-    # call gives.
-    s_all = 1.0 / (m_star + budget * _BRACKET) - pj
-    g1, g2, g3 = _g_row(p, d, pj, s_all[:, None])
-    g, sign = (g1[0], g2[0], g3[0]), np.sign(g1).tolist()
-    if sign[0] == 0.0:
+    if len(p) > FLOAT_ROW_GROUPS:
+        p_arr, d_arr = _poles(vals, mults, n)
+
+        def row(s):
+            return tuple(map(float, _g_row(p_arr, d_arr, pj, s)))
+    else:
+        weights = [c * (t * t) / n for t, c in zip(reversed(v), reversed(mults.tolist()))]
+        row = partial(_g_row_floats, [pj - x for x in p], weights)
+
+    def offset(b):
+        """s at the bracket point m_star + budget * _BRACKET[b]."""
+        return _inv(m_star + budget * _BRACKET[b]) - pj
+
+    s0 = offset(0)
+    g = row(s0)
+    sign = _sign(g[0])
+    if sign == 0:
         m_new = m_star
     else:
         # z0'(m) = -q^2 g'(q): the extremum lies toward sign(g'(q*)) in m,
         # at the first doubling width where g' flips.
-        side = range(1, 7) if sign[0] > 0 else range(7, 13)
-        b = next((i for i in side if sign[i] != sign[0]), None)
-        if b is None:
+        side = range(1, 7) if sign > 0 else range(7, 13)
+        s_b = next((s for s in map(offset, side) if _sign(row(s)[0]) != sign), None)
+        if s_b is None:
             raise SwapRejected(
                 f"sign-rule bracket failed within {4 * budget:g} of m* = {m_star:g}"
             )
-        s0, s_b = s_all[0], s_all[b]
-        s, g = _newton_bisect_one(p, d, j, min(s0, s_b), max(s0, s_b), s0, g)
-        m_new = float(1.0 / (pj + s))
+        s, g = _newton_bisect_one(row, min(s0, s_b), max(s0, s_b), s0, g)
+        m_new = _inv(pj + s)
 
     if abs(m_new - m_star) > budget:
         raise SwapRejected(
@@ -319,9 +350,8 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi):
         )
     lo, hi = min(m_star, m_new), max(m_star, m_new)
     # m = 0 is a pole of z0 too, and no bracket in q = 1/m spans it.
-    poles = -1.0 / vals
     if (lo <= 0.0 <= hi or (t_old != 0.0 and lo <= -1.0 / t_old <= hi)
-            or ((poles >= lo) & (poles <= hi)).any()):
+            or any(lo <= -1.0 / t <= hi for t in v)):
         raise SwapRejected("a pole crossed the tracking interval")
     if g[1] <= 0:
         raise SwapRejected("tracked extremum is not a local minimum after the swap")

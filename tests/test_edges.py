@@ -22,8 +22,8 @@ from specedge import (
 )
 import specedge.edges
 from specedge.edges import (
-    DERIV_CERT, EPS, _g_derivs, _g_row, _newton_bisect, _newton_bisect_one, _poles,
-    _soft_extrema_q,
+    EPS, _deriv_cert, _g_derivs, _g_row, _g_row_floats, _newton_bisect, _newton_bisect_one,
+    _poles, _soft_extrema_q,
 )
 from specedge.errors import (
     BracketFailure, DegeneratePopulation, DomainError, NonConvergence, NoSuchEdge,
@@ -31,6 +31,7 @@ from specedge.errors import (
 
 FIG1 = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
 FIG2 = PopulationSpec(((-1.0, 400), (4.0, 100)), 500)
+DERIV_CERT = 1e-8       # |z0'(m*)| at every soft edge of the populations checked below
 
 
 def identity_edge_formulas(n, m_count):
@@ -210,17 +211,46 @@ def test_spike_population_is_legal():
 
 def assert_report_invariants(pop, report):
     """Even edge count, E strictly descending, disjoint ordered intervals
-    bounded by the edges, z0'(m*) certified and gamma > 0 at soft edges."""
+    bounded by the edges, z0'(m*) certified and gamma > 0 at soft edges.
+
+    |z0'(m*)| stays below DERIV_CERT on these populations, and below the
+    bound `find_edges` certifies it against on every population."""
     e_desc = [e.e_star for e in report.edges]
     assert len(e_desc) > 0 and len(e_desc) % 2 == 0
     assert all(a > b for a, b in zip(e_desc, e_desc[1:]))
     assert [x for iv in report.intervals for x in iv] == sorted(e_desc)
     assert all(lo < hi for lo, hi in report.intervals)
     assert all(a[1] < b[0] for a, b in zip(report.intervals, report.intervals[1:]))
+    vals, mults = pop.nonzero()
     for e in report.edges:
         if e.soft:
-            assert abs(z0_derivative(pop, e.m_star, 1)) <= DERIV_CERT
+            d1 = abs(z0_derivative(pop, e.m_star, 1))
+            d2 = z0_derivative(pop, e.m_star, 2)
+            assert d1 <= DERIV_CERT
+            assert d1 <= _deriv_cert(vals, mults, pop.n_dim, np.array([e.m_star]), d2)[0]
             assert e.gamma is None or e.gamma > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 40])
+def test_one_value_populations_at_the_value_bound_are_certified(n):
+    # T = 1000 I over the whole ratio band.  1/m*^2 reaches 3e7 here, so
+    # rounding alone takes |z0'(m*)| past 1e-8 at some edges; the
+    # certificate is relative to the summands of z0' and passes them all.
+    for m_count in range(math.ceil(0.05 * n), 20 * n + 1):
+        report = find_edges(PopulationSpec(((1000.0, m_count),), n))
+        got = [x for e in report.edges if e.soft for x in (e.m_star, e.e_star)]
+        want = [x for m, e, _ in identity_edge_formulas(n, m_count) for x in (m / 1000, e * 1000)]
+        assert got == pytest.approx(want, rel=1e-11)
+
+
+def test_certificate_allows_for_the_search_tolerance():
+    # Values near 1e-6 beside one of 89: the q search stops within S_RTOL
+    # of the offset from the left pole of an interval 89 wide, which
+    # leaves z0'(m*) = 2.4e-20 at one edge where the rounding of its
+    # summands alone allows 6e-26.
+    pop = PopulationSpec(((-1.1490648187664412e-06, 16), (1.0851196370398505e-06, 39),
+                          (89.2714340940753, 25)), 632)
+    assert_report_invariants(pop, find_edges(pop))
 
 
 def test_near_merged_values_are_resolved():
@@ -298,11 +328,23 @@ def test_find_edges_invariants_on_random_populations(pop):
 
 # -- the one-row root solver against the batched one ---------------------------
 
-def solve_one(p, d, j, lo, hi, s0):
-    """(s, g triple) from `_newton_bisect_one`, or NonConvergence."""
+def numpy_row(p, d, j):
+    """One row of the numpy kernel at anchor pole j as floats, the kernel
+    looked up at each call."""
+    return lambda s: tuple(map(float, specedge.edges._g_row(p, d, p[j], s)))
+
+
+def float_row(p, d, j):
+    """The Python-float row at anchor pole j."""
+    offsets, weights = (p[j] - p).tolist(), d.tolist()
+    return lambda s: _g_row_floats(offsets, weights, s)
+
+
+def solve_one(p, d, j, lo, hi, s0, row=numpy_row):
+    """(s, g triple) from `_newton_bisect_one` on row(p, d, j), or NonConvergence."""
     try:
         g0 = specedge.edges._g_derivs(p, d, np.array([j]), np.array([s0]))[:, 0]
-        return _newton_bisect_one(p, d, j, lo, hi, s0, g0)
+        return _newton_bisect_one(row(p, d, j), lo, hi, s0, g0)
     except NonConvergence:
         return NonConvergence
 
@@ -315,6 +357,13 @@ def solve_many(p, d, j, lo, hi, s0):
         return s[0], tuple(g[:, 0])
     except NonConvergence:
         return NonConvergence
+
+
+def assert_same_bits(a, b):
+    """Equal floats, with zeros of equal sign; a nan matches any nan."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b))
 
 
 @given(signed_populations(), st.data())
@@ -331,10 +380,11 @@ def test_one_row_solver_matches_the_batched_solver(pop, data):
         lo, hi = w * u[0], w * u[2]
     s0 = lo + (hi - lo) * u[1]
     with np.errstate(all="ignore"):     # the bracket may end on a pole
-        assert solve_one(p, d, j, lo, hi, s0) == solve_many(p, d, j, lo, hi, s0)
+        one = solve_one(p, d, j, lo, hi, s0)
+        assert one == solve_many(p, d, j, lo, hi, s0)
+        assert solve_one(p, d, j, lo, hi, s0, float_row) == one
         # The kernel sums each row on its own: a row's values do not
-        # depend on the other rows of the call, so a swap step may
-        # evaluate its whole bracket at once.
+        # depend on the other rows of the call.
         s = np.array([s0, lo, hi, 0.5 * (lo + hi)])
         batch = _g_derivs(p, d, np.full(4, j), s)
         rows = [_g_derivs(p, d, np.array([j]), s[i:i + 1])[:, 0] for i in range(4)]
@@ -344,8 +394,8 @@ def test_one_row_solver_matches_the_batched_solver(pop, data):
 @given(signed_populations(), st.data())
 def test_one_row_kernel_equals_its_row_of_a_batched_call(pop, data):
     # The one-row solver evaluates the kernel's body on one 1-D row; with
-    # d the reversed view `_poles` returns, every row of a 13-row call
-    # (the size of a swap step's bracket call) must give the same bits.
+    # d the reversed view `_poles` returns, every row of a block must give
+    # the same bits.
     p, d = _poles(*pop.nonzero(), pop.n_dim)
     j = np.array(data.draw(st.lists(st.integers(0, p.size - 1), min_size=13, max_size=13)))
     s = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=13, max_size=13)))
@@ -356,17 +406,37 @@ def test_one_row_kernel_equals_its_row_of_a_batched_call(pop, data):
 
 
 @given(signed_populations(), st.data())
-def test_bracket_rows_of_one_kernel_call_equal_the_block_loop(pop, data):
-    # A swap step evaluates its 13 bracket offsets around one anchor pole
-    # as a column in one `_g_row` call; every row must be the bits the
-    # block loop of `_g_derivs` gives for it.
+def test_float_row_equals_the_numpy_kernel_bit_for_bit(pop, data):
+    # The Python-float row runs every float operation of the numpy kernel
+    # in the same order, at up to 120 poles here; exactly on a pole, where
+    # numpy divides by zero, it gives the same infinities.
     p, d = _poles(*pop.nonzero(), pop.n_dim)
     j = data.draw(st.integers(0, p.size - 1))
-    s = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=13, max_size=13)))
+    on_pole = data.draw(st.lists(st.sampled_from((p - p[j]).tolist()), min_size=1, max_size=3))
+    s = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4)) + on_pole
+    with np.errstate(all="ignore"):
+        blocks = _g_derivs(p, d, np.full(len(s), j), np.array(s))
+    assert_same_bits(np.array([float_row(p, d, j)(x) for x in s]).T, blocks)
+
+
+@given(signed_populations(), st.data())
+def test_bracket_rows_of_a_swap_step_equal_the_block_loop(pop, data):
+    # A swap step evaluates its sign-rule bracket one row at a time around
+    # one anchor pole, on Python floats or through the numpy kernel as its
+    # group count decides; each row must be the bits the block loop of
+    # `_g_derivs` gives for it.
+    from specedge.swaps import _BRACKET
+
+    p, d = _poles(*pop.nonzero(), pop.n_dim)
+    j = data.draw(st.integers(0, p.size - 1))
+    m_star = data.draw(st.floats(-10.0, 10.0))
+    budget = 10.0 / pop.n_dim
+    assume(all(m_star + budget * w != 0.0 for w in _BRACKET))
+    s = [1.0 / (m_star + budget * w) - float(p[j]) for w in _BRACKET]
     with np.errstate(all="ignore"):     # an offset may land on a pole
-        column = _g_row(p, d, p[j], s[:, None])
-        blocks = _g_derivs(p, d, np.repeat(j, 13), s)
-    np.testing.assert_array_equal(np.array(column), blocks)
+        blocks = _g_derivs(p, d, np.full(len(s), j), np.array(s))
+        for row in (float_row(p, d, j), numpy_row(p, d, j)):
+            assert_same_bits(np.array([row(x) for x in s]).T, blocks)
 
 
 def test_one_row_solver_when_newton_leaves_the_bracket():
@@ -379,6 +449,7 @@ def test_one_row_solver_when_newton_leaves_the_bracket():
     assert not lo < lo - g[0] / g[1] < hi
     one = solve_one(p, d, 0, lo, hi, lo)
     assert one == solve_many(p, d, 0, lo, hi, lo) and one is not NonConvergence
+    assert solve_one(p, d, 0, lo, hi, lo, float_row) == one
 
 
 def solve_both_on(monkeypatch, derivs, lo, hi, s0):
@@ -387,8 +458,8 @@ def solve_both_on(monkeypatch, derivs, lo, hi, s0):
     seen = []
 
     def kernel(p, d, pj, s):
-        # The kernel's one body takes a scalar offset (one row) or a
-        # column of offsets (a block of rows).
+        # The numpy kernel takes a scalar offset (one row) or a column of
+        # offsets (a block of rows).
         xs = np.ravel(s).tolist()
         seen.extend(xs)
         g = np.array([derivs(x) for x in xs]).T

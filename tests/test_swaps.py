@@ -152,7 +152,7 @@ def test_track_rejects_a_non_finite_value_before_any_kernel_call(monkeypatch, ne
     def no_kernel(*args):
         raise AssertionError("the edge kernels were called")
 
-    for name in ("_track", "_g_row", "_soft_edge"):
+    for name in ("_track", "_g_row", "_g_row_floats", "_soft_edge"):
         monkeypatch.setattr(specedge.swaps, name, no_kernel)
     with pytest.raises(DomainError, match="finite"):
         track_edge_after_swap(FIG1, rightmost(FIG1), 0, new_t)
@@ -285,6 +285,27 @@ def test_bench_exports_are_pinned_bit_for_bit(pop, pick, sha):
     # seed and zero phases included, pinned like FIG1 above.
     text = export_sequence(build_swap_sequence(pop, pick(pop)))
     assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+# 48 values spread over [-3, -0.5] and [0.5, 6]: the build's group count
+# rises from 48 to 100 while it reflects and falls to 1 while it raises.
+SPREAD48 = PopulationSpec(tuple((float(v), 10) for v in np.concatenate(
+    (np.linspace(-3.0, -0.5, 24), np.linspace(0.5, 6.0, 24)))), 500)
+
+
+@pytest.mark.parametrize("pop", [FIG1, SPREAD48], ids=["fig1", "k48"])
+def test_float_and_numpy_tracking_rows_build_the_same_sequence(pop, monkeypatch):
+    # The tracker's rows run on Python floats up to FLOAT_ROW_GROUPS value
+    # groups and through the numpy kernel above.  Forced either way, and
+    # at the limit it has, a build keeps every bit of its records and of
+    # its pair sums.
+    def build(limit):
+        monkeypatch.setattr(specedge.swaps, "FLOAT_ROW_GROUPS", limit)
+        states = build_swap_sequence(pop, rightmost(pop))
+        return export_sequence(states), states[0]._tape.sums.tobytes()
+
+    default = specedge.swaps.FLOAT_ROW_GROUPS
+    assert build(0) == build(default) == build(10**9)
 
 
 def test_sum_rules_identical_states_vanish():
