@@ -120,6 +120,11 @@ def _g_row(p, d, pj, s):
     return r2 @ d - 1.0, -2.0 * ((r2 * r) @ d), 6.0 * ((r2 * r2) @ d)
 
 
+def _inv(x):
+    """1/x on Python floats as numpy divides: +-inf at +-0."""
+    return 1.0 / x if x else math.copysign(math.inf, x)
+
+
 def _g_row_floats(offsets, weights, s):
     """One row of `_g_row` on Python floats, with `offsets` pj - p and
     `weights` d as lists in the order `_poles` gives.
@@ -130,8 +135,7 @@ def _g_row_floats(offsets, weights, s):
     """
     a1 = a2 = a3 = 0.0
     for o, w in zip(offsets, weights):
-        x = s + o
-        r = 1.0 / x if x else math.copysign(math.inf, x)
+        r = _inv(s + o)
         r2 = r * r
         a1 += r2 * w
         a2 += r2 * r * w
@@ -197,8 +201,8 @@ def _newton_bisect_one(row, lo, hi, s, g):
 
     The one-row form of `_newton_bisect(..., order=1, rising=True)`, with
     the same steps and floats under Python-float control flow.  `row(s)`
-    gives g', g'', g''' at offset s from the anchor pole as Python floats:
-    `_g_row_floats`, or one row of `_g_row`, which has the same bits.  It
+    gives g', g'', g''' at offset s from the anchor pole as Python floats;
+    the tracker passes `_g_row_floats`, which has the bits of `_g_row`.  It
     starts at s, where the triple g is already known, and evaluates the
     row only at new points.  Returns s and the triple at the last point
     evaluated.
@@ -297,8 +301,9 @@ def _deriv_cert(vals, mults, n, m, d2):
       1 + 2|tm/(1 + tm)|, the relative error that rounding 1 + tm passes
       on to its square;
     - location: the search stops within S_RTOL of the offset of q = 1/m
-      from its anchor pole, the left pole of its interval, and q rounds
-      by an ulp; z0' moves by |z0''(m)| m^2 per unit of q.
+      from the pole `_soft_extrema_q` anchors its interval on (the left
+      pole, or p[0] for the unbounded interval left of every pole), and
+      q rounds by an ulp; z0' moves by |z0''(m)| m^2 per unit of q.
 
     Both scale with T and with m; an absolute bound fails where 1/m^2
     alone is large and passes anything where it is small.

@@ -25,8 +25,8 @@ tracks the edge in the chart q = 1/m on the grouped poles, one kernel
 row at a time: g' at q*, then at the sign-rule bracket's widths on the
 side it points to until g' flips, and the one-row Newton-bisection
 (`edges._newton_bisect_one`) solves from q*.  The rows run on Python
-floats (`edges._g_row_floats`) up to FLOAT_ROW_GROUPS value groups and
-through the numpy kernel `edges._g_row` above; both give the same bits.
+floats (`edges._g_row_floats`), with the bits of the numpy kernel
+`edges._g_row`.
 The rescale needs only the curvature z0''(m*) before scaling, and z0,
 z0'' from one pass after it.
 """
@@ -44,7 +44,7 @@ from functools import partial
 import numpy as np
 
 from .edges import (
-    DEGENERATE_CURVATURE, EdgeInfo, _g_row, _g_row_floats, _newton_bisect_one, _poles,
+    DEGENERATE_CURVATURE, EdgeInfo, _g_row_floats, _inv, _newton_bisect_one, _poles,
     _soft_edge,
 )
 from .errors import DomainError, NotSwappable, RegularityLost, SwapRejected
@@ -59,10 +59,6 @@ UNIT_GAMMA_TOL = 1e-8
 # The tracking bracket's widths in units of phi/N: 0 (m* itself), then six
 # doublings from 1/8 on either side of m*.  Every width is exact.
 _BRACKET = [0.0] + [sign * 2.0 ** i / 8.0 for sign in (1.0, -1.0) for i in range(6)]
-# Most value groups whose tracking rows run on Python floats: a float row
-# costs about 0.15 us a group and a numpy row a flat 6 us or more, and a
-# whole `_track` breaks even near 40 groups.
-FLOAT_ROW_GROUPS = 40
 
 PHASES = ("reflect", "raise_to_max", "seed_fraction", "zero_above", "zero_below", "done")
 
@@ -277,11 +273,6 @@ def _scaled(vals, mults, c):
     return vals[head], np.add.reduceat(mults, head)
 
 
-def _inv(x):
-    """1/x on Python floats as numpy divides: +-inf at +-0."""
-    return 1.0 / x if x else math.copysign(math.inf, x)
-
-
 def _sign(x):
     """np.sign on a Python float: a nan stays nan, unequal to every sign."""
     return math.nan if x != x else (x > 0) - (x < 0)
@@ -296,8 +287,8 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi):
     transform in between.  The rising zero of g' is solved in the q = 1/m
     chart on the new grouped poles, in offsets from the pole interval that
     holds q* = 1/m_star.  Returns (m, vals, mults), the last two the new
-    population's grouped nonzero values.  Its control flow runs on Python
-    floats, and so do its kernel rows up to FLOAT_ROW_GROUPS groups.
+    population's grouped nonzero values.  It runs on Python floats, control
+    flow and kernel rows alike.
     """
     if new_t != t_old:
         norm = max(abs(vals[0]), abs(vals[-1])) if vals.size else 0.0
@@ -310,18 +301,10 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi):
     vals, mults = _moved(vals, mults, t_old, new_t)
     if vals.size == 0:
         raise SwapRejected("the swap leaves no nonzero value")
-    v = vals.tolist()
-    p = [-t for t in reversed(v)]            # the poles `_poles` gives, ascending
+    p, d = (a.tolist() for a in _poles(vals, mults, n))
     j = min(max(bisect_left(p, 1.0 / m_star) - 1, 0), len(p) - 1)
     pj, budget = p[j], phi / n
-    if len(p) > FLOAT_ROW_GROUPS:
-        p_arr, d_arr = _poles(vals, mults, n)
-
-        def row(s):
-            return tuple(map(float, _g_row(p_arr, d_arr, pj, s)))
-    else:
-        weights = [c * (t * t) / n for t, c in zip(reversed(v), reversed(mults.tolist()))]
-        row = partial(_g_row_floats, [pj - x for x in p], weights)
+    row = partial(_g_row_floats, [pj - x for x in p], d)
 
     def offset(b):
         """s at the bracket point m_star + budget * _BRACKET[b]."""
@@ -349,9 +332,10 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi):
             f"tracked edge moved {abs(m_new - m_star):.3e} > phi/N = {budget:.3e}"
         )
     lo, hi = min(m_star, m_new), max(m_star, m_new)
-    # m = 0 is a pole of z0 too, and no bracket in q = 1/m spans it.
+    # m = 0 is a pole of z0 too, and no bracket in q = 1/m spans it.  The
+    # other poles of z0 are 1/p = -1/t.
     if (lo <= 0.0 <= hi or (t_old != 0.0 and lo <= -1.0 / t_old <= hi)
-            or any(lo <= -1.0 / t <= hi for t in v)):
+            or any(lo <= 1.0 / x <= hi for x in p)):
         raise SwapRejected("a pole crossed the tracking interval")
     if g[1] <= 0:
         raise SwapRejected("tracked extremum is not a local minimum after the swap")

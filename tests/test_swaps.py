@@ -152,7 +152,7 @@ def test_track_rejects_a_non_finite_value_before_any_kernel_call(monkeypatch, ne
     def no_kernel(*args):
         raise AssertionError("the edge kernels were called")
 
-    for name in ("_track", "_g_row", "_g_row_floats", "_soft_edge"):
+    for name in ("_track", "_g_row_floats", "_soft_edge"):
         monkeypatch.setattr(specedge.swaps, name, no_kernel)
     with pytest.raises(DomainError, match="finite"):
         track_edge_after_swap(FIG1, rightmost(FIG1), 0, new_t)
@@ -293,19 +293,16 @@ SPREAD48 = PopulationSpec(tuple((float(v), 10) for v in np.concatenate(
     (np.linspace(-3.0, -0.5, 24), np.linspace(0.5, 6.0, 24)))), 500)
 
 
-@pytest.mark.parametrize("pop", [FIG1, SPREAD48], ids=["fig1", "k48"])
-def test_float_and_numpy_tracking_rows_build_the_same_sequence(pop, monkeypatch):
-    # The tracker's rows run on Python floats up to FLOAT_ROW_GROUPS value
-    # groups and through the numpy kernel above.  Forced either way, and
-    # at the limit it has, a build keeps every bit of its records and of
-    # its pair sums.
-    def build(limit):
-        monkeypatch.setattr(specedge.swaps, "FLOAT_ROW_GROUPS", limit)
-        states = build_swap_sequence(pop, rightmost(pop))
-        return export_sequence(states), states[0]._tape.sums.tobytes()
-
-    default = specedge.swaps.FLOAT_ROW_GROUPS
-    assert build(0) == build(default) == build(10**9)
+def test_many_group_build_is_pinned_bit_for_bit():
+    # Pinned from the tracker whose rows ran through the numpy kernel: the
+    # float rows keep every bit of the records and of the pair sums at up
+    # to 100 value groups, where every row sums many terms.
+    states = build_swap_sequence(SPREAD48, rightmost(SPREAD48))
+    assert len(states) == 711
+    assert hashlib.sha256(export_sequence(states).encode()).hexdigest() == (
+        "cce1482e08f1313f875b2d71bf78af633003d3a521604e5f3e1ab1c29875b80a")
+    assert hashlib.sha256(states[0]._tape.sums.tobytes()).hexdigest() == (
+        "90bc3587e651606538211b5d5c893b4d737d6f300e60c9e0cab0913b7ab030d4")
 
 
 def test_sum_rules_identical_states_vanish():
