@@ -22,13 +22,11 @@ import numpy as np
 from .errors import BracketFailure, DegeneratePopulation, DomainError, NonConvergence, NoSuchEdge
 from .population import PopulationSpec
 from .spectral import (
-    BOUNDARY_BLOCK_ENTRIES, _z0, atom_mass_at_zero, isolated_zero_in_support,
+    BOUNDARY_BLOCK_ENTRIES, _chart, _gq, atom_mass_at_zero, isolated_zero_in_support,
 )
 
 S_RTOL = 1e-14             # Newton step, relative to the pole offset, that ends the edge search
-CERT_ULPS = 16             # rounding allowance of the |z0'(m*)| certificate, in ulps of its summands
-DEGENERATE_CURVATURE = 1e-8
-HARD_Q_TOL = 1e-11         # |q| below this (times scale) is the m=infinity chart
+CERT_ULPS = 16             # rounding allowance of the edge certificates, in ulps of their summands
 EPS = np.finfo(float).eps
 
 
@@ -91,12 +89,6 @@ class SupportReport:
 
 # ---------------------------------------------------------------------------
 # g(q) = z0(1/q) and its extrema (poles at -t for each nonzero value t)
-
-def _g(vals, mults, n, q):
-    q = np.asarray(q, dtype=float)
-    terms = mults * (vals - vals**2 / (np.add.outer(q, vals)))
-    return -q + np.sum(terms, axis=-1) / n
-
 
 def _poles(vals, mults, n):
     """Poles p = -t of g, ascending, and their weights d = c*t^2, for
@@ -230,23 +222,25 @@ def _newton_bisect_one(row, lo, hi, s, g):
     raise NonConvergence("edge search did not converge on its pole interval")
 
 
-def _soft_extrema_q(vals, mults, n, flat_origin=False):
-    """All extremum locations of g in q, certified per pole interval.
+def _soft_extrema_q(p, d, flat_origin=False):
+    """All zeros of g', certified per pole interval, as arrays (j, s) in
+    ascending q = p[j] + s: the anchor pole and the offset from it.
 
-    `vals` ascend, as PopulationSpec.nonzero gives them.  Returns the q
-    values where g'(q) = 0.  As g' + 1 = sum d_i/(q - p_i)^2 sums positive
-    terms, the poles bounding an interior interval (p_j, p_j + w_j) alone
-    give g' >= F_j = (d_j^(1/3) + d_{j+1}^(1/3))^3 / w_j^2 - 1 there, and
-    F_j > cert (less a rounding allowance) certifies 0 extrema.  The other
-    intervals are searched at once in their offset s = q - p_j: a
-    safeguarded Newton on the increasing g'' seeks the minimum of the
-    convex g' and stops early once some g' < -cert (2 roots, split there)
-    or the crossing of the tangents at the bracket ends, a lower bound on
-    g', exceeds +cert (0 roots).  Raises BracketFailure when a minimum is
-    too close to zero to certify 0 or 2 roots, unless `flat_origin` says
-    that minimum is the double zero g'(0) = g''(0) = 0, no extremum of g.
+    p are the poles and d their weights, as `_poles` gives them.  The
+    anchor is the left pole of an interior interval, p[0] for the
+    unbounded interval left of every pole and p[-1] for the one right of
+    them.  As g' + 1 = sum d_i/(q - p_i)^2 sums positive terms, the poles
+    bounding an interior interval (p_j, p_j + w_j) alone give
+    g' >= F_j = (d_j^(1/3) + d_{j+1}^(1/3))^3 / w_j^2 - 1 there, and
+    F_j > cert (less a rounding allowance) certifies 0 zeros.  The other
+    intervals are searched at once in their offset s: a safeguarded Newton
+    on the increasing g'' seeks the minimum of the convex g' and stops
+    early once some g' < -cert (2 zeros, split there) or the crossing of
+    the tangents at the bracket ends, a lower bound on g', exceeds +cert
+    (0 zeros).  Raises BracketFailure when a minimum is too close to zero
+    to certify 0 or 2 zeros, unless `flat_origin` says that minimum is the
+    double zero g'(0) = g''(0) = 0, no extremum of g.
     """
-    p, d = _poles(vals, mults, n)
     k = p.size
     scale = max(1.0, np.max(np.abs(p)))
     cert = 1e-13 * scale
@@ -289,33 +283,8 @@ def _soft_extrema_q(vals, mults, n, flat_origin=False):
     s0 = np.concatenate([[-np.sqrt(d[0]), np.sqrt(d[-1])], split, split])
     rising = np.concatenate([[True, False], np.zeros(two.size, bool), np.ones(two.size, bool)])
     s, _ = _newton_bisect(p, d, j, lo, hi, s0, 1, rising)
-    return sorted((p[j] + s).tolist()), scale
-
-
-def _deriv_cert(vals, mults, n, m, d2):
-    """Largest |z0'(m)| that certifies m as a root of z0' located by
-    `_soft_extrema_q`, given d2 = z0''(m).  Two allowances add up:
-
-    - rounding: CERT_ULPS ulps of 1/m^2 plus the summands
-      c t^2/(1 + tm)^2 / N of z0'(m) as `_z0` sums them, each grown by
-      1 + 2|tm/(1 + tm)|, the relative error that rounding 1 + tm passes
-      on to its square;
-    - location: the search stops within S_RTOL of the offset of q = 1/m
-      from the pole `_soft_extrema_q` anchors its interval on (the left
-      pole, or p[0] for the unbounded interval left of every pole), and
-      q rounds by an ulp; z0' moves by |z0''(m)| m^2 per unit of q.
-
-    Both scale with T and with m; an absolute bound fails where 1/m^2
-    alone is large and passes anything where it is small.
-    """
-    q = 1.0 / m
-    tm = m[..., None] * vals
-    r = 1.0 + tm
-    terms = mults * vals**2 / r**2 * (1.0 + 2.0 * np.abs(tm / r))
-    rounding = CERT_ULPS * EPS * (1.0 / m**2 + np.add.reduce(terms, axis=-1) / n)
-    p = -vals[::-1]
-    anchor = p[np.clip(np.searchsorted(p, q) - 1, 0, p.size - 1)]
-    return rounding + np.abs(d2) * m * m * (S_RTOL * np.abs(q - anchor) + EPS * np.abs(q))
+    order = np.argsort(p[j] + s)
+    return j[order], s[order]
 
 
 def _margin(vals, m_star, gamma):
@@ -334,21 +303,11 @@ def regularity_margin(pop: PopulationSpec, m_star: float, gamma: float | None) -
     return _margin(vals, m_star, gamma)
 
 
-def _soft_edge(vals, mults, n, m_star, e_star=None, side=None, d2=None) -> EdgeInfo:
-    """EdgeInfo of the extremum of z0 at m_star.
-
-    The curvature d2 = z0''(m*) gives gamma = sqrt(2/|z0''|) and the side
-    (a minimum is a right edge); below DEGENERATE_CURVATURE the edges merge
-    and gamma is None with margin 0.  `e_star` and `d2` are given together
-    or not at all, and default to z0(m*) and z0''(m*) from one `_z0` pass.
-    A given `side` must agree with a non-degenerate curvature and is kept
-    for a degenerate one.
-    """
-    if d2 is None:
-        d2, e_star = map(float, _z0(vals, mults, n, m_star, (2, 0)))
+def _soft_edge(vals, m_star, e_star, d2, side=None) -> EdgeInfo:
+    """EdgeInfo of the soft edge at m_star, with E* = e_star and a nonzero
+    curvature d2 = z0''(m*): gamma = sqrt(2/|d2|), and a minimum is a
+    right edge.  A given `side` must agree with the curvature."""
     curv_side = "right" if d2 > 0 else "left"
-    if abs(d2) < DEGENERATE_CURVATURE:
-        return EdgeInfo(e_star, m_star, None, side or curv_side, True, 0.0)
     if side is not None and side != curv_side:
         raise BracketFailure(f"classification mismatch at E={e_star:g}: curvature says "
                              f"{curv_side}, geometry says {side}")
@@ -356,68 +315,98 @@ def _soft_edge(vals, mults, n, m_star, e_star=None, side=None, d2=None) -> EdgeI
     return EdgeInfo(e_star, m_star, gamma, curv_side, True, _margin(vals, m_star, gamma))
 
 
+def _abs_cubes(p, d, j, s):
+    """sum d|r|^3, r = 1/(q - p), at q = p[j] + s for the rows (j, s), in
+    row blocks: the size of the summands of g''."""
+    block = max(1, BOUNDARY_BLOCK_ENTRIES // p.size)
+    return np.concatenate([
+        np.abs(1.0 / (s[lo:lo + block, None] + (p[j[lo:lo + block], None] - p))) ** 3 @ d
+        for lo in range(0, s.size, block)])
+
+
 def find_edges(pop: PopulationSpec) -> SupportReport:
-    """Enumerate, classify, and scale every edge of the spectral law."""
+    """Enumerate, classify, and scale every edge of the spectral law.
+
+    Each edge is a zero q* = p[j] + s of g' that `_soft_extrema_q` gives
+    as its anchor pole and offset.  A soft edge is read off the q chart
+    there: one kernel row gives g', g'' and g''' at q*, the atom form
+    `spectral._gq` gives E* = g(q*), and m* = 1/q*,
+    z0''(m*) = q*^4 g'' + 2 q*^3 g', gamma = sqrt(2/|z0''(m*)|).
+
+    - Vanishing certificate: |g'| <= CERT_ULPS ulps of g' + 1, which sums
+      the positive terms d r^2, plus |g''| times the search's stopping
+      tolerance S_RTOL |s| and the ulp of q*.  A failure raises
+      BracketFailure.
+    - Degenerate label (merging edges: gamma None, margin 0): |g''| within
+      CERT_ULPS ulps of its summands' size 2 sum d|r|^3, plus |g'''| times
+      that tolerance, so that the curvature's sign is not certain.
+
+    Both rules are relative, so scaling T scales every E* and keeps every
+    label.
+    """
     vals, mults = pop.nonzero()
     if vals.size == 0:
         raise DegeneratePopulation("all diagonal values are zero")
     n = pop.n_dim
-    r = pop.rank
 
-    # rank(T) = N makes q = 0 a zero of g', the hard edge at E = 0.  When
-    # g''(0) = -2*sum(c/t)/N vanishes too, that zero is double (g' >= 0
-    # around it): no edge, and the support runs through 0.
-    flat_origin = r == n and math.fsum(mults / vals) == 0.0
-    q_roots, scale = _soft_extrema_q(vals, mults, n, flat_origin)
-
-    records = []  # (E, q, is_hard)
-    for q in q_roots:
-        if r == n and abs(q) <= HARD_Q_TOL * scale:
-            # The zero of g' at the origin is the m=infinity chart: a hard
-            # edge at E=0 (exists exactly when rank(T) = N).
-            records.append((0.0, 0.0, True))
-        else:
-            records.append((float(_g(vals, mults, n, q)), q, False))
-    if r == n and not flat_origin and not any(h for _, _, h in records):
-        raise BracketFailure("rank(T) = N but the hard-edge extremum at q=0 was not found")
-
-    if len(records) % 2 != 0:
-        raise BracketFailure(f"odd edge count {len(records)}; extremum search inconsistent")
-
+    # rank(T) = N makes g'(0) = rank/N - 1 vanish: q = 0 is a zero of g',
+    # the hard edge at E = 0 (m = infinity).  When g''(0) = -2*sum(c/t)/N
+    # vanishes too, that zero is double (g' >= 0 around it): no edge, and
+    # the support runs through 0.
+    full_rank = pop.rank == n
+    flat_origin = full_rank and math.fsum(mults / vals) == 0.0
+    p, d = _poles(vals, mults, n)
+    j, s = _soft_extrema_q(p, d, flat_origin)
+    q = p[j] + s
+    if q.size % 2 != 0:
+        raise BracketFailure(f"odd edge count {q.size}; extremum search inconsistent")
+    soft = np.ones(q.size, bool)
+    if full_rank and not flat_origin:
+        # g''(0) != 0, so exactly one zero is q = 0: the one nearest 0.
+        hard = int(np.argmin(np.abs(q)))
+        if np.searchsorted(p, q[hard]) != np.searchsorted(p, 0.0):
+            raise BracketFailure("rank(T) = N but the search left no extremum of g in the "
+                                 "pole interval that holds q = 0")
+        soft[hard] = False
+    j, s, q_soft = j[soft], s[soft], q[soft]
+    e_star = np.zeros(q.size)
+    e_star[soft] = _gq(*_chart(pop), q_soft)[0]
     # q ascending must give E descending (the edge-ordering law).
-    records.sort(key=lambda rec: rec[1])
-    e_vals = [rec[0] for rec in records]
-    if any(e_vals[i] <= e_vals[i + 1] for i in range(len(e_vals) - 1)):
-        raise BracketFailure(f"edge ordering violated or duplicate edges: {e_vals}")
+    if not (e_star[:-1] > e_star[1:]).all():
+        raise BracketFailure(f"edge ordering violated or duplicate edges: {e_star.tolist()}")
 
-    # Pair intervals from the sorted-ascending edge list; sides follow.
-    asc = records[::-1]
-    intervals = []
+    d1, d2, d3 = _g_derivs(p, d, j, s)
+    located = S_RTOL * np.abs(s) + EPS * np.abs(q_soft)
+    cert = CERT_ULPS * EPS * (1.0 + d1) + np.abs(d2) * located
+    bad = np.flatnonzero(np.abs(d1) > cert)
+    if bad.size:
+        raise BracketFailure(f"g'(q*) = {d1[bad[0]]:.3e} fails the vanishing certificate "
+                             f"|g'(q*)| <= {cert[bad[0]]:.3e}")
+    merging = np.abs(d2) <= CERT_ULPS * EPS * 2.0 * _abs_cubes(p, d, j, s) + np.abs(d3) * located
+    q2 = q_soft * q_soft
+    soft_edges = zip((1.0 / q_soft).tolist(), e_star[soft].tolist(),
+                     (q2 * q2 * d2 + 2.0 * q2 * q_soft * d1).tolist(), merging.tolist())
+
+    # Sides alternate from the rightmost edge, a right one.
     infos = []
-    # z0'(m*), z0''(m*) and the certificate's bound on |z0'(m*)| at all soft edges.
-    m_soft = 1.0 / np.array([q for _, q, hard in asc if not hard])
-    z1, z2 = _z0(vals, mults, n, m_soft, (1, 2))
-    soft = zip(m_soft.tolist(), z1.tolist(), z2.tolist(),
-               _deriv_cert(vals, mults, n, m_soft, z2).tolist())
-    for pos, (e, q, hard) in enumerate(asc):
-        geo_side = "left" if pos % 2 == 0 else "right"
-        if hard:
+    for pos, is_soft in enumerate(soft.tolist()):
+        side = "left" if pos % 2 else "right"
+        if not is_soft:
             # m-space label from the curvature of g at the origin.
             curv = -2.0 * float(np.sum(mults / vals)) / n   # g''(0)
             m_label = "right" if curv > 0 else "left"
-            infos.append(EdgeInfo(0.0, math.inf, None, geo_side, False, 0.0, m_label))
+            infos.append(EdgeInfo(0.0, math.inf, None, side, False, 0.0, m_label))
+            continue
+        m_star, e, z2, degenerate = next(soft_edges)
+        if degenerate:
+            infos.append(EdgeInfo(e, m_star, None, side, True, 0.0))
         else:
-            m_star, d1, d2, cert = next(soft)
-            if abs(d1) > cert:
-                raise BracketFailure(f"z0'(m*) = {d1:.3e} fails the vanishing certificate "
-                                     f"|z0'(m*)| <= {cert:.3e}")
-            infos.append(_soft_edge(vals, mults, n, m_star, float(e), geo_side, d2))
-    for i in range(0, len(asc), 2):
-        intervals.append((asc[i][0], asc[i + 1][0]))
+            infos.append(_soft_edge(vals, m_star, e, z2, side))
+    asc = e_star[::-1].tolist()
 
     return SupportReport(
-        intervals=tuple(intervals),
-        edges=tuple(sorted(infos, key=lambda e: -e.e_star)),
+        intervals=tuple(zip(asc[::2], asc[1::2])),
+        edges=tuple(infos),
         atom_at_zero=atom_mass_at_zero(pop),
         isolated_zero_flag=isolated_zero_in_support(pop),
     )

@@ -43,10 +43,7 @@ from functools import partial
 
 import numpy as np
 
-from .edges import (
-    DEGENERATE_CURVATURE, EdgeInfo, _g_row_floats, _inv, _newton_bisect_one, _poles,
-    _soft_edge,
-)
+from .edges import EdgeInfo, _g_row_floats, _inv, _newton_bisect_one, _poles, _soft_edge
 from .errors import DomainError, NotSwappable, RegularityLost, SwapRejected
 from .population import PopulationSpec, from_values
 from .spectral import _z0
@@ -55,6 +52,9 @@ DEFAULT_PHI = 10.0
 TAU_FLOOR = 0.01           # least regularity margin of a tracked edge; pole exclusion
 DEFAULT_C0 = 0.05
 UNIT_GAMMA_TOL = 1e-8
+# |z0''(m*)| below this rejects a swap as a degenerate extremum.  States sit
+# at unit edge scale, so the absolute bound is a relative one for them.
+DEGENERATE_CURVATURE = 1e-8
 
 # The tracking bracket's widths in units of phi/N: 0 (m* itself), then six
 # doublings from 1/8 on either side of m*.  Every width is exact.
@@ -168,11 +168,12 @@ class SwapDiagnostics:
 # edge helpers on grouped (value, mult) pairs
 
 def _edge(vals, mults, n, m) -> EdgeInfo:
-    """The soft edge at m; a degenerate curvature rejects the swap."""
-    info = _soft_edge(vals, mults, n, m)
-    if info.gamma is None:
+    """The soft edge at m, from z0''(m) and z0(m) in one `_z0` pass; a
+    degenerate curvature rejects the swap."""
+    d2, e_star = map(float, _z0(vals, mults, n, m, (2, 0)))
+    if abs(d2) < DEGENERATE_CURVATURE:
         raise SwapRejected(f"degenerate extremum at m={m:g}: vanishing curvature")
-    return info
+    return _soft_edge(vals, m, e_star, d2)
 
 
 def _rescale_to_unit(vals, mults, n, m):

@@ -54,8 +54,9 @@ class TestReport:
 
 def window_delta(report: SupportReport, edge: EdgeInfo) -> float:
     """Half the gap to the nearest other edge, capped at half the support
-    diameter, so the window isolates exactly one edge."""
-    others = [e.e_star for e in report.edges if abs(e.e_star - edge.e_star) > 1e-14]
+    diameter, so the window isolates exactly one edge.  A report's edges
+    have distinct E*, so only the edge itself equals edge.e_star."""
+    others = [e.e_star for e in report.edges if e.e_star != edge.e_star]
     cap = 0.5 * report.diameter if report.diameter > 0 else np.inf
     if not others:
         return cap

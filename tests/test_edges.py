@@ -4,6 +4,7 @@ documented example populations."""
 import hashlib
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from conftest import signed_populations
@@ -22,12 +23,13 @@ from specedge import (
 )
 import specedge.edges
 from specedge.edges import (
-    EPS, _deriv_cert, _g_derivs, _g_row, _g_row_floats, _newton_bisect, _newton_bisect_one,
-    _poles, _soft_extrema_q,
+    CERT_ULPS, EPS, S_RTOL, _g_derivs, _g_row, _g_row_floats, _newton_bisect,
+    _newton_bisect_one, _poles, _soft_extrema_q,
 )
 from specedge.errors import (
     BracketFailure, DegeneratePopulation, DomainError, NonConvergence, NoSuchEdge,
 )
+from specedge.population import VALUE_BOUND
 
 FIG1 = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
 FIG2 = PopulationSpec(((-1.0, 400), (4.0, 100)), 500)
@@ -209,12 +211,49 @@ def test_spike_population_is_legal():
     assert all(e.regularity_margin >= 0 for e in report.edges)
 
 
+def m_chart_cert(vals, mults, n, m, d2):
+    """Largest |z0'(m)| that certifies m as a root of z0' located by the
+    q-chart search, given d2 = z0''(m): an oracle in the m chart,
+    independent of the certificate `find_edges` applies.  Two allowances
+    add up:
+
+    - rounding: CERT_ULPS ulps of 1/m^2 plus the summands
+      c t^2/(1 + tm)^2 / N of z0'(m) as `_z0` sums them, each grown by
+      1 + 2|tm/(1 + tm)|, the relative error that rounding 1 + tm passes
+      on to its square;
+    - location: the search stops within S_RTOL of the offset of q = 1/m
+      from the pole it anchors its interval on (the left pole, or p[0]
+      for the unbounded interval left of every pole), and q rounds by an
+      ulp; z0' moves by |z0''(m)| m^2 per unit of q.
+    """
+    q = 1.0 / m
+    tm = m[..., None] * vals
+    r = 1.0 + tm
+    terms = mults * vals**2 / r**2 * (1.0 + 2.0 * np.abs(tm / r))
+    rounding = CERT_ULPS * EPS * (1.0 / m**2 + np.add.reduce(terms, axis=-1) / n)
+    p = -vals[::-1]
+    anchor = p[np.clip(np.searchsorted(p, q) - 1, 0, p.size - 1)]
+    return rounding + np.abs(d2) * m * m * (S_RTOL * np.abs(q - anchor) + EPS * np.abs(q))
+
+
+def q_chart_cert(pop, m_star):
+    """(|g'(q)|, its bound) at q = 1/m*: the vanishing certificate of
+    `find_edges`, with one more ulp of q for the round trip through m*."""
+    p, d = _poles(*pop.nonzero(), pop.n_dim)
+    q = 1.0 / m_star
+    j = min(max(int(np.searchsorted(p, q)) - 1, 0), p.size - 1)
+    s = q - p[j]
+    g1, g2, _ = _g_derivs(p, d, np.array([j]), np.array([s]))[:, 0]
+    return abs(g1), CERT_ULPS * EPS * (1.0 + g1) + abs(g2) * (S_RTOL * abs(s) + 2.0 * EPS * abs(q))
+
+
 def assert_report_invariants(pop, report):
     """Even edge count, E strictly descending, disjoint ordered intervals
     bounded by the edges, z0'(m*) certified and gamma > 0 at soft edges.
 
     |z0'(m*)| stays below DERIV_CERT on these populations, and below the
-    bound `find_edges` certifies it against on every population."""
+    m-chart bound on every population; |g'(1/m*)| stays below the q-chart
+    bound `find_edges` certifies it against."""
     e_desc = [e.e_star for e in report.edges]
     assert len(e_desc) > 0 and len(e_desc) % 2 == 0
     assert all(a > b for a, b in zip(e_desc, e_desc[1:]))
@@ -227,7 +266,9 @@ def assert_report_invariants(pop, report):
             d1 = abs(z0_derivative(pop, e.m_star, 1))
             d2 = z0_derivative(pop, e.m_star, 2)
             assert d1 <= DERIV_CERT
-            assert d1 <= _deriv_cert(vals, mults, pop.n_dim, np.array([e.m_star]), d2)[0]
+            assert d1 <= m_chart_cert(vals, mults, pop.n_dim, np.array([e.m_star]), d2)[0]
+            g1, bound = q_chart_cert(pop, e.m_star)
+            assert g1 <= bound
             assert e.gamma is None or e.gamma > 0
 
 
@@ -264,19 +305,100 @@ def test_near_merged_values_are_resolved():
 
 @pytest.mark.parametrize("entries, n_dim, sha256", [
     (((-2.0, 350), (0.5, 300), (6.0, 50)), 500,
-     "c11e9190d9080f2a225e8c5c8886be59e2e1e806ca96f5820c58319c3ba15f21"),
+     "f3b235daecf0e95b27ebc87de4b6401fa685eb355ea93474129f50966000f5cb"),
     (((-1.0, 400), (4.0, 100)), 500,
-     "07105c1c65ce6f1b757c139b78493269f90910bbf03aebeeba9332a78b7e634c"),
+     "27cc7ffe14258f53e3a73780fd5ea7729345d375ffe19b9d5a3a87d2deef8282"),
     (((-8.0, 100), (-0.5, 400)), 500,
-     "df1c96b810cb943e89ad1fe41c13d4b07628a8ea8879162ea2afd85de6bcd4b7"),
+     "efcee448b188cab7d240a17b061a415b8d0785eef41b262a5d529c65c40b2ee7"),
     (((1.0, 100), (1.0001, 100), (3.0, 100)), 300,
      "f830614f160766a2474b12ab8d8bed3dd77a936b122e2c9140b4ba56620d6ca3"),
 ])
 def test_reports_are_pinned_bit_for_bit(entries, n_dim, sha256):
-    # Every e_star, m_star, gamma and margin keeps its bits: swap records,
-    # and the sequences `swapseq --verify` checks, are built from them.
+    # Every e_star, m_star, gamma and margin keeps its bits.  Swap records,
+    # and the sequences `swapseq --verify` checks, start from m_star alone:
+    # the builder evaluates its own edge there.
     report = find_edges(PopulationSpec(entries, n_dim))
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == sha256
+
+
+def mp_soft_edges(pop, report):
+    """E* of each soft edge to 60 digits, at the zero of
+    g'(q) = -1 + sum c t^2/(q + t)^2 next to q = 1/m*."""
+    mp.mp.dps = 60
+    vals, mults = pop.nonzero()
+    t = [mp.mpf(float(v)) for v in vals]
+    c = [mp.mpf(int(k)) / pop.n_dim for k in mults]
+
+    def g(q):
+        return -q + mp.fsum(ci * ti * q / (q + ti) for ci, ti in zip(c, t))
+
+    def g1(q):
+        return -1 + mp.fsum(ci * ti**2 / (q + ti) ** 2 for ci, ti in zip(c, t))
+
+    def g2(q):
+        return -2 * mp.fsum(ci * ti**2 / (q + ti) ** 3 for ci, ti in zip(c, t))
+
+    return [g(mp.findroot(g1, 1 / mp.mpf(e.m_star), solver="newton", df=g2))
+            for e in report.edges if e.soft]
+
+
+@pytest.mark.parametrize("entries, n_dim", [
+    (((0.0, 1), (1.0, 10000)), 10001),               # rank N - 1: an edge at 2.5e-9
+    (((-0.5, 3000), (2.0, 7000)), 10000),            # rank N
+    (((1.0, 10001),), 10000),                        # rank N + 1: an edge at 2.5e-9
+    (((-0.5, 3000), (2.0, 7001)), 10000),            # rank N + 1
+])
+def test_soft_edges_match_mpmath_next_to_zero(entries, n_dim):
+    # E* = g(q*) in the atom form keeps full relative precision next to
+    # q = 0, where a sum of terms of size 1 would cancel to the edge.
+    pop = PopulationSpec(entries, n_dim)
+    report = find_edges(pop)
+    assert_report_invariants(pop, report)
+    for e, e_mp in zip([e for e in report.edges if e.soft], mp_soft_edges(pop, report)):
+        assert abs(e.e_star - e_mp) <= 1e-13 * abs(e_mp)
+
+
+@pytest.mark.parametrize("entries, n_dim", [
+    (((1e-12, 10), (3e-12, 10)), 20),
+    (((-0.00055, 14), (-1.5e-06, 16), (1.4e-06, 15), (770.0, 42)), 87),
+])
+def test_the_hard_edge_is_the_zero_of_g_prime_nearest_zero(entries, n_dim):
+    # rank(T) = N: exactly one zero of g' is q = 0, the hard edge.  A soft
+    # edge's q* may lie within 1e-11 max(1, max|t|) of 0 (here -5.2e-12
+    # and 1.0e-9), where an absolute tolerance took it for a second hard
+    # edge.
+    pop = PopulationSpec(entries, n_dim)
+    report = find_edges(pop)
+    assert_report_invariants(pop, report)
+    assert [e.e_star for e in report.edges if e.hard] == [0.0]
+    # The edge at E* = -8.5e-17 sums sum(c/(q + t)) over values that cancel
+    # 480-fold, and holds 1.8e-13 relative.
+    for e, e_mp in zip([e for e in report.edges if e.soft], mp_soft_edges(pop, report)):
+        assert abs(e.e_star - e_mp) <= 1e-12 * abs(e_mp)
+
+
+def value_bound_scale(pop):
+    """The largest c with c max|t| within VALUE_BOUND."""
+    c = VALUE_BOUND / pop.norm
+    return c if c * pop.norm <= VALUE_BOUND else math.nextafter(c, 0.0)
+
+
+@given(signed_populations())
+def test_reports_are_scale_covariant(pop):
+    # The certificates and the degenerate label are relative, so the law
+    # of c*T has c times the edges of T's, with the same labels.
+    try:
+        report = find_edges(pop)
+    except SpecEdgeError:
+        return
+    labels = [(e.soft, e.gamma is None, e.side) for e in report.edges]
+    for c in (1e-9, 1e-3, 10.0, value_bound_scale(pop)):
+        if c * pop.norm > VALUE_BOUND:
+            continue
+        scaled = find_edges(pop.scaled(c))
+        assert [(e.soft, e.gamma is None, e.side) for e in scaled.edges] == labels
+        for a, b in zip(report.edges, scaled.edges):
+            assert abs(b.e_star - c * a.e_star) <= 1e-13 * abs(c * a.e_star)
 
 
 @pytest.mark.parametrize("entries", [
@@ -539,13 +661,14 @@ def test_clustered_k400_edges_match_recorded_values():
 
 
 def test_clustered_k1600_search_work_and_recorded_edges(monkeypatch):
-    # Recorded from the search that ran all 1599 interior pole intervals
-    # through the batched Newton-bisection, 3305 kernel rows in all.  The
-    # floor certifies every interval inside a cluster, so only the gaps
+    # The edges' m* are those of the search that ran all 1599 interior
+    # pole intervals through the batched Newton-bisection, 3305 kernel rows
+    # in all, and each E* = g(q*) is within 3e-16 of its 60-digit value.
+    # The floor certifies every interval inside a cluster, so only the gaps
     # between clusters and the two unbounded ends reach the kernel.
-    recorded = [15.440885236433754, 2.916325832343266, 2.807602849301213,
-                0.02029166275047975, -0.1297172099016195, -1.8699050022738526,
-                -1.9167333677185658, -11.152497166989354]
+    recorded = [15.440885236433754, 2.9163258323432664, 2.807602849301213,
+                0.020291662750479788, -0.1297172099016195, -1.8699050022738533,
+                -1.916733367718566, -11.152497166989358]
     rows = []
     kernel = specedge.edges._g_derivs
     monkeypatch.setattr(specedge.edges, "_g_derivs",
@@ -576,9 +699,8 @@ def full_minimum_search(p, d, cert):
                           w * ratio / (1.0 + ratio), 2, np.ones(k - 1, bool), settle)
 
 
-def full_soft_extrema_q(vals, mults, n, flat_origin=False):
+def full_soft_extrema_q(p, d, flat_origin=False):
     """`_soft_extrema_q` without the floor: the oracle for the floored one."""
-    p, d = _poles(vals, mults, n)
     k = p.size
     scale = max(1.0, np.max(np.abs(p)))
     cert = 1e-13 * scale
@@ -603,20 +725,21 @@ def full_soft_extrema_q(vals, mults, n, flat_origin=False):
     s0 = np.concatenate([[-np.sqrt(d[0]), np.sqrt(d[-1])], split, split])
     rising = np.concatenate([[True, False], np.zeros(two.size, bool), np.ones(two.size, bool)])
     s, _ = _newton_bisect(p, d, j, lo, hi, s0, 1, rising)
-    return sorted((p[j] + s).tolist()), scale
+    order = np.argsort(p[j] + s)
+    return j[order], s[order]
 
 
 def outcome(search, *args):
-    """The search's result, or the type and message of what it raised."""
+    """The search's (j, s) as lists, or the type and message of what it raised."""
     try:
-        return search(*args)
+        return [a.tolist() for a in search(*args)]
     except SpecEdgeError as exc:
         return type(exc), str(exc)
 
 
 @given(signed_populations())
 def test_floored_search_matches_the_full_search(pop):
-    args = (*pop.nonzero(), pop.n_dim, flat_origin(pop))
+    args = (*_poles(*pop.nonzero(), pop.n_dim), flat_origin(pop))
     assert outcome(_soft_extrema_q, *args) == outcome(full_soft_extrema_q, *args)
 
 
@@ -631,7 +754,7 @@ def test_floored_search_raises_as_the_full_search(monkeypatch, pop, nan_kernel):
     if nan_kernel:
         monkeypatch.setattr(specedge.edges, "_g_derivs",
                             lambda p, d, j, s: np.full((3, s.size), np.nan))
-    args = (*pop.nonzero(), pop.n_dim)
+    args = _poles(*pop.nonzero(), pop.n_dim)
     full = outcome(full_soft_extrema_q, *args)
     assert full[0] in (BracketFailure, NonConvergence)
     assert outcome(_soft_extrema_q, *args) == full

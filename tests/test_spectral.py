@@ -523,14 +523,22 @@ def test_density_grid_abscissa_at_zero_on_a_full_rank_population():
 
 
 def test_density_grid_next_to_a_soft_edge_near_zero():
-    # the lower edge (1 - sqrt(M/N))^2 = 2.5e-9; a grid spanning the
-    # support keeps the closed form
+    # The lower edge (1 - sqrt(y))^2 = ((1 - y)/(1 + sqrt(y)))^2 = 2.5e-9,
+    # y = M/N, in the form that does not cancel, with 1 - y = 1/N exact.
+    # A grid spanning the support keeps the closed form inside it and ends
+    # on the reported edges, where the density vanishes: next to an edge
+    # the square-root law turns an ulp of disagreement on the edge into
+    # f ~ 6e-5.
     pop = PopulationSpec(((0.0, 1), (1.0, 10000)), 10001)
     y = 10000 / 10001
-    a, b = (1 - np.sqrt(y)) ** 2, (1 + np.sqrt(y)) ** 2
+    a, b = ((1 / 10001) / (1 + np.sqrt(y))) ** 2, (1 + np.sqrt(y)) ** 2
+    report = find_edges(pop)
+    assert [e.e_star for e in report.edges] == pytest.approx([b, a], rel=1e-15, abs=0.0)
     x, f = np.array(density_grid(pop, n_points=400, pad=0.0).points).T
-    closed_form = np.sqrt(np.maximum(0.0, (b - x) * (x - a))) / (2 * np.pi * x)
-    assert f == pytest.approx(closed_form, rel=1e-10, abs=1e-12)
+    assert (x[0], x[-1]) == (report.edges[1].e_star, report.edges[0].e_star)
+    assert f[0] == 0.0 and f[-1] == 0.0
+    closed_form = np.sqrt((b - x[1:-1]) * (x[1:-1] - a)) / (2 * np.pi * x[1:-1])
+    assert f[1:-1] == pytest.approx(closed_form, rel=1e-10, abs=1e-12)
 
 
 NEGPOP = PopulationSpec(((-8.0, 100), (-0.5, 400)), 500)

@@ -152,7 +152,7 @@ def test_track_rejects_a_non_finite_value_before_any_kernel_call(monkeypatch, ne
     def no_kernel(*args):
         raise AssertionError("the edge kernels were called")
 
-    for name in ("_track", "_g_row_floats", "_soft_edge"):
+    for name in ("_track", "_g_row_floats", "_z0", "_soft_edge"):
         monkeypatch.setattr(specedge.swaps, name, no_kernel)
     with pytest.raises(DomainError, match="finite"):
         track_edge_after_swap(FIG1, rightmost(FIG1), 0, new_t)

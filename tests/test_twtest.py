@@ -15,6 +15,7 @@ from specedge import (
     sample_spectrum,
     SimConfig,
 )
+from specedge.twtest import window_delta
 from specedge.errors import (  # noqa: F401
     DegeneratePopulation, DesignError, DomainError, EmptyWindow, IrregularEdge,
 )
@@ -64,6 +65,18 @@ def test_interior_edge_same_code_path():
     r = edge_test(pop, [e3.e_star + 0.01], e3, alpha=0.05, report=report)
     assert r.statistic > 0
     assert r.window_delta <= 0.5 * (report.edges[1].e_star - e3.e_star) + 1e-12
+
+
+@pytest.mark.parametrize("c", [1e-15, 1.0, 100.0])
+def test_window_delta_scales_with_the_population(c):
+    # The window excludes only the edge itself, at any scale: FIG1's
+    # windows are c * (3.69, 0.598, 0.598, 3.63).
+    fig1 = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
+    report, scaled = find_edges(fig1), find_edges(fig1.scaled(c))
+    for a, b in zip(report.edges, scaled.edges):
+        assert window_delta(scaled, b) == pytest.approx(c * window_delta(report, a), rel=1e-13)
+    assert [window_delta(report, e) for e in report.edges] == pytest.approx(
+        [3.69, 0.598, 0.598, 3.63], abs=5e-3)
 
 
 def test_reflection_maps_right_to_left():
