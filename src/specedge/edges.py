@@ -442,8 +442,8 @@ def check_regularity(pop: PopulationSpec, edge: EdgeInfo, tau: float) -> bool:
 def balanced_sufficiency(pop: PopulationSpec, c: float) -> bool:
     """Sufficient condition for a regular rightmost edge: the largest
     value is at least c with multiplicity at least c*M."""
-    if c <= 0:
-        raise DomainError("c must be positive")
+    if not c > 0:
+        raise DomainError(f"c must be positive, got {c!r}")
     t_max, mult_max = max(pop.entries, key=lambda e: e[0])
     ok = t_max >= c and mult_max >= c * pop.total_mult
     if ok:

@@ -38,14 +38,18 @@ def _derived(method):
     return get
 
 
+def _is_int(v) -> bool:
+    """The test of every integer argument: a Python or numpy integer,
+    and not a boolean."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _document_int(value, error: type[Exception], field: str, *index) -> int:
     """A JSON document's integer field read exactly: integers and integral
     floats such as 100.0 pass; booleans, strings, fractional and non-finite
     numbers raise `error` naming the field, `field.format(*index)`.  The
     name is formatted only then: a document can hold thousands of entries."""
-    if type(value) is int:
-        return value
-    if isinstance(value, np.integer) or isinstance(value, float) and value.is_integer():
+    if _is_int(value) or isinstance(value, float) and value.is_integer():
         return int(value)
     raise error(f"{field.format(*index)} must be an integer, got {value!r}")
 
@@ -77,7 +81,7 @@ class PopulationSpec:
     n_dim: int
 
     def __post_init__(self):
-        if not isinstance(self.n_dim, (int, np.integer)) or self.n_dim < 1:
+        if not (_is_int(self.n_dim) and self.n_dim >= 1):
             raise PopulationError(f"n_dim must be a positive integer, got {self.n_dim!r}")
         merged: dict[float, int] = {}
         for item in self.entries:
@@ -90,7 +94,7 @@ class PopulationSpec:
                 raise PopulationError(f"non-finite diagonal value {t!r}")
             if abs(t) > VALUE_BOUND:
                 raise PopulationError(f"|t|={abs(t):g} exceeds the bound {VALUE_BOUND:g}")
-            if not isinstance(mult, (int, np.integer)) or mult < 1:
+            if not (_is_int(mult) and mult >= 1):
                 raise PopulationError(f"multiplicity {mult!r} is not a positive integer")
             merged[t] = merged.get(t, 0) + int(mult)
         if not merged:

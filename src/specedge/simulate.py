@@ -28,7 +28,7 @@ import numpy as np
 from .edges import EdgeInfo, check_regularity, find_edges
 from .errors import DomainError, IrregularEdge
 from .manova import OneWayDesign, oneway_population
-from .population import PopulationSpec
+from .population import PopulationSpec, _is_int
 from .spectral import solve_m0
 from .tw import f1_quantile
 from .twtest import DEFAULT_TAU, tw_statistic, window_delta
@@ -57,10 +57,6 @@ class SimConfig:
                               f"got {counts}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)

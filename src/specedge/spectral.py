@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonConvergence, PoleProximity, UndefinedAtZero
-from .population import PopulationSpec, _derived
+from .population import PopulationSpec, _derived, _is_int
 
 POLE_PROXIMITY_REL = 1e-12
 DEFAULT_TOL = 1e-12
@@ -113,7 +113,7 @@ def z0_eval(pop: PopulationSpec, m):
 
 def z0_derivative(pop: PopulationSpec, m, order: int = 1):
     """Exact rational-function derivative of z0 of the given order (1..3)."""
-    if order not in (1, 2, 3):
+    if not (_is_int(order) and order in (1, 2, 3)):
         raise DomainError(f"derivative order must be 1, 2, or 3, got {order}")
     return _z0_at(pop, m, order)
 
@@ -121,6 +121,8 @@ def z0_derivative(pop: PopulationSpec, m, order: int = 1):
 def _z0_at(pop: PopulationSpec, m, order):
     """z0 or its derivative at m off the pole set; a scalar m gives a
     Python float or complex."""
+    if np.isnan(m).any():
+        raise DomainError(f"m must not be NaN, got {m!r}")
     _pole_guard(pop, m)
     out = _z0(*pop.nonzero(), pop.n_dim, m, order)
     if np.isscalar(m):
@@ -435,10 +437,9 @@ def _real_root(pop: PopulationSpec, sup: _Support, x: float) -> float:
     raise NonConvergence(f"real boundary value of m0 at x={x:g} did not converge")
 
 
-def stieltjes_boundary(pop: PopulationSpec, x: float, cross_check: bool = True):
+def stieltjes_boundary(pop: PopulationSpec, x: float):
     """m0 extended to the real axis at x: the certified root in C+ inside
-    the support, the real root in a gap, and m* within an edge's zone.
-    `cross_check` is accepted and ignored."""
+    the support, the real root in a gap, and m* within an edge's zone."""
     x = _defined(pop, x)
     sup = _support(pop)
     half, dist = _halves(sup, np.array([x]))
@@ -465,6 +466,8 @@ def density_f0(pop: PopulationSpec, x: float, cross_check: bool = True) -> float
 
 def _defined(pop: PopulationSpec, x) -> float:
     x = float(x)
+    if not np.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
     if x == 0.0 and pop.rank <= pop.n_dim:
         raise UndefinedAtZero(
             f"m0 is unbounded at 0 when rank(T) = {pop.rank} <= N = {pop.n_dim}"
@@ -527,7 +530,7 @@ class DensityGrid:
 
 def density_grid(pop: PopulationSpec, n_points: int = 2000, pad: float = 0.05) -> DensityGrid:
     """Tabulate f0 on a uniform grid spanning the support (plus padding)."""
-    if not (isinstance(n_points, (int, np.integer)) and n_points >= 1):
+    if not (_is_int(n_points) and n_points >= 1):
         raise DomainError(f"n_points must be an integer of at least 1, got {n_points!r}")
     if not 0 <= pad < np.inf:
         raise DomainError(f"pad must be finite and nonnegative, got {pad!r}")
@@ -554,7 +557,7 @@ def integrate_density(pop: PopulationSpec, intervals, points_per_interval: int =
     support.  The nodes of all intervals go through one batched boundary
     solve.
     """
-    if not (isinstance(points_per_interval, (int, np.integer)) and points_per_interval >= 1):
+    if not (_is_int(points_per_interval) and points_per_interval >= 1):
         raise DomainError(f"points_per_interval must be an integer of at least 1, "
                           f"got {points_per_interval!r}")
     ivs = [(float(lo), float(hi)) for lo, hi in intervals]

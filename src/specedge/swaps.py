@@ -45,7 +45,7 @@ import numpy as np
 
 from .edges import EdgeInfo, _g_row_floats, _inv, _newton_bisect_one, _poles, _soft_edge
 from .errors import DomainError, NotSwappable, RegularityLost, SwapRejected
-from .population import PopulationSpec, from_values
+from .population import PopulationSpec, _is_int, from_values
 from .spectral import _z0
 
 DEFAULT_PHI = 10.0
@@ -59,8 +59,6 @@ DEGENERATE_CURVATURE = 1e-8
 # The tracking bracket's widths in units of phi/N: 0 (m* itself), then six
 # doublings from 1/8 on either side of m*.  Every width is exact.
 _BRACKET = [0.0] + [sign * 2.0 ** i / 8.0 for sign in (1.0, -1.0) for i in range(6)]
-
-PHASES = ("reflect", "raise_to_max", "seed_fraction", "zero_above", "zero_below", "done")
 
 
 class _Tape:
@@ -229,8 +227,8 @@ def track_edge_after_swap(
     moves to `new_t`, located by the sign-rule bracket near m*."""
     if not math.isfinite(new_t):
         raise DomainError(f"new_t must be finite, got {new_t!r}")
-    if not 0 <= entry_index < len(pop.entries):
-        raise SwapRejected(f"entry_index {entry_index} out of range")
+    if not (_is_int(entry_index) and 0 <= entry_index < len(pop.entries)):
+        raise SwapRejected(f"entry_index {entry_index!r} is not an index of an entry")
     t_old = pop.entries[entry_index][0]
     m_new, vals, mults = _track(*pop.nonzero(), t_old, new_t, pop.n_dim, edge.m_star, DEFAULT_PHI)
     return _edge(vals, mults, pop.n_dim, m_new)

@@ -9,8 +9,8 @@ slopes of Fritsch & Butland 1984 and a one-sided three-point end rule),
 built once per table and evaluated the way scipy's
 ``PchipInterpolator(..., extrapolate=False)`` evaluates it, bit for bit;
 outside it, analytic tail formulas with constants matched for continuity
-at the junctions.  Quantiles invert that CDF exactly: a safeguarded
-Newton solve of one cubic inside the table, bisection in the tails.
+at the junctions.  Quantiles invert that CDF exactly, by one bisection
+of the CDF at every level, in the table and in the tails alike.
 """
 
 from __future__ import annotations
@@ -138,9 +138,9 @@ def f1_cdf(x):
 
 
 def _bisect_cdf(p: float, a: float, b: float) -> float:
-    """Smallest point of the bisection lattice on [a, b] where the CDF
-    reaches p, given F(a) < p <= F(b) or a == b; each pass bisects six
-    times at once on a 65-point grid."""
+    """A crossing of level p by the CDF on [a, b], given F(a) < p <= F(b):
+    the bracket shrinks to two adjacent doubles, each pass bisecting six
+    times at once on a 65-point grid, and the upper one is returned."""
     while True:
         grid = np.linspace(a, b, 65)
         k = int(np.argmax(f1_cdf(grid) >= p))
@@ -149,52 +149,19 @@ def _bisect_cdf(p: float, a: float, b: float) -> float:
         a, b = grid[k - 1], grid[k]
 
 
-def _solve_cubic(table: TWTable, j: int, p: float) -> float:
-    """The point of (x[j], x[j+1]) where the cubic on interval j equals
-    p, for f1[j] < p <= f1[j+1]: Newton steps kept inside a shrinking
-    bracket, with bisection whenever a step would leave it."""
-    c = table.coef[:, j].tolist()
-    c0, c1, c2, _ = c
-    x0 = a = float(table.x[j])
-    b = float(table.x[j + 1])
-    f_lo, f_hi = float(table.f1[j]), float(table.f1[j + 1])
-    t = a + (b - a) * (p - f_lo) / (f_hi - f_lo)
-    if not a < t < b:
-        t = 0.5 * (a + b)
-    for _ in range(200):
-        s = t - x0
-        g = _cubic(c, s) - p
-        if g == 0.0:
-            return t
-        if g < 0.0:
-            a = t
-        else:
-            b = t
-        slope = c2 + 2.0 * c1 * s + 3.0 * c0 * s * s
-        t_new = t - g / slope if slope > 0.0 else 0.5 * (a + b)
-        if not a < t_new < b:
-            t_new = 0.5 * (a + b)
-        if t_new == t:
-            break
-        t = t_new
-    return t
-
-
 def f1_quantile(p: float) -> float:
-    """Inverse CDF: the table interval holding p, then its cubic solved
-    exactly; bisection on the CDF in the tails."""
+    """Inverse CDF: a point q with F(q) >= p > F(q'), q' the double below q.
+
+    The table's ends move out in steps of 5 until the CDF itself brackets
+    p, and one bisection of the CDF closes the bracket.  The bracket is
+    never read off the table's F1 column: the cubics can miss it at a node
+    by an ulp, and the bisection needs F(a) < p <= F(b) as F evaluates."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile level must lie in (0,1), got {p}")
     table = _table()
-    i = int(np.searchsorted(table.f1, p))
-    if 0 < i < table.f1.size:
-        return _solve_cubic(table, i - 1, p)
-    if i == 0:
-        lo = table.lo
-        while f1_cdf(lo) >= p:
-            lo -= 5.0
-        return _bisect_cdf(p, lo, table.lo)
-    hi = table.hi
-    while f1_cdf(hi) < p:
-        hi += 5.0
-    return _bisect_cdf(p, table.hi, hi)
+    a, b = table.lo, table.hi
+    while f1_cdf(a) >= p:
+        a -= 5.0
+    while f1_cdf(b) < p:
+        b += 5.0
+    return _bisect_cdf(p, a, b)

@@ -14,7 +14,8 @@ import numpy as np
 
 from .edges import EdgeInfo, SupportReport, check_regularity, find_edges
 from .errors import DomainError, EmptyWindow, IrregularEdge
-from .manova import OneWayDesign, manova_estimate, oneway_B_matrices, oneway_population
+from .manova import (OneWayDesign, estimate_sigma_sq, manova_estimate, oneway_B_matrices,
+                     oneway_population)
 from .population import PopulationSpec
 from .tw import f1_cdf
 
@@ -137,14 +138,15 @@ def plugin_edge_test(
     """
     y = np.asarray(y, dtype=float)
     b1, b2 = oneway_B_matrices(design.n, design.I, design.J)
-    sigma2_hat = float(np.trace(manova_estimate(y, b2))) / design.p
-    sigma1_hat = max(0.0, float(np.trace(manova_estimate(y, b1))) / design.p)
+    group = manova_estimate(y, b1)
+    sigma2_hat = estimate_sigma_sq(manova_estimate(y, b2), design.p)
+    sigma1_hat = max(0.0, estimate_sigma_sq(group, design.p))
     plug = OneWayDesign(
         n=design.n, p=design.p, I=design.I, J=design.J,
         sigma1_sq=sigma1_hat, sigma2_sq=sigma2_hat,
     )
     pop = oneway_population(plug)
     report = find_edges(pop)
-    eigs = np.linalg.eigvalsh(manova_estimate(y, b1))
+    eigs = np.linalg.eigvalsh(group)
     base = edge_test(pop, eigs, report.edges[0], alpha, tau=tau, report=report)
     return replace(base, plugin_variances=(sigma1_hat, sigma2_hat))

@@ -799,5 +799,6 @@ def test_domain_checks_raise_domain_error():
     report = find_edges(FIG1)
     with pytest.raises(DomainError):
         check_regularity(FIG1, report.edges[0], 1.5)
-    with pytest.raises(DomainError):
-        balanced_sufficiency(FIG1, 0.0)
+    for c in (0.0, np.nan):
+        with pytest.raises(DomainError, match="positive"):
+            balanced_sufficiency(FIG1, c)

@@ -41,6 +41,13 @@ def test_value_bound_and_finiteness():
         PopulationSpec(((1.0, 0),), 10)
 
 
+@pytest.mark.parametrize("entries, n_dim", [(((1.0, True),), 1), (((1.0, 5),), True)],
+                         ids=["mult", "n_dim"])
+def test_boolean_counts_are_rejected(entries, n_dim):
+    with pytest.raises(PopulationError, match="integer"):
+        PopulationSpec(entries, n_dim)
+
+
 def test_expand_and_poles():
     pop = PopulationSpec(((-2.0, 2), (3.0, 1)), 3)
     assert list(pop.expand()) == [-2.0, -2.0, 3.0]

@@ -61,6 +61,21 @@ def test_z0_at_infinity_is_zero():
     assert z0_eval(ID500, float("-inf")) == 0.0
 
 
+@pytest.mark.parametrize("m", [np.nan, complex(np.nan, 1.0), np.array([0.3, np.nan])],
+                         ids=["real", "complex", "array"])
+def test_z0_rejects_nan(m):
+    with pytest.raises(DomainError, match="NaN"):
+        z0_eval(FIG1, m)
+    with pytest.raises(DomainError, match="NaN"):
+        z0_derivative(FIG1, m, 1)
+
+
+def test_z0_derivative_order_must_be_an_integer():
+    for order in (True, 2.0):
+        with pytest.raises(DomainError, match="order"):
+            z0_derivative(FIG1, 1.0, order=order)
+
+
 def test_z0_pole_proximity():
     # -1/t = 1 for the t = -1 block
     with pytest.raises(PoleProximity):
@@ -467,9 +482,16 @@ def test_boundary_value_next_to_an_atom_is_the_closed_form(x, cross_check):
     # relative precision, and the density is 0
     pop = PopulationSpec(((0.0, 200), (1.0, 300)), 500)
     assert density_f0(pop, x, cross_check=cross_check) == 0.0
-    m = stieltjes_boundary(pop, x, cross_check=cross_check)
+    m = stieltjes_boundary(pop, x)
     assert m.imag == 0.0
     assert m.real == pytest.approx(-0.4 / x, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fn", [density_f0, stieltjes_boundary], ids=["density", "boundary"])
+def test_boundary_value_rejects_a_non_finite_abscissa(fn, x):
+    with pytest.raises(DomainError, match="finite"):
+        fn(FIG1, x)
 
 
 @pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-310])
@@ -688,16 +710,17 @@ def test_density_grid_rejects_a_pad_that_overflows_the_grid(pad):
             density_grid(FIG1, 3, pad=pad)
 
 
-@pytest.mark.parametrize("n_points", [0, 2.5])
+@pytest.mark.parametrize("n_points", [0, 2.5, True])
 def test_density_grid_rejects_a_non_integer_or_empty_grid(n_points):
     with pytest.raises(DomainError, match="n_points"):
         density_grid(FIG1, n_points)
 
 
 @pytest.mark.parametrize("intervals, points", [
-    (None, 0), (None, -5), (None, 2.5), (((-3.0, np.nan),), 800), (((np.inf, 9.0),), 800),
-    ("reversed", 800),
-], ids=["zero-points", "negative-points", "fractional-points", "nan-end", "inf-end", "reversed"])
+    (None, 0), (None, -5), (None, 2.5), (None, True), (((-3.0, np.nan),), 800),
+    (((np.inf, 9.0),), 800), ("reversed", 800),
+], ids=["zero-points", "negative-points", "fractional-points", "boolean-points", "nan-end",
+        "inf-end", "reversed"])
 def test_integrate_density_rejects_empty_rules_and_bad_intervals(intervals, points):
     ivs = find_edges(FIG1).intervals
     if intervals is None:

@@ -158,6 +158,12 @@ def test_track_rejects_a_non_finite_value_before_any_kernel_call(monkeypatch, ne
         track_edge_after_swap(FIG1, rightmost(FIG1), 0, new_t)
 
 
+@pytest.mark.parametrize("entry_index", [1.0, True], ids=["float", "bool"])
+def test_track_rejects_an_entry_index_that_is_no_index(entry_index):
+    with pytest.raises(SwapRejected, match="entry_index"):
+        track_edge_after_swap(FIG1, rightmost(FIG1), entry_index, 6.0)
+
+
 # -- sequence construction -----------------------------------------------------
 
 def test_identity_population_gives_empty_sequence():

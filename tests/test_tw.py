@@ -140,13 +140,25 @@ def test_cdf_special_values_and_tail_junctions():
 def test_quantile_inverts_cdf_exactly():
     f1 = tw._table().f1
     ps = np.unique(np.concatenate([
-        np.logspace(-12, -1, 300),
+        np.logspace(-300, -1, 400),
         np.linspace(1e-12, 1 - 1e-12, 2001),
-        1 - np.logspace(-12, -1, 300),
+        1 - np.logspace(-15.5, -1, 300),
         f1,
-        [1e-300, 1e-30, 0.5 * f1[0]],  # left of the table
+        [1e-30, 0.5 * f1[0]],  # left of the table
     ]))
     assert ps.min() < f1[0] and ps.max() > f1[-1]
-    qs = np.array([f1_quantile(float(p)) for p in ps])
+    qs = []
+    for p in ps.tolist():
+        q = f1_quantile(p)
+        # the CDF crosses p at q: the cubic pieces are not monotone to the
+        # last ulp at every node, so q need not be the smallest such double
+        assert f1_cdf(q) >= p > f1_cdf(np.nextafter(q, -np.inf)), p
+        qs.append(q)
+    qs = np.array(qs)
     assert np.all(np.abs(f1_cdf(qs) - ps) <= 1e-13)
     assert np.all(np.diff(qs) > 0)
+
+
+def test_tail_quantiles_are_pinned():
+    assert f1_quantile(1e-25) == -10.560955326733223
+    assert f1_quantile(1 - 1e-9) == 8.694269764782687
