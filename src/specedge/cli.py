@@ -178,18 +178,17 @@ def cmd_simulate(args) -> int:
             lines.append(f"{level},{cov:.6f},{se:.6f}")
     else:
         pop = spec if isinstance(spec, PopulationSpec) else oneway_population(spec)
-        report = find_edges(pop)
         if args.mode == "adherence":
             frac = support_adherence(pop, cfg, args.delta)
             lines.append("metric,value")
             lines.append(f"outside_support_fraction,{frac:.6f}")
         elif args.mode == "concentration":
-            edge = _pick_edge(report, args.edge_index)
+            edge = _pick_edge(find_edges(pop), args.edge_index)
             frac = edge_concentration(pop, edge, cfg, args.epsilon, tau=args.tau)
             lines.append("metric,value")
             lines.append(f"exclusion_zone_fraction,{frac:.6f}")
         else:  # locallaw
-            edge = _pick_edge(report, args.edge_index)
+            edge = _pick_edge(find_edges(pop), args.edge_index)
             eta = args.eta if args.eta is not None else pop.n_dim ** -0.5
             probe = local_law_probe(pop, edge, cfg, eta, tau=args.tau)
             lines.append("metric,value")

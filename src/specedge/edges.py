@@ -27,7 +27,7 @@ from .spectral import (
 
 S_RTOL = 1e-14             # Newton step, relative to the pole offset, that ends the edge search
 CERT_ULPS = 16             # rounding allowance of the edge certificates, in ulps of their summands
-EPS = np.finfo(float).eps
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -303,16 +303,52 @@ def regularity_margin(pop: PopulationSpec, m_star: float, gamma: float | None) -
     return _margin(vals, m_star, gamma)
 
 
-def _soft_edge(vals, m_star, e_star, d2, side=None) -> EdgeInfo:
-    """EdgeInfo of the soft edge at m_star, with E* = e_star and a nonzero
-    curvature d2 = z0''(m*): gamma = sqrt(2/|d2|), and a minimum is a
-    right edge.  A given `side` must agree with the curvature."""
-    curv_side = "right" if d2 > 0 else "left"
+def _soft_edge(vals, q, s, g, cubes, e_star, side=None, unit=False):
+    """The soft edge at a zero q* = p[j] + s of g', read off the q chart.
+
+    The inputs are Python floats: g = (g', g'', g''') is the kernel row at
+    q*, `cubes` = sum d|r|^3 the size of the summands of g'', and
+    E* = g(q*).  Then m* = 1/q*, z0''(m*) = q*^4 g'' + 2 q*^3 g',
+    gamma = sqrt(2/|z0''(m*)|), and a minimum is a right edge.
+
+    - Vanishing certificate: |g'| <= CERT_ULPS ulps of g' + 1, which sums
+      the positive terms d r^2, plus |g''| times the search's stopping
+      tolerance S_RTOL |s| and the ulp of q*.  A failure raises
+      BracketFailure.
+    - Degenerate label (merging edges: gamma None, margin 0): |g''| within
+      CERT_ULPS ulps of its summands' size 2 sum d|r|^3, plus |g'''| times
+      that tolerance, so that the curvature's sign is not certain.
+
+    Both rules are relative, so scaling T scales every E* and keeps every
+    label.  A given `side` must agree with the curvature.  Returns
+    (c, edge, gamma): gamma is T's edge scale (None when degenerate), and
+    edge is the edge of c*T, where c = 1, or with `unit` c = gamma^(2/3),
+    which gives the edge unit scale.  As z0 of c*T is c z0(c m), that edge
+    follows by the scaling law E* -> c E*, m* -> m*/c, z0'' -> c^3 z0''.
+    """
+    d1, d2, d3 = g
+    located = S_RTOL * abs(s) + EPS * abs(q)
+    cert = CERT_ULPS * EPS * (1.0 + d1) + abs(d2) * located
+    if abs(d1) > cert:
+        raise BracketFailure(f"g'(q*) = {d1:.3e} fails the vanishing certificate "
+                             f"|g'(q*)| <= {cert:.3e}")
+    m_star = 1.0 / q
+    if abs(d2) <= CERT_ULPS * EPS * 2.0 * cubes + abs(d3) * located:
+        return 1.0, EdgeInfo(e_star, m_star, None, side, True, 0.0), None
+    q2 = q * q
+    z2 = q2 * q2 * d2 + 2.0 * q2 * q * d1
+    curv_side = "right" if z2 > 0 else "left"
     if side is not None and side != curv_side:
         raise BracketFailure(f"classification mismatch at E={e_star:g}: curvature says "
                              f"{curv_side}, geometry says {side}")
-    gamma = math.sqrt(2.0 / abs(d2))
-    return EdgeInfo(e_star, m_star, gamma, curv_side, True, _margin(vals, m_star, gamma))
+    gamma = scaled_gamma = math.sqrt(2.0 / abs(z2))
+    c = 1.0
+    if unit:
+        c = gamma ** (2.0 / 3.0)
+        e_star, m_star, vals = e_star * c, m_star / c, vals * c
+        scaled_gamma = math.sqrt(2.0 / abs(z2 * c ** 3))
+    margin = _margin(vals, m_star, scaled_gamma)
+    return c, EdgeInfo(e_star, m_star, scaled_gamma, curv_side, True, margin), gamma
 
 
 def _abs_cubes(p, d, j, s):
@@ -329,20 +365,8 @@ def find_edges(pop: PopulationSpec) -> SupportReport:
 
     Each edge is a zero q* = p[j] + s of g' that `_soft_extrema_q` gives
     as its anchor pole and offset.  A soft edge is read off the q chart
-    there: one kernel row gives g', g'' and g''' at q*, the atom form
-    `spectral._gq` gives E* = g(q*), and m* = 1/q*,
-    z0''(m*) = q*^4 g'' + 2 q*^3 g', gamma = sqrt(2/|z0''(m*)|).
-
-    - Vanishing certificate: |g'| <= CERT_ULPS ulps of g' + 1, which sums
-      the positive terms d r^2, plus |g''| times the search's stopping
-      tolerance S_RTOL |s| and the ulp of q*.  A failure raises
-      BracketFailure.
-    - Degenerate label (merging edges: gamma None, margin 0): |g''| within
-      CERT_ULPS ulps of its summands' size 2 sum d|r|^3, plus |g'''| times
-      that tolerance, so that the curvature's sign is not certain.
-
-    Both rules are relative, so scaling T scales every E* and keeps every
-    label.
+    there by `_soft_edge`, from one kernel row (g', g'', g''') at q* and
+    E* = g(q*) from the atom form `spectral._gq`.
     """
     vals, mults = pop.nonzero()
     if vals.size == 0:
@@ -375,33 +399,20 @@ def find_edges(pop: PopulationSpec) -> SupportReport:
     if not (e_star[:-1] > e_star[1:]).all():
         raise BracketFailure(f"edge ordering violated or duplicate edges: {e_star.tolist()}")
 
-    d1, d2, d3 = _g_derivs(p, d, j, s)
-    located = S_RTOL * np.abs(s) + EPS * np.abs(q_soft)
-    cert = CERT_ULPS * EPS * (1.0 + d1) + np.abs(d2) * located
-    bad = np.flatnonzero(np.abs(d1) > cert)
-    if bad.size:
-        raise BracketFailure(f"g'(q*) = {d1[bad[0]]:.3e} fails the vanishing certificate "
-                             f"|g'(q*)| <= {cert[bad[0]]:.3e}")
-    merging = np.abs(d2) <= CERT_ULPS * EPS * 2.0 * _abs_cubes(p, d, j, s) + np.abs(d3) * located
-    q2 = q_soft * q_soft
-    soft_edges = zip((1.0 / q_soft).tolist(), e_star[soft].tolist(),
-                     (q2 * q2 * d2 + 2.0 * q2 * q_soft * d1).tolist(), merging.tolist())
+    soft_edges = zip(q_soft.tolist(), s.tolist(), _g_derivs(p, d, j, s).T.tolist(),
+                     _abs_cubes(p, d, j, s).tolist(), e_star[soft].tolist())
 
     # Sides alternate from the rightmost edge, a right one.
     infos = []
     for pos, is_soft in enumerate(soft.tolist()):
         side = "left" if pos % 2 else "right"
-        if not is_soft:
-            # m-space label from the curvature of g at the origin.
-            curv = -2.0 * float(np.sum(mults / vals)) / n   # g''(0)
-            m_label = "right" if curv > 0 else "left"
-            infos.append(EdgeInfo(0.0, math.inf, None, side, False, 0.0, m_label))
+        if is_soft:
+            infos.append(_soft_edge(vals, *next(soft_edges), side)[1])
             continue
-        m_star, e, z2, degenerate = next(soft_edges)
-        if degenerate:
-            infos.append(EdgeInfo(e, m_star, None, side, True, 0.0))
-        else:
-            infos.append(_soft_edge(vals, m_star, e, z2, side))
+        # m-space label from the curvature of g at the origin.
+        curv = -2.0 * float(np.sum(mults / vals)) / n   # g''(0)
+        m_label = "right" if curv > 0 else "left"
+        infos.append(EdgeInfo(0.0, math.inf, None, side, False, 0.0, m_label))
     asc = e_star[::-1].tolist()
 
     return SupportReport(

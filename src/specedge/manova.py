@@ -13,10 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusterAmbiguity, DesignError, ShapeError
-from .population import PopulationSpec, _document_float, _document_int
+from .population import PopulationSpec, _document_float, _document_int, _is_int
 
 CLUSTER_RTOL = 1e-9
 NORM_BOUND = 20.0          # C: ||U_r|| <= C and ||B|| <= C/n
+
+
+def _check_int(design, field):
+    """A design's integer field: an integer, not a float or a boolean."""
+    value = getattr(design, field)
+    if not _is_int(value):
+        raise DesignError(f"{field} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +38,8 @@ class OneWayDesign:
     sigma2_sq: float
 
     def __post_init__(self):
+        for field in ("n", "p", "I", "J"):
+            _check_int(self, field)
         if self.I < 2 or self.J < 2:
             raise DesignError("need I >= 2 groups and J >= 2 samples per group")
         if self.n != self.I * self.J:
@@ -76,6 +85,7 @@ class GeneralDesign:
         n = b.shape[0]
         if b.ndim != 2 or b.shape[1] != n:
             raise ShapeError("weight matrix must be square")
+        _check_int(self, "p")
         if not np.allclose(b, b.T, atol=1e-12):
             raise DesignError("weight matrix must be symmetric")
         if len(self.incidence) != len(self.variances):

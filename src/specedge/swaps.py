@@ -26,9 +26,10 @@ row at a time: g' at q*, then at the sign-rule bracket's widths on the
 side it points to until g' flips, and the one-row Newton-bisection
 (`edges._newton_bisect_one`) solves from q*.  The rows run on Python
 floats (`edges._g_row_floats`), with the bits of the numpy kernel
-`edges._g_row`.
-The rescale needs only the curvature z0''(m*) before scaling, and z0,
-z0'' from one pass after it.
+`edges._g_row`.  At the root, one more row and one float pass for E*
+and the size of the summands of g'' give `edges._soft_edge`, the
+read-off `find_edges` uses, all it needs; the state at unit edge scale
+follows by the scaling law, with no second evaluation.
 """
 
 from __future__ import annotations
@@ -46,15 +47,11 @@ import numpy as np
 from .edges import EdgeInfo, _g_row_floats, _inv, _newton_bisect_one, _poles, _soft_edge
 from .errors import DomainError, NotSwappable, RegularityLost, SwapRejected
 from .population import PopulationSpec, _is_int, from_values
-from .spectral import _z0
 
 DEFAULT_PHI = 10.0
 TAU_FLOOR = 0.01           # least regularity margin of a tracked edge; pole exclusion
 DEFAULT_C0 = 0.05
 UNIT_GAMMA_TOL = 1e-8
-# |z0''(m*)| below this rejects a swap as a degenerate extremum.  States sit
-# at unit edge scale, so the absolute bound is a relative one for them.
-DEGENERATE_CURVATURE = 1e-8
 
 # The tracking bracket's widths in units of phi/N: 0 (m* itself), then six
 # doublings from 1/8 on either side of m*.  Every width is exact.
@@ -163,35 +160,6 @@ class SwapDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# edge helpers on grouped (value, mult) pairs
-
-def _edge(vals, mults, n, m) -> EdgeInfo:
-    """The soft edge at m, from z0''(m) and z0(m) in one `_z0` pass; a
-    degenerate curvature rejects the swap."""
-    d2, e_star = map(float, _z0(vals, mults, n, m, (2, 0)))
-    if abs(d2) < DEGENERATE_CURVATURE:
-        raise SwapRejected(f"degenerate extremum at m={m:g}: vanishing curvature")
-    return _soft_edge(vals, m, e_star, d2)
-
-
-def _rescale_to_unit(vals, mults, n, m):
-    """Scale factor c that gives the extremum at m unit edge scale.
-
-    Returns (c, EdgeInfo of the scaled population, |gamma-1| before
-    scaling).  Scaling T by c moves the extremum exactly to m/c.
-    """
-    d2 = float(_z0(vals, mults, n, m, 2))
-    if abs(d2) < DEGENERATE_CURVATURE:
-        raise SwapRejected(f"degenerate extremum at m={m:g}: vanishing curvature")
-    gamma = math.sqrt(2.0 / abs(d2))
-    c = gamma ** (2.0 / 3.0)
-    info = _edge(vals * c, mults, n, m / c)
-    if abs(info.gamma - 1.0) > UNIT_GAMMA_TOL:
-        raise SwapRejected(f"rescale failed to reach unit edge scale: gamma = {info.gamma!r}")
-    return c, info, abs(gamma - 1.0)
-
-
-# ---------------------------------------------------------------------------
 # public operations
 
 def reflected_right_edge(pop: PopulationSpec, edge: EdgeInfo):
@@ -203,7 +171,7 @@ def reflected_right_edge(pop: PopulationSpec, edge: EdgeInfo):
     if edge.side != "left" or not edge.soft:
         raise SwapRejected("reflection helper expects a soft left edge")
     refl = pop.reflected()
-    info = _edge(*refl.nonzero(), pop.n_dim, -edge.m_star)
+    info = _track(*refl.nonzero(), 0.0, 0.0, pop.n_dim, -edge.m_star, DEFAULT_PHI)[1]
     if info.side != "right":
         raise SwapRejected("reflected extremum is not a local minimum")
     return refl, info
@@ -213,7 +181,7 @@ def rescale_unit_gamma(pop: PopulationSpec, edge: EdgeInfo):
     """Rescale so the given soft edge has scale 1; returns (pop', edge')."""
     if not edge.soft or edge.gamma is None:
         raise SwapRejected("only soft non-degenerate edges can be rescaled")
-    c, info, _ = _rescale_to_unit(*pop.nonzero(), pop.n_dim, edge.m_star)
+    c, info = _track(*pop.nonzero(), 0.0, 0.0, pop.n_dim, edge.m_star, DEFAULT_PHI, True)[:2]
     return pop.scaled(c), info
 
 
@@ -230,15 +198,7 @@ def track_edge_after_swap(
     if not (_is_int(entry_index) and 0 <= entry_index < len(pop.entries)):
         raise SwapRejected(f"entry_index {entry_index!r} is not an index of an entry")
     t_old = pop.entries[entry_index][0]
-    m_new, vals, mults = _track(*pop.nonzero(), t_old, new_t, pop.n_dim, edge.m_star, DEFAULT_PHI)
-    return _edge(vals, mults, pop.n_dim, m_new)
-
-
-def _grouped(values):
-    """Distinct nonzero values, ascending, and their counts as floats, which
-    the kernels multiply without a cast."""
-    vals, counts = np.unique(values[values != 0.0], return_counts=True)
-    return vals, counts.astype(float)
+    return _track(*pop.nonzero(), t_old, new_t, pop.n_dim, edge.m_star, DEFAULT_PHI)[1]
 
 
 def _moved(vals, mults, t_old, new_t):
@@ -277,19 +237,23 @@ def _sign(x):
     return math.nan if x != x else (x > 0) - (x < 0)
 
 
-def _track(vals, mults, t_old, new_t, n, m_star, phi):
-    """Locate the edge's m-value next to m_star after one entry t_old -> new_t.
+def _track(vals, mults, t_old, new_t, n, m_star, phi, unit=False):
+    """Locate the edge next to m_star after one entry t_old -> new_t.
 
     `vals, mults` are the grouped nonzero values before the swap.  Follows
     the sign rule: the new extremum lies on the side of m_star opposite to
     the sign of the new z0' there, within phi/N, with no pole of either
     transform in between.  The rising zero of g' is solved in the q = 1/m
     chart on the new grouped poles, in offsets from the pole interval that
-    holds q* = 1/m_star.  Returns (m, vals, mults), the last two the new
-    population's grouped nonzero values.  It runs on Python floats, control
-    flow and kernel rows alike.
+    holds q* = 1/m_star, and must be a minimum of z0, a right edge.  When
+    t_old = new_t nothing moves, and the edge stays at m_star, of either
+    side.  The edge is read off by `_soft_edge`; a degenerate one rejects
+    the swap.  Returns (c, edge, gamma) as `_soft_edge` gives them and the
+    new population's grouped nonzero values.  It runs on Python floats,
+    control flow and kernel rows alike.
     """
-    if new_t != t_old:
+    moved = new_t != t_old
+    if moved:
         norm = max(abs(vals[0]), abs(vals[-1])) if vals.size else 0.0
         if abs(new_t) > norm * (1 + 1e-12):
             raise SwapRejected(f"replacement value {new_t:g} exceeds the operator norm")
@@ -303,28 +267,29 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi):
     p, d = (a.tolist() for a in _poles(vals, mults, n))
     j = min(max(bisect_left(p, 1.0 / m_star) - 1, 0), len(p) - 1)
     pj, budget = p[j], phi / n
-    row = partial(_g_row_floats, [pj - x for x in p], d)
+    offsets = [pj - x for x in p]
+    row = partial(_g_row_floats, offsets, d)
 
     def offset(b):
         """s at the bracket point m_star + budget * _BRACKET[b]."""
         return _inv(m_star + budget * _BRACKET[b]) - pj
 
-    s0 = offset(0)
-    g = row(s0)
+    s = offset(0)
+    g = row(s)
     sign = _sign(g[0])
-    if sign == 0:
-        m_new = m_star
-    else:
+    if moved and sign != 0:
         # z0'(m) = -q^2 g'(q): the extremum lies toward sign(g'(q*)) in m,
         # at the first doubling width where g' flips.
         side = range(1, 7) if sign > 0 else range(7, 13)
-        s_b = next((s for s in map(offset, side) if _sign(row(s)[0]) != sign), None)
+        s_b = next((x for x in map(offset, side) if _sign(row(x)[0]) != sign), None)
         if s_b is None:
             raise SwapRejected(
                 f"sign-rule bracket failed within {4 * budget:g} of m* = {m_star:g}"
             )
-        s, g = _newton_bisect_one(row, min(s0, s_b), max(s0, s_b), s0, g)
-        m_new = _inv(pj + s)
+        s = _newton_bisect_one(row, min(s, s_b), max(s, s_b), s, g)[0]
+        g = row(s)
+    q = pj + s
+    m_new = _inv(q)
 
     if abs(m_new - m_star) > budget:
         raise SwapRejected(
@@ -336,9 +301,22 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi):
     if (lo <= 0.0 <= hi or (t_old != 0.0 and lo <= -1.0 / t_old <= hi)
             or any(lo <= 1.0 / x <= hi for x in p)):
         raise SwapRejected("a pole crossed the tracking interval")
-    if g[1] <= 0:
+    # E* = g(q*) = -q*(a + q* S), S = sum c/(q* + t), in the atom form of
+    # `spectral._gq`, and the size sum d|r|^3 of the summands of g''.
+    total = cubes = 0.0
+    for o, w, weight in zip(offsets, d, (mults[::-1] / n).tolist()):
+        r = _inv(s + o)
+        total += weight * r
+        cubes += w * abs(r * r * r)
+    e_star = -q * ((n - float(mults.sum())) / n + q * total)
+    c, edge, gamma = _soft_edge(vals, q, s, g, cubes, e_star, unit=unit)
+    if gamma is None:
+        raise SwapRejected(f"degenerate extremum at m={m_new:g}: vanishing curvature")
+    if moved and edge.side != "right":
         raise SwapRejected("tracked extremum is not a local minimum after the swap")
-    return m_new, vals, mults
+    if unit and abs(edge.gamma - 1.0) > UNIT_GAMMA_TOL:
+        raise SwapRejected(f"rescale failed to reach unit edge scale: gamma = {edge.gamma!r}")
+    return c, edge, gamma, vals, mults
 
 
 def build_swap_sequence(
@@ -376,7 +354,7 @@ def build_swap_sequence(
 
 def _build(pop, edge, c0, phi):
     n = pop.n_dim
-    c, info, drift = _rescale_to_unit(*pop.nonzero(), n, edge.m_star)
+    c, info, gamma, vals, mults = _track(*pop.nonzero(), 0.0, 0.0, n, edge.m_star, phi, True)
     start, m = pop.expand() * c, info.m_star
     if info.side != "right":
         raise SwapRejected("the tracked extremum is not a local minimum")
@@ -384,11 +362,11 @@ def _build(pop, edge, c0, phi):
         raise RegularityLost(
             f"initial margin {info.regularity_margin:g} below the floor {TAU_FLOOR:g}"
         )
-    states = [SwapState(start, n, info, 0, None, "done", drift)]
+    states = [SwapState(start, n, info, 0, None, "done", abs(gamma - 1.0))]
     # The working vector of the last state, for the index of each pick, and
     # its grouped nonzero values, for the edge kernel, picks and pair sums.
     values = start
-    groups = _grouped(values)
+    groups = _scaled(vals, mults, c)
 
     def first_index(group_vals):
         """The first index holding one of the given values, where a scan
@@ -399,8 +377,7 @@ def _build(pop, edge, c0, phi):
     def apply_swap(idx, new_t, phase):
         nonlocal values, groups, m
         state, t_old = states[-1], float(values[idx])
-        m_tracked, vals, mults = _track(*groups, t_old, new_t, n, m, phi)
-        c, info, drift = _rescale_to_unit(vals, mults, n, m_tracked)
+        c, info, gamma, vals, mults = _track(*groups, t_old, new_t, n, m, phi, True)
         if info.regularity_margin < TAU_FLOOR:
             raise RegularityLost(
                 f"margin {info.regularity_margin:g} fell below {TAU_FLOOR:g} "
@@ -418,7 +395,7 @@ def _build(pop, edge, c0, phi):
         values *= c
         values[idx] = new_t * c
         groups, m = _scaled(vals, mults, c), info.m_star
-        states.append(state._after(idx, float(new_t), c, sums, info, phase, drift))
+        states.append(state._after(idx, float(new_t), c, sums, info, phase, abs(gamma - 1.0)))
 
     if m < 0:
         # Reflect every pole right of m* about m*, rightmost pole first.

@@ -348,11 +348,11 @@ FIG1X2 = {"n_dim": 1000, "entries": [
 
 
 @pytest.mark.parametrize("obj, edge_arg, sha", [
-    (FIG1, [], "bf929b71e49c2e580f6e17d04eb2480104ab1045b08d0f8ae0b16a6190989405"),
-    (NEGPOP, ["--edge-index", "2"], "9f1d270485a636e9209ea4db88036d6595fe299ec467c35e35ab5b60d8251d47"),
-    (NEGHALF, ["--edge-index", "2"], "9e015b851ccc5f10a79b9a9100843132334672413c0e642bea27d76ff3da8a2d"),
-    (FIG2, [], "7378fa7bc2673ed6339f5e37660262b220e91b4129d52472dfef5407634feb5b"),
-    (FIG1X2, [], "6764715b3cb0af0d095a26c95d42d93aebd2e57659e72d88199c93f1528bdc0e"),
+    (FIG1, [], "f5412766555752652eccda0b4f37a886d08a05a92245c74a7f8a7cdb89042158"),
+    (NEGPOP, ["--edge-index", "2"], "592766d5394f47c811c3199c3ae3a8ab075da2679f98daed2c55195209a53891"),
+    (NEGHALF, ["--edge-index", "2"], "4ea941a8a2c80f9aa937e11a8a9027073441ad1e6ea044bf3fd7730a3b98fdaf"),
+    (FIG2, [], "9c40c8aed35e9583fa8e93691f997dc44037c83e5ac7e321a46f356fe17b13e0"),
+    (FIG1X2, [], "15b8df6627c63f690dce548759c69a5586efd54e3e8262c3058fdd8f162da1de"),
 ], ids=["fig1", "negpop", "neghalf", "fig2", "fig1x2"])
 def test_swapseq_diagnostics_are_pinned_bit_for_bit(ws, obj, edge_arg, sha):
     # Every pair check's measurements and sum-rule residuals, as written.
@@ -360,6 +360,16 @@ def test_swapseq_diagnostics_are_pinned_bit_for_bit(ws, obj, edge_arg, sha):
     assert main(["swapseq", pop, *edge_arg, "--out", "seq.jsonl"]) == 0
     text = (ws / "seq.jsonl.diagnostics.csv").read_bytes()
     assert hashlib.sha256(text).hexdigest() == sha
+
+
+def test_swapseq_builds_at_a_small_scale(ws):
+    # FIG1 scaled by 1e-4: the edge read-off is relative to its own
+    # summands, so no absolute curvature bound rejects a small scale.
+    small = {"n_dim": 500, "entries": [{"t": e["t"] * 1e-4, "mult": e["mult"]}
+                                       for e in FIG1["entries"]]}
+    pop = write(ws, "pop.json", small)
+    assert main(["swapseq", pop, "--out", "seq.jsonl"]) == 0
+    assert len((ws / "seq.jsonl").read_text().splitlines()) == 1001
 
 
 @pytest.mark.parametrize("content", [None, "not json\n", "[1, 2]\n"],

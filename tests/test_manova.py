@@ -36,6 +36,26 @@ def test_design_document_integers_are_read_exactly(field, value):
         OneWayDesign.from_dict(doc)
 
 
+def _oneway(**fields):
+    return OneWayDesign(**{**dict(n=20, p=5, I=4, J=5, sigma1_sq=0.0, sigma2_sq=1.0), **fields})
+
+
+def _general(p):
+    gd = oneway_general_design(_oneway())
+    return GeneralDesign(gd.incidence, gd.weight, gd.variances, p)
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (_oneway, "n", 20.0), (_oneway, "I", 4.0), (_oneway, "J", 5.0),
+    (_oneway, "p", True), (_oneway, "p", 5.5), (_general, "p", 2.0),
+], ids=["n-float", "I-float", "J-float", "p-bool", "p-fraction", "general-p-float"])
+def test_design_integer_fields_must_be_integers(make, field, value):
+    # Caught when the design is built, naming the field, not later as a
+    # multiplicity or n_dim of the population built from it.
+    with pytest.raises(DesignError, match=f"^{field} must be an integer"):
+        make(**{field: value})
+
+
 def test_design_document_accepts_integral_floats():
     design = OneWayDesign.from_dict(dict(n=20.0, p=20, I=10.0, J=2, sigma1_sq=0, sigma2_sq=1))
     assert design == OneWayDesign(n=20, p=20, I=10, J=2, sigma1_sq=0.0, sigma2_sq=1.0)

@@ -20,7 +20,10 @@ from specedge import (
 )
 import specedge.swaps
 from specedge.errors import DomainError, NotSwappable, SwapRejected
-from specedge.swaps import SwapDiagnostics, SwapState, _moved, _scaled, export_sequence
+from specedge.population import VALUE_BOUND
+from specedge.swaps import (
+    SwapDiagnostics, SwapState, _moved, _scaled, export_sequence, reflected_right_edge,
+)
 
 ID500 = PopulationSpec(((1.0, 500),), 500)
 FIG1 = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
@@ -71,6 +74,34 @@ def test_rescale_commutes_with_reflection():
     assert redge_s.e_star == pytest.approx(-edge_s.e_star, rel=1e-9)
     for (t1, m1), (t2, m2) in zip(rpop_s.entries, sorted((-t, m) for t, m in pop_s.entries)):
         assert t1 == pytest.approx(t2, rel=1e-9)
+
+
+@pytest.mark.parametrize("c", [1e-4, 1e-2, 10.0, 100.0])
+@pytest.mark.parametrize("pop, pick", [(FIG1, rightmost), (NEGHALF, right_soft)],
+                         ids=["fig1", "neghalf"])
+def test_sequences_are_scale_covariant(pop, pick, c):
+    # Every state sits at unit edge scale, so the sequence of c*T is that
+    # of T: the edge read-off's certificate and degenerate label are
+    # relative to their own summands, not absolute bounds on z0''.
+    scaled = pop.scaled(c)
+    assert scaled.norm <= VALUE_BOUND
+    base = [s.to_record() for s in build_swap_sequence(pop, pick(pop))]
+    got = [s.to_record() for s in build_swap_sequence(scaled, pick(scaled))]
+    assert [r["phase"] for r in got] == [r["phase"] for r in base]
+    for a, b in zip(base, got):
+        for field in ("e_star", "m_star", "gamma", "margin"):
+            assert b[field] == pytest.approx(a[field], rel=1e-12, abs=0)
+
+
+def test_entry_points_read_edges_at_a_small_scale():
+    pop = FIG1.scaled(1e-4)
+    report, unscaled = find_edges(pop), find_edges(FIG1)
+    _, edge = rescale_unit_gamma(pop, report.edges[0])
+    assert edge.gamma == pytest.approx(1.0, abs=1e-12)
+    _, right = reflected_right_edge(pop, report.edges[1])
+    assert right.e_star == pytest.approx(-1e-4 * unscaled.edges[1].e_star, rel=1e-12)
+    moved = track_edge_after_swap(pop, report.edges[0], 2, pop.entries[2][0])
+    assert moved.e_star == pytest.approx(1e-4 * unscaled.edges[0].e_star, rel=1e-12)
 
 
 def test_rescale_rejects_hard_edge():
@@ -152,7 +183,8 @@ def test_track_rejects_a_non_finite_value_before_any_kernel_call(monkeypatch, ne
     def no_kernel(*args):
         raise AssertionError("the edge kernels were called")
 
-    for name in ("_track", "_g_row_floats", "_z0", "_soft_edge"):
+    for name in ("_track", "_moved", "_poles", "_g_row_floats", "_newton_bisect_one",
+                 "_soft_edge"):
         monkeypatch.setattr(specedge.swaps, name, no_kernel)
     with pytest.raises(DomainError, match="finite"):
         track_edge_after_swap(FIG1, rightmost(FIG1), 0, new_t)
@@ -181,8 +213,6 @@ def test_left_edge_rejected_with_guidance():
 
 
 def test_left_edge_via_reflection_helper():
-    from specedge.swaps import reflected_right_edge
-
     report = find_edges(FIG1)
     left = [e for e in report.edges if e.side == "left"][0]
     refl, right = reflected_right_edge(FIG1, left)
@@ -256,18 +286,17 @@ def test_sequence_phase_counts_are_pinned(pop, pick, phases):
 
 
 @pytest.mark.parametrize("pop, pick, digests", [
-    (FIG1, rightmost, {0: "48f70d7d1d4a8849", 1: "01a43134bb402a18", 351: "561866f0aff519f7",
-                       352: "1ba90a3536e0248c", 651: "9244a5e22b98b5f5", 1000: "19e02e5c37adb08e"}),
-    (NEGPOP, right_soft, {0: "8667df33463bbf4d", 26: "3ad3cf0eee2758a9", 400: "3c5d495e655df78e"}),
-    (FIG2, rightmost, {0: "66e07a0afdd0ce68", 1: "af16723461cf48a9", 400: "7c5cff5ca89c0e78",
-                       401: "3a841c7ca90c6576", 799: "df4fff90bee02e2e", 800: "e4e780c447fc0324"}),
-    (NEGHALF, right_soft, {0: "e23a0284a0c18585", 1: "0ad4bf6cff27acba", 12: "54318d615979ad44",
-                           13: "153299db55de3fcd", 199: "5586697960b18f12", 200: "3cfbecf6e5ca0247"}),
+    (FIG1, rightmost, {0: "48f70d7d1d4a8849", 1: "01a43134bb402a18", 351: "41a156ecac754289",
+                       352: "307930feb87cb564", 651: "8003eb348d4f6fba", 1000: "19e02e5c37adb08e"}),
+    (NEGPOP, right_soft, {0: "c63efd4faa2ccb56", 26: "3ad3cf0eee2758a9", 400: "3c5d495e655df78e"}),
+    (FIG2, rightmost, {0: "4fae7f500123035e", 1: "ad14974ee979ccd0", 400: "753e8030345dbdf8",
+                       401: "bc16987307fe875c", 799: "065ec666859fc09d", 800: "7a6bc518e496dcff"}),
+    (NEGHALF, right_soft, {0: "6e8529d43ef7072f", 1: "a37b2960d4536165", 12: "90bdb675d808008a",
+                           13: "452730e8b24e5543", 199: "da1c4e6758676172", 200: "aa051454e79797d2"}),
 ])
 def test_entries_digests_are_pinned(pop, pick, digests):
-    # FIG1 and NEGPOP were recorded from the builder that stored every
-    # state's full vector, FIG2 and NEGHALF from the builder that tracked
-    # with the batched root solver: replayed states must match bit for bit.
+    # Recorded from the builder that reads every edge off the q chart and
+    # rescales by the scaling law: replayed states must match bit for bit.
     states = build_swap_sequence(pop, pick(pop))
     assert {i: states[i].digest() for i in digests} == digests
 
@@ -277,14 +306,14 @@ def test_fig1_export_is_pinned_bit_for_bit():
     # drift), which `swapseq --verify` compares exactly.
     text = export_sequence(build_swap_sequence(FIG1, rightmost(FIG1)))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "c05e4dc215ebae47c9f1d5b5be57cc59327f767dca9369f9ff3d62596506dabd")
+        "599029fcd507b203e2a3eb3ae7eb34d9ca4c3591fb8275e2fd7447518854b38c")
 
 
 @pytest.mark.parametrize("pop, pick, sha", [
-    (NEGPOP, right_soft, "7cea24b074fd6088d12deeaa51123ed8289219758b3699dd37ebe1b883924379"),
-    (NEGHALF, right_soft, "2b1769f9a63c121c90ab0468197f8cc5b1c773c2e23281293d57396c44bbe46c"),
-    (FIG2, rightmost, "460195f2b64505bb6b18553b01911530164f520035be9d5a477d2fb8ef3d067d"),
-    (FIG1X2, rightmost, "be09fcc8c15a8868d1c9e337f67889f3ebf7dc21b94e1c679032f546da1d5f4c"),
+    (NEGPOP, right_soft, "1f3c3dd84923eb1dc8c87b87dbee5f23d3f6d3907064e7bc1d6f39fe20de1743"),
+    (NEGHALF, right_soft, "3341ba04f0430eb7daa895a105f344e6523751380480888d9d0db58cf5e667d0"),
+    (FIG2, rightmost, "53617527bbfe0f78e8aee5ad0ca2078b808f8ea2f9516b45f082128b1e3b6426"),
+    (FIG1X2, rightmost, "a661037164d59a48fa66271dd8aca49d39e66d1447670b86396e586b4b76a54e"),
 ], ids=["negpop", "neghalf", "fig2", "fig1x2"])
 def test_bench_exports_are_pinned_bit_for_bit(pop, pick, sha):
     # The other swap populations of the benchmark, the m* > 0 branch's
@@ -300,15 +329,14 @@ SPREAD48 = PopulationSpec(tuple((float(v), 10) for v in np.concatenate(
 
 
 def test_many_group_build_is_pinned_bit_for_bit():
-    # Pinned from the tracker whose rows ran through the numpy kernel: the
-    # float rows keep every bit of the records and of the pair sums at up
-    # to 100 value groups, where every row sums many terms.
+    # Every bit of the records and of the pair sums at up to 100 value
+    # groups, where every float row of the tracker sums many terms.
     states = build_swap_sequence(SPREAD48, rightmost(SPREAD48))
     assert len(states) == 711
     assert hashlib.sha256(export_sequence(states).encode()).hexdigest() == (
-        "cce1482e08f1313f875b2d71bf78af633003d3a521604e5f3e1ab1c29875b80a")
+        "1000d999624d3fbeb81b8fe617d4d251a65d54333b952f42c5c9f4cf2c2f3b67")
     assert hashlib.sha256(states[0]._tape.sums.tobytes()).hexdigest() == (
-        "90bc3587e651606538211b5d5c893b4d737d6f300e60c9e0cab0913b7ab030d4")
+        "5bb7f0514445897448208c8bb45e689c67c36f2243ed0bb834b46488fb412264")
 
 
 def test_sum_rules_identical_states_vanish():
@@ -471,9 +499,9 @@ def test_grouped_pair_diagnostics_match_the_vector_sums(pop, pick, monkeypatch):
 
 
 @pytest.mark.parametrize("pop, pick, sha", [
-    (FIG1, rightmost, "b6ab97984c0214dfbc143b0ccd8520aa884aacfa5c51067ac61e73745c4cdbc1"),
-    (NEGPOP, right_soft, "caedb4693685665629504ae86814e838b7b7a8554da43ba30a292ed2409a0949"),
-    (FIG2, rightmost, "b5ebdcdf5479750b1f865f824d1c25aea9c2d7e890723f736ee0a56850db4d8a"),
+    (FIG1, rightmost, "bb671f7c947564b787b8ffff98f5f8259bc2243ace9bcea9c324ad9981bd4fcc"),
+    (NEGPOP, right_soft, "127b95d44f748b215c60e38f7ef75869ca238f6c0925e59b391ca2bae2e1c095"),
+    (FIG2, rightmost, "48387f66c74defa26cb8cb2afdde7b7805afb1d2e1a7a059f5d45232c991ec17"),
 ], ids=["fig1", "negpop", "fig2"])
 def test_pair_diagnostics_are_pinned_at_full_precision(pop, pick, sha):
     # Every field of every consecutive pair's diagnostics, as repr prints
