@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,14 @@ def _read(path: str, parse):
         return parse(path)
     except (OSError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _numbers(path: str, **kwargs) -> np.ndarray:
+    """np.loadtxt of a data file; an empty file gives an empty array, which
+    the command rejects by its own typed error, with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return _read(path, lambda p: np.loadtxt(p, **kwargs))
 
 
 def _records(path: str) -> list[dict]:
@@ -127,7 +136,7 @@ def cmd_test(args) -> int:
     if args.plugin:
         if not isinstance(spec, OneWayDesign):
             raise InputError("--plugin requires a design file")
-        y = _read(args.data, lambda p: np.loadtxt(p, delimiter=",", ndmin=2))
+        y = _numbers(args.data, delimiter=",", ndmin=2)
         inputs[args.data] = file_digest(args.data)
         report_obj = plugin_edge_test(spec, y, args.alpha, tau=args.tau)
     else:
@@ -135,7 +144,7 @@ def cmd_test(args) -> int:
             pop = oneway_population(spec)
         else:
             pop = spec
-        eigs = _read(args.data, np.loadtxt).ravel()
+        eigs = _numbers(args.data).ravel()
         inputs[args.data] = file_digest(args.data)
         support = find_edges(pop)
         edge = _pick_edge(support, args.edge_index)

@@ -156,9 +156,9 @@ class PopulationSpec:
         return PopulationSpec(tuple((-t, k) for t, k in self.entries), self.n_dim)
 
     def scaled(self, c: float) -> "PopulationSpec":
-        """The population of c*T for c > 0."""
-        if c <= 0:
-            raise PopulationError(f"scale factor must be positive, got {c!r}")
+        """The population of c*T for finite c > 0."""
+        if not (math.isfinite(c) and c > 0):
+            raise PopulationError(f"scale factor must be finite and positive, got {c!r}")
         return PopulationSpec(tuple((c * t, k) for t, k in self.entries), self.n_dim)
 
     # -- serialization -----------------------------------------------------

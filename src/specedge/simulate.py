@@ -21,6 +21,7 @@ and every output is what the eigensolve alone gives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,6 +273,8 @@ def local_law_probe(
     """
     n, mdim = pop.n_dim, pop.total_mult
     _check_dim(cfg, mdim, n)
+    if not (math.isfinite(eta) and eta > 0):
+        raise DomainError(f"eta must be finite and positive, got {eta!r}")
     if not (edge.soft and check_regularity(pop, edge, tau)):
         raise IrregularEdge("local-law probe requires a regular edge")
     z = complex(edge.e_star, eta)

@@ -14,10 +14,11 @@ m-value:
 Every state is rescaled back to unit edge scale, so consecutive states
 satisfy the swappability bounds and the sum-rule identities.  A state
 stores only its step's delta; a step updates the grouped (value, mult)
-counts in O(k), and full vectors are rebuilt by replay on demand.  A
-consecutive pair differs by one entry plus a uniform scale, so the step
-measures the pair's bound and sum-rule sums over the groups it holds, in
-O(k), and the pair check reads them back.
+counts, as Python float lists, in O(k); full vectors are rebuilt by
+replay on demand.  A consecutive pair differs by one entry plus a uniform
+scale, so its bound and sum-rule sums run over the step's groups: one
+numpy pass measures them for a chunk of steps, and the pair check reads
+them back.
 
 A step picks its entry from the grouped values and looks up only its
 index, the first entry holding the value, in the length-M vector.  It
@@ -38,13 +39,13 @@ import hashlib
 import json
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .edges import EdgeInfo, _g_row_floats, _inv, _newton_bisect_one, _poles, _soft_edge
+from .edges import EdgeInfo, _g_row_floats, _inv, _newton_bisect_one, _soft_edge
 from .errors import DomainError, NotSwappable, RegularityLost, SwapRejected
 from .population import PopulationSpec, _is_int, from_values
 
@@ -52,6 +53,7 @@ DEFAULT_PHI = 10.0
 TAU_FLOOR = 0.01           # least regularity margin of a tracked edge; pole exclusion
 DEFAULT_C0 = 0.05
 UNIT_GAMMA_TOL = 1e-8
+_SUM_CHUNK = 128           # steps per pair-sum pass in a build; bounds its arrays
 
 # The tracking bracket's widths in units of phi/N: 0 (m* itself), then six
 # doublings from 1/8 on either side of m*.  Every width is exact.
@@ -67,7 +69,7 @@ class _Tape:
     bit-identical to the one built.  The last vector rebuilt and the one
     it started from are kept, so walking the states in order, singly or
     in consecutive pairs, costs O(M) per access.  `sums[5 * s:5 * s + 5]`
-    are the `_pair_sums` of states s and s + 1, measured by the builder.
+    are the `_pair_sums` of states s and s + 1, measured in chunks by the builder.
     """
 
     def __init__(self, start):
@@ -108,15 +110,14 @@ class SwapState:
         self.new_t, self.scale = None, 1.0
         self._tape, self._pos = _Tape(values), 0
 
-    def _after(self, idx, new_t, c, sums, edge, phase, gamma_drift) -> "SwapState":
-        """The state one swap after this one, the last on its tape; `sums`
-        are the pair's `_pair_sums`."""
+    def _after(self, idx, new_t, c, edge, phase, gamma_drift) -> "SwapState":
+        """The state one swap after this one, the last on its tape; the
+        builder adds the pair's sums to the tape later."""
         nxt = SwapState.__new__(SwapState)
         nxt.n_dim, nxt.edge, nxt.step = self.n_dim, edge, self.step + 1
         nxt.swapped_index, nxt.phase, nxt.gamma_drift = idx, phase, gamma_drift
         nxt.new_t, nxt.scale = new_t, c
         self._tape.deltas.append((idx, new_t, c))
-        self._tape.sums.extend(sums)
         nxt._tape, nxt._pos = self._tape, len(self._tape.deltas)
         return nxt
 
@@ -171,7 +172,7 @@ def reflected_right_edge(pop: PopulationSpec, edge: EdgeInfo):
     if edge.side != "left" or not edge.soft:
         raise SwapRejected("reflection helper expects a soft left edge")
     refl = pop.reflected()
-    info = _track(*refl.nonzero(), 0.0, 0.0, pop.n_dim, -edge.m_star, DEFAULT_PHI)[1]
+    info = _track(*_groups(refl), 0.0, 0.0, pop.n_dim, -edge.m_star, DEFAULT_PHI)[1]
     if info.side != "right":
         raise SwapRejected("reflected extremum is not a local minimum")
     return refl, info
@@ -181,7 +182,7 @@ def rescale_unit_gamma(pop: PopulationSpec, edge: EdgeInfo):
     """Rescale so the given soft edge has scale 1; returns (pop', edge')."""
     if not edge.soft or edge.gamma is None:
         raise SwapRejected("only soft non-degenerate edges can be rescaled")
-    c, info = _track(*pop.nonzero(), 0.0, 0.0, pop.n_dim, edge.m_star, DEFAULT_PHI, True)[:2]
+    c, info = _track(*_groups(pop), 0.0, 0.0, pop.n_dim, edge.m_star, DEFAULT_PHI, True)[:2]
     return pop.scaled(c), info
 
 
@@ -198,38 +199,47 @@ def track_edge_after_swap(
     if not (_is_int(entry_index) and 0 <= entry_index < len(pop.entries)):
         raise SwapRejected(f"entry_index {entry_index!r} is not an index of an entry")
     t_old = pop.entries[entry_index][0]
-    return _track(*pop.nonzero(), t_old, new_t, pop.n_dim, edge.m_star, DEFAULT_PHI)[1]
+    return _track(*_groups(pop), t_old, new_t, pop.n_dim, edge.m_star, DEFAULT_PHI)[1]
+
+
+def _groups(pop):
+    """A population's distinct nonzero values and their counts, as float lists."""
+    return [a.tolist() for a in pop.nonzero()]
 
 
 def _moved(vals, mults, t_old, new_t):
-    """Grouped nonzero values after one entry t_old -> new_t, in O(k).
+    """Grouped nonzero values after one entry t_old -> new_t, as new lists.
 
     `vals` ascend and are distinct, as np.unique gives them; an entry
     moves between groups of exactly equal floats.
     """
-    mults = mults.copy()
+    vals, mults = vals[:], mults[:]
     if t_old != 0.0:
-        i = vals.searchsorted(t_old)
-        mults[i] -= 1
-        if mults[i] == 0:
-            vals = np.concatenate((vals[:i], vals[i + 1:]))
-            mults = np.concatenate((mults[:i], mults[i + 1:]))
+        i = bisect_left(vals, t_old)
+        mults[i] -= 1.0
+        if mults[i] == 0.0:
+            del vals[i], mults[i]
     if new_t != 0.0:
-        i = vals.searchsorted(new_t)
-        if i < vals.size and vals[i] == new_t:
-            mults[i] += 1
+        i = bisect_left(vals, new_t)
+        if i < len(vals) and vals[i] == new_t:
+            mults[i] += 1.0
         else:
-            vals = np.concatenate((vals[:i], (new_t,), vals[i:]))
-            mults = np.concatenate((mults[:i], (1,), mults[i:]))
+            vals.insert(i, new_t)
+            mults.insert(i, 1.0)
     return vals, mults
 
 
 def _scaled(vals, mults, c):
     """Grouped values of c*T: scaling may round distinct values together."""
-    vals = vals * c
-    # A group starts where a value differs from the one before it (nan, first).
-    head = (vals != np.concatenate(((np.nan,), vals[:-1]))).nonzero()[0]
-    return vals[head], np.add.reduceat(mults, head)
+    out, counts = [], []
+    for v, k in zip(vals, mults):
+        v *= c
+        if out and out[-1] == v:
+            counts[-1] += k
+        else:
+            out.append(v)
+            counts.append(k)
+    return out, counts
 
 
 def _sign(x):
@@ -249,12 +259,12 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, unit=False):
     t_old = new_t nothing moves, and the edge stays at m_star, of either
     side.  The edge is read off by `_soft_edge`; a degenerate one rejects
     the swap.  Returns (c, edge, gamma) as `_soft_edge` gives them and the
-    new population's grouped nonzero values.  It runs on Python floats,
-    control flow and kernel rows alike.
+    new population's grouped nonzero values as float lists.  It runs on
+    Python floats, but for the margin `_soft_edge` takes on an array.
     """
     moved = new_t != t_old
     if moved:
-        norm = max(abs(vals[0]), abs(vals[-1])) if vals.size else 0.0
+        norm = max(abs(vals[0]), abs(vals[-1])) if vals else 0.0
         if abs(new_t) > norm * (1 + 1e-12):
             raise SwapRejected(f"replacement value {new_t:g} exceeds the operator norm")
         if new_t != 0.0 and abs(m_star + 1.0 / new_t) <= TAU_FLOOR:
@@ -262,9 +272,11 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, unit=False):
                 f"replacement pole {-1.0 / new_t:g} is within tau={TAU_FLOOR:g} of m*"
             )
     vals, mults = _moved(vals, mults, t_old, new_t)
-    if vals.size == 0:
+    if not vals:
         raise SwapRejected("the swap leaves no nonzero value")
-    p, d = (a.tolist() for a in _poles(vals, mults, n))
+    # The poles -t of g, ascending, and their weights, as `edges._poles` gives them.
+    p = [-v for v in reversed(vals)]
+    d = [k * (v * v) / n for v, k in zip(reversed(vals), reversed(mults))]
     j = min(max(bisect_left(p, 1.0 / m_star) - 1, 0), len(p) - 1)
     pj, budget = p[j], phi / n
     offsets = [pj - x for x in p]
@@ -304,12 +316,12 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, unit=False):
     # E* = g(q*) = -q*(a + q* S), S = sum c/(q* + t), in the atom form of
     # `spectral._gq`, and the size sum d|r|^3 of the summands of g''.
     total = cubes = 0.0
-    for o, w, weight in zip(offsets, d, (mults[::-1] / n).tolist()):
+    for o, w, k in zip(offsets, d, reversed(mults)):
         r = _inv(s + o)
-        total += weight * r
+        total += k / n * r
         cubes += w * abs(r * r * r)
-    e_star = -q * ((n - float(mults.sum())) / n + q * total)
-    c, edge, gamma = _soft_edge(vals, q, s, g, cubes, e_star, unit=unit)
+    e_star = -q * ((n - sum(mults)) / n + q * total)
+    c, edge, gamma = _soft_edge(np.array(vals), q, s, g, cubes, e_star, unit=unit)
     if gamma is None:
         raise SwapRejected(f"degenerate extremum at m={m_new:g}: vanishing curvature")
     if moved and edge.side != "right":
@@ -354,7 +366,7 @@ def build_swap_sequence(
 
 def _build(pop, edge, c0, phi):
     n = pop.n_dim
-    c, info, gamma, vals, mults = _track(*pop.nonzero(), 0.0, 0.0, n, edge.m_star, phi, True)
+    c, info, gamma, vals, mults = _track(*_groups(pop), 0.0, 0.0, n, edge.m_star, phi, True)
     start, m = pop.expand() * c, info.m_star
     if info.side != "right":
         raise SwapRejected("the tracked extremum is not a local minimum")
@@ -367,6 +379,27 @@ def _build(pop, edge, c0, phi):
     # its grouped nonzero values, for the edge kernel, picks and pair sums.
     values = start
     groups = _scaled(vals, mults, c)
+    # The steps whose pairs `measure` has yet to sum: groups, t_old, new_t*c, c, m, m'.
+    pending = []
+
+    def measure():
+        """Sum the pending pairs in one `_pair_sums` pass.  A pair's entries,
+        grouped, are (v, v*c) for each nonzero group, one fewer on t_old's,
+        and the moved entry (t_old, new_t*c); zero entries add 0."""
+        t, w, ends = [], [], []
+        for vals, mults, t_old, *_ in pending:
+            w += mults + [1.0]
+            if t_old != 0.0:
+                w[len(t) + bisect_left(vals, t_old)] -= 1.0
+            t += vals + [t_old]
+            ends.append(len(t))
+        t, ends = np.array(t), np.array(ends)
+        moved, *scalars = list(zip(*pending))[3:]
+        c, m0, mc = np.repeat(scalars, np.diff(ends, prepend=0), axis=1)
+        tc = t * c
+        tc[ends - 1] = moved
+        states[0]._tape.sums.extend(_pair_sums(t, tc, np.array(w), m0, mc, ends.tolist()))
+        pending.clear()
 
     def first_index(group_vals):
         """The first index holding one of the given values, where a scan
@@ -376,52 +409,50 @@ def _build(pop, edge, c0, phi):
 
     def apply_swap(idx, new_t, phase):
         nonlocal values, groups, m
-        state, t_old = states[-1], float(values[idx])
+        state, t_old, new_t = states[-1], float(values[idx]), float(new_t)
         c, info, gamma, vals, mults = _track(*groups, t_old, new_t, n, m, phi, True)
         if info.regularity_margin < TAU_FLOOR:
             raise RegularityLost(
                 f"margin {info.regularity_margin:g} fell below {TAU_FLOOR:g} "
                 f"at step {state.step + 1} ({phase})"
             )
-        # The pair's entries, grouped: (v, v*c) for each nonzero group, one
-        # fewer on t_old's, and the moved entry (t_old, new_t*c); zero
-        # entries add 0 to every sum.
-        t, w = np.concatenate((groups[0], (t_old,))), np.concatenate((groups[1], (1.0,)))
-        tc = t * c
-        tc[-1] = new_t * c
-        if t_old != 0.0:
-            w[groups[0].searchsorted(t_old)] -= 1.0
-        sums = _pair_sums(t, tc, w, m, info.m_star)
+        pending.append((*groups, t_old, new_t * c, c, m, info.m_star))
+        if len(pending) == _SUM_CHUNK:
+            measure()
         values *= c
         values[idx] = new_t * c
         groups, m = _scaled(vals, mults, c), info.m_star
-        states.append(state._after(idx, float(new_t), c, sums, info, phase, abs(gamma - 1.0)))
+        states.append(state._after(idx, new_t, c, info, phase, abs(gamma - 1.0)))
 
     if m < 0:
-        # Reflect every pole right of m* about m*, rightmost pole first.
+        # Reflect every pole right of m* about m*, rightmost pole first: at
+        # the largest negative value, or with none the largest value.  -1/t
+        # rises with t on either sign, so values sharing it lie to its left.
         while True:
             vals = groups[0]
-            poles = -1.0 / vals
-            top = poles.max()
+            hi = bisect_left(vals, 0.0) or len(vals)
+            top = -1.0 / vals[hi - 1]
             if not top > m:
                 break
-            idx = first_index(vals[poles == top])
+            lo = hi - 1
+            while lo and -1.0 / vals[lo - 1] == top:
+                lo -= 1
+            idx = first_index(vals[lo:hi])
             apply_swap(idx, -1.0 / (2.0 * m + 1.0 / values[idx]), "reflect")
         # Raise every positive entry to the running maximum, smallest first.
         while True:
             vals = groups[0]
-            i = int(vals.searchsorted(0.0, "right"))
-            if i >= vals.size - 1:
+            i = bisect_right(vals, 0.0)
+            if i >= len(vals) - 1:
                 break
-            apply_swap(first_index(vals[i:i + 1]), float(vals[-1]), "raise_to_max")
+            apply_swap(first_index(vals[i:i + 1]), vals[-1], "raise_to_max")
     else:
         # Identify the pole-adjacent negative value: -1/t in (0, m*), closest.
-        vals = groups[0]
-        poles = -1.0 / vals
-        in_gap = (poles > 0.0) & (poles < m)
-        if not in_gap.any():
+        in_gap = [(-1.0 / v, v) for v in groups[0] if 0.0 < -1.0 / v < m]
+        if not in_gap:
             raise SwapRejected("no pole between 0 and m*; cannot run the positive-m branch")
-        seed_rep = first_index(vals[in_gap & (poles == poles[in_gap].max())])
+        top = max(in_gap)[0]
+        seed_rep = first_index([v for pole, v in in_gap if pole == top])
 
         k1 = int(np.floor(c0 * values.size))
         seeded = 0
@@ -439,6 +470,8 @@ def _build(pop, edge, c0, phi):
         while groups[0][0] < values[seed_rep]:
             apply_swap(first_index(groups[0][:1]), 0.0, "zero_below")
 
+    if pending:
+        measure()
     if len(states) > 1:
         states[0].phase = states[1].phase
     states[-1].phase = "done"
@@ -450,15 +483,22 @@ def _build(pop, edge, c0, phi):
     return states
 
 
-def _pair_sums(t, tc, w, m, mc):
-    """l1, a4*N, sum-rule 1, sum-rule 2 and edge sums over the entry pairs
-    (t, tc) of two states with m-values m and mc, pair i weighted by w[i]."""
+def _pair_sums(t, tc, w, m, mc, ends):
+    """l1, a4*N, sum-rule 1, sum-rule 2 and edge sums, five floats for each
+    segment of entry pairs (t, tc) that ends at one of `ends`: pair i is
+    weighted by w[i], and its states have m-values m and mc, scalars or
+    one per pair.  The terms are elementwise, and each segment ends in its
+    own gemv over its columns, so its sums do not depend on the others."""
     s = 1.0 / (1.0 + t * m)
     sc = 1.0 / (1.0 + tc * mc)
     ts, tcs, dt = t * s, tc * sc, t - tc
     u = dt * s * sc
     terms = np.array((np.abs(dt), ts ** 4, u * (ts + tcs), u * (ts * ts + ts * tcs + tcs * tcs), u))
-    return (terms @ w).tolist()
+    sums, lo = [], 0
+    for hi in ends:
+        sums += (terms[:, lo:hi] @ w[lo:hi]).tolist()
+        lo = hi
+    return sums
 
 
 def verify_swappable(a: SwapState, b: SwapState, phi: float = DEFAULT_PHI) -> SwapDiagnostics:
@@ -467,8 +507,8 @@ def verify_swappable(a: SwapState, b: SwapState, phi: float = DEFAULT_PHI) -> Sw
 
     Every measurement is a sum over the entry pairs (t, tc) of the two
     states, `_pair_sums`.  A pair of neighbours on one tape reads the sums
-    the builder measured over the value groups at that step; any other
-    pair sums over its full vectors with unit weights.
+    the builder measured over the value groups of that step; any other
+    pair sums over its full vectors with unit weights, as one segment.
     """
     if not phi > 0:
         raise DomainError(f"phi must be positive, got {phi!r}")
@@ -483,7 +523,7 @@ def verify_swappable(a: SwapState, b: SwapState, phi: float = DEFAULT_PHI) -> Sw
         t, tc = a.values, b.values
         if t.shape != tc.shape:
             raise NotSwappable("states are not aligned")
-        l1, a4, sum1, sum2, sum_edge = _pair_sums(t, tc, np.ones(t.size), m, mc)
+        l1, a4, sum1, sum2, sum_edge = _pair_sums(t, tc, np.ones(t.size), m, mc, [t.size])
     m_diff = abs(m - mc)
     if l1 >= phi:
         raise NotSwappable(f"l1 entry difference {l1:g} >= phi = {phi:g}")

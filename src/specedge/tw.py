@@ -128,12 +128,15 @@ def f1_cdf(x):
     # x[i] <= v < x[i+1], with the last interval closed on the right
     i = np.minimum(np.searchsorted(table.x, v, "right") - 1, table.x.size - 2)
     out = _cubic([c.take(i) for c in table.coef], v - table.x.take(i))
+    # Far in a tail a power overflows to inf, and the shape to its limit 0.
     left = xa < table.lo
     if left.any():
-        out[left] = table.c_left * _left_tail_shape(xa[left])
+        with np.errstate(over="ignore"):
+            out[left] = table.c_left * _left_tail_shape(xa[left])
     right = xa > table.hi
     if right.any():
-        out[right] = 1.0 - table.c_right * _right_tail_shape(xa[right])
+        with np.errstate(over="ignore"):
+            out[right] = 1.0 - table.c_right * _right_tail_shape(xa[right])
     return float(out[0]) if scalar else out
 
 

@@ -21,6 +21,7 @@ from specedge import (
     spectral,
 )
 from specedge.cli import main
+from specedge.errors import PopulationError
 
 FIG1 = {"n_dim": 500, "entries": [
     {"t": -2.0, "mult": 350}, {"t": 0.5, "mult": 300}, {"t": 6.0, "mult": 50}]}
@@ -138,6 +139,20 @@ def test_out_of_domain_arguments_exit_2(ws, capsys, argv):
     assert main(args + ["--out", "out.txt"]) == 2
     assert "input error" in capsys.readouterr().err
     assert not (ws / "out.txt").exists()
+
+
+def test_bad_eta_and_scale_factor_are_named(ws, capsys):
+    # Each error names the argument at fault, not the point z = E* + i*eta
+    # it makes or a diagonal value of the population it scales.
+    pop = write(ws, "pop.json", {"n_dim": 400, "entries": [{"t": 1.0, "mult": 400}]})
+    for eta in ("-1", "0", "nan"):
+        assert main(["simulate", pop, "--mode", "locallaw", "--reps", "1", "--eta", eta,
+                     "--out", "l.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: eta must be finite and positive, got {float(eta)!r}\n"
+    for c in (math.nan, math.inf):
+        with pytest.raises(PopulationError, match="^scale factor must be finite and positive"):
+            PopulationSpec(((1.0, 400),), 400).scaled(c)
 
 
 def test_edges_near_merged_exit_0(ws):
@@ -424,18 +439,32 @@ def test_parser_is_built_once_and_commands_are_looked_up_per_call(ws, monkeypatc
     assert len(builds) == 1
 
 
-def test_console_entry_point(ws):
+def run_child(*argv):
+    """The CLI in a child process, for its own standard streams."""
     # The fixture has chdir'd away from the checkout, so a relative
     # PYTHONPATH (e.g. `src`) no longer resolves in the child; point it at
     # the directory the imported package came from.
-    pop = write(ws, "pop.json", ID500)
     package_root = str(Path(specedge.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "specedge.cli", "edges", pop, "--out", "e.json"],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "specedge.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point(ws):
+    pop = write(ws, "pop.json", ID500)
+    proc = run_child("edges", pop, "--out", "e.json")
     assert proc.returncode == 0
     assert "2 edges" in proc.stdout
+
+
+def test_cmd_test_empty_eigenvalue_file_exit_4_without_a_warning(ws):
+    # The typed error alone reaches stderr: no numpy warning about the
+    # empty input comes before it.
+    pop = write(ws, "pop.json", ID500)
+    (ws / "eigs.txt").write_text("")
+    proc = run_child("test", pop, "eigs.txt", "--out", "r.json")
+    assert proc.returncode == 4
+    assert proc.stderr == "precondition failure: EmptyWindow: eigenvalue list is empty\n"
+    assert not (ws / "r.json").exists()

@@ -22,7 +22,8 @@ import specedge.swaps
 from specedge.errors import DomainError, NotSwappable, SwapRejected
 from specedge.population import VALUE_BOUND
 from specedge.swaps import (
-    SwapDiagnostics, SwapState, _moved, _scaled, export_sequence, reflected_right_edge,
+    _SUM_CHUNK, SwapDiagnostics, SwapState, _moved, _pair_sums, _scaled, export_sequence,
+    reflected_right_edge,
 )
 
 ID500 = PopulationSpec(((1.0, 500),), 500)
@@ -183,7 +184,7 @@ def test_track_rejects_a_non_finite_value_before_any_kernel_call(monkeypatch, ne
     def no_kernel(*args):
         raise AssertionError("the edge kernels were called")
 
-    for name in ("_track", "_moved", "_poles", "_g_row_floats", "_newton_bisect_one",
+    for name in ("_track", "_moved", "_g_row_floats", "_newton_bisect_one",
                  "_soft_edge"):
         monkeypatch.setattr(specedge.swaps, name, no_kernel)
     with pytest.raises(DomainError, match="finite"):
@@ -498,6 +499,35 @@ def test_grouped_pair_diagnostics_match_the_vector_sums(pop, pick, monkeypatch):
                 == verify_swappable(rebuilt(states[i]), rebuilt(states[i + 2]), np.inf))
 
 
+def grouped_pair_sums(a, b):
+    """`_pair_sums` of a consecutive pair, called on its own over the
+    pair's grouped entries: (v, v*c) for each nonzero value group of a,
+    one fewer on the swapped entry's, and the moved entry (t_old, new_t*c)."""
+    v = a.values
+    vals, mults = np.unique(v[v != 0.0], return_counts=True)
+    t_old = float(v[b.swapped_index])
+    t, w = np.append(vals, t_old), np.append(mults.astype(float), 1.0)
+    if t_old != 0.0:
+        w[vals.searchsorted(t_old)] -= 1.0
+    tc = t * b.scale
+    tc[-1] = b.new_t * b.scale
+    return _pair_sums(t, tc, w, a.edge.m_star, b.edge.m_star, [t.size])
+
+
+@pytest.mark.parametrize("pop, pick, steps", [(FIG1, rightmost, 1000), (NEGHALF, right_soft, 200)],
+                         ids=["fig1", "neghalf"])
+def test_chunked_pair_sums_equal_the_pair_by_pair_sums(pop, pick, steps):
+    # The builder sums the pairs of a chunk of steps in one pass; each
+    # pair's sums are the same floats as a pass over that pair alone.
+    states = build_swap_sequence(pop, pick(pop))
+    assert len(states) - 1 == steps
+    sums = states[0]._tape.sums
+    assert len(sums) == 5 * steps
+    for lo in range(0, steps, _SUM_CHUNK):
+        for i in (lo, min(lo + _SUM_CHUNK, steps) - 1):
+            assert sums[5 * i:5 * i + 5].tolist() == grouped_pair_sums(states[i], states[i + 1])
+
+
 @pytest.mark.parametrize("pop, pick, sha", [
     (FIG1, rightmost, "bb671f7c947564b787b8ffff98f5f8259bc2243ace9bcea9c324ad9981bd4fcc"),
     (NEGPOP, right_soft, "127b95d44f748b215c60e38f7ef75869ca238f6c0925e59b391ca2bae2e1c095"),
@@ -574,7 +604,8 @@ def test_grouped_updates_match_np_unique():
     rng = np.random.default_rng(3)
     base = np.sort(rng.uniform(-3.0, 3.0, 6))
     values = np.repeat(np.concatenate([base, np.nextafter(base, np.inf)]), 3)
-    vals, mults = np.unique(values, return_counts=True)
+    # The builder's groups are float lists: values and their counts.
+    vals, mults = (a.tolist() for a in np.unique(values, return_counts=True))
     merged = 0
     for _ in range(300):
         idx = int(rng.integers(values.size))
@@ -583,11 +614,11 @@ def test_grouped_updates_match_np_unique():
         vals, mults = _moved(vals, mults, float(values[idx]), new_t)
         values[idx] = new_t
         expect = np.unique(values[values != 0.0], return_counts=True)
-        assert np.array_equal(vals, expect[0]) and np.array_equal(mults, expect[1])
-        size = vals.size
+        assert vals == expect[0].tolist() and mults == expect[1].tolist()
+        size = len(vals)
         vals, mults = _scaled(vals, mults, c)
-        merged += vals.size < size
+        merged += len(vals) < size
         values = values * c
         expect = np.unique(values[values != 0.0], return_counts=True)
-        assert np.array_equal(vals, expect[0]) and np.array_equal(mults, expect[1])
+        assert vals == expect[0].tolist() and mults == expect[1].tolist()
     assert merged > 0                   # rescaling did round distinct values together

@@ -137,6 +137,15 @@ def test_cdf_special_values_and_tail_junctions():
         assert f1_cdf(np.array([v]))[0] == expected
 
 
+@pytest.mark.filterwarnings("error")
+def test_far_tails_give_their_limits_without_a_warning():
+    # A tail shape's power overflows for x < -5.6e102 (a**3) and for
+    # x > 3.2e205 (x**1.5); the CDF there is its limit, 0 or 1.
+    far = [-np.finfo(float).max, -1e200, -6e102, 4e205, 1e300, np.finfo(float).max]
+    assert f1_cdf(np.array(far)).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    assert [f1_cdf(x) for x in far] == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+
+
 def test_quantile_inverts_cdf_exactly():
     f1 = tw._table().f1
     ps = np.unique(np.concatenate([
