@@ -127,7 +127,8 @@ def _g_row_floats(offsets, weights, s):
     """
     a1 = a2 = a3 = 0.0
     for o, w in zip(offsets, weights):
-        r = _inv(s + o)
+        x = s + o
+        r = 1.0 / x if x else math.copysign(math.inf, x)     # `_inv`, inline
         r2 = r * r
         a1 += r2 * w
         a2 += r2 * r * w
@@ -288,8 +289,12 @@ def _soft_extrema_q(p, d, flat_origin=False):
 
 
 def _margin(vals, m_star, gamma):
-    """min(1/|m*|, 1/gamma, min_a |m* + 1/t_a|) over the nonzero values."""
-    pole_dist = float(np.minimum.reduce(np.abs(m_star + 1.0 / vals)))
+    """min(1/|m*|, 1/gamma, min_a |m* + 1/t_a|) over the nonzero values,
+    an array or a list of floats with the same bits."""
+    if isinstance(vals, list):
+        pole_dist = min([abs(m_star + 1.0 / v) for v in vals])
+    else:
+        pole_dist = float(np.minimum.reduce(np.abs(m_star + 1.0 / vals)))
     return min(1.0 / abs(m_star), 1.0 / gamma, pole_dist)
 
 
@@ -306,9 +311,10 @@ def regularity_margin(pop: PopulationSpec, m_star: float, gamma: float | None) -
 def _soft_edge(vals, q, s, g, cubes, e_star, side=None, unit=False):
     """The soft edge at a zero q* = p[j] + s of g', read off the q chart.
 
-    The inputs are Python floats: g = (g', g'', g''') is the kernel row at
-    q*, `cubes` = sum d|r|^3 the size of the summands of g'', and
-    E* = g(q*).  Then m* = 1/q*, z0''(m*) = q*^4 g'' + 2 q*^3 g',
+    `vals` are T's nonzero values, an array or a list of floats with the
+    same bits.  The rest are Python floats: g = (g', g'', g''') is the
+    kernel row at q*, `cubes` = sum d|r|^3 the size of the summands of
+    g'', and E* = g(q*).  Then m* = 1/q*, z0''(m*) = q*^4 g'' + 2 q*^3 g',
     gamma = sqrt(2/|z0''(m*)|), and a minimum is a right edge.
 
     - Vanishing certificate: |g'| <= CERT_ULPS ulps of g' + 1, which sums
@@ -321,10 +327,11 @@ def _soft_edge(vals, q, s, g, cubes, e_star, side=None, unit=False):
 
     Both rules are relative, so scaling T scales every E* and keeps every
     label.  A given `side` must agree with the curvature.  Returns
-    (c, edge, gamma): gamma is T's edge scale (None when degenerate), and
+    (c, edge, gamma, vals): gamma is T's edge scale (None when degenerate),
     edge is the edge of c*T, where c = 1, or with `unit` c = gamma^(2/3),
-    which gives the edge unit scale.  As z0 of c*T is c z0(c m), that edge
-    follows by the scaling law E* -> c E*, m* -> m*/c, z0'' -> c^3 z0''.
+    which gives the edge unit scale, and vals are c*T's values, which the
+    margin reads.  As z0 of c*T is c z0(c m), that edge follows by the
+    scaling law E* -> c E*, m* -> m*/c, z0'' -> c^3 z0''.
     """
     d1, d2, d3 = g
     located = S_RTOL * abs(s) + EPS * abs(q)
@@ -334,7 +341,7 @@ def _soft_edge(vals, q, s, g, cubes, e_star, side=None, unit=False):
                              f"|g'(q*)| <= {cert:.3e}")
     m_star = 1.0 / q
     if abs(d2) <= CERT_ULPS * EPS * 2.0 * cubes + abs(d3) * located:
-        return 1.0, EdgeInfo(e_star, m_star, None, side, True, 0.0), None
+        return 1.0, EdgeInfo(e_star, m_star, None, side, True, 0.0), None, vals
     q2 = q * q
     z2 = q2 * q2 * d2 + 2.0 * q2 * q * d1
     curv_side = "right" if z2 > 0 else "left"
@@ -345,10 +352,11 @@ def _soft_edge(vals, q, s, g, cubes, e_star, side=None, unit=False):
     c = 1.0
     if unit:
         c = gamma ** (2.0 / 3.0)
-        e_star, m_star, vals = e_star * c, m_star / c, vals * c
+        e_star, m_star = e_star * c, m_star / c
+        vals = [v * c for v in vals] if isinstance(vals, list) else vals * c
         scaled_gamma = math.sqrt(2.0 / abs(z2 * c ** 3))
     margin = _margin(vals, m_star, scaled_gamma)
-    return c, EdgeInfo(e_star, m_star, scaled_gamma, curv_side, True, margin), gamma
+    return c, EdgeInfo(e_star, m_star, scaled_gamma, curv_side, True, margin), gamma, vals
 
 
 def _abs_cubes(p, d, j, s):

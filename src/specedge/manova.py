@@ -208,13 +208,6 @@ def _nearest_gap(clusters, cl, scale):
     return min(gaps) if gaps else scale
 
 
-def general_design_from_files(incidence_paths, weight_path, variances, p: int) -> GeneralDesign:
-    """Load a general design from comma-separated numeric matrix files."""
-    incidence = tuple(np.loadtxt(path, delimiter=",", ndmin=2) for path in incidence_paths)
-    weight = np.loadtxt(weight_path, delimiter=",", ndmin=2)
-    return GeneralDesign(incidence, weight, tuple(float(v) for v in variances), p)
-
-
 def oneway_general_design(design: OneWayDesign) -> GeneralDesign:
     """The one-way layout expressed through the general construction."""
     b1, _ = oneway_B_matrices(design.n, design.I, design.J)

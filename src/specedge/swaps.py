@@ -27,10 +27,10 @@ row at a time: g' at q*, then at the sign-rule bracket's widths on the
 side it points to until g' flips, and the one-row Newton-bisection
 (`edges._newton_bisect_one`) solves from q*.  The rows run on Python
 floats (`edges._g_row_floats`), with the bits of the numpy kernel
-`edges._g_row`.  At the root, one more row and one float pass for E*
-and the size of the summands of g'' give `edges._soft_edge`, the
-read-off `find_edges` uses, all it needs; the state at unit edge scale
-follows by the scaling law, with no second evaluation.
+`edges._g_row`.  At the root, one float pass gives the last row, E*,
+the size of the summands of g'' and the pole test for `_soft_edge`,
+the read-off `find_edges` uses; the state at unit edge scale follows
+by the scaling law, and the values its margin scales are the next groups.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
+from operator import lt
 
 import numpy as np
 
@@ -229,11 +230,12 @@ def _moved(vals, mults, t_old, new_t):
     return vals, mults
 
 
-def _scaled(vals, mults, c):
-    """Grouped values of c*T: scaling may round distinct values together."""
+def _merged(vals, mults):
+    """Groups whose values were scaled, merging neighbours rounded together."""
+    if all(map(lt, vals, vals[1:])):
+        return vals, mults
     out, counts = [], []
     for v, k in zip(vals, mults):
-        v *= c
         if out and out[-1] == v:
             counts[-1] += k
         else:
@@ -245,6 +247,26 @@ def _scaled(vals, mults, c):
 def _sign(x):
     """np.sign on a Python float: a nan stays nan, unequal to every sign."""
     return math.nan if x != x else (x > 0) - (x < 0)
+
+
+def _root_pass(offsets, d, vals, mults, n, s, lo, hi):
+    """One pass at the root offset s: the row `_g_row_floats(offsets, d, s)`,
+    S = sum c/(q* + t), the size sum d|r|^3 of the summands of g'', and
+    whether a pole -1/t of z0 lies in [lo, hi], each sum in its own order."""
+    a1 = a2 = a3 = total = cubes = 0.0
+    crossed = False
+    for o, w, v, k in zip(offsets, d, reversed(vals), reversed(mults)):
+        x = s + o
+        r = 1.0 / x if x else math.copysign(math.inf, x)
+        r2 = r * r
+        r3w = r2 * r * w
+        a1 += r2 * w
+        a2 += r3w
+        a3 += r2 * r2 * w
+        total += k / n * r
+        cubes += abs(r3w)       # w |r^3|, as w >= 0
+        crossed = crossed or lo <= -1.0 / v <= hi
+    return (a1 - 1.0, -2.0 * a2, 6.0 * a3), total, cubes, crossed
 
 
 def _track(vals, mults, t_old, new_t, n, m_star, phi, unit=False):
@@ -259,8 +281,8 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, unit=False):
     t_old = new_t nothing moves, and the edge stays at m_star, of either
     side.  The edge is read off by `_soft_edge`; a degenerate one rejects
     the swap.  Returns (c, edge, gamma) as `_soft_edge` gives them and the
-    new population's grouped nonzero values as float lists.  It runs on
-    Python floats, but for the margin `_soft_edge` takes on an array.
+    grouped nonzero values of c times the new population, two float lists
+    merged from the values the margin read.  It runs on Python floats.
     """
     moved = new_t != t_old
     if moved:
@@ -274,12 +296,11 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, unit=False):
     vals, mults = _moved(vals, mults, t_old, new_t)
     if not vals:
         raise SwapRejected("the swap leaves no nonzero value")
-    # The poles -t of g, ascending, and their weights, as `edges._poles` gives them.
-    p = [-v for v in reversed(vals)]
+    # The left pole pj of the interval of g holding q* = 1/m_star, the offsets
+    # pj - p of the poles p = -t and their weights, in the order of `edges._poles`.
+    pj, budget = -vals[min(bisect_right(vals, -1.0 / m_star), len(vals) - 1)], phi / n
+    offsets = [pj + v for v in reversed(vals)]
     d = [k * (v * v) / n for v, k in zip(reversed(vals), reversed(mults))]
-    j = min(max(bisect_left(p, 1.0 / m_star) - 1, 0), len(p) - 1)
-    pj, budget = p[j], phi / n
-    offsets = [pj - x for x in p]
     row = partial(_g_row_floats, offsets, d)
 
     def offset(b):
@@ -299,7 +320,6 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, unit=False):
                 f"sign-rule bracket failed within {4 * budget:g} of m* = {m_star:g}"
             )
         s = _newton_bisect_one(row, min(s, s_b), max(s, s_b), s, g)[0]
-        g = row(s)
     q = pj + s
     m_new = _inv(q)
 
@@ -308,27 +328,20 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, unit=False):
             f"tracked edge moved {abs(m_new - m_star):.3e} > phi/N = {budget:.3e}"
         )
     lo, hi = min(m_star, m_new), max(m_star, m_new)
-    # m = 0 is a pole of z0 too, and no bracket in q = 1/m spans it.  The
-    # other poles of z0 are 1/p = -1/t.
-    if (lo <= 0.0 <= hi or (t_old != 0.0 and lo <= -1.0 / t_old <= hi)
-            or any(lo <= 1.0 / x <= hi for x in p)):
+    g, total, cubes, crossed = _root_pass(offsets, d, vals, mults, n, s, lo, hi)
+    # m = 0 is a pole of z0 too, and no bracket in q = 1/m spans it.
+    if crossed or lo <= 0.0 <= hi or (t_old != 0.0 and lo <= -1.0 / t_old <= hi):
         raise SwapRejected("a pole crossed the tracking interval")
-    # E* = g(q*) = -q*(a + q* S), S = sum c/(q* + t), in the atom form of
-    # `spectral._gq`, and the size sum d|r|^3 of the summands of g''.
-    total = cubes = 0.0
-    for o, w, k in zip(offsets, d, reversed(mults)):
-        r = _inv(s + o)
-        total += k / n * r
-        cubes += w * abs(r * r * r)
+    # E* = g(q*) = -q*(a + q* S), in the atom form of `spectral._gq`.
     e_star = -q * ((n - sum(mults)) / n + q * total)
-    c, edge, gamma = _soft_edge(np.array(vals), q, s, g, cubes, e_star, unit=unit)
+    c, edge, gamma, vals = _soft_edge(vals, q, s, g, cubes, e_star, unit=unit)
     if gamma is None:
         raise SwapRejected(f"degenerate extremum at m={m_new:g}: vanishing curvature")
     if moved and edge.side != "right":
         raise SwapRejected("tracked extremum is not a local minimum after the swap")
     if unit and abs(edge.gamma - 1.0) > UNIT_GAMMA_TOL:
         raise SwapRejected(f"rescale failed to reach unit edge scale: gamma = {edge.gamma!r}")
-    return c, edge, gamma, vals, mults
+    return c, edge, gamma, _merged(vals, mults)
 
 
 def build_swap_sequence(
@@ -366,7 +379,7 @@ def build_swap_sequence(
 
 def _build(pop, edge, c0, phi):
     n = pop.n_dim
-    c, info, gamma, vals, mults = _track(*_groups(pop), 0.0, 0.0, n, edge.m_star, phi, True)
+    c, info, gamma, groups = _track(*_groups(pop), 0.0, 0.0, n, edge.m_star, phi, True)
     start, m = pop.expand() * c, info.m_star
     if info.side != "right":
         raise SwapRejected("the tracked extremum is not a local minimum")
@@ -378,7 +391,6 @@ def _build(pop, edge, c0, phi):
     # The working vector of the last state, for the index of each pick, and
     # its grouped nonzero values, for the edge kernel, picks and pair sums.
     values = start
-    groups = _scaled(vals, mults, c)
     # The steps whose pairs `measure` has yet to sum: groups, t_old, new_t*c, c, m, m'.
     pending = []
 
@@ -410,7 +422,7 @@ def _build(pop, edge, c0, phi):
     def apply_swap(idx, new_t, phase):
         nonlocal values, groups, m
         state, t_old, new_t = states[-1], float(values[idx]), float(new_t)
-        c, info, gamma, vals, mults = _track(*groups, t_old, new_t, n, m, phi, True)
+        c, info, gamma, new_groups = _track(*groups, t_old, new_t, n, m, phi, True)
         if info.regularity_margin < TAU_FLOOR:
             raise RegularityLost(
                 f"margin {info.regularity_margin:g} fell below {TAU_FLOOR:g} "
@@ -421,7 +433,7 @@ def _build(pop, edge, c0, phi):
             measure()
         values *= c
         values[idx] = new_t * c
-        groups, m = _scaled(vals, mults, c), info.m_star
+        groups, m = new_groups, info.m_star
         states.append(state._after(idx, new_t, c, info, phase, abs(gamma - 1.0)))
 
     if m < 0:

@@ -23,8 +23,8 @@ from specedge import (
 )
 import specedge.edges
 from specedge.edges import (
-    CERT_ULPS, EPS, S_RTOL, _g_derivs, _g_row, _g_row_floats, _newton_bisect,
-    _newton_bisect_one, _poles, _soft_extrema_q,
+    CERT_ULPS, EPS, S_RTOL, _abs_cubes, _g_derivs, _g_row, _g_row_floats, _newton_bisect,
+    _newton_bisect_one, _poles, _soft_edge, _soft_extrema_q,
 )
 from specedge.errors import (
     BracketFailure, DegeneratePopulation, DomainError, NonConvergence, NoSuchEdge,
@@ -559,6 +559,31 @@ def test_bracket_rows_of_a_swap_step_equal_the_block_loop(pop, data):
         blocks = _g_derivs(p, d, np.full(len(s), j), np.array(s))
         for row in (float_row(p, d, j), numpy_row(p, d, j)):
             assert_same_bits(np.array([row(x) for x in s]).T, blocks)
+
+
+@given(signed_populations())
+def test_soft_edge_reads_a_float_list_as_the_array(pop):
+    # A swap step hands `_soft_edge` its value groups as a float list, and
+    # find_edges the array: at every zero of g', with and without `unit`,
+    # c, the edge, gamma and the values of c*T must have the same bits, or
+    # both must raise the same error.
+    vals, mults = pop.nonzero()
+    p, d = _poles(vals, mults, pop.n_dim)
+    try:
+        j, s = _soft_extrema_q(p, d)
+    except SpecEdgeError:
+        assume(False)
+    rows, cubes = _g_derivs(p, d, j, s).T.tolist(), _abs_cubes(p, d, j, s).tolist()
+    for q, s_i, g, size in zip((p[j] + s).tolist(), s.tolist(), rows, cubes):
+        for unit in (False, True):
+            outcomes = []
+            for given in (vals, vals.tolist()):
+                try:
+                    c, edge, gamma, scaled = _soft_edge(given, q, s_i, g, size, -q, unit=unit)
+                    outcomes.append(repr((c, edge, gamma, np.asarray(scaled, float).tobytes())))
+                except (SpecEdgeError, ArithmeticError) as exc:
+                    outcomes.append(repr(exc))
+            assert outcomes[0] == outcomes[1]
 
 
 def test_one_row_solver_when_newton_leaves_the_bracket():

@@ -266,25 +266,6 @@ def test_general_design_validation():
         )
 
 
-def test_general_design_from_files(tmp_path):
-    from specedge.manova import general_design_from_files
-
-    d = OneWayDesign(n=8, p=10, I=4, J=2, sigma1_sq=0.0, sigma2_sq=1.0)
-    gd = oneway_general_design(d)
-    paths = []
-    for i, u in enumerate(gd.incidence):
-        path = tmp_path / f"u{i}.csv"
-        np.savetxt(path, u, delimiter=",")
-        paths.append(str(path))
-    bpath = tmp_path / "b.csv"
-    np.savetxt(bpath, gd.weight, delimiter=",")
-    loaded = general_design_from_files(paths, str(bpath), (0.0, 1.0), 10)
-    pop_a = general_F_population(loaded)
-    pop_b = general_F_population(gd)
-    for (t1, m1), (t2, m2) in zip(pop_a.entries, pop_b.entries):
-        assert t1 == pytest.approx(t2, abs=1e-12) and m1 == m2
-
-
 def test_sigma_dispersion_decays_with_n():
     # sd of the trace estimator scales like 1/n in the proportional
     # regime, so doubling the problem doubles n and p together

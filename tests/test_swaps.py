@@ -8,6 +8,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import signed_populations
+from hypothesis import given
+from hypothesis import strategies as st
 
 from specedge import (
     PopulationSpec,
@@ -19,11 +22,12 @@ from specedge import (
     verify_swappable,
 )
 import specedge.swaps
+from specedge.edges import _g_row_floats, _inv
 from specedge.errors import DomainError, NotSwappable, SwapRejected
 from specedge.population import VALUE_BOUND
 from specedge.swaps import (
-    _SUM_CHUNK, SwapDiagnostics, SwapState, _moved, _pair_sums, _scaled, export_sequence,
-    reflected_right_edge,
+    _SUM_CHUNK, SwapDiagnostics, SwapState, _merged, _moved, _pair_sums, _root_pass,
+    export_sequence, reflected_right_edge,
 )
 
 ID500 = PopulationSpec(((1.0, 500),), 500)
@@ -185,7 +189,7 @@ def test_track_rejects_a_non_finite_value_before_any_kernel_call(monkeypatch, ne
         raise AssertionError("the edge kernels were called")
 
     for name in ("_track", "_moved", "_g_row_floats", "_newton_bisect_one",
-                 "_soft_edge"):
+                 "_root_pass", "_soft_edge", "_merged"):
         monkeypatch.setattr(specedge.swaps, name, no_kernel)
     with pytest.raises(DomainError, match="finite"):
         track_edge_after_swap(FIG1, rightmost(FIG1), 0, new_t)
@@ -616,9 +620,41 @@ def test_grouped_updates_match_np_unique():
         expect = np.unique(values[values != 0.0], return_counts=True)
         assert vals == expect[0].tolist() and mults == expect[1].tolist()
         size = len(vals)
-        vals, mults = _scaled(vals, mults, c)
+        vals, mults = _merged([v * c for v in vals], mults)
         merged += len(vals) < size
         values = values * c
         expect = np.unique(values[values != 0.0], return_counts=True)
         assert vals == expect[0].tolist() and mults == expect[1].tolist()
     assert merged > 0                   # rescaling did round distinct values together
+
+
+def float_keys(xs):
+    """Floats as keys equal exactly for equal bits, zeros' signs included;
+    every nan alike."""
+    return [x.hex() if x == x else "nan" for x in map(float, xs)]
+
+
+@given(signed_populations(), st.data())
+def test_root_pass_equals_the_row_and_the_separate_loops(pop, data):
+    # At the tracked root one pass gives the kernel row, S = sum c/(q + t),
+    # sum d|r|^3 and the pole test; each must have the bits of the loop it
+    # replaces, on and off the poles.
+    vals, mults = (a.tolist() for a in pop.nonzero())
+    n = pop.n_dim
+    p = [-v for v in reversed(vals)]
+    pj = data.draw(st.sampled_from(p))
+    offsets = [pj - x for x in p]
+    d = [k * (v * v) / n for v, k in zip(reversed(vals), reversed(mults))]
+    s = data.draw(st.floats(-10.0, 10.0) | st.sampled_from([-o for o in offsets]))
+    centre = data.draw(st.floats(-10.0, 10.0) | st.sampled_from([1.0 / x for x in p]))
+    lo = centre - data.draw(st.floats(0.0, 1.0))
+    hi = centre + data.draw(st.floats(0.0, 1.0))
+    g, total, cubes, crossed = _root_pass(offsets, d, vals, mults, n, s, lo, hi)
+    total_loop = cubes_loop = 0.0
+    for o, w, k in zip(offsets, d, reversed(mults)):
+        r = _inv(s + o)
+        total_loop += k / n * r
+        cubes_loop += w * abs(r * r * r)
+    assert float_keys(g) == float_keys(_g_row_floats(offsets, d, s))
+    assert float_keys((total, cubes)) == float_keys((total_loop, cubes_loop))
+    assert crossed == any(lo <= 1.0 / x <= hi for x in p)
