@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 # The public names, by the submodule that defines them.
 _EXPORTS = {
-    "edges": ("EdgeInfo", "SupportReport", "balanced_sufficiency", "check_regularity",
-              "edge_for_m_sign", "find_edges"),
+    "edges": ("EdgeInfo", "SupportReport", "atom_mass_at_zero", "balanced_sufficiency",
+              "check_regularity", "edge_for_m_sign", "find_edges", "isolated_zero_in_support"),
     "errors": ("SpecEdgeError",),
     "manova": ("GeneralDesign", "OneWayDesign", "estimate_sigma_sq", "general_F_population",
                "manova_estimate", "oneway_B_matrices", "oneway_population"),
@@ -23,8 +23,7 @@ _EXPORTS = {
     "simulate": ("CoverageResult", "LocalLawProbe", "SimConfig", "edge_concentration",
                  "local_law_probe", "sample_spectrum", "support_adherence",
                  "table1_experiment"),
-    "spectral": ("atom_mass_at_zero", "density_f0", "solve_m0", "stieltjes_boundary",
-                 "z0_derivative", "z0_eval"),
+    "spectral": ("density_f0", "solve_m0", "stieltjes_boundary", "z0_derivative", "z0_eval"),
     "swaps": ("SwapDiagnostics", "SwapState", "build_swap_sequence", "rescale_unit_gamma",
               "sum_rule_residuals", "track_edge_after_swap", "verify_swappable"),
     "tw": ("f1_cdf", "f1_quantile"),

@@ -5,8 +5,8 @@ Commands: edges, density, test, simulate, swapseq.  Exit codes:
 (for scriptable acceptance pipelines).
 
 Import rule: this module imports at its top only the layers every command
-runs (errors, manifest, population, spectral, edges).  A command imports
-the layers only it needs (twtest, simulate, swaps, manova) when it runs,
+runs (errors, manifest, population, edges).  A command imports the layers
+only it needs (spectral, twtest, simulate, swaps, manova) when it runs,
 so each process pays start-up only for what its command uses.
 """
 
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .edges import check_regularity, edge_for_m_sign, find_edges
+from .edges import check_regularity, edge_for_m_sign, find_edges, isolated_zero_in_support
 from .errors import (
     InputError,
     NumericalError,
@@ -31,7 +31,6 @@ from .errors import (
 )
 from .manifest import RunManifest, atomic_write, file_digest
 from .population import PopulationSpec
-from .spectral import density_grid, isolated_zero_in_support
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -114,6 +113,8 @@ def cmd_edges(args) -> int:
 
 
 def cmd_density(args) -> int:
+    from .spectral import density_grid
+
     pop = _load_population(args.population)
     manifest = RunManifest("density", {args.population: file_digest(args.population)}, None)
     grid = density_grid(pop, n_points=args.grid)
@@ -232,6 +233,8 @@ def cmd_swapseq(args) -> int:
         # JSON floats round-trip exactly, so every field must match.
         for rec, state in zip(recorded, states):
             rebuilt = state.to_record()
+            if rec == rebuilt:
+                continue
             for field in sorted(rec.keys() | rebuilt.keys()):
                 if field not in rec or field not in rebuilt or rec[field] != rebuilt[field]:
                     print(

@@ -21,13 +21,13 @@ import numpy as np
 
 from .errors import BracketFailure, DegeneratePopulation, DomainError, NonConvergence, NoSuchEdge
 from .population import PopulationSpec
-from .spectral import (
-    BOUNDARY_BLOCK_ENTRIES, _chart, _gq, atom_mass_at_zero, isolated_zero_in_support,
-)
 
 S_RTOL = 1e-14             # Newton step, relative to the pole offset, that ends the edge search
 CERT_ULPS = 16             # rounding allowance of the edge certificates, in ulps of their summands
 EPS = float(np.finfo(float).eps)
+
+# Matrix entries per row block of the q-chart kernels.
+BOUNDARY_BLOCK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,35 @@ def _g_row_floats(offsets, weights, s):
         a2 += r2 * r * w
         a3 += r2 * r2 * w
     return a1 - 1.0, -2.0 * a2, 6.0 * a3
+
+
+def _chart(pop: PopulationSpec):
+    """Nonzero values t, weights c = mult/N, and a = 1 - sum(c), the atom
+    mass (negative when rank(T) > N), exact from rank counting."""
+    vals, mults = pop.nonzero()
+    return vals, mults / pop.n_dim, (pop.n_dim - pop.rank) / pop.n_dim
+
+
+def _gq(t, c, a, q):
+    """g(q) = z0(1/q), g'(q) and sum c/|q + t| at each q.
+
+    g(q) = -q (a + q S(q)) with S = sum c/(q + t), so g keeps full relative
+    precision next to q = 0 (m = infinity): at the atom's root q ~ -x/a and
+    next to the hard edge alike.  The last sum sizes g's summands for its
+    rounding floor.  One O(k) pass, in row blocks, so memory does not grow
+    with the number of points.
+    """
+    g, g1, h = np.empty_like(q), np.empty_like(q), np.empty(q.shape)
+    block = max(1, BOUNDARY_BLOCK_ENTRIES // max(t.size, 1))
+    for lo in range(0, q.size, block):
+        rows = slice(lo, lo + block)
+        qb = q[rows]
+        r = 1.0 / (qb[:, None] + t)
+        s, s2 = r @ c, (r * r) @ c
+        g[rows] = -qb * (a + qb * s)
+        g1[rows] = -a - qb * (2.0 * s - qb * s2)
+        h[rows] = np.abs(r) @ c
+    return g, g1, h
 
 
 def _g_derivs(p, d, j, s):
@@ -368,13 +397,27 @@ def _abs_cubes(p, d, j, s):
         for lo in range(0, s.size, block)])
 
 
+def atom_mass_at_zero(pop: PopulationSpec) -> float:
+    """Point mass at 0 by rank counting: max(0, 1 - rank(T)/N)."""
+    return max(0.0, 1.0 - pop.rank / pop.n_dim)
+
+
+def isolated_zero_in_support(pop: PopulationSpec) -> bool:
+    """True when 0 is an isolated point of the support (the atom case).
+
+    Equivalent to the inverse map decreasing through the origin in
+    q-coordinates, which happens exactly when rank(T) < N.
+    """
+    return pop.rank < pop.n_dim
+
+
 def find_edges(pop: PopulationSpec) -> SupportReport:
     """Enumerate, classify, and scale every edge of the spectral law.
 
     Each edge is a zero q* = p[j] + s of g' that `_soft_extrema_q` gives
     as its anchor pole and offset.  A soft edge is read off the q chart
     there by `_soft_edge`, from one kernel row (g', g'', g''') at q* and
-    E* = g(q*) from the atom form `spectral._gq`.
+    E* = g(q*) from the atom form `_gq`.
     """
     vals, mults = pop.nonzero()
     if vals.size == 0:

@@ -27,6 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .edges import (
+    _chart, _g_derivs, _gq, _poles, atom_mass_at_zero, find_edges, isolated_zero_in_support,
+)
 from .errors import DomainError, NonConvergence, PoleProximity, UndefinedAtZero
 from .population import PopulationSpec, _derived, _is_int
 
@@ -50,9 +53,6 @@ NEWTON_STEPS = 8           # Newton steps per abscissa at most
 NEWTON_RTOL = 1e-10        # a step this small relative to |q| ends them
 NOISE_ULPS = 8             # rounding floor of g(q) - x, in ulps of its summands
 EDGE_ZONE_ULPS = 64        # a soft edge's zone, in ulps of g's summands at q*
-
-# Matrix entries per row block of the q-chart kernels.
-BOUNDARY_BLOCK_ENTRIES = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -230,41 +230,10 @@ class _Support(NamedTuple):
         return self.x0, self.q0, self.sigma, self.order, self.reach, self.lead
 
 
-def _chart(pop: PopulationSpec):
-    """Nonzero values t, weights c = mult/N, and a = 1 - sum(c), the atom
-    mass (negative when rank(T) > N), exact from rank counting."""
-    vals, mults = pop.nonzero()
-    return vals, mults / pop.n_dim, (pop.n_dim - pop.rank) / pop.n_dim
-
-
-def _gq(t, c, a, q):
-    """g(q) = z0(1/q), g'(q) and sum c/|q + t| at each q.
-
-    g(q) = -q (a + q S(q)) with S = sum c/(q + t), so g keeps full relative
-    precision next to q = 0 (m = infinity): at the atom's root q ~ -x/a and
-    next to the hard edge alike.  The last sum sizes g's summands for its
-    rounding floor.  One O(k) pass, in row blocks, so memory does not grow
-    with the number of points.
-    """
-    g, g1, h = np.empty_like(q), np.empty_like(q), np.empty(q.shape)
-    block = max(1, BOUNDARY_BLOCK_ENTRIES // max(t.size, 1))
-    for lo in range(0, q.size, block):
-        rows = slice(lo, lo + block)
-        qb = q[rows]
-        r = 1.0 / (qb[:, None] + t)
-        s, s2 = r @ c, (r * r) @ c
-        g[rows] = -qb * (a + qb * s)
-        g1[rows] = -a - qb * (2.0 * s - qb * s2)
-        h[rows] = np.abs(r) @ c
-    return g, g1, h
-
-
 @_derived
 def _support(pop: PopulationSpec) -> _Support:
     """The support data of `pop`'s law, computed once per spec (the spec is
     frozen): anchors from `find_edges`, and their chains."""
-    from .edges import _g_derivs, _poles, find_edges
-
     t, c, a = _chart(pop)
     report = find_edges(pop)
     q0 = 1.0 / np.array([e.m_star for e in report.edges[::-1]])
@@ -485,20 +454,6 @@ def _density(pop: PopulationSpec, xs) -> np.ndarray:
     q = _solve(pop, sup, xs[inside], half[inside], dist[inside])
     f[inside] = (1.0 / q).imag / np.pi
     return f
-
-
-def atom_mass_at_zero(pop: PopulationSpec) -> float:
-    """Point mass at 0 by rank counting: max(0, 1 - rank(T)/N)."""
-    return max(0.0, 1.0 - pop.rank / pop.n_dim)
-
-
-def isolated_zero_in_support(pop: PopulationSpec) -> bool:
-    """True when 0 is an isolated point of the support (the atom case).
-
-    Equivalent to the inverse map decreasing through the origin in
-    q-coordinates, which happens exactly when rank(T) < N.
-    """
-    return pop.rank < pop.n_dim
 
 
 # ---------------------------------------------------------------------------

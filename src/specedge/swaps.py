@@ -13,9 +13,10 @@ m-value:
 
 Every state is rescaled back to unit edge scale, so consecutive states
 satisfy the swappability bounds and the sum-rule identities.  A state
-stores only its step's delta; a step updates the grouped (value, mult)
-counts, as Python float lists, in O(k); full vectors are rebuilt by
-replay on demand.  A consecutive pair differs by one entry plus a uniform
+stores only its step's delta and its digest prefix, hashed as the
+builder makes it; a step updates the grouped (value, mult) counts, as
+Python float lists, in O(k); full vectors are rebuilt by replay on
+demand.  A consecutive pair differs by one entry plus a uniform
 scale, so its bound and sum-rule sums run over the step's groups: one
 numpy pass measures them for a chunk of steps, and the pair check reads
 them back.
@@ -62,34 +63,37 @@ _BRACKET = [0.0] + [sign * 2.0 ** i / 8.0 for sign in (1.0, -1.0) for i in range
 
 
 class _Tape:
-    """A sequence's first vector, each later step's (index, new_t, c), and
-    the sums of each consecutive pair.
+    """A sequence's first vector, each later step's (index, new_t, c), the
+    sums of each consecutive pair and each state's digest prefix.
 
-    Step s is rebuilt from step s - 1 as `v = v * c; v[index] = new_t * c`,
+    Step s is rebuilt from step s - 1 as `v *= c; v[index] = new_t * c`,
     the arithmetic the builder runs, so every replayed vector is
-    bit-identical to the one built.  The last vector rebuilt and the one
-    it started from are kept, so walking the states in order, singly or
-    in consecutive pairs, costs O(M) per access.  `sums[5 * s:5 * s + 5]`
-    are the `_pair_sums` of states s and s + 1, measured in chunks by the builder.
+    bit-identical to the one built.  One working vector walks forward in
+    place and restarts from `start` only to step back, so a walk in order,
+    singly or in consecutive pairs, costs O(M) per state and allocates
+    nothing.  `sums[5 * s:5 * s + 5]` are the `_pair_sums` of states s and
+    s + 1, which the builder measures in chunks, and `digests[8 * s:8 * s + 8]`
+    the sha256 prefix of state s's vector, which it hashes as it goes.
     """
 
     def __init__(self, start):
         self.start = np.array(start)       # the tape's own contiguous copy
         self.deltas = []
         self.sums = array("d")
-        self._kept = []
+        self.digests = bytearray()
+        self._work, self._at = None, 0
 
     def vector(self, pos):
-        """The vector of state pos, kept for the next call: not to be changed."""
-        base, v = max([(0, self.start)] + [kept for kept in self._kept if kept[0] <= pos],
-                      key=lambda kept: kept[0])
-        if base < pos:
-            self._kept = [(base, v)]
-            for idx, new_t, c in self.deltas[base:pos]:
-                v = v * c
-                v[idx] = new_t * c
-            self._kept.append((pos, v))
-        return v
+        """The vector of state pos in the working buffer: not to be
+        changed, and valid until the next call."""
+        if self._work is None or pos < self._at:
+            self._work, self._at = self.start.copy(), 0
+        work = self._work
+        for idx, new_t, c in self.deltas[self._at:pos]:
+            work *= c
+            work[idx] = new_t * c
+        self._at = pos
+        return work
 
 
 class SwapState:
@@ -97,9 +101,10 @@ class SwapState:
 
     A state of a built sequence stores only its step's delta: the swapped
     index, its new value `new_t` and the rescale factor `scale` applied
-    to the whole vector, on a tape the sequence shares.  `values`
-    rebuilds the length-M diagonal, aligned across states, as a fresh
-    array.  A state constructed directly holds a copy of its full vector.
+    to the whole vector, on a tape the sequence shares with the digest
+    prefixes of its vectors.  `values` rebuilds the length-M diagonal,
+    aligned across states, as a fresh array.  A state constructed
+    directly holds a copy of its full vector.
     """
 
     __slots__ = ("n_dim", "edge", "step", "swapped_index", "phase", "gamma_drift",
@@ -131,7 +136,12 @@ class SwapState:
         return from_values(self.values, self.n_dim)
 
     def digest(self) -> str:
-        return hashlib.sha256(self._tape.vector(self._pos)).hexdigest()[:16]
+        """The sha256 of the state's vector in 16 hex digits: the prefix the
+        builder stored, or for a state constructed directly, its hash."""
+        tape, pos = self._tape, self._pos
+        if len(tape.digests) > 8 * pos:
+            return tape.digests[8 * pos:8 * pos + 8].hex()
+        return hashlib.sha256(tape.vector(pos)).hexdigest()[:16]
 
     def to_record(self) -> dict:
         return {
@@ -332,7 +342,7 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, unit=False):
     # m = 0 is a pole of z0 too, and no bracket in q = 1/m spans it.
     if crossed or lo <= 0.0 <= hi or (t_old != 0.0 and lo <= -1.0 / t_old <= hi):
         raise SwapRejected("a pole crossed the tracking interval")
-    # E* = g(q*) = -q*(a + q* S), in the atom form of `spectral._gq`.
+    # E* = g(q*) = -q*(a + q* S), in the atom form of `edges._gq`.
     e_star = -q * ((n - sum(mults)) / n + q * total)
     c, edge, gamma, vals = _soft_edge(vals, q, s, g, cubes, e_star, unit=unit)
     if gamma is None:
@@ -388,6 +398,8 @@ def _build(pop, edge, c0, phi):
             f"initial margin {info.regularity_margin:g} below the floor {TAU_FLOOR:g}"
         )
     states = [SwapState(start, n, info, 0, None, "done", abs(gamma - 1.0))]
+    tape = states[0]._tape
+    tape.digests += hashlib.sha256(start).digest()[:8]
     # The working vector of the last state, for the index of each pick, and
     # its grouped nonzero values, for the edge kernel, picks and pair sums.
     values = start
@@ -410,13 +422,15 @@ def _build(pop, edge, c0, phi):
         c, m0, mc = np.repeat(scalars, np.diff(ends, prepend=0), axis=1)
         tc = t * c
         tc[ends - 1] = moved
-        states[0]._tape.sums.extend(_pair_sums(t, tc, np.array(w), m0, mc, ends.tolist()))
+        tape.sums.extend(_pair_sums(t, tc, np.array(w), m0, mc, ends.tolist()))
         pending.clear()
 
     def first_index(group_vals):
         """The first index holding one of the given values, where a scan
         of the whole vector finds its argmin or argmax.  Distinct values
         may share a pole, so a pick by pole may name several."""
+        if len(group_vals) == 1:
+            return int((values == group_vals[0]).argmax())
         return min(int((values == v).argmax()) for v in group_vals)
 
     def apply_swap(idx, new_t, phase):
@@ -433,6 +447,7 @@ def _build(pop, edge, c0, phi):
             measure()
         values *= c
         values[idx] = new_t * c
+        tape.digests += hashlib.sha256(values).digest()[:8]
         groups, m = new_groups, info.m_star
         states.append(state._after(idx, new_t, c, info, phase, abs(gamma - 1.0)))
 

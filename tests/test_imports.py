@@ -15,7 +15,7 @@ import pytest
 import specedge
 
 COMMON = ["specedge.cli", "specedge.edges", "specedge.errors", "specedge.manifest",
-          "specedge.population", "specedge.spectral"]
+          "specedge.population"]
 FIG1 = {"n_dim": 500, "entries": [
     {"t": -2.0, "mult": 350}, {"t": 0.5, "mult": 300}, {"t": 6.0, "mult": 50}]}
 SMALL = {"n_dim": 40, "entries": [{"t": 1.0, "mult": 60}]}
@@ -51,7 +51,7 @@ def test_package_import_loads_no_submodule_and_binds_names_on_first_use(tmp_path
     assert printed == ["False", "True"]
     # specedge.data is the package the TW table is read from.
     assert loaded == ["specedge.data", "specedge.edges", "specedge.errors",
-                      "specedge.population", "specedge.spectral", "specedge.tw"]
+                      "specedge.population", "specedge.tw"]
 
 
 def test_cli_import_loads_only_the_layers_every_command_runs(tmp_path):
@@ -59,21 +59,21 @@ def test_cli_import_loads_only_the_layers_every_command_runs(tmp_path):
     assert loaded == COMMON
 
 
-@pytest.mark.parametrize("argv, absent", [
+@pytest.mark.parametrize("argv, present, absent", [
     (["edges", "pop.json", "--tau", "0.05", "--out", "e.json"],
-     ["simulate", "swaps", "twtest", "manova", "tw"]),
+     [], ["spectral", "simulate", "swaps", "twtest", "manova", "tw"]),
     (["density", "pop.json", "--grid", "50", "--out", "d.csv"],
-     ["simulate", "swaps", "twtest", "manova", "tw"]),
+     ["spectral"], ["simulate", "swaps", "twtest", "manova", "tw"]),
     (["simulate", "small.json", "--mode", "adherence", "--reps", "2",
       "--parallel-width", "1", "--out", "s.csv"],
-     ["swaps"]),
+     [], ["swaps"]),
 ], ids=["edges", "density", "simulate"])
-def test_each_command_loads_only_what_it_runs(tmp_path, argv, absent):
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, present, absent):
     (tmp_path / "pop.json").write_text(json.dumps(FIG1))
     (tmp_path / "small.json").write_text(json.dumps(SMALL))
     loaded, _ = loaded_after(
         f"from specedge.cli import main\nassert main({argv!r}) == 0", tmp_path)
-    assert set(COMMON) <= set(loaded)
+    assert set(COMMON) | {f"specedge.{name}" for name in present} <= set(loaded)
     assert "concurrent.futures" not in loaded
     assert not {f"specedge.{name}" for name in absent} & set(loaded)
 

@@ -604,6 +604,57 @@ def test_digest_is_sha256_of_rebuilt_vector():
     assert np.array_equal(direct.values, vector)
 
 
+def replayed(tape):
+    """Every vector of a tape, replayed from its start and deltas on fresh arrays."""
+    v = tape.start.copy()
+    walk = [v]
+    for idx, new_t, c in tape.deltas:
+        v = v * c
+        v[idx] = new_t * c
+        walk.append(v)
+    return walk
+
+
+@pytest.mark.parametrize("pop, pick", [
+    (FIG1, rightmost), (FIG2, rightmost), (NEGHALF, right_soft),
+], ids=["fig1", "fig2", "neghalf"])
+def test_stored_digests_hash_the_replayed_vectors(pop, pick):
+    # The builder hashes each state as it makes it; every stored prefix is
+    # the sha256 of the vector that a replay from scratch gives.
+    states = build_swap_sequence(pop, pick(pop))
+    walk = replayed(states[0]._tape)
+    assert len(states[0]._tape.digests) == 8 * len(states) == 8 * len(walk)
+    assert [s.digest() for s in states] == [hashlib.sha256(v).hexdigest()[:16] for v in walk]
+
+
+def test_values_in_any_order_equal_the_replay():
+    states = build_swap_sequence(FIG1, rightmost(FIG1))
+    walk = [v.tobytes() for v in replayed(states[0]._tape)]
+    shuffled = np.random.default_rng(27).permutation(len(states)).tolist()
+    backward = list(range(len(states) - 1, -1, -1))
+    for i in shuffled + backward + [5, 5, 700, 700, 0, 0]:
+        assert states[i].values.tobytes() == walk[i]
+    for a, b in zip(states[:-1], states[1:]):
+        t, tc = a.values, b.values          # a pair read in turn, as verify_swappable reads it
+        assert (t.tobytes(), tc.tobytes()) == (walk[a.step], walk[b.step])
+    # A returned vector is the caller's own copy: writing into it changes
+    # no later read, of the same state or of the next.
+    held = states[500].values
+    held[:] = 0.0
+    assert states[500].values.tobytes() == walk[500]
+    assert states[501].values.tobytes() == walk[501]
+
+
+def test_a_directly_constructed_state_digests_its_own_vector():
+    # A state that no builder made has no stored prefix: it hashes its vector.
+    vector = np.linspace(-2.0, 6.0, 700)
+    direct = SwapState(vector, 500, rightmost(FIG1), 0, None, "done", 0.0)
+    assert direct.digest() == hashlib.sha256(vector).hexdigest()[:16]
+    other = SwapState(vector[::-1], 500, rightmost(FIG1), 0, None, "done", 0.0)
+    assert other.digest() == hashlib.sha256(vector[::-1].copy()).hexdigest()[:16]
+    assert other.digest() != direct.digest()
+
+
 def test_grouped_updates_match_np_unique():
     rng = np.random.default_rng(3)
     base = np.sort(rng.uniform(-3.0, 3.0, 6))
