@@ -73,7 +73,7 @@ class _Tape:
     singly or in consecutive pairs, costs O(M) per state and allocates
     nothing.  `sums[5 * s:5 * s + 5]` are the `_pair_sums` of states s and
     s + 1, which the builder measures in chunks, and `digests[8 * s:8 * s + 8]`
-    the sha256 prefix of state s's vector, which it hashes as it goes.
+    the sha256 prefix of state s's vector, hashed once as the state is made.
     """
 
     def __init__(self, start):
@@ -104,7 +104,8 @@ class SwapState:
     to the whole vector, on a tape the sequence shares with the digest
     prefixes of its vectors.  `values` rebuilds the length-M diagonal,
     aligned across states, as a fresh array.  A state constructed
-    directly holds a copy of its full vector.
+    directly holds a copy of its full vector and hashes it once, as the
+    builder hashes each state it makes.
     """
 
     __slots__ = ("n_dim", "edge", "step", "swapped_index", "phase", "gamma_drift",
@@ -115,6 +116,7 @@ class SwapState:
         self.swapped_index, self.phase, self.gamma_drift = swapped_index, phase, gamma_drift
         self.new_t, self.scale = None, 1.0
         self._tape, self._pos = _Tape(values), 0
+        self._tape.digests += hashlib.sha256(self._tape.start).digest()[:8]
 
     def _after(self, idx, new_t, c, edge, phase, gamma_drift) -> "SwapState":
         """The state one swap after this one, the last on its tape; the
@@ -136,12 +138,9 @@ class SwapState:
         return from_values(self.values, self.n_dim)
 
     def digest(self) -> str:
-        """The sha256 of the state's vector in 16 hex digits: the prefix the
-        builder stored, or for a state constructed directly, its hash."""
-        tape, pos = self._tape, self._pos
-        if len(tape.digests) > 8 * pos:
-            return tape.digests[8 * pos:8 * pos + 8].hex()
-        return hashlib.sha256(tape.vector(pos)).hexdigest()[:16]
+        """The sha256 of the state's vector in 16 hex digits, as stored on
+        the tape when the state was made."""
+        return self._tape.digests[8 * self._pos:8 * self._pos + 8].hex()
 
     def to_record(self) -> dict:
         return {
@@ -399,7 +398,6 @@ def _build(pop, edge, c0, phi):
         )
     states = [SwapState(start, n, info, 0, None, "done", abs(gamma - 1.0))]
     tape = states[0]._tape
-    tape.digests += hashlib.sha256(start).digest()[:8]
     # The working vector of the last state, for the index of each pick, and
     # its grouped nonzero values, for the edge kernel, picks and pair sums.
     values = start
@@ -429,8 +427,6 @@ def _build(pop, edge, c0, phi):
         """The first index holding one of the given values, where a scan
         of the whole vector finds its argmin or argmax.  Distinct values
         may share a pole, so a pick by pole may name several."""
-        if len(group_vals) == 1:
-            return int((values == group_vals[0]).argmax())
         return min(int((values == v).argmax()) for v in group_vals)
 
     def apply_swap(idx, new_t, phase):

@@ -602,6 +602,10 @@ def test_digest_is_sha256_of_rebuilt_vector():
     strided[:] = 0.0
     assert direct.digest() == states[3].digest()
     assert np.array_equal(direct.values, vector)
+    # Reversed, the same entries hash to another digest.
+    other = SwapState(vector[::-1], NEGPOP.n_dim, states[3].edge, 3, None, "done", 0.0)
+    assert other.digest() == hashlib.sha256(vector[::-1].copy()).hexdigest()[:16]
+    assert other.digest() != direct.digest()
 
 
 def replayed(tape):
@@ -643,16 +647,6 @@ def test_values_in_any_order_equal_the_replay():
     held[:] = 0.0
     assert states[500].values.tobytes() == walk[500]
     assert states[501].values.tobytes() == walk[501]
-
-
-def test_a_directly_constructed_state_digests_its_own_vector():
-    # A state that no builder made has no stored prefix: it hashes its vector.
-    vector = np.linspace(-2.0, 6.0, 700)
-    direct = SwapState(vector, 500, rightmost(FIG1), 0, None, "done", 0.0)
-    assert direct.digest() == hashlib.sha256(vector).hexdigest()[:16]
-    other = SwapState(vector[::-1], 500, rightmost(FIG1), 0, None, "done", 0.0)
-    assert other.digest() == hashlib.sha256(vector[::-1].copy()).hexdigest()[:16]
-    assert other.digest() != direct.digest()
 
 
 def test_grouped_updates_match_np_unique():
