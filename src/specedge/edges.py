@@ -45,7 +45,6 @@ class EdgeInfo:
     side: str                    # "left" | "right"
     soft: bool
     regularity_margin: float
-    hard_m_label: str | None = None  # min/max label of the m=inf extremum
 
     @property
     def hard(self) -> bool:
@@ -459,11 +458,8 @@ def find_edges(pop: PopulationSpec) -> SupportReport:
         side = "left" if pos % 2 else "right"
         if is_soft:
             infos.append(_soft_edge(vals, *next(soft_edges), side)[1])
-            continue
-        # m-space label from the curvature of g at the origin.
-        curv = -2.0 * float(np.sum(mults / vals)) / n   # g''(0)
-        m_label = "right" if curv > 0 else "left"
-        infos.append(EdgeInfo(0.0, math.inf, None, side, False, 0.0, m_label))
+        else:
+            infos.append(EdgeInfo(0.0, math.inf, None, side, False, 0.0))
     asc = e_star[::-1].tolist()
 
     return SupportReport(

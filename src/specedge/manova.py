@@ -186,26 +186,20 @@ def general_F_population(design: GeneralDesign) -> PopulationSpec:
             clusters[-1].append(v)
         else:
             clusters.append([v])
+    means = [float(np.mean(cl)) for cl in clusters]
+    # Clusters are runs of sorted values, so their means ascend and the
+    # nearest mean to a cluster's is a neighbour's.
+    gaps = np.diff(means).tolist()
     entries = []
-    for cl in clusters:
+    for i, (cl, mean) in enumerate(zip(clusters, means)):
         spread = cl[-1] - cl[0]
-        if spread > 0 and spread > 0.25 * _nearest_gap(clusters, cl, scale):
+        if spread > 0 and spread > 0.25 * min(gaps[max(i - 1, 0):i + 1], default=scale):
             raise ClusterAmbiguity(
-                f"eigenvalue cluster around {np.mean(cl):g} has spread {spread:.3e} "
+                f"eigenvalue cluster around {mean:g} has spread {spread:.3e} "
                 "comparable to its separation; multiplicities are unreliable"
             )
-        mean = float(np.mean(cl))
         entries.append((0.0 if abs(mean) <= tol else mean, len(cl)))
     return PopulationSpec(tuple(entries), n_dim=design.p)
-
-
-def _nearest_gap(clusters, cl, scale):
-    gaps = []
-    for other in clusters:
-        if other is cl:
-            continue
-        gaps.append(abs(np.mean(other) - np.mean(cl)))
-    return min(gaps) if gaps else scale
 
 
 def oneway_general_design(design: OneWayDesign) -> GeneralDesign:

@@ -47,15 +47,13 @@ class SimConfig:
     seed: int = 0
     entry_law: str = "gaussian"
     parallel_width: int = 1
-    max_dim: int = DESK_SCALE_MAX_DIM
 
     def __post_init__(self):
         if self.entry_law not in ENTRY_LAWS:
             raise DomainError(f"entry_law must be one of {ENTRY_LAWS}")
-        counts = (self.reps, self.parallel_width, self.max_dim)
+        counts = (self.reps, self.parallel_width)
         if not all(_is_int(v) and v >= 1 for v in counts):
-            raise DomainError(f"reps, parallel_width and max_dim must be positive integers, "
-                              f"got {counts}")
+            raise DomainError(f"reps and parallel_width must be positive integers, got {counts}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -103,10 +101,10 @@ def _draw_x(rng, m, n, law):
     return rng.integers(0, 2, size=(m, n)).astype(float) * 2.0 - 1.0
 
 
-def _check_dim(cfg: SimConfig, m: int, n: int):
-    if max(m, n) > cfg.max_dim:
-        raise DomainError(f"dimension {max(m, n)} exceeds max_dim={cfg.max_dim}; "
-                          "raise SimConfig.max_dim to override")
+def _check_dim(m: int, n: int):
+    if max(m, n) > DESK_SCALE_MAX_DIM:
+        raise DomainError(f"dimension {max(m, n)} exceeds the desk-scale bound "
+                          f"{DESK_SCALE_MAX_DIM}")
 
 
 def _weights(pop: PopulationSpec):
@@ -128,7 +126,7 @@ def _replicate_gram(pop: PopulationSpec, cfg: SimConfig):
     """rep -> that replicate's Gram x'(T/N)x; the dimension check, the
     weights and the zero-row mask are fixed once per experiment."""
     m, n = pop.total_mult, pop.n_dim
-    _check_dim(cfg, m, n)
+    _check_dim(m, n)
     rows, wcol = _weights(pop)
     return lambda rep: _gram(_draw_x(_rep_rng(cfg, rep), m, n, cfg.entry_law), rows, wcol)
 
@@ -272,7 +270,7 @@ def local_law_probe(
     which is the (G - Pi)_{AB} / (t_A t_B) array extended to zero values.
     """
     n, mdim = pop.n_dim, pop.total_mult
-    _check_dim(cfg, mdim, n)
+    _check_dim(mdim, n)
     if not (math.isfinite(eta) and eta > 0):
         raise DomainError(f"eta must be finite and positive, got {eta!r}")
     if not (edge.soft and check_regularity(pop, edge, tau)):

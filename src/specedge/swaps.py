@@ -41,9 +41,9 @@ import json
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import partial
 from operator import lt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,8 +156,7 @@ class SwapState:
         }
 
 
-@dataclass(frozen=True)
-class SwapDiagnostics:
+class SwapDiagnostics(NamedTuple):
     """Per-pair swappability measurements and sum-rule residuals."""
 
     a4: float
@@ -361,9 +360,9 @@ def build_swap_sequence(
 ) -> list[SwapState]:
     """Construct the full interpolating sequence for a regular right edge.
 
-    The seeding fraction c0 (positive-m branch only) is halved and the
-    construction retried whenever a tracked edge loses regularity, down
-    to a single entry.
+    c0 is the fraction of the entries seeded with the pole-adjacent value
+    on the positive-m branch; a tracked edge whose margin falls below
+    TAU_FLOOR raises `RegularityLost`.
     """
     if not (math.isfinite(phi) and phi > 0):
         raise DomainError(f"phi must be finite and positive, got {phi!r}")
@@ -373,20 +372,6 @@ def build_swap_sequence(
         raise SwapRejected("swap sequences require a soft edge")
     if edge.side != "right":
         raise SwapRejected("swap sequences track right edges; reflect the population first")
-    if edge.m_star < 0:
-        return _build(pop, edge, c0, phi)
-    m_total = pop.total_mult
-    c0_try = c0
-    while True:
-        try:
-            return _build(pop, edge, c0_try, phi)
-        except RegularityLost:
-            if c0_try <= 1.0 / m_total:
-                raise
-            c0_try = max(c0_try / 2.0, 1.0 / m_total)
-
-
-def _build(pop, edge, c0, phi):
     n = pop.n_dim
     c, info, gamma, groups = _track(*_groups(pop), 0.0, 0.0, n, edge.m_star, phi, True)
     start, m = pop.expand() * c, info.m_star

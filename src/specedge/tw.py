@@ -6,7 +6,7 @@ against published quantile tabulations.  At runtime we only interpolate,
 in numpy alone: inside the table a monotone piecewise-cubic Hermite
 interpolant (Fritsch & Carlson 1980, with the weighted-harmonic interior
 slopes of Fritsch & Butland 1984 and a one-sided three-point end rule),
-built once per table and evaluated the way scipy's
+built once per process and evaluated the way scipy's
 ``PchipInterpolator(..., extrapolate=False)`` evaluates it, bit for bit;
 outside it, analytic tail formulas with constants matched for continuity
 at the junctions.  Quantiles invert that CDF exactly, by one bisection
@@ -15,16 +15,13 @@ of the CDF at every level, in the table and in the tails alike.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from importlib import resources
 
 import numpy as np
 
 from .errors import DomainError
-
-TABLE_ENV_VAR = "SPECEDGE_TW_TABLE"
 
 
 @dataclass(frozen=True)
@@ -83,12 +80,11 @@ def _pchip_coefficients(x, y):
     return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
 
-def _load_table(path=None) -> TWTable:
-    if path is not None:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1)
-    else:
-        with resources.files("specedge.data").joinpath("tw_f1.csv").open("rb") as fh:
-            raw = np.loadtxt(fh, delimiter=",", skiprows=1)
+@cache
+def _table() -> TWTable:
+    """The packaged table, loaded and checked once per process."""
+    with resources.files("specedge.data").joinpath("tw_f1.csv").open("rb") as fh:
+        raw = np.loadtxt(fh, delimiter=",", skiprows=1)
     x, f1 = raw[:, 0], raw[:, 1]
     if x.size < 50 or np.any(np.diff(x) <= 0) or np.any(np.diff(f1) <= 0):
         raise DomainError("TW table must be strictly increasing in both columns")
@@ -98,15 +94,6 @@ def _load_table(path=None) -> TWTable:
     c_right = (1.0 - f1[-1]) / _right_tail_shape(x[-1])
     return TWTable(x=x, f1=f1, coef=_pchip_coefficients(x, f1),
                    c_left=float(c_left), c_right=float(c_right))
-
-
-@lru_cache(maxsize=4)
-def _table_cached(path) -> TWTable:
-    return _load_table(path)
-
-
-def _table() -> TWTable:
-    return _table_cached(os.environ.get(TABLE_ENV_VAR))
 
 
 def _cubic(c, s):

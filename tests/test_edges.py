@@ -89,7 +89,6 @@ def test_fig2_structure():
     assert len(soft) == 3 and len(hard) == 1
     assert hard[0].e_star == 0.0
     assert hard[0].side == "right"          # geometric: bulk sits just left of 0
-    assert hard[0].hard_m_label == "right"  # the m-space label agrees here
 
 
 def test_identity_edges_values():

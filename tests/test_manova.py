@@ -13,7 +13,7 @@ from specedge import (
     oneway_B_matrices,
     oneway_population,
 )
-from specedge.errors import DesignError, ShapeError
+from specedge.errors import ClusterAmbiguity, DesignError, ShapeError
 from specedge.manova import oneway_general_design
 
 
@@ -245,6 +245,15 @@ def test_general_F_noise_only_spectrum():
     (t0, m0), (t1, m1) = pop.entries
     assert (t0, m0) == (0.0, 20)
     assert t1 == pytest.approx(20 / 10) and m1 == 10   # p/(n-I) = 2, mult n-I
+
+
+def test_general_F_cluster_spread_near_its_neighbour_is_ambiguous():
+    # F = diag(eig): the three values next to 1 merge into one cluster of
+    # spread 1.8e-9, more than a quarter of the 2.1e-9 to the next mean.
+    eig = np.array((0.5, 0.75, 1 - 1.8e-9, 1 - 0.9e-9, 1.0, 1 + 1.2e-9))
+    gd = GeneralDesign((np.eye(6),), np.diag(eig / 2), (1.0,), 2)
+    with pytest.raises(ClusterAmbiguity, match="around 1 has spread 1.800e-09"):
+        general_F_population(gd)
 
 
 def test_general_design_validation():

@@ -36,6 +36,9 @@ NEGPOP = PopulationSpec(((-8.0, 100), (-0.5, 400)), 500)   # right edge with m* 
 NEGHALF = PopulationSpec(((-8.0, 50), (-0.5, 200)), 250)
 FIG2 = PopulationSpec(((-1.0, 400), (4.0, 100)), 500)
 FIG1X2 = PopulationSpec(((-2.0, 700), (0.5, 600), (6.0, 100)), 1000)
+# Its third edge, at m* = 2.442, is a right edge whose build zeroes
+# entries below the seed value too; every pair passes at phi = 10.
+ZERO_BELOW = PopulationSpec(((-1.145, 32), (-0.862, 19), (1.49, 48)), 176)
 
 
 def rightmost(pop):
@@ -44,6 +47,10 @@ def rightmost(pop):
 
 def right_soft(pop):
     return [e for e in find_edges(pop).edges if e.side == "right" and e.soft][0]
+
+
+def third(pop):
+    return find_edges(pop).edges[2]
 
 
 # -- rescaling ----------------------------------------------------------------
@@ -284,6 +291,7 @@ def test_negpop_positive_branch_sequence():
 @pytest.mark.parametrize("pop, pick, phases", [
     (FIG1, rightmost, {"reflect": 351, "raise_to_max": 649, "done": 1}),
     (NEGPOP, right_soft, {"seed_fraction": 26, "zero_above": 374, "done": 1}),
+    (ZERO_BELOW, third, {"seed_fraction": 5, "zero_above": 48, "zero_below": 27, "done": 1}),
 ])
 def test_sequence_phase_counts_are_pinned(pop, pick, phases):
     states = build_swap_sequence(pop, pick(pop))
@@ -468,8 +476,8 @@ POLE_TIE = PopulationSpec(((-1.574329376053362, 1), (-1.5743293760533619, 1))
 
 @pytest.mark.parametrize("pop, pick, ties", [
     (FIG1, rightmost, 0), (NEGPOP, right_soft, 0), (FIG2, rightmost, 0),
-    (NEGHALF, right_soft, 0), (POLE_TIE, rightmost, 1),
-], ids=["fig1", "negpop", "fig2", "neghalf", "pole-tie"])
+    (NEGHALF, right_soft, 0), (POLE_TIE, rightmost, 1), (ZERO_BELOW, third, 0),
+], ids=["fig1", "negpop", "fig2", "neghalf", "pole-tie", "zero-below"])
 def test_picks_equal_the_full_vector_scans(pop, pick, ties):
     assert scan_picks(build_swap_sequence(pop, pick(pop))) == ties
 
@@ -482,14 +490,15 @@ def rebuilt(state):
                      state.swapped_index, state.phase, state.gamma_drift)
 
 
-@pytest.mark.parametrize("pop, pick", [(FIG1, rightmost), (FIG2, rightmost), (NEGPOP, right_soft)],
-                         ids=["fig1", "fig2", "negpop"])
+@pytest.mark.parametrize("pop, pick", [(FIG1, rightmost), (FIG2, rightmost), (NEGPOP, right_soft),
+                                       (ZERO_BELOW, third)],
+                         ids=["fig1", "fig2", "negpop", "zero-below"])
 def test_grouped_pair_diagnostics_match_the_vector_sums(pop, pick, monkeypatch):
     # A pair of tape neighbours reads the sums the builder measured over
     # the value groups; the same pair rebuilt from its vectors sums over
     # all M entries.
     states = build_swap_sequence(pop, pick(pop))
-    fields = SwapDiagnostics.__dataclass_fields__
+    fields = SwapDiagnostics._fields
     for a, b in zip(states[:-1], states[1:]):
         grouped, full = verify_swappable(a, b), verify_swappable(rebuilt(a), rebuilt(b))
         for field in fields:
@@ -541,7 +550,7 @@ def test_pair_diagnostics_are_pinned_at_full_precision(pop, pick, sha):
     # Every field of every consecutive pair's diagnostics, as repr prints
     # the floats: the diagnostics CSV rounds them to 8 digits.
     states = build_swap_sequence(pop, pick(pop))
-    fields = tuple(SwapDiagnostics.__dataclass_fields__)
+    fields = SwapDiagnostics._fields
     rows = [tuple(getattr(verify_swappable(a, b), f) for f in fields)
             for a, b in zip(states[:-1], states[1:])]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == sha

@@ -9,7 +9,6 @@ as a test-only oracle for the numpy interpolant.
 import os
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -70,17 +69,6 @@ def test_quantile_domain():
             f1_quantile(bad)
 
 
-def test_table_env_override(tmp_path, monkeypatch):
-    with resources.files("specedge.data").joinpath("tw_f1.csv").open() as fh:
-        text = fh.read()
-    alt = tmp_path / "table.csv"
-    alt.write_text(text)
-    monkeypatch.setenv(tw.TABLE_ENV_VAR, str(alt))
-    assert f1_cdf(0.0) == pytest.approx(ORACLE_F1_AT_0, abs=1e-9)
-    with pytest.raises(FileNotFoundError):
-        tw._load_table(str(tmp_path / "missing.csv"))
-
-
 def test_no_scipy_at_runtime():
     package_root = str(Path(specedge.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -100,16 +88,15 @@ def test_no_scipy_at_runtime():
 
 
 @pytest.mark.parametrize("thinned", [False, True])
-def test_cdf_matches_scipy_pchip_bit_for_bit(thinned, tmp_path, monkeypatch):
+def test_cdf_matches_scipy_pchip_bit_for_bit(thinned, monkeypatch):
     interpolate = pytest.importorskip("scipy.interpolate")
-    if thinned:
-        # An override table with every other node: other cubics, same rules.
-        with resources.files("specedge.data").joinpath("tw_f1.csv").open() as fh:
-            lines = fh.read().splitlines()
-        alt = tmp_path / "thinned.csv"
-        alt.write_text("\n".join(lines[:1] + lines[1::2]) + "\n")
-        monkeypatch.setenv(tw.TABLE_ENV_VAR, str(alt))
     table = tw._table()
+    if thinned:
+        # A table with every other node: other cubics, same rules.
+        x, f1 = table.x[::2], table.f1[::2]
+        table = tw.TWTable(x=x, f1=f1, coef=tw._pchip_coefficients(x, f1),
+                           c_left=table.c_left, c_right=table.c_right)
+        monkeypatch.setattr(tw, "_table", lambda: table)
     x = table.x
     assert x.size == (321 if thinned else 641)
     oracle = interpolate.PchipInterpolator(x, table.f1, extrapolate=False)

@@ -13,7 +13,11 @@ or the `SwapRejected` message of a build that fails.  The summary counts
 the edges, builds and rejections, and prints one sha256 fingerprint over
 every export, every consecutive pair's diagnostics at full precision and
 every rejection message: two versions of the construction that print the
-same fingerprint built the same sequences bit for bit.
+same fingerprint built the same sequences bit for bit.  The pairs are
+measured with phi = inf, so one more line checks each build as
+`specedge swapseq` does, at DEFAULT_PHI: the builds it would stop on, by
+the bound the first failing pair breaks and by branch, and how many
+builds reach each phase.
 
 Run from the repository root; it takes a few seconds on one core:
 
@@ -26,14 +30,14 @@ import hashlib
 import math
 import statistics
 import time
-from dataclasses import astuple
+from collections import Counter
 
 import numpy as np
 
 from specedge import PopulationSpec, build_swap_sequence, check_regularity, find_edges
-from specedge.errors import SwapRejected
+from specedge.errors import NotSwappable, SwapRejected
 from specedge.population import RATIO_BAND
-from specedge.swaps import export_sequence, reflected_right_edge, verify_swappable
+from specedge.swaps import DEFAULT_PHI, export_sequence, reflected_right_edge, verify_swappable
 
 SEED = 20261020
 DRAWS = 120
@@ -63,11 +67,22 @@ def build(pop, edge):
     return states, time.perf_counter() - start
 
 
+def cli_bound(states):
+    """The bound `specedge swapseq` stops on at DEFAULT_PHI, or None."""
+    for a, b in zip(states[:-1], states[1:]):
+        try:
+            verify_swappable(a, b)
+        except NotSwappable as exc:
+            return "l1" if str(exc).startswith("l1") else "m-value"
+    return None
+
+
 def main():
     start = time.perf_counter()
     fingerprint = hashlib.sha256()
     drawn = edges = 0
     r2s, rejected = [], []
+    unswappable, phases = Counter(), Counter()
     for i, pop in enumerate(populations()):
         drawn += 1
         for edge in find_edges(pop).edges:
@@ -86,7 +101,12 @@ def main():
                 continue
             diags = [verify_swappable(a, b, math.inf) for a, b in zip(states[:-1], states[1:])]
             fingerprint.update(export_sequence(states).encode())
-            fingerprint.update(repr([astuple(d) for d in diags]).encode())
+            fingerprint.update(repr([tuple(d) for d in diags]).encode())
+            phases.update({s.phase for s in states[:-1]})
+            bound = cli_bound(states)
+            if bound:
+                unswappable[bound] += 1
+                unswappable["m* > 0" if states[0].edge.m_star > 0 else "m* < 0"] += 1
             steps = len(states) - 1
             r2 = max((d.sum_rule_2_residual for d in diags), default=0.0) * pop.n_dim
             r2s.append(r2)
@@ -99,6 +119,10 @@ def main():
         print(f"max r2*N per build: median {statistics.median(r2s):.1f}, "
               f"90th percentile {np.percentile(r2s, 90):.1f}, max {max(r2s):.1f}, "
               f"{sum(r > R2_FLAG for r in r2s)} above {R2_FLAG:g}")
+    print(f"not swappable at phi={DEFAULT_PHI:g}: {unswappable['l1'] + unswappable['m-value']} "
+          f"builds, {unswappable['l1']} on the l1 bound, {unswappable['m-value']} on the m-value "
+          f"bound; {unswappable['m* > 0']} with m* > 0, {unswappable['m* < 0']} with m* < 0; "
+          f"builds per phase: " + ", ".join(f"{k} {v}" for k, v in sorted(phases.items())))
     print(f"fingerprint {fingerprint.hexdigest()}  ({time.perf_counter() - start:.1f} s)")
     return 0
 
