@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .errors import (
     PreconditionError,
     SpecEdgeError,
 )
-from .manifest import RunManifest, atomic_write, file_digest
+from .manifest import write_manifest
 from .population import PopulationSpec
 
 EXIT_OK = 0
@@ -87,13 +88,12 @@ def _pick_edge(report, index):
     return report.edges[index]
 
 
-def _write_outputs(manifest: RunManifest, *files) -> None:
-    """Write each (path, text) atomically and record it in the manifest,
-    then write the manifest next to the first path."""
-    for path, text in files:
-        atomic_write(path, text)
-        manifest.record_output(path)
-    manifest.write(files[0][0] + ".manifest.json", __version__)
+def _write_outputs(args, inputs, *files, params=None) -> None:
+    """Write each (path, text) atomically, then the run's manifest next to
+    the first path: the input paths' digests, the seed when the command
+    takes one, and the wall time since `main` started the command."""
+    write_manifest(args.command, inputs, files, getattr(args, "seed", None), params or {},
+                   __version__, args.started)
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +101,12 @@ def _write_outputs(manifest: RunManifest, *files) -> None:
 def cmd_edges(args) -> int:
     pop = _load_population(args.population)
     report = find_edges(pop)
-    manifest = RunManifest("edges", {args.population: file_digest(args.population)}, None)
     body = report.to_dict()
     if args.tau is not None:
         body["tau"] = args.tau
         for rec, edge in zip(body["edges"], report.edges):
             rec["regular"] = check_regularity(pop, edge, args.tau)
-    _write_outputs(manifest, (args.out, json.dumps(body, indent=2) + "\n"))
+    _write_outputs(args, [args.population], (args.out, json.dumps(body, indent=2) + "\n"))
     print(f"{len(report.edges)} edges, {len(report.intervals)} support intervals -> {args.out}")
     return EXIT_OK
 
@@ -116,14 +115,13 @@ def cmd_density(args) -> int:
     from .spectral import density_grid
 
     pop = _load_population(args.population)
-    manifest = RunManifest("density", {args.population: file_digest(args.population)}, None)
     grid = density_grid(pop, n_points=args.grid)
     lines = ["x,f0"]
     lines += [f"{x:.12g},{f:.12g}" for x, f in grid.points]
     lines.append(f"# atom_mass_at_zero = {grid.atom_at_zero:.12g}")
     if isolated_zero_in_support(pop):
         lines.append("# isolated point at zero: yes")
-    _write_outputs(manifest, (args.out, "\n".join(lines) + "\n"))
+    _write_outputs(args, [args.population], (args.out, "\n".join(lines) + "\n"))
     print(f"{args.grid} density rows -> {args.out}")
     return EXIT_OK
 
@@ -133,25 +131,18 @@ def cmd_test(args) -> int:
     from .twtest import edge_test, plugin_edge_test
 
     spec = _load_input(args.input)
-    inputs = {args.input: file_digest(args.input)}
     if args.plugin:
         if not isinstance(spec, OneWayDesign):
             raise InputError("--plugin requires a design file")
         y = _numbers(args.data, delimiter=",", ndmin=2)
-        inputs[args.data] = file_digest(args.data)
         report_obj = plugin_edge_test(spec, y, args.alpha, tau=args.tau)
     else:
-        if isinstance(spec, OneWayDesign):
-            pop = oneway_population(spec)
-        else:
-            pop = spec
+        pop = spec if isinstance(spec, PopulationSpec) else oneway_population(spec)
         eigs = _numbers(args.data).ravel()
-        inputs[args.data] = file_digest(args.data)
         support = find_edges(pop)
         edge = _pick_edge(support, args.edge_index)
         report_obj = edge_test(pop, eigs, edge, args.alpha, tau=args.tau, report=support)
-    manifest = RunManifest("test", inputs, None)
-    _write_outputs(manifest, (args.out, report_obj.to_json() + "\n"))
+    _write_outputs(args, [args.input, args.data], (args.out, report_obj.to_json() + "\n"))
     print(
         f"statistic {report_obj.statistic:.6f}, p-value {report_obj.p_value:.6f}, "
         f"{'REJECT' if report_obj.reject else 'RETAIN'} at alpha={report_obj.alpha}"
@@ -173,10 +164,6 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(
         reps=args.reps, seed=args.seed, entry_law=args.law,
         parallel_width=args.parallel_width,
-    )
-    manifest = RunManifest(
-        "simulate", {args.input: file_digest(args.input)}, args.seed,
-        params={"mode": args.mode, "reps": args.reps, "entry_law": args.law},
     )
     lines = []
     if args.mode == "table1":
@@ -205,7 +192,8 @@ def cmd_simulate(args) -> int:
             lines.append(f"median_m_err,{probe.median_m_err:.8g}")
             lines.append(f"median_entrywise_err,{probe.median_entrywise_err:.8g}")
             lines.append(f"psi,{probe.psi:.8g}")
-    _write_outputs(manifest, (args.out, "\n".join(lines) + "\n"))
+    _write_outputs(args, [args.input], (args.out, "\n".join(lines) + "\n"),
+                   params={"mode": args.mode, "reps": args.reps, "entry_law": args.law})
     print(f"{args.mode} results -> {args.out}")
     return EXIT_OK
 
@@ -216,9 +204,6 @@ def cmd_swapseq(args) -> int:
     pop = _load_population(args.population)
     report = find_edges(pop)
     edge = _pick_edge(report, args.edge_index)
-    manifest = RunManifest(
-        "swapseq", {args.population: file_digest(args.population)}, None
-    )
     # A missing or malformed --verify file fails before the build.
     recorded = None if args.verify is None else _read(args.verify, _records)
     states = build_swap_sequence(pop, edge, c0=args.c0, phi=args.phi)
@@ -255,13 +240,18 @@ def cmd_swapseq(args) -> int:
             f"{diag.sum_rule_1_residual:.8g},{diag.sum_rule_2_residual:.8g},"
             f"{diag.edge_identity_residual:.8g},{diag.gamma_diff:.8g}"
         )
-    _write_outputs(manifest, (args.out, export_sequence(states)),
+    _write_outputs(args, [args.population], (args.out, export_sequence(states)),
                    (args.out + ".diagnostics.csv", "\n".join(rows) + "\n"))
     print(f"{len(states) - 1} swaps -> {args.out}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
+
+def _edge_index(p) -> None:
+    p.add_argument("--edge-index", type=int, default=None,
+                   help="0-based index into the E-descending edge list (default: rightmost)")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -286,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="eigenvalue list, or raw data matrix with --plugin")
     p.add_argument("--alpha", type=float, default=0.05, help="test level")
     p.add_argument("--tau", type=float, default=0.05, help="regularity gate")
-    p.add_argument("--edge-index", type=int, default=None,
-                   help="0-based index into the E-descending edge list (default: rightmost)")
+    _edge_index(p)
     p.add_argument("--plugin", action="store_true",
                    help="treat DATA as a raw n-by-p matrix and estimate variances")
     p.add_argument("--out", default="test_report.json")
@@ -304,14 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--tau", type=float, default=0.05, help="regularity gate")
-    p.add_argument("--edge-index", type=int, default=None,
-                   help="0-based index into the E-descending edge list (default: rightmost)")
+    _edge_index(p)
     p.add_argument("--out", default="simulation.csv")
 
     p = sub.add_parser("swapseq", help="build or verify an interpolating sequence")
     p.add_argument("population")
-    p.add_argument("--edge-index", type=int, default=None,
-                   help="0-based index into the E-descending edge list (default: rightmost)")
+    _edge_index(p)
     p.add_argument("--phi", type=float, default=10.0, help="swappability budget")
     p.add_argument("--c0", type=float, default=0.05, help="seeding fraction, positive-m branch")
     p.add_argument("--verify", default=None, help="previously exported sequence to check")
@@ -332,6 +319,7 @@ def main(argv=None) -> int:
     # Looked up at call time, so a command replaced after the first call
     # (a test's patch, a tracer's wrapper) is the one that runs.
     command = globals()["cmd_" + args.command]
+    args.started = time.perf_counter()
     try:
         return command(args)
     except (InputError, OSError) as exc:

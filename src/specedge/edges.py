@@ -326,16 +326,6 @@ def _margin(vals, m_star, gamma):
     return min(1.0 / abs(m_star), 1.0 / gamma, pole_dist)
 
 
-def regularity_margin(pop: PopulationSpec, m_star: float, gamma: float | None) -> float:
-    """min(1/|m*|, 1/gamma, min_a |m* + 1/t_a|); 0 for hard/degenerate."""
-    if math.isinf(m_star) or gamma is None:
-        return 0.0
-    vals = pop.nonzero()[0]
-    if vals.size == 0:
-        raise DegeneratePopulation("all diagonal values are zero")
-    return _margin(vals, m_star, gamma)
-
-
 def _soft_edge(vals, q, s, g, cubes, e_star, side=None, unit=False):
     """The soft edge at a zero q* = p[j] + s of g', read off the q chart.
 
@@ -489,12 +479,14 @@ def edge_for_m_sign(report: SupportReport, want: str) -> EdgeInfo:
 
 
 def check_regularity(pop: PopulationSpec, edge: EdgeInfo, tau: float) -> bool:
-    """Regularity gate: |m*| < 1/tau, gamma < 1/tau, poles tau-separated."""
+    """Regularity gate: |m*| < 1/tau, gamma < 1/tau, poles tau-separated,
+    read off the margin `_soft_edge` stored on the edge (0 for a hard or
+    degenerate edge, which never passes)."""
     if not 0 < tau < 1:
         raise DomainError(f"tau must lie in (0,1), got {tau}")
-    if edge.hard or edge.gamma is None:
-        return False
-    return tau < regularity_margin(pop, edge.m_star, edge.gamma)
+    if pop.rank == 0:
+        raise DegeneratePopulation("all diagonal values are zero")
+    return tau < edge.regularity_margin
 
 
 def balanced_sufficiency(pop: PopulationSpec, c: float) -> bool:

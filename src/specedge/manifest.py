@@ -7,7 +7,6 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -32,28 +31,21 @@ def file_digest(path: str) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    """What a CLI run consumed and produced; one per invocation."""
-
-    command: str
-    inputs: dict
-    seed: int | None
-    params: dict = field(default_factory=dict)
-    started: float = field(default_factory=time.time)
-    outputs: list = field(default_factory=list)
-
-    def record_output(self, path: str) -> None:
-        self.outputs.append(path)
-
-    def write(self, path: str, tool_version: str) -> None:
-        body = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "seed": self.seed,
-            "params": self.params,
-            "tool_version": tool_version,
-            "wall_time_s": round(time.time() - self.started, 3),
-            "outputs": self.outputs,
-        }
-        atomic_write(path, json.dumps(body, indent=2) + "\n")
+def write_manifest(command: str, inputs, files, seed: int | None, params: dict,
+                   tool_version: str, started: float) -> None:
+    """One run's record: digest each input path, write each (path, text)
+    of `files` atomically, then the manifest next to the first path, with
+    the wall time since `started` (a time.perf_counter reading)."""
+    digests = {path: file_digest(path) for path in inputs}
+    for path, text in files:
+        atomic_write(path, text)
+    body = {
+        "command": command,
+        "inputs": digests,
+        "seed": seed,
+        "params": params,
+        "tool_version": tool_version,
+        "wall_time_s": round(time.perf_counter() - started, 3),
+        "outputs": [path for path, _ in files],
+    }
+    atomic_write(files[0][0] + ".manifest.json", json.dumps(body, indent=2) + "\n")

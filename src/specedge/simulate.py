@@ -232,7 +232,7 @@ def edge_concentration(
     eigenvalue in it; the others take a full eigensolve."""
     if not (np.isfinite(epsilon) and 0 <= epsilon < 2.0 / 3.0):
         raise DomainError(f"epsilon must be finite and lie in [0, 2/3), got {epsilon!r}")
-    if not (edge.soft and check_regularity(pop, edge, tau)):
+    if not check_regularity(pop, edge, tau):
         raise IrregularEdge("edge concentration is only meaningful at a regular edge")
     report = find_edges(pop)
     delta = window_delta(report, edge)
@@ -273,7 +273,7 @@ def local_law_probe(
     _check_dim(mdim, n)
     if not (math.isfinite(eta) and eta > 0):
         raise DomainError(f"eta must be finite and positive, got {eta!r}")
-    if not (edge.soft and check_regularity(pop, edge, tau)):
+    if not check_regularity(pop, edge, tau):
         raise IrregularEdge("local-law probe requires a regular edge")
     z = complex(edge.e_star, eta)
     m0 = solve_m0(pop, z)

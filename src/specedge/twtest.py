@@ -55,14 +55,11 @@ class TestReport:
 
 def window_delta(report: SupportReport, edge: EdgeInfo) -> float:
     """Half the gap to the nearest other edge, capped at half the support
-    diameter, so the window isolates exactly one edge.  A report's edges
-    have distinct E*, so only the edge itself equals edge.e_star."""
+    diameter, so the window isolates exactly one edge.  A report has at
+    least two edges, with distinct E*, so only the edge itself is left out."""
     others = [e.e_star for e in report.edges if e.e_star != edge.e_star]
-    cap = 0.5 * report.diameter if report.diameter > 0 else np.inf
-    if not others:
-        return cap
     gap = min(abs(e - edge.e_star) for e in others)
-    return min(0.5 * gap, cap)
+    return min(0.5 * gap, 0.5 * report.diameter)
 
 
 def tw_statistic(edge: EdgeInfo, n_dim: int, lam):

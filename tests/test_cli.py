@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,40 @@ def test_edges_fig1(ws):
     manifest = json.loads((ws / "edges.json.manifest.json").read_text())
     assert manifest["command"] == "edges"
     assert list(manifest["inputs"]) == [pop]
+
+
+SLOW_STEP = {"edges": ("cli", "find_edges"), "test": ("twtest", "edge_test"),
+             "density": ("spectral", "density_grid"),
+             "simulate": ("simulate", "support_adherence"),
+             "swapseq": ("swaps", "build_swap_sequence")}
+
+
+@pytest.mark.parametrize("command", list(SLOW_STEP))
+def test_manifest_wall_time_covers_the_computation(ws, monkeypatch, command):
+    # Each command's compute step sleeps 0.05 s; the manifest's wall time
+    # runs from the command's start, so it includes that step.
+    import importlib
+
+    module, name = SLOW_STEP[command]
+    owner = importlib.import_module(f"specedge.{module}")
+    step = getattr(owner, name)
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, slow)
+    pop = write(ws, "pop.json", ID500)
+    np.savetxt(ws / "eigs.txt", sample_spectrum(
+        PopulationSpec(((1.0, 500),), 500), SimConfig(reps=1, seed=1), 0))
+    argv = {"edges": ["edges", pop], "test": ["test", pop, "eigs.txt"],
+            "density": ["density", pop, "--grid", "10"],
+            "simulate": ["simulate", pop, "--mode", "adherence", "--reps", "1"],
+            "swapseq": ["swapseq", pop]}[command]
+    assert main(argv + ["--out", "out.txt"]) == 0
+    manifest = json.loads((ws / "out.txt.manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["wall_time_s"] >= 0.05
 
 
 def test_edges_fig2_flags_hard_edge(ws):
@@ -263,6 +298,22 @@ def test_cmd_test_plugin(ws):
     assert report["plugin_variances"][1] == pytest.approx(1.0, abs=0.4)
 
 
+def test_cmd_test_edge_index_out_of_range_exit_2(ws, capsys):
+    pop = write(ws, "pop.json", FIG1)
+    np.savetxt(ws / "eigs.txt", np.linspace(-5.0, 20.0, 500))
+    assert main(["test", pop, str(ws / "eigs.txt"), "--edge-index", "99", "--out", "r.json"]) == 2
+    assert "--edge-index 99 out of range; report has 4 edges" in capsys.readouterr().err
+    assert not (ws / "r.json").exists()
+
+
+def test_cmd_test_plugin_needs_a_design_file(ws, capsys):
+    pop = write(ws, "pop.json", FIG1)
+    np.savetxt(ws / "y.csv", np.ones((4, 4)), delimiter=",")
+    assert main(["test", pop, str(ws / "y.csv"), "--plugin", "--out", "r.json"]) == 2
+    assert "--plugin requires a design file" in capsys.readouterr().err
+    assert not (ws / "r.json").exists()
+
+
 def test_simulate_table1_smoke(ws):
     design = write(ws, "design.json", DESIGN20)
     code = main(["simulate", design, "--mode", "table1", "--reps", "200",
@@ -289,6 +340,23 @@ def test_simulate_adherence_mode(ws):
                  "--seed", "3", "--delta", "0.3", "--out", "a.csv"])
     assert code == 0
     assert "outside_support_fraction,0.000000" in (ws / "a.csv").read_text()
+
+
+def test_simulate_concentration_mode(ws):
+    pop = write(ws, "pop.json", FIG1)
+    code = main(["simulate", pop, "--mode", "concentration", "--reps", "2",
+                 "--seed", "3", "--tau", "0.01", "--out", "c.csv"])
+    assert code == 0
+    rows = (ws / "c.csv").read_text().splitlines()
+    assert rows[0] == "metric,value"
+    assert rows[1].startswith("exclusion_zone_fraction,")
+
+
+def test_simulate_table1_needs_a_design_file(ws, capsys):
+    pop = write(ws, "pop.json", FIG1)
+    assert main(["simulate", pop, "--mode", "table1", "--reps", "1", "--out", "t.csv"]) == 2
+    assert "table1 mode requires a design file" in capsys.readouterr().err
+    assert not (ws / "t.csv").exists()
 
 
 def test_simulate_negative_seed_exits_2_without_a_traceback(ws, capsys):
@@ -331,6 +399,16 @@ def test_swapseq_verify_round_trip(ws):
     lines[3] = json.dumps(rec)
     (ws / "seq.jsonl").write_text("\n".join(lines) + "\n")
     assert main(["swapseq", pop, "--verify", "seq.jsonl", "--out", "x.jsonl"]) == 3
+
+
+def test_swapseq_verify_of_a_truncated_export_exit_3(ws, capsys):
+    pop = write(ws, "pop.json", FIG1)
+    assert main(["swapseq", pop, "--out", "seq.jsonl"]) == 0
+    lines = (ws / "seq.jsonl").read_text().splitlines()
+    (ws / "seq.jsonl").write_text("\n".join(lines[:-1]) + "\n")
+    capsys.readouterr()
+    assert main(["swapseq", pop, "--verify", "seq.jsonl", "--out", "x.jsonl"]) == 3
+    assert "1000 recorded states, rebuilt 1001" in capsys.readouterr().err
 
 
 def test_swapseq_verify_checks_every_field(ws, capsys):

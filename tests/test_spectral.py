@@ -617,6 +617,17 @@ def test_boundary_value_next_to_soft_edges_against_mpmath(pop):
                 assert abs(stieltjes_boundary(pop, x) - ref) <= 1e-9 * abs(ref)
 
 
+@pytest.mark.parametrize("pop", [FIG1, FIG2, NEGPOP], ids=["fig1", "fig2", "negpop"])
+def test_boundary_value_at_a_soft_edge_is_m_star(pop):
+    # At E* itself the boundary value is the edge's own real m*, taken
+    # from the edge zone without a solve.
+    for e in find_edges(pop).edges:
+        if e.soft:
+            m = stieltjes_boundary(pop, e.e_star)
+            assert m.imag == 0.0
+            assert m.real == pytest.approx(e.m_star, rel=4e-16)
+
+
 @pytest.mark.parametrize("pop", [ID500, FIG2], ids=["identity", "fig2"])
 def test_boundary_value_next_to_the_hard_edge_against_mpmath(pop):
     for x in (1e-12, 1e-9, 1e-6, 1e-3):

@@ -188,6 +188,24 @@ def test_track_rejects_pole_collision():
         track_edge_after_swap(pop, edge, 0, collide)
 
 
+# The m* > 0 right edge at which a reflected left edge of the swap sweep
+# stops: one entry's jump to the seed value leaves the sign-rule bracket.
+SWEEP72 = PopulationSpec(((-5.000392462457993, 25), (-0.7418744888863233, 75),
+                          (3.360876243246581, 73), (4.390524110384184, 26),
+                          (13.87912522446762, 45)), 171)
+
+
+def test_track_rejects_a_jump_past_the_sign_rule_bracket():
+    edge = third(SWEEP72)
+    assert edge.side == "right" and edge.m_star == pytest.approx(0.45239, abs=1e-5)
+    with pytest.raises(SwapRejected, match="sign-rule bracket failed"):
+        track_edge_after_swap(SWEEP72, edge, 1, -5.000392462457993)
+    # A shorter hop of the same entry tracks: splitting a jump into hops
+    # is a way past the rejection.
+    hop = track_edge_after_swap(SWEEP72, edge, 1, -1.0)
+    assert hop.m_star == pytest.approx(0.46038, abs=1e-5)
+
+
 @pytest.mark.parametrize("new_t", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
 def test_track_rejects_a_non_finite_value_before_any_kernel_call(monkeypatch, new_t):
     # A non-finite value is an invalid argument, not a numerical failure
@@ -381,6 +399,21 @@ def test_not_swappable_for_bulk_difference():
     fake = SwapState(values, a.n_dim, a.edge, 1, None, "reflect", 0.0)
     with pytest.raises(NotSwappable):
         verify_swappable(a, fake, 10.0)
+
+
+def test_not_swappable_for_an_m_value_step():
+    # FIG1's first raise moves m* by 0.0038191, past phi/N = 0.002 at phi = 1.
+    states = build_swap_sequence(FIG1, rightmost(FIG1))
+    with pytest.raises(NotSwappable, match="m-value difference"):
+        verify_swappable(states[350], states[351], phi=1.0)
+    assert verify_swappable(states[350], states[351]).m_diff == pytest.approx(0.0038191, rel=1e-4)
+
+
+@pytest.mark.parametrize("phi", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_verify_rejects_a_budget_that_is_not_positive(phi):
+    states = build_swap_sequence(FIG2, rightmost(FIG2))
+    with pytest.raises(DomainError, match="phi must be positive"):
+        verify_swappable(states[0], states[1], phi=phi)
 
 
 def test_export_records():

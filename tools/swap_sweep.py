@@ -86,7 +86,7 @@ def main():
     for i, pop in enumerate(populations()):
         drawn += 1
         for edge in find_edges(pop).edges:
-            if not (edge.soft and check_regularity(pop, edge, TAU)):
+            if not check_regularity(pop, edge, TAU):
                 continue
             edges += 1
             head = (f"pop {i:3d} k={len(pop.entries)} N={pop.n_dim:3d} M={pop.total_mult:3d} "
