@@ -6,8 +6,9 @@ terminal two-valued population {0, t} while the tracked edge drifts by
 O(1/N) per step.  Two branches, chosen by the sign of the edge's
 m-value:
 
-  m* < 0: reflect every pole lying right of m* about m*, then raise all
-          positive entries to the maximum.
+  m* < 0: reflect every pole lying right of m* about m*, all entries of
+          one pole to one value, then raise all positive entries to the
+          maximum.
   m* > 0: seed a small constant fraction of entries at the pole-adjacent
           negative value t, zero the entries above t, then those below.
 
@@ -22,7 +23,8 @@ numpy pass measures them for a chunk of steps, and the pair check reads
 them back.
 
 A step picks its entry from the grouped values and looks up only its
-index, the first entry holding the value, in the length-M vector.  It
+index, the first entry holding the value, in the length-M vector; a
+reflected pole looks up all its entries' indices once.  It
 tracks the edge in the chart q = 1/m on the grouped poles, one kernel
 row at a time: g' at q*, then at the sign-rule bracket's widths on the
 side it points to until g' flips, and the one-row Newton-bisection
@@ -287,10 +289,13 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, unit=False):
     chart on the new grouped poles, in offsets from the pole interval that
     holds q* = 1/m_star, and must be a minimum of z0, a right edge.  When
     t_old = new_t nothing moves, and the edge stays at m_star, of either
-    side.  The edge is read off by `_soft_edge`; a degenerate one rejects
-    the swap.  Returns (c, edge, gamma) as `_soft_edge` gives them and the
-    grouped nonzero values of c times the new population, two float lists
-    merged from the values the margin read.  It runs on Python floats.
+    side.  A reflection about m_star, new_t = -1/(2 m_star + 1/t_old), keeps
+    t^2/(1 + t m_star)^2, so in exact arithmetic z0'(m_star) = 0 and m_star
+    stay; only rounding moves m_star.  The edge is read off by `_soft_edge`;
+    a degenerate one rejects the swap.  Returns (c, edge, gamma) as
+    `_soft_edge` gives them and the grouped nonzero values of c times the
+    new population, two float lists merged from the values the margin read.
+    It runs on Python floats.
     """
     moved = new_t != t_old
     if moved:
@@ -436,6 +441,10 @@ def build_swap_sequence(
         # Reflect every pole right of m* about m*, rightmost pole first: at
         # the largest negative value, or with none the largest value.  -1/t
         # rises with t on either sign, so values sharing it lie to its left.
+        # The pole's first entry, in index order, moves to -1/(2m + 1/t); each
+        # later one to the value the first holds then.  A reflection keeps m*
+        # (`_track`) and a rescale maps t, m to ct, m/c, so in exact arithmetic
+        # that is -1/(2m + 1/t) at its own step: one value, not one per ulp.
         while True:
             vals = groups[0]
             hi = bisect_left(vals, 0.0) or len(vals)
@@ -445,8 +454,10 @@ def build_swap_sequence(
             lo = hi - 1
             while lo and -1.0 / vals[lo - 1] == top:
                 lo -= 1
-            idx = first_index(vals[lo:hi])
-            apply_swap(idx, -1.0 / (2.0 * m + 1.0 / values[idx]), "reflect")
+            first, *rest = np.flatnonzero(np.isin(values, vals[lo:hi])).tolist()
+            apply_swap(first, -1.0 / (2.0 * m + 1.0 / values[first]), "reflect")
+            for idx in rest:
+                apply_swap(idx, values[first], "reflect")
         # Raise every positive entry to the running maximum, smallest first.
         while True:
             vals = groups[0]

@@ -441,11 +441,11 @@ FIG1X2 = {"n_dim": 1000, "entries": [
 
 
 @pytest.mark.parametrize("obj, edge_arg, sha", [
-    (FIG1, [], "f5412766555752652eccda0b4f37a886d08a05a92245c74a7f8a7cdb89042158"),
+    (FIG1, [], "e5d8ea50276f96be9ada41f135a724105eb9a82432901a68e135c03e0f717e57"),
     (NEGPOP, ["--edge-index", "2"], "592766d5394f47c811c3199c3ae3a8ab075da2679f98daed2c55195209a53891"),
     (NEGHALF, ["--edge-index", "2"], "4ea941a8a2c80f9aa937e11a8a9027073441ad1e6ea044bf3fd7730a3b98fdaf"),
-    (FIG2, [], "9c40c8aed35e9583fa8e93691f997dc44037c83e5ac7e321a46f356fe17b13e0"),
-    (FIG1X2, [], "15b8df6627c63f690dce548759c69a5586efd54e3e8262c3058fdd8f162da1de"),
+    (FIG2, [], "7504bc8d0d298b921701841ecee6ab93162caa3ae696dea9db9b74d04c584fdf"),
+    (FIG1X2, [], "92036a101a0fb8a1f9f413a93c48398124e4b3aaa4fef059247b5a69582379f1"),
 ], ids=["fig1", "negpop", "neghalf", "fig2", "fig1x2"])
 def test_swapseq_diagnostics_are_pinned_bit_for_bit(ws, obj, edge_arg, sha):
     # Every pair check's measurements and sum-rule residuals, as written.

@@ -317,11 +317,11 @@ def test_sequence_phase_counts_are_pinned(pop, pick, phases):
 
 
 @pytest.mark.parametrize("pop, pick, digests", [
-    (FIG1, rightmost, {0: "48f70d7d1d4a8849", 1: "01a43134bb402a18", 351: "41a156ecac754289",
-                       352: "307930feb87cb564", 651: "8003eb348d4f6fba", 1000: "19e02e5c37adb08e"}),
+    (FIG1, rightmost, {0: "48f70d7d1d4a8849", 1: "01a43134bb402a18", 351: "342ac47b5ef99329",
+                       352: "cd492c312e9ef137", 651: "30e875495b47bfd3", 1000: "19e02e5c37adb08e"}),
     (NEGPOP, right_soft, {0: "c63efd4faa2ccb56", 26: "3ad3cf0eee2758a9", 400: "3c5d495e655df78e"}),
-    (FIG2, rightmost, {0: "4fae7f500123035e", 1: "ad14974ee979ccd0", 400: "753e8030345dbdf8",
-                       401: "bc16987307fe875c", 799: "065ec666859fc09d", 800: "7a6bc518e496dcff"}),
+    (FIG2, rightmost, {0: "4fae7f500123035e", 1: "ad14974ee979ccd0", 400: "1db0f90819d3211f",
+                       401: "cc36ca1866e0b22e", 799: "92930bfb941a0e85", 800: "7a6bc518e496dcff"}),
     (NEGHALF, right_soft, {0: "6e8529d43ef7072f", 1: "a37b2960d4536165", 12: "90bdb675d808008a",
                            13: "452730e8b24e5543", 199: "da1c4e6758676172", 200: "aa051454e79797d2"}),
 ])
@@ -337,14 +337,14 @@ def test_fig1_export_is_pinned_bit_for_bit():
     # drift), which `swapseq --verify` compares exactly.
     text = export_sequence(build_swap_sequence(FIG1, rightmost(FIG1)))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "599029fcd507b203e2a3eb3ae7eb34d9ca4c3591fb8275e2fd7447518854b38c")
+        "e28da20043979052dc67789951fd102ccddf57a8e19028ca6c46479374e303d7")
 
 
 @pytest.mark.parametrize("pop, pick, sha", [
     (NEGPOP, right_soft, "1f3c3dd84923eb1dc8c87b87dbee5f23d3f6d3907064e7bc1d6f39fe20de1743"),
     (NEGHALF, right_soft, "3341ba04f0430eb7daa895a105f344e6523751380480888d9d0db58cf5e667d0"),
-    (FIG2, rightmost, "53617527bbfe0f78e8aee5ad0ca2078b808f8ea2f9516b45f082128b1e3b6426"),
-    (FIG1X2, rightmost, "a661037164d59a48fa66271dd8aca49d39e66d1447670b86396e586b4b76a54e"),
+    (FIG2, rightmost, "5f4f0841a5c424b50345af56e0c5ca2dbc3833f084d6e45270bf61800fe16de4"),
+    (FIG1X2, rightmost, "b7d48c17676c413dd518a42c6793a16f3f7def7eea44a974cddb0f79c46d8234"),
 ], ids=["negpop", "neghalf", "fig2", "fig1x2"])
 def test_bench_exports_are_pinned_bit_for_bit(pop, pick, sha):
     # The other swap populations of the benchmark, the m* > 0 branch's
@@ -353,21 +353,46 @@ def test_bench_exports_are_pinned_bit_for_bit(pop, pick, sha):
     assert hashlib.sha256(text.encode()).hexdigest() == sha
 
 
-# 48 values spread over [-3, -0.5] and [0.5, 6]: the build's group count
-# rises from 48 to 100 while it reflects and falls to 1 while it raises.
+# 48 values spread over [-3, -0.5] and [0.5, 6]: the build holds 48 or 49
+# value groups while it reflects, one source group at a time, and falls to
+# 1 while it raises.
 SPREAD48 = PopulationSpec(tuple((float(v), 10) for v in np.concatenate(
     (np.linspace(-3.0, -0.5, 24), np.linspace(0.5, 6.0, 24)))), 500)
 
 
 def test_many_group_build_is_pinned_bit_for_bit():
-    # Every bit of the records and of the pair sums at up to 100 value
+    # Every bit of the records and of the pair sums at up to 49 value
     # groups, where every float row of the tracker sums many terms.
     states = build_swap_sequence(SPREAD48, rightmost(SPREAD48))
     assert len(states) == 711
     assert hashlib.sha256(export_sequence(states).encode()).hexdigest() == (
-        "1000d999624d3fbeb81b8fe617d4d251a65d54333b952f42c5c9f4cf2c2f3b67")
+        "937de9827aed79a1f3f4d2a87fd752e31ed89305a6d52f771dc0eafb785d498c")
     assert hashlib.sha256(states[0]._tape.sums.tobytes()).hexdigest() == (
-        "5bb7f0514445897448208c8bb45e689c67c36f2243ed0bb834b46488fb412264")
+        "a7f9af692038a4f0e210ed73e124ac1429a807f5bb6ef318b8828e88e1583c3c")
+
+
+@pytest.mark.parametrize("pop, edges, held", [
+    (FIG1, {175: (0.8503610276675763, -1.5895093829529665, 0.9999999999999999),
+            351: (0.9424612962984592, -1.586445030042938, 1.0000000000000002),
+            651: (1.4885228597890103, -1.2950623803686518, 1.0),
+            1000: (1.779996454132546, -1.2265282616441393, 1.0)}, {351: 3}),
+    (FIG2, {200: (0.9816694917335885, -1.4702843187100838, 0.9999999999999999),
+            401: (1.0637002631895751, -1.469057702760361, 1.0),
+            800: (1.5874010519681996, -1.259921049894873, 0.9999999999999999)}, {401: 2}),
+], ids=["fig1", "fig2"])
+def test_one_value_reflection_moves_the_edges_by_rounding_only(pop, edges, held):
+    # The edges as recorded when each reflect step moved its entry to
+    # -1/(2m + 1/t) at that step's m, a few ulps apart from one another:
+    # one value per source group moves them by rounding only, and no state
+    # holds more than the k source values and the reflected one.
+    states = build_swap_sequence(pop, rightmost(pop))
+    for i, (e_star, m_star, gamma) in edges.items():
+        edge = states[i].edge
+        assert (edge.e_star, edge.m_star, edge.gamma) == pytest.approx(
+            (e_star, m_star, gamma), rel=4e-15, abs=0)
+    distinct = [np.unique(s.values).size for s in states]
+    assert {i: distinct[i] for i in held} == held
+    assert max(distinct) <= len(pop.entries) + 1
 
 
 def test_sum_rules_identical_states_vanish():
@@ -440,8 +465,12 @@ def scan_picks(states):
     """Check every swap of a built sequence against the builder's O(M)
     candidate scans over the full vector of the state before it.
 
-    Returns the number of picks where distinct values share the chosen
-    pole, so the first index among them decides.
+    A reflect step moves the first entry of a pole to -1/(2m + 1/t), and
+    each later entry of it, told by its source values rescaled step by step
+    as the vector is, to the value that first entry holds then: within 32
+    ulps of -1/(2m + 1/t) at its own step.  Returns the number of picks
+    where distinct values share the chosen pole, so the first index among
+    them decides.
     """
     pos, ties = 0, 0
     v, m = states[0].values, states[0].edge.m_star
@@ -461,6 +490,7 @@ def scan_picks(states):
         return idx
 
     if m < 0:
+        src, first = np.array([]), None
         while True:
             nz = v != 0.0
             poles = np.where(nz, -1.0 / np.where(nz, v, 1.0), -np.inf)
@@ -468,7 +498,14 @@ def scan_picks(states):
             if cands.size == 0:
                 break
             idx = first_max_pole(cands, poles)
-            apply(idx, -1.0 / (2.0 * m + 1.0 / v[idx]), "reflect")
+            target = -1.0 / (2.0 * m + 1.0 / v[idx])
+            if v[idx] in src:
+                assert abs(v[first] - target) <= 32 * np.spacing(abs(target))
+                apply(idx, v[first], "reflect")
+            else:
+                src, first = np.unique(v[cands][poles[cands] == poles[idx]]), idx
+                apply(idx, target, "reflect")
+            src = src * states[pos].scale
         while True:
             t_max = float(v.max())
             cands = ((v > 0.0) & (v < t_max)).nonzero()[0]
@@ -575,9 +612,9 @@ def test_chunked_pair_sums_equal_the_pair_by_pair_sums(pop, pick, steps):
 
 
 @pytest.mark.parametrize("pop, pick, sha", [
-    (FIG1, rightmost, "bb671f7c947564b787b8ffff98f5f8259bc2243ace9bcea9c324ad9981bd4fcc"),
+    (FIG1, rightmost, "675eb7de7ddda47ab896f20eeea41f06d56420f64b3107a8882b131ed6e14539"),
     (NEGPOP, right_soft, "127b95d44f748b215c60e38f7ef75869ca238f6c0925e59b391ca2bae2e1c095"),
-    (FIG2, rightmost, "48387f66c74defa26cb8cb2afdde7b7805afb1d2e1a7a059f5d45232c991ec17"),
+    (FIG2, rightmost, "71c01da6b806ae4c72820a940d5fbf0f78f519f87512fdb3f64d945b8503710f"),
 ], ids=["fig1", "negpop", "fig2"])
 def test_pair_diagnostics_are_pinned_at_full_precision(pop, pick, sha):
     # Every field of every consecutive pair's diagnostics, as repr prints
