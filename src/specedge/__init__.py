@@ -23,9 +23,9 @@ _EXPORTS = {
     "simulate": ("CoverageResult", "LocalLawProbe", "SimConfig", "edge_concentration",
                  "local_law_probe", "sample_spectrum", "support_adherence",
                  "table1_experiment"),
-    "spectral": ("density_f0", "solve_m0", "stieltjes_boundary", "z0_derivative", "z0_eval"),
-    "swaps": ("SwapDiagnostics", "SwapState", "build_swap_sequence", "rescale_unit_gamma",
-              "sum_rule_residuals", "track_edge_after_swap", "verify_swappable"),
+    "spectral": ("density_f0", "solve_m0", "stieltjes_boundary"),
+    "swaps": ("SwapDiagnostics", "SwapState", "build_swap_sequence", "sum_rule_residuals",
+              "verify_swappable"),
     "tw": ("f1_cdf", "f1_quantile"),
     "twtest": ("TestReport", "edge_test", "plugin_edge_test"),
 }

@@ -144,11 +144,6 @@ class PopulationSpec:
         """Length-M vector of diagonal values in canonical order."""
         return np.repeat(self.values(), self.mults().astype(int))
 
-    @_derived
-    def poles(self) -> np.ndarray:
-        """Poles of the inverse-transform map: {0} plus -1/t for t != 0."""
-        return np.sort(np.concatenate([[0.0], -1.0 / self.nonzero()[0]]))
-
     # -- derived populations -----------------------------------------------
 
     def reflected(self) -> "PopulationSpec":

@@ -33,7 +33,6 @@ from .edges import (
 from .errors import DomainError, NonConvergence, PoleProximity, UndefinedAtZero
 from .population import PopulationSpec, _derived, _is_int
 
-POLE_PROXIMITY_REL = 1e-12
 DEFAULT_TOL = 1e-12
 MAX_ITER = 10_000
 STEP_ULPS = 4              # solve_m0 stops on a Newton step this small, in ulps of |m|
@@ -53,81 +52,6 @@ NEWTON_STEPS = 8           # Newton steps per abscissa at most
 NEWTON_RTOL = 1e-10        # a step this small relative to |q| ends them
 NOISE_ULPS = 8             # rounding floor of g(q) - x, in ulps of its summands
 EDGE_ZONE_ULPS = 64        # a soft edge's zone, in ulps of g's summands at q*
-
-
-# ---------------------------------------------------------------------------
-# array-level evaluators (vals = distinct nonzero values, mults, n = N)
-
-def _z0(vals, mults, n, m, order=0):
-    """z0 at m, or its derivative of the given order (1..3): the k-th
-    derivative of t/(1 + t m) is (-1)^k k! t^(k+1) / (1 + t m)^(k+1).
-    A tuple of orders gives a list, one value per order, from one 1 + t m."""
-    m = np.asarray(m)
-    r = 1.0 + (m[..., None] if m.ndim else m) * vals
-    out = []
-    for k in (order if isinstance(order, tuple) else (order,)):
-        coef = (-1.0) ** k * (1, 1, 2, 6)[k]
-        lead = coef / (m ** (k + 1) if k else m)
-        if vals.size == 0:
-            out.append(-lead)
-            continue
-        terms = mults * vals ** (k + 1) / r ** (k + 1) if k else mults * vals / r
-        out.append(-lead + coef * np.add.reduce(terms, axis=-1) / n)
-    return out if isinstance(order, tuple) else out[0]
-
-
-def _pole_guard(pop: PopulationSpec, m) -> None:
-    """Raise PoleProximity when m is within tolerance of a pole.
-
-    The tolerance is relative to the local pole spacing, so tightly
-    clustered poles get proportionally tighter exclusion zones.
-    """
-    poles = pop.poles()
-    m_arr = np.atleast_1d(np.asarray(m, dtype=complex))
-    dist = np.abs(m_arr[:, None] - poles[None, :])
-    idx = np.argmin(dist, axis=1)
-    if poles.size > 1:
-        gaps = np.diff(poles)           # poles ascend: nearest neighbours
-        spacing = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
-    else:
-        spacing = np.maximum(np.abs(poles), 1.0)
-    tol = POLE_PROXIMITY_REL * spacing[idx]
-    bad = dist[np.arange(m_arr.size), idx] <= tol
-    if np.any(bad):
-        where = m_arr[bad][0]
-        raise PoleProximity(f"m={where} is within {POLE_PROXIMITY_REL:g} of a pole of z0")
-
-
-# ---------------------------------------------------------------------------
-# public operations
-
-def z0_eval(pop: PopulationSpec, m):
-    """Evaluate z0 at m (real or complex, off the pole set).
-
-    The point at infinity maps to 0 by convention.
-    """
-    if np.isscalar(m) and not np.iscomplexobj(np.asarray(m)) and np.isinf(m):
-        return 0.0
-    return _z0_at(pop, m, 0)
-
-
-def z0_derivative(pop: PopulationSpec, m, order: int = 1):
-    """Exact rational-function derivative of z0 of the given order (1..3)."""
-    if not (_is_int(order) and order in (1, 2, 3)):
-        raise DomainError(f"derivative order must be 1, 2, or 3, got {order}")
-    return _z0_at(pop, m, order)
-
-
-def _z0_at(pop: PopulationSpec, m, order):
-    """z0 or its derivative at m off the pole set; a scalar m gives a
-    Python float or complex."""
-    if np.isnan(m).any():
-        raise DomainError(f"m must not be NaN, got {m!r}")
-    _pole_guard(pop, m)
-    out = _z0(*pop.nonzero(), pop.n_dim, m, order)
-    if np.isscalar(m):
-        out = complex(out) if np.iscomplexobj(np.asarray(m)) else float(out)
-    return out
 
 
 def solve_m0(pop: PopulationSpec, z: complex, tol: float = DEFAULT_TOL) -> complex:

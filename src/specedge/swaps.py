@@ -51,7 +51,7 @@ import numpy as np
 
 from .edges import EdgeInfo, _g_row_floats, _inv, _newton_bisect_one, _soft_edge
 from .errors import DomainError, NotSwappable, RegularityLost, SwapRejected
-from .population import PopulationSpec, _is_int, from_values
+from .population import PopulationSpec, from_values
 
 DEFAULT_PHI = 10.0
 TAU_FLOOR = 0.01           # least regularity margin of a tracked edge; pole exclusion
@@ -187,30 +187,6 @@ def reflected_right_edge(pop: PopulationSpec, edge: EdgeInfo):
     if info.side != "right":
         raise SwapRejected("reflected extremum is not a local minimum")
     return refl, info
-
-
-def rescale_unit_gamma(pop: PopulationSpec, edge: EdgeInfo):
-    """Rescale so the given soft edge has scale 1; returns (pop', edge')."""
-    if not edge.soft or edge.gamma is None:
-        raise SwapRejected("only soft non-degenerate edges can be rescaled")
-    c, info = _track(*_groups(pop), 0.0, 0.0, pop.n_dim, edge.m_star, DEFAULT_PHI, True)[:2]
-    return pop.scaled(c), info
-
-
-def track_edge_after_swap(
-    pop: PopulationSpec,
-    edge: EdgeInfo,
-    entry_index: int,
-    new_t: float,
-) -> EdgeInfo:
-    """Edge of the population after one entry of group `entry_index`
-    moves to `new_t`, located by the sign-rule bracket near m*."""
-    if not math.isfinite(new_t):
-        raise DomainError(f"new_t must be finite, got {new_t!r}")
-    if not (_is_int(entry_index) and 0 <= entry_index < len(pop.entries)):
-        raise SwapRejected(f"entry_index {entry_index!r} is not an index of an entry")
-    t_old = pop.entries[entry_index][0]
-    return _track(*_groups(pop), t_old, new_t, pop.n_dim, edge.m_star, DEFAULT_PHI)[1]
 
 
 def _groups(pop):

@@ -1,6 +1,7 @@
-"""Test-wide settings and strategies: property tests draw the same
-examples on every run."""
+"""Test-wide settings, strategies and the m-chart oracle for z0: property
+tests draw the same examples on every run."""
 
+import numpy as np
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
@@ -42,3 +43,21 @@ def signed_populations(draw):
         n_dim = max(1, round(sum(mults) / draw(st.one_of(st.just(1.0), st.floats(0.05, 20.0)))))
     assume(0.05 <= sum(mults) / n_dim <= 20.0)
     return PopulationSpec(tuple(zip(vals, mults)), n_dim)
+
+
+def z0_outer(pop, m, order=0):
+    """z0 at m, or its derivative of the given order (1..3), in the m chart:
+    the k-th derivative of t/(1 + t m) is (-1)^k k! t^(k+1) / (1 + t m)^(k+1),
+    with 1 + m t formed by np.multiply.outer.  The package evaluates z0 only
+    in the chart q = 1/m, so this is the tests' independent oracle."""
+    vals, mults = pop.nonzero()
+    m = np.asarray(m)
+    k = order + 1
+    coef = (-1.0) ** order * (1, 1, 2, 6)[order]
+    lead = coef / (m ** k if order else m)
+    if vals.size == 0:
+        return -lead
+    t, r = vals, 1.0 + np.multiply.outer(m, vals)
+    if order:
+        t, r = t ** k, r ** k
+    return -lead + coef * (mults * t / r).sum(axis=-1) / pop.n_dim

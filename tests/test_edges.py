@@ -7,7 +7,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import signed_populations
+from conftest import signed_populations, z0_outer
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -19,7 +19,6 @@ from specedge import (
     density_f0,
     edge_for_m_sign,
     find_edges,
-    z0_derivative,
 )
 import specedge.edges
 from specedge.edges import (
@@ -125,8 +124,8 @@ def test_edge_ordering_and_parity():
         assert flat == sorted(e_desc)
         for e in report.edges:
             if e.soft:
-                assert abs(z0_derivative(pop, e.m_star, 1)) < 1e-8
-                curv = z0_derivative(pop, e.m_star, 2)
+                assert abs(z0_outer(pop, e.m_star, 1)) < 1e-8
+                curv = z0_outer(pop, e.m_star, 2)
                 assert (curv > 0) == (e.side == "right")
 
 
@@ -217,7 +216,7 @@ def m_chart_cert(vals, mults, n, m, d2):
     add up:
 
     - rounding: CERT_ULPS ulps of 1/m^2 plus the summands
-      c t^2/(1 + tm)^2 / N of z0'(m) as `_z0` sums them, each grown by
+      c t^2/(1 + tm)^2 / N of z0'(m) as `z0_outer` sums them, each grown by
       1 + 2|tm/(1 + tm)|, the relative error that rounding 1 + tm passes
       on to its square;
     - location: the search stops within S_RTOL of the offset of q = 1/m
@@ -262,8 +261,8 @@ def assert_report_invariants(pop, report):
     vals, mults = pop.nonzero()
     for e in report.edges:
         if e.soft:
-            d1 = abs(z0_derivative(pop, e.m_star, 1))
-            d2 = z0_derivative(pop, e.m_star, 2)
+            d1 = abs(z0_outer(pop, e.m_star, 1))
+            d2 = z0_outer(pop, e.m_star, 2)
             assert d1 <= DERIV_CERT
             assert d1 <= m_chart_cert(vals, mults, pop.n_dim, np.array([e.m_star]), d2)[0]
             g1, bound = q_chart_cert(pop, e.m_star)
@@ -524,6 +523,32 @@ def test_one_row_kernel_equals_its_row_of_a_batched_call(pop, data):
         batch = _g_derivs(p, d, j, s)
         rows = [_g_row(p, d, p[j[i]], float(s[i])) for i in range(13)]
     np.testing.assert_array_equal(batch, np.array(rows).T)
+
+
+@given(signed_populations(), st.data())
+def test_kernel_row_matches_the_m_chart_oracle(pop, data):
+    # g(q) = z0(1/q), so the row's g', g'', g''' at q = 1/m give z0', z0''
+    # and z0''' by the chain rule in m = 1/q.  The bound is a few ulps of
+    # each summand of z0^(k), grown by the rounding of 1 + tm in the oracle
+    # and of q + t, formed from the anchor pole pj, in the row:
+    # (k + 1)(1 + |pj m| + 2|tm|)/|1 + tm| in all.
+    vals, mults = pop.nonzero()
+    p, d = _poles(vals, mults, pop.n_dim)
+    m = np.array(data.draw(st.lists(st.floats(-1e3, 1e3).filter(lambda x: abs(x) >= 1e-3),
+                                    min_size=8, max_size=8)))
+    tm = np.multiply.outer(m, vals)
+    off = np.all(np.abs(1.0 + tm) >= 1e-6, axis=1)      # off the poles
+    m, tm = m[off], tm[off]
+    q, r = 1.0 / m, np.abs(1.0 + tm)
+    pj = p[np.clip(np.searchsorted(p, q) - 1, 0, p.size - 1)]
+    g1, g2, g3 = _g_row(p, d, pj[:, None], (q - pj)[:, None])
+    chain = (-q**2 * g1, q**4 * g2 + 2 * q**3 * g1, -(q**6 * g3 + 6 * q**5 * g2 + 6 * q**4 * g1))
+    for k, got in enumerate(chain, 1):
+        coef = (1, 1, 2, 6)[k]
+        grow = (k + 1) * (1.0 + np.abs(pj * m)[:, None] + 2.0 * np.abs(tm)) / r
+        summands = coef * mults * np.abs(vals) ** (k + 1) / r ** (k + 1) / pop.n_dim
+        bound = 4 * EPS * (coef / np.abs(m) ** (k + 1) + (summands * grow).sum(axis=-1))
+        assert np.all(np.abs(got - z0_outer(pop, m, k)) <= bound)
 
 
 @given(signed_populations(), st.data())

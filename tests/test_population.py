@@ -48,16 +48,15 @@ def test_boolean_counts_are_rejected(entries, n_dim):
         PopulationSpec(entries, n_dim)
 
 
-def test_expand_and_poles():
+def test_expand():
     pop = PopulationSpec(((-2.0, 2), (3.0, 1)), 3)
     assert list(pop.expand()) == [-2.0, -2.0, 3.0]
-    np.testing.assert_allclose(pop.poles(), [-1 / 3, 0.0, 0.5])
 
 
 def test_derived_arrays_are_computed_once_and_read_only():
     pop = PopulationSpec(((-2.0, 2), (0.0, 1), (3.0, 1)), 4)
-    arrays = [pop.values(), pop.mults(), *pop.nonzero(), pop.expand(), pop.poles()]
-    again = [pop.values(), pop.mults(), *pop.nonzero(), pop.expand(), pop.poles()]
+    arrays = [pop.values(), pop.mults(), *pop.nonzero(), pop.expand()]
+    again = [pop.values(), pop.mults(), *pop.nonzero(), pop.expand()]
     assert all(a is b for a, b in zip(arrays, again))
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -73,7 +72,7 @@ def test_all_zero_population_arrays():
     pop = PopulationSpec(((0.0, 5),), 5)
     vals, mults = pop.nonzero()
     assert vals.shape == mults.shape == (0,) and vals.dtype == mults.dtype == float
-    assert pop.poles().tolist() == [0.0] and pop.rank == 0
+    assert pop.rank == 0
 
 
 def test_reflection_and_scaling():

@@ -11,13 +11,12 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import signed_populations
+from conftest import signed_populations, z0_outer
 from hypothesis import example, given
-from hypothesis import strategies as st
 
 from specedge import (
     PopulationSpec, SpecEdgeError, atom_mass_at_zero, density_f0, find_edges, solve_m0,
-    spectral, stieltjes_boundary, z0_derivative, z0_eval,
+    spectral, stieltjes_boundary,
 )
 from specedge.errors import DomainError, PoleProximity, UndefinedAtZero
 from specedge.spectral import density_grid, integrate_density, isolated_zero_in_support
@@ -53,45 +52,12 @@ def random_population(rng, n=200):
 # -- z0 ---------------------------------------------------------------------
 
 def test_z0_identity_closed_form():
-    assert z0_eval(ID500, -0.5) == pytest.approx(4.0, abs=1e-14)
-
-
-def test_z0_at_infinity_is_zero():
-    assert z0_eval(FIG1, float("inf")) == 0.0
-    assert z0_eval(ID500, float("-inf")) == 0.0
-
-
-@pytest.mark.parametrize("m", [np.nan, complex(np.nan, 1.0), np.array([0.3, np.nan])],
-                         ids=["real", "complex", "array"])
-def test_z0_rejects_nan(m):
-    with pytest.raises(DomainError, match="NaN"):
-        z0_eval(FIG1, m)
-    with pytest.raises(DomainError, match="NaN"):
-        z0_derivative(FIG1, m, 1)
-
-
-def test_z0_derivative_order_must_be_an_integer():
-    for order in (True, 2.0):
-        with pytest.raises(DomainError, match="order"):
-            z0_derivative(FIG1, 1.0, order=order)
-
-
-def test_z0_pole_proximity():
-    # -1/t = 1 for the t = -1 block
-    with pytest.raises(PoleProximity):
-        z0_eval(FIG2, 1.0 + 1e-15)
-    with pytest.raises(PoleProximity):
-        z0_derivative(FIG2, 1e-16, 1)
+    assert z0_outer(ID500, -0.5) == pytest.approx(4.0, abs=1e-14)
 
 
 def test_z0_derivative_identity_values():
-    assert z0_derivative(ID500, -0.5, 1) == pytest.approx(0.0, abs=1e-12)
-    assert z0_derivative(ID500, -0.5, 2) == pytest.approx(32.0, rel=1e-13)
-
-
-def test_z0_derivative_order_domain():
-    with pytest.raises(DomainError):
-        z0_derivative(ID500, -0.5, 4)
+    assert z0_outer(ID500, -0.5, 1) == pytest.approx(0.0, abs=1e-12)
+    assert z0_outer(ID500, -0.5, 2) == pytest.approx(32.0, rel=1e-13)
 
 
 def test_z0_derivative_matches_finite_differences():
@@ -101,64 +67,29 @@ def test_z0_derivative_matches_finite_differences():
     while checked < 100:
         pop = random_population(rng)
         m = float(rng.uniform(-4, 4))
-        if np.min(np.abs(m - pop.poles())) < 0.05:
+        poles = np.append(-1.0 / pop.nonzero()[0], 0.0)
+        if np.min(np.abs(m - poles)) < 0.05:
             continue
-        d1 = z0_derivative(pop, m, 1)
-        fd1 = (z0_eval(pop, m + h) - z0_eval(pop, m - h)) / (2 * h)
+        d1 = z0_outer(pop, m, 1)
+        fd1 = (z0_outer(pop, m + h) - z0_outer(pop, m - h)) / (2 * h)
         assert d1 == pytest.approx(fd1, rel=1e-5, abs=1e-7)
-        d2 = z0_derivative(pop, m, 2)
-        fd2 = (z0_eval(pop, m + h) - 2 * z0_eval(pop, m) + z0_eval(pop, m - h)) / h**2
+        d2 = z0_outer(pop, m, 2)
+        fd2 = (z0_outer(pop, m + h) - 2 * z0_outer(pop, m) + z0_outer(pop, m - h)) / h**2
         assert d2 == pytest.approx(fd2, rel=1e-4, abs=1e-3)
         checked += 1
 
 
-def z0_outer(vals, mults, n, m, order=0):
-    """`_z0` as it formed 1 + m*t with np.multiply.outer: the oracle for
-    the broadcast product."""
-    m = np.asarray(m)
-    k = order + 1
-    coef = (-1.0) ** order * (1, 1, 2, 6)[order]
-    lead = coef / (m ** k if order else m)
-    if vals.size == 0:
-        return -lead
-    t, r = vals, 1.0 + np.multiply.outer(m, vals)
-    if order:
-        t, r = t ** k, r ** k
-    return -lead + coef * (mults * t / r).sum(axis=-1) / n
-
-
-finite = st.floats(-50.0, 50.0).filter(lambda x: x != 0.0)
-
-
-@given(signed_populations(), st.one_of(
-    finite, st.builds(complex, finite, st.floats(-5.0, 5.0)),
-    st.lists(finite, min_size=1, max_size=6).map(np.array),
-    st.lists(st.builds(complex, finite, finite), min_size=1, max_size=6).map(np.array),
-))
-def test_z0_equals_the_outer_product_form_bit_for_bit(pop, m):
-    # The swap rescale factors, and so the pinned state digests, come
-    # from these bits.
-    vals, mults = pop.nonzero()
-    with np.errstate(all="ignore"):     # m may land on a pole
-        for order in range(4):
-            got = spectral._z0(vals, mults, pop.n_dim, m, order)
-            want = z0_outer(vals, mults, pop.n_dim, m, order)
-            assert np.shape(got) == np.shape(want)
-            np.testing.assert_array_equal(got, want)
-
-
 def test_atom_form_kernel_matches_the_m_chart():
     # solve_m0 and the boundary solver both evaluate z0 through _gq, so
-    # _gq is checked here against the m-chart _z0, the independent form:
+    # _gq is checked here against the m-chart oracle, the independent form:
     # g(q) = z0(1/q) and g'(q) = -z0'(m) m^2, to rounding of the summands.
     rng = np.random.default_rng(21)
     for _ in range(200):
         pop = random_population(rng, n=int(rng.integers(20, 400)))
         t, c, a = spectral._chart(pop)
-        vals, mults = pop.nonzero()
         m = complex(rng.normal(0.0, 3.0), 10.0 ** rng.uniform(-6.0, 1.0))
         g, g1, _ = spectral._gq(t, c, a, np.array([1.0 / m]))
-        z0, z1 = spectral._z0(vals, mults, pop.n_dim, m, (0, 1))
+        z0, z1 = z0_outer(pop, m), z0_outer(pop, m, 1)
         scale = 1.0 / abs(m) + float(np.sum(c * np.abs(t / (1.0 + t * m))))
         assert abs(g[0] - z0) <= 1e-12 * scale
         scale1 = 1.0 / abs(m) ** 2 + float(np.sum(c * np.abs(t / (1.0 + t * m)) ** 2))
@@ -227,7 +158,7 @@ ZERO_ATOM = PopulationSpec(((0.0, 200), (1.0, 300)), 500)
 def test_solve_m0_rejects_z_whose_seed_underflows_up_front(monkeypatch, pop, z):
     # Im(-1/z) lies below the smallest normal double: rejected before the
     # first kernel call, not after the loop has spent its budget halving.
-    monkeypatch.setattr(spectral, "_z0", None)
+    monkeypatch.setattr(spectral, "_gq", None)
     with pytest.raises(DomainError, match="smallest normal double"):
         solve_m0(pop, z)
 
@@ -253,7 +184,7 @@ def test_solve_m0_rejects_lower_half_plane():
 ], ids=["nan-z", "inf-z", "inf-eta", "nan-tol", "inf-tol"])
 def test_solve_m0_rejects_non_finite_arguments_up_front(monkeypatch, z, tol):
     # Rejected before the first kernel call, not after the whole eta ladder.
-    monkeypatch.setattr(spectral, "_z0", None)
+    monkeypatch.setattr(spectral, "_gq", None)
     with pytest.raises(DomainError, match="finite"):
         solve_m0(FIG1, z, tol)
 
@@ -265,7 +196,7 @@ def test_solve_m0_fixed_point_residual_random():
         z = complex(rng.uniform(-8, 8), 10 ** rng.uniform(-6, 1))
         m = solve_m0(pop, z, tol=1e-12)
         assert m.imag > 0
-        assert abs(z0_eval(pop, m) - z) <= 1e-12
+        assert abs(z0_outer(pop, m) - z) <= 1e-12
 
 
 def test_solve_m0_lipschitz_in_z():
@@ -288,7 +219,7 @@ def test_solve_m0_bulk_interior_regression():
         z = complex(0.7032603127893147, eta)
         m = solve_m0(pop, z, tol=1e-13)
         assert m.imag > 0
-        assert abs(z0_eval(pop, m) - z) <= 1e-13
+        assert abs(z0_outer(pop, m) - z) <= 1e-13
 
 
 def test_solve_m0_symmetric_full_rank_outer_bulk():
@@ -301,7 +232,7 @@ def test_solve_m0_symmetric_full_rank_outer_bulk():
     z = 66 + 1e-3j
     m = solve_m0(pop, z)
     assert m.imag > 0
-    assert abs(z0_eval(pop, m) - z) <= 1e-12
+    assert abs(z0_outer(pop, m) - z) <= 1e-12
     assert abs(m - (-0.0154004 + 0.0013071j)) <= 1e-6
 
 
@@ -320,7 +251,7 @@ def test_solve_m0_is_independent_of_the_boundary_solver(monkeypatch):
         z = complex(x, 1e-9)
         m = solve_m0(FIG1, z)
         assert m.imag > 0
-        assert abs(z0_eval(FIG1, m) - z) <= 1e-12
+        assert abs(z0_outer(FIG1, m) - z) <= 1e-12
         assert m == pytest.approx(want, rel=1e-6)
 
 
@@ -338,7 +269,7 @@ def near_axis_value(pop, x):
     the 1e-9 * |m0'(x)| by which the offset moves it."""
     z = complex(x, 1e-9)
     m = stieltjes_boundary(pop, x)
-    slack = 1e-6 * max(1.0, abs(m)) + 1e-8 / abs(z0_derivative(pop, m, 1))
+    slack = 1e-6 * max(1.0, abs(m)) + 1e-8 / abs(z0_outer(pop, m, 1))
     return solve_m0(pop, z) + atom_mass_at_zero(pop) / z, slack
 
 

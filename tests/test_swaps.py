@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import signed_populations
+from conftest import signed_populations, z0_outer
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,18 +16,15 @@ from specedge import (
     PopulationSpec,
     build_swap_sequence,
     find_edges,
-    rescale_unit_gamma,
     sum_rule_residuals,
-    track_edge_after_swap,
     verify_swappable,
 )
-import specedge.swaps
 from specedge.edges import _g_row_floats, _inv
 from specedge.errors import DomainError, NotSwappable, SwapRejected
 from specedge.population import VALUE_BOUND
 from specedge.swaps import (
-    _SUM_CHUNK, SwapDiagnostics, SwapState, _merged, _moved, _pair_sums, _root_pass,
-    export_sequence, reflected_right_edge,
+    _SUM_CHUNK, DEFAULT_PHI, SwapDiagnostics, SwapState, _groups, _merged, _moved, _pair_sums,
+    _root_pass, _track, export_sequence, reflected_right_edge,
 )
 
 ID500 = PopulationSpec(((1.0, 500),), 500)
@@ -53,12 +50,25 @@ def third(pop):
     return find_edges(pop).edges[2]
 
 
+def track(pop, edge, t_old=0.0, new_t=0.0, unit=False):
+    """(c, edge) from `_track` on the population's groups: the edge next to
+    edge.m_star after one entry t_old -> new_t, and with `unit` the factor c
+    that takes the new population to unit edge scale, as a build runs it."""
+    return _track(*_groups(pop), t_old, new_t, pop.n_dim, edge.m_star, DEFAULT_PHI, unit)[:2]
+
+
+def unit_scaled(pop, edge):
+    """The population at unit edge scale and its edge, as a build starts."""
+    c, info = track(pop, edge, unit=True)
+    return pop.scaled(c), info
+
+
 # -- rescaling ----------------------------------------------------------------
 
 def test_rescale_identity_population():
     edge = rightmost(ID500)
     assert edge.gamma == pytest.approx(0.25)
-    pop2, edge2 = rescale_unit_gamma(ID500, edge)
+    pop2, edge2 = unit_scaled(ID500, edge)
     factor = 0.25 ** (2 / 3)
     assert pop2.entries[0][0] == pytest.approx(factor, rel=1e-12)
     assert edge2.gamma == pytest.approx(1.0, abs=1e-8)
@@ -68,8 +78,8 @@ def test_rescale_identity_population():
 
 def test_rescale_is_idempotent():
     edge = rightmost(FIG1)
-    pop1, edge1 = rescale_unit_gamma(FIG1, edge)
-    pop2, edge2 = rescale_unit_gamma(pop1, edge1)
+    pop1, edge1 = unit_scaled(FIG1, edge)
+    pop2, edge2 = unit_scaled(pop1, edge1)
     assert edge2.gamma == pytest.approx(1.0, abs=1e-10)
     for (t1, m1), (t2, m2) in zip(pop1.entries, pop2.entries):
         assert t1 == pytest.approx(t2, abs=1e-10)
@@ -78,10 +88,10 @@ def test_rescale_is_idempotent():
 
 def test_rescale_commutes_with_reflection():
     edge = rightmost(FIG1)
-    pop_s, edge_s = rescale_unit_gamma(FIG1, edge)
+    pop_s, edge_s = unit_scaled(FIG1, edge)
     refl = FIG1.reflected()
     redge = find_edges(refl).edges[-1]       # mirrored leftmost edge
-    rpop_s, redge_s = rescale_unit_gamma(refl, redge)
+    rpop_s, redge_s = unit_scaled(refl, redge)
     assert redge_s.gamma == pytest.approx(1.0, abs=1e-8)
     assert redge_s.e_star == pytest.approx(-edge_s.e_star, rel=1e-9)
     for (t1, m1), (t2, m2) in zip(rpop_s.entries, sorted((-t, m) for t, m in pop_s.entries)):
@@ -106,28 +116,30 @@ def test_sequences_are_scale_covariant(pop, pick, c):
 
 
 def test_entry_points_read_edges_at_a_small_scale():
+    # The reflection helper, and `_track` as a build enters it: the
+    # rescale and one swap step.
     pop = FIG1.scaled(1e-4)
     report, unscaled = find_edges(pop), find_edges(FIG1)
-    _, edge = rescale_unit_gamma(pop, report.edges[0])
+    _, edge = unit_scaled(pop, report.edges[0])
     assert edge.gamma == pytest.approx(1.0, abs=1e-12)
     _, right = reflected_right_edge(pop, report.edges[1])
     assert right.e_star == pytest.approx(-1e-4 * unscaled.edges[1].e_star, rel=1e-12)
-    moved = track_edge_after_swap(pop, report.edges[0], 2, pop.entries[2][0])
+    moved = track(pop, report.edges[0], pop.entries[2][0], pop.entries[2][0])[1]
     assert moved.e_star == pytest.approx(1e-4 * unscaled.edges[0].e_star, rel=1e-12)
 
 
-def test_rescale_rejects_hard_edge():
+def test_build_rejects_hard_edge():
     report = find_edges(ID500)
     hard = report.edges[1]
-    with pytest.raises(SwapRejected):
-        rescale_unit_gamma(ID500, hard)
+    with pytest.raises(SwapRejected, match="soft edge"):
+        build_swap_sequence(ID500, hard)
 
 
 # -- single-swap tracking ------------------------------------------------------
 
 def test_track_identity_swap_keeps_edge():
     edge = rightmost(FIG1)
-    moved = track_edge_after_swap(FIG1, edge, 2, 6.0)   # entry 2 is the 6-block
+    moved = track(FIG1, edge, 6.0, 6.0)[1]   # one entry of the 6-block stays
     assert moved.m_star == pytest.approx(edge.m_star, abs=1e-12)
     assert moved.e_star == pytest.approx(edge.e_star, abs=1e-12)
 
@@ -135,20 +147,20 @@ def test_track_identity_swap_keeps_edge():
 def test_track_reflection_swap_fixes_m():
     # moving one entry t to the value whose pole mirrors about m* leaves
     # the m-value exactly in place
-    pop, edge = rescale_unit_gamma(FIG1, rightmost(FIG1))
+    pop, edge = unit_scaled(FIG1, rightmost(FIG1))
     m = edge.m_star
     t_old = pop.entries[0][0]                # the (scaled) negative block
     t_new = -1.0 / (2.0 * m + 1.0 / t_old)
-    moved = track_edge_after_swap(pop, edge, 0, t_new)
+    moved = track(pop, edge, t_old, t_new)[1]
     assert moved.m_star == pytest.approx(m, abs=1e-11)
 
 
 def test_track_single_raise_drift_bound():
-    pop, edge = rescale_unit_gamma(FIG1, rightmost(FIG1))
+    pop, edge = unit_scaled(FIG1, rightmost(FIG1))
     t_max = max(t for t, _ in pop.entries)
     # raise one entry of the middle block to the maximum
     idx = [i for i, (t, _) in enumerate(pop.entries) if 0 < t < t_max][0]
-    moved = track_edge_after_swap(pop, edge, idx, t_max)
+    moved = track(pop, edge, pop.entries[idx][0], t_max)[1]
     assert abs(moved.m_star - edge.m_star) <= 10.0 / pop.n_dim
 
 
@@ -159,10 +171,10 @@ def test_track_single_raise_drift_bound():
 def test_track_matches_high_precision_root(pop, pick, group, new_t):
     import mpmath
 
-    pop, edge = rescale_unit_gamma(pop, pick(pop))
+    pop, edge = unit_scaled(pop, pick(pop))
     if new_t == "max":
         new_t = max(t for t, _ in pop.entries)
-    moved = track_edge_after_swap(pop, edge, group, new_t)
+    moved = track(pop, edge, pop.entries[group][0], new_t)[1]
     mults = dict(pop.entries)
     mults[pop.entries[group][0]] -= 1
     mults[new_t] = mults.get(new_t, 0) + 1
@@ -176,16 +188,16 @@ def test_track_matches_high_precision_root(pop, pick, group, new_t):
 
 
 def test_track_rejects_norm_violation():
-    pop, edge = rescale_unit_gamma(FIG1, rightmost(FIG1))
+    pop, edge = unit_scaled(FIG1, rightmost(FIG1))
     with pytest.raises(SwapRejected):
-        track_edge_after_swap(pop, edge, 0, 10 * pop.norm)
+        track(pop, edge, pop.entries[0][0], 10 * pop.norm)
 
 
 def test_track_rejects_pole_collision():
-    pop, edge = rescale_unit_gamma(FIG1, rightmost(FIG1))
+    pop, edge = unit_scaled(FIG1, rightmost(FIG1))
     collide = -1.0 / edge.m_star            # puts a pole exactly at m*
     with pytest.raises(SwapRejected):
-        track_edge_after_swap(pop, edge, 0, collide)
+        track(pop, edge, pop.entries[0][0], collide)
 
 
 # The m* > 0 right edge at which a reflected left edge of the swap sweep
@@ -199,31 +211,11 @@ def test_track_rejects_a_jump_past_the_sign_rule_bracket():
     edge = third(SWEEP72)
     assert edge.side == "right" and edge.m_star == pytest.approx(0.45239, abs=1e-5)
     with pytest.raises(SwapRejected, match="sign-rule bracket failed"):
-        track_edge_after_swap(SWEEP72, edge, 1, -5.000392462457993)
+        track(SWEEP72, edge, SWEEP72.entries[1][0], -5.000392462457993)
     # A shorter hop of the same entry tracks: splitting a jump into hops
     # is a way past the rejection.
-    hop = track_edge_after_swap(SWEEP72, edge, 1, -1.0)
+    hop = track(SWEEP72, edge, SWEEP72.entries[1][0], -1.0)[1]
     assert hop.m_star == pytest.approx(0.46038, abs=1e-5)
-
-
-@pytest.mark.parametrize("new_t", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
-def test_track_rejects_a_non_finite_value_before_any_kernel_call(monkeypatch, new_t):
-    # A non-finite value is an invalid argument, not a numerical failure
-    # of the edge search (nan) or a rejected swap (inf).
-    def no_kernel(*args):
-        raise AssertionError("the edge kernels were called")
-
-    for name in ("_track", "_moved", "_g_row_floats", "_newton_bisect_one",
-                 "_root_pass", "_soft_edge", "_merged"):
-        monkeypatch.setattr(specedge.swaps, name, no_kernel)
-    with pytest.raises(DomainError, match="finite"):
-        track_edge_after_swap(FIG1, rightmost(FIG1), 0, new_t)
-
-
-@pytest.mark.parametrize("entry_index", [1.0, True], ids=["float", "bool"])
-def test_track_rejects_an_entry_index_that_is_no_index(entry_index):
-    with pytest.raises(SwapRejected, match="entry_index"):
-        track_edge_after_swap(FIG1, rightmost(FIG1), entry_index, 6.0)
 
 
 # -- sequence construction -----------------------------------------------------
@@ -264,12 +256,10 @@ def test_fig2_sequence_step_bounds():
 
 
 def full_verify(states, phi=10.0):
-    from specedge import z0_derivative
-
     n = states[0].n_dim
     for s in states:
         assert abs(s.edge.gamma - 1) <= 1e-8
-        assert abs(z0_derivative(s.pop, s.edge.m_star, 1)) <= 1e-8
+        assert abs(z0_outer(s.pop, s.edge.m_star, 1)) <= 1e-8
     for a, b in zip(states[:-1], states[1:]):
         diag = verify_swappable(a, b, phi)
         assert diag.l1_t_diff < phi
