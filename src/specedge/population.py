@@ -8,9 +8,11 @@ this object.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,8 @@ from .errors import PopulationError
 
 RATIO_BAND = (1.0 / 20.0, 20.0)    # admissible M/N
 VALUE_BOUND = 1e3                  # admissible |t|
+
+_T, _MULT = operator.itemgetter("t"), operator.itemgetter("mult")
 
 
 def _derived(method):
@@ -68,6 +72,50 @@ def _document_float(value, error: type[Exception], field: str, *index) -> float:
     raise error(f"{field.format(*index)} must be a number, got {value!r}")
 
 
+def _document_pairs(raw) -> tuple[tuple[float, int], ...] | None:
+    """A document's entries as (t, mult) pairs, read in one pass over the
+    whole list, when every entry holds a float "t" and an int "mult", as
+    `to_json` writes them; None for anything else, which the per-entry
+    loop of `from_dict` reads and, if need be, rejects.  Whatever a lookup
+    raises here, the loop raises again at the first faulty entry."""
+    if type(raw) not in (list, tuple):
+        return None
+    try:
+        ts, ks = list(map(_T, raw)), list(map(_MULT, raw))
+    except Exception:
+        return None
+    n = len(ts)
+    if operator.countOf(map(type, ts), float) != n or operator.countOf(map(type, ks), int) != n:
+        return None
+    return tuple(zip(ts, ks))
+
+
+def _canonical_sums(entries) -> tuple[int, int] | None:
+    """(M, rank) when `entries` is already canonical, else None.
+
+    Canonical is a tuple or list of (float, int) tuples with the values
+    strictly ascending (so none repeats and no -0.0 sits next to 0.0),
+    finite and within VALUE_BOUND, and the counts at least 1: what
+    `to_json`, `from_values` and `general_F_population` produce.  It is
+    decided in one pass over the whole list, with no Python call per
+    entry; anything else goes to the per-entry loop of `__post_init__`,
+    the only code that merges or raises."""
+    if type(entries) not in (list, tuple):
+        return None
+    n = len(entries)
+    if not n or operator.countOf(map(type, entries), tuple) != n \
+            or operator.countOf(map(len, entries), 2) != n:
+        return None
+    ts, ks = zip(*entries)
+    if operator.countOf(map(type, ts), float) != n or operator.countOf(map(type, ks), int) != n \
+            or min(ks) < 1 or not -VALUE_BOUND <= ts[0] <= ts[-1] <= VALUE_BOUND \
+            or not all(map(operator.lt, ts, ts[1:])):
+        return None
+    m = sum(ks)
+    i = bisect.bisect_left(ts, 0.0)
+    return m, m - ks[i] if i < n and ts[i] == 0.0 else m
+
+
 @dataclass(frozen=True)
 class PopulationSpec:
     """Diagonal population T as merged (t, multiplicity) pairs, plus N.
@@ -83,25 +131,31 @@ class PopulationSpec:
     def __post_init__(self):
         if not (_is_int(self.n_dim) and self.n_dim >= 1):
             raise PopulationError(f"n_dim must be a positive integer, got {self.n_dim!r}")
-        merged: dict[float, int] = {}
-        for item in self.entries:
-            try:
-                t, mult = item
-            except (TypeError, ValueError):
-                raise PopulationError(f"entry {item!r} is not a (value, multiplicity) pair")
-            t = float(t)
-            if not math.isfinite(t):
-                raise PopulationError(f"non-finite diagonal value {t!r}")
-            if abs(t) > VALUE_BOUND:
-                raise PopulationError(f"|t|={abs(t):g} exceeds the bound {VALUE_BOUND:g}")
-            if not (_is_int(mult) and mult >= 1):
-                raise PopulationError(f"multiplicity {mult!r} is not a positive integer")
-            merged[t] = merged.get(t, 0) + int(mult)
-        if not merged:
-            raise PopulationError("population has no entries")
-        canon = tuple(sorted(merged.items()))
+        sums = _canonical_sums(self.entries)
+        if sums is None:
+            merged: dict[float, int] = {}
+            for item in self.entries:
+                try:
+                    t, mult = item
+                except (TypeError, ValueError):
+                    raise PopulationError(f"entry {item!r} is not a (value, multiplicity) pair")
+                t = float(t)
+                if not math.isfinite(t):
+                    raise PopulationError(f"non-finite diagonal value {t!r}")
+                if abs(t) > VALUE_BOUND:
+                    raise PopulationError(f"|t|={abs(t):g} exceeds the bound {VALUE_BOUND:g}")
+                if not (_is_int(mult) and mult >= 1):
+                    raise PopulationError(f"multiplicity {mult!r} is not a positive integer")
+                merged[t] = merged.get(t, 0) + int(mult)
+            if not merged:
+                raise PopulationError("population has no entries")
+            canon = tuple(sorted(merged.items()))
+            m = sum(k for _, k in canon)
+        else:
+            canon = tuple(self.entries)
+            m, self.__dict__["rank"] = sums
+            self.__dict__["total_mult"] = m
         object.__setattr__(self, "entries", canon)
-        m = sum(k for _, k in canon)
         lo, hi = RATIO_BAND
         if not lo <= m / self.n_dim <= hi:
             raise PopulationError(f"M/N = {m}/{self.n_dim} outside the band [{lo:g}, {hi:g}]")
@@ -171,10 +225,11 @@ class PopulationSpec:
     def from_dict(cls, obj: dict) -> "PopulationSpec":
         try:
             n_dim = _document_int(obj["n_dim"], PopulationError, "n_dim")
-            entries = tuple(
+            raw = obj["entries"]
+            entries = _document_pairs(raw) or tuple(
                 (_document_float(e["t"], PopulationError, "entries[{}].t", i),
                  _document_int(e["mult"], PopulationError, "entries[{}].mult", i))
-                for i, e in enumerate(obj["entries"]))
+                for i, e in enumerate(raw))
         except (KeyError, TypeError, ValueError) as exc:
             raise PopulationError(f"malformed population document: {exc}") from exc
         return cls(entries, n_dim)

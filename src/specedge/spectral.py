@@ -27,9 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .edges import (
-    _chart, _g_derivs, _gq, _poles, atom_mass_at_zero, find_edges, isolated_zero_in_support,
-)
+from .edges import _chart, _g_derivs, _gq, _poles, atom_mass_at_zero, find_edges
 from .errors import DomainError, NonConvergence, PoleProximity, UndefinedAtZero
 from .population import PopulationSpec, _derived, _is_int
 

@@ -3,6 +3,7 @@
 The import checks run in a child interpreter, so that what this test
 session has already imported does not count."""
 
+import ast
 import importlib
 import json
 import os
@@ -90,3 +91,35 @@ def test_public_names_resolve_to_their_definitions():
     assert set(specedge.__all__) <= set(dir(specedge))
     with pytest.raises(AttributeError, match="nope"):
         specedge.nope
+
+
+def unused_imports(path, exported):
+    """The names a module imports and never reads, `exported` aside."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in read and name not in exported)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # A name a module re-exports counts as read: its __all__, and for the
+    # package its lazy export table and submodules.
+    package = Path(specedge.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        stem = path.stem
+        module = specedge if stem == "__init__" else importlib.import_module(f"specedge.{stem}")
+        exported = set(getattr(module, "__all__", ()))
+        if module is specedge:
+            exported |= {n for names in specedge._EXPORTS.values() for n in names}
+            exported |= specedge._SUBMODULES
+        unused += unused_imports(path, exported)
+    assert unused == []

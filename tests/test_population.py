@@ -1,7 +1,10 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from specedge import PopulationSpec, from_values
 from specedge.errors import PopulationError
@@ -144,3 +147,96 @@ def test_document_integers_accept_integral_floats():
 def test_from_values_counts():
     pop = from_values([1.0, 1.0, -2.0, 0.0, 1.0], 5)
     assert pop.entries == ((-2.0, 1), (0.0, 1), (1.0, 3))
+
+
+def merged_by_entry(entries):
+    """The per-entry reading of a spec's entries, kept as the oracle of
+    the bulk path: each pair checked in turn, equal values merged in a
+    dict, then sorted.  Returns the entries, or the error message."""
+    merged = {}
+    for item in entries:
+        try:
+            t, mult = item
+        except (TypeError, ValueError):
+            return f"entry {item!r} is not a (value, multiplicity) pair"
+        t = float(t)
+        if not math.isfinite(t):
+            return f"non-finite diagonal value {t!r}"
+        if abs(t) > 1e3:
+            return f"|t|={abs(t):g} exceeds the bound 1e+03"
+        if not (isinstance(mult, (int, np.integer)) and not isinstance(mult, bool) and mult >= 1):
+            return f"multiplicity {mult!r} is not a positive integer"
+        merged[t] = merged.get(t, 0) + int(mult)
+    return tuple(sorted(merged.items())) if merged else "population has no entries"
+
+
+POOL = (-1000.0, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, 7.25, 1000.0)
+FAULTS = (float("nan"), float("inf"), -1e3 - 1e-9, (1.0,), (1.0, 2, 3), None)
+
+
+@st.composite
+def entry_lists(draw):
+    """Pairs drawn from a small pool, so values repeat and 0.0 meets
+    -0.0, or from the whole bound; as Python or numpy floats, integers
+    where the value is integral, and Python or numpy counts; sorted or
+    not, and now and then with a fault: a bad value, a bad count or an
+    entry that is no pair."""
+    values = st.one_of(st.sampled_from(POOL), st.floats(-1e3, 1e3))
+    pairs = draw(st.lists(st.tuples(values, st.integers(1, 9)), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        pairs.sort(key=lambda p: p[0])
+    kinds = st.sampled_from(("float", "float", "numpy", "int"))
+    mixed = draw(st.booleans())
+    out = []
+    for t, k in pairs:
+        kind = draw(kinds) if mixed else "float"
+        if kind == "numpy":
+            t = np.float64(t)
+        elif kind == "int" and t.is_integer():
+            t = int(t)
+        out.append((t, np.int64(k) if mixed and draw(st.integers(0, 4)) == 0 else k))
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(out) - 1))
+        fault = draw(st.sampled_from(FAULTS + ("count-0", "count-bool", "count-2.0")))
+        if isinstance(fault, str):
+            out[i] = (out[i][0], {"count-0": 0, "count-bool": True, "count-2.0": 2.0}[fault])
+        elif isinstance(fault, float):
+            out[i] = (fault, out[i][1])
+        else:
+            out[i] = fault
+    return out
+
+
+@given(entry_lists())
+def test_bulk_path_matches_the_per_entry_reading(pairs):
+    expect = merged_by_entry(pairs)
+    for container in (tuple, list, iter):
+        if isinstance(expect, str):
+            with pytest.raises(PopulationError) as err:
+                PopulationSpec(container(pairs), 10)
+            assert str(err.value) == expect
+            continue
+        m = sum(k for _, k in expect)
+        pop = PopulationSpec(container(pairs), m)
+        # repr tells -0.0 from 0.0 and a numpy scalar from a Python number.
+        assert repr(pop.entries) == repr(expect)
+        assert (pop.total_mult, pop.rank) == (m, sum(k for t, k in expect if t != 0.0))
+        assert PopulationSpec(pop.entries, m).entries is pop.entries
+    if isinstance(expect, str):
+        return
+    doc = {"n_dim": m, "entries": [{"t": t, "mult": k} for t, k in pairs]}
+    assert repr(PopulationSpec.from_dict(doc)) == repr(pop)
+    assert repr(PopulationSpec.from_json(pop.to_json())) == repr(pop)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([{"t": 1.0, "mult": 2.5}, {"t": True, "mult": 5}],
+     "entries[0].mult must be an integer, got 2.5"),
+    ([{"t": 1.0}, {"mult": 5}], "malformed population document: 'mult'"),
+    # An array entry raises IndexError on lookup, after entry 0's fault.
+    ([{"t": True, "mult": 1}, np.array([1.0])], "entries[0].t must be a number, got True"),
+], ids=["fraction-then-bool", "no-mult-then-no-t", "bool-then-array"])
+def test_a_two_fault_document_names_its_first_fault(entries, message):
+    with pytest.raises(PopulationError) as err:
+        PopulationSpec.from_dict({"n_dim": 10, "entries": entries})
+    assert str(err.value) == message

@@ -15,11 +15,11 @@ from conftest import signed_populations, z0_outer
 from hypothesis import example, given
 
 from specedge import (
-    PopulationSpec, SpecEdgeError, atom_mass_at_zero, density_f0, find_edges, solve_m0,
-    spectral, stieltjes_boundary,
+    PopulationSpec, SpecEdgeError, atom_mass_at_zero, density_f0, find_edges,
+    isolated_zero_in_support, solve_m0, spectral, stieltjes_boundary,
 )
 from specedge.errors import DomainError, PoleProximity, UndefinedAtZero
-from specedge.spectral import density_grid, integrate_density, isolated_zero_in_support
+from specedge.spectral import density_grid, integrate_density
 
 ID500 = PopulationSpec(((1.0, 500),), 500)
 FIG1 = PopulationSpec(((-2.0, 350), (0.5, 300), (6.0, 50)), 500)
