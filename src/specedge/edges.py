@@ -104,7 +104,8 @@ def _g_row(p, d, pj, s):
     poles stays resolved.  With d the reversed view `_poles` returns,
     numpy's matmul sums each row in its own loop, not in BLAS, from 0.0 in
     index order, so a row's values do not depend on the other rows of the
-    call, and `_g_row_floats` gives the same bits.
+    call, and `_g_row_floats`, the swap tracker's form over a list of
+    (pj - p, d) pairs, gives the same bits.
     """
     r = 1.0 / (s + (pj - p))
     r2 = r * r
@@ -116,16 +117,16 @@ def _inv(x):
     return 1.0 / x if x else math.copysign(math.inf, x)
 
 
-def _g_row_floats(offsets, weights, s):
-    """One row of `_g_row` on Python floats, with `offsets` pj - p and
-    `weights` d as lists in the order `_poles` gives.
+def _g_row_floats(pairs, s):
+    """One row of `_g_row` on Python floats, over `pairs` (pj - p, d), one
+    per pole in the order `_poles` gives.
 
     Each float operation runs as in `_g_row`, in the same order, so the
     bits are the same; a point on a pole gives +-inf, as numpy does.  On a
     few poles it costs a fraction of one numpy call.
     """
     a1 = a2 = a3 = 0.0
-    for o, w in zip(offsets, weights):
+    for o, w in pairs:
         x = s + o
         r = 1.0 / x if x else math.copysign(math.inf, x)     # `_inv`, inline
         r2 = r * r
@@ -217,22 +218,20 @@ def _newton_bisect(p, d, j, lo, hi, s, order, rising, settle=None):
     raise NonConvergence(f"edge search did not converge on {todo.size} pole intervals")
 
 
-def _newton_bisect_one(row, lo, hi, s, g):
+def _newton_bisect_one(pairs, lo, hi, s, g):
     """Zero of the increasing g' in one bracket (lo, hi) of s.
 
     The one-row form of `_newton_bisect(..., order=1, rising=True)`, with
-    the same steps and floats under Python-float control flow.  `row(s)`
-    gives g', g'', g''' at offset s from the anchor pole as Python floats;
-    the tracker passes `_g_row_floats`, which has the bits of `_g_row`.  It
+    the same steps and floats under Python-float control flow, on the
+    rows `_g_row_floats(pairs, s)`, which have the bits of `_g_row`.  It
     starts at s, where the triple g is already known, and evaluates the
     row only at new points.  Returns s and the triple at the last point
     evaluated.
     """
-    lo, hi, s = float(lo), float(hi), float(s)
-    d1, d2, d3 = map(float, g)
+    d1, d2, d3 = g
     for it in range(160):
         if it:
-            d1, d2, d3 = row(s)
+            d1, d2, d3 = _g_row_floats(pairs, s)
         if not (math.isfinite(d1) and math.isfinite(d2) and math.isfinite(d3)):
             raise NonConvergence("edge search met a non-finite derivative of g")
         if d1 < 0:

@@ -59,9 +59,10 @@ def _document_int(value, error: type[Exception], field: str, *index) -> int:
 
 
 def _document_float(value, error: type[Exception], field: str, *index) -> float:
-    """A JSON document's real field: integers, floats and numpy reals pass;
-    booleans, strings, None and integers beyond the float range raise
-    `error` naming the field, `field.format(*index)`."""
+    """A JSON document's real field, or a diagonal value handed to
+    `PopulationSpec`: integers, floats and numpy reals pass; booleans,
+    strings, None and integers beyond the float range raise `error`
+    naming the field, `field.format(*index)`."""
     if type(value) is float:
         return value
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
@@ -139,7 +140,7 @@ class PopulationSpec:
                     t, mult = item
                 except (TypeError, ValueError):
                     raise PopulationError(f"entry {item!r} is not a (value, multiplicity) pair")
-                t = float(t)
+                t = _document_float(t, PopulationError, "diagonal value")
                 if not math.isfinite(t):
                     raise PopulationError(f"non-finite diagonal value {t!r}")
                 if abs(t) > VALUE_BOUND:

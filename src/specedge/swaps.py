@@ -26,14 +26,16 @@ A step picks its entry from the grouped values and looks up only its
 index, the first entry holding the value, in the length-M vector; a
 reflected pole looks up all its entries' indices once.  It
 tracks the edge in the chart q = 1/m on the grouped poles, one kernel
-row at a time: g' at q*, then at the sign-rule bracket's widths on the
-side it points to until g' flips, and the one-row Newton-bisection
+row at a time over one list of pole pairs that the step builds: g' at
+q*, then at the sign-rule bracket's widths on the side it points to
+until g' flips, and the one-row Newton-bisection
 (`edges._newton_bisect_one`) solves from q*.  The rows run on Python
 floats (`edges._g_row_floats`), with the bits of the numpy kernel
-`edges._g_row`.  At the root, one float pass gives the last row, E*,
-the size of the summands of g'' and the pole test for `_soft_edge`,
-the read-off `find_edges` uses; the state at unit edge scale follows
-by the scaling law, and the values its margin scales are the next groups.
+`edges._g_row`.  At the root, one float pass over the pairs gives the
+last row, E*, the size of the summands of g'' and the pole test for
+`_soft_edge`, the read-off `find_edges` uses; the state at unit edge
+scale follows by the scaling law, and the values its margin scales are
+the next groups.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import json
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from functools import partial
 from operator import lt
 from typing import NamedTuple
 
@@ -59,9 +60,10 @@ DEFAULT_C0 = 0.05
 UNIT_GAMMA_TOL = 1e-8
 _SUM_CHUNK = 128           # steps per pair-sum pass in a build; bounds its arrays
 
-# The tracking bracket's widths in units of phi/N: 0 (m* itself), then six
-# doublings from 1/8 on either side of m*.  Every width is exact.
-_BRACKET = [0.0] + [sign * 2.0 ** i / 8.0 for sign in (1.0, -1.0) for i in range(6)]
+# The tracking bracket's widths in units of phi/N: six exact doublings
+# from 1/8 above m*, or below, on the side the sign rule picks.
+_RISE = [2.0 ** i / 8.0 for i in range(6)]
+_FALL = [-w for w in _RISE]
 
 
 class _Tape:
@@ -235,13 +237,13 @@ def _sign(x):
     return math.nan if x != x else (x > 0) - (x < 0)
 
 
-def _root_pass(offsets, d, vals, mults, n, s, lo, hi):
-    """One pass at the root offset s: the row `_g_row_floats(offsets, d, s)`,
+def _root_pass(pairs, vals, mults, n, s, lo, hi):
+    """One pass at the root offset s: the row `_g_row_floats(pairs, s)`,
     S = sum c/(q* + t), the size sum d|r|^3 of the summands of g'', and
     whether a pole -1/t of z0 lies in [lo, hi], each sum in its own order."""
     a1 = a2 = a3 = total = cubes = 0.0
     crossed = False
-    for o, w, v, k in zip(offsets, d, reversed(vals), reversed(mults)):
+    for (o, w), v, k in zip(pairs, reversed(vals), reversed(mults)):
         x = s + o
         r = 1.0 / x if x else math.copysign(math.inf, x)
         r2 = r * r
@@ -271,7 +273,7 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, unit=False):
     a degenerate one rejects the swap.  Returns (c, edge, gamma) as
     `_soft_edge` gives them and the grouped nonzero values of c times the
     new population, two float lists merged from the values the margin read.
-    It runs on Python floats.
+    It runs on Python floats, every kernel row over one list of pole pairs.
     """
     moved = new_t != t_old
     if moved:
@@ -285,30 +287,26 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, unit=False):
     vals, mults = _moved(vals, mults, t_old, new_t)
     if not vals:
         raise SwapRejected("the swap leaves no nonzero value")
-    # The left pole pj of the interval of g holding q* = 1/m_star, the offsets
-    # pj - p of the poles p = -t and their weights, in the order of `edges._poles`.
+    # The left pole pj of the interval of g holding q* = 1/m_star, and for
+    # each pole p = -t the offset pj - p and the weight d, in the order of
+    # `edges._poles`: every row of the step reads this one list.
     pj, budget = -vals[min(bisect_right(vals, -1.0 / m_star), len(vals) - 1)], phi / n
-    offsets = [pj + v for v in reversed(vals)]
-    d = [k * (v * v) / n for v, k in zip(reversed(vals), reversed(mults))]
-    row = partial(_g_row_floats, offsets, d)
-
-    def offset(b):
-        """s at the bracket point m_star + budget * _BRACKET[b]."""
-        return _inv(m_star + budget * _BRACKET[b]) - pj
-
-    s = offset(0)
-    g = row(s)
+    pairs = [(pj + v, k * (v * v) / n) for v, k in zip(reversed(vals), reversed(mults))]
+    s = _inv(m_star) - pj
+    g = _g_row_floats(pairs, s)
     sign = _sign(g[0])
     if moved and sign != 0:
         # z0'(m) = -q^2 g'(q): the extremum lies toward sign(g'(q*)) in m,
         # at the first doubling width where g' flips.
-        side = range(1, 7) if sign > 0 else range(7, 13)
-        s_b = next((x for x in map(offset, side) if _sign(row(x)[0]) != sign), None)
-        if s_b is None:
+        for width in _RISE if sign > 0 else _FALL:
+            s_b = _inv(m_star + budget * width) - pj
+            if _sign(_g_row_floats(pairs, s_b)[0]) != sign:
+                break
+        else:
             raise SwapRejected(
                 f"sign-rule bracket failed within {4 * budget:g} of m* = {m_star:g}"
             )
-        s = _newton_bisect_one(row, min(s, s_b), max(s, s_b), s, g)[0]
+        s = _newton_bisect_one(pairs, min(s, s_b), max(s, s_b), s, g)[0]
     q = pj + s
     m_new = _inv(q)
 
@@ -317,7 +315,7 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, unit=False):
             f"tracked edge moved {abs(m_new - m_star):.3e} > phi/N = {budget:.3e}"
         )
     lo, hi = min(m_star, m_new), max(m_star, m_new)
-    g, total, cubes, crossed = _root_pass(offsets, d, vals, mults, n, s, lo, hi)
+    g, total, cubes, crossed = _root_pass(pairs, vals, mults, n, s, lo, hi)
     # m = 0 is a pole of z0 too, and no bracket in q = 1/m spans it.
     if crossed or lo <= 0.0 <= hi or (t_old != 0.0 and lo <= -1.0 / t_old <= hi):
         raise SwapRejected("a pole crossed the tracking interval")

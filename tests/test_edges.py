@@ -3,6 +3,7 @@ documented example populations."""
 
 import hashlib
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -454,17 +455,29 @@ def numpy_row(p, d, j):
     return lambda s: tuple(map(float, specedge.edges._g_row(p, d, p[j], s)))
 
 
+def float_pairs(p, d, j):
+    """The (pj - p, d) pairs of the Python-float row at anchor pole j."""
+    return list(zip((p[j] - p).tolist(), d.tolist()))
+
+
 def float_row(p, d, j):
     """The Python-float row at anchor pole j."""
-    offsets, weights = (p[j] - p).tolist(), d.tolist()
-    return lambda s: _g_row_floats(offsets, weights, s)
+    pairs = float_pairs(p, d, j)
+    return lambda s: _g_row_floats(pairs, s)
 
 
-def solve_one(p, d, j, lo, hi, s0, row=numpy_row):
-    """(s, g triple) from `_newton_bisect_one` on row(p, d, j), or NonConvergence."""
+def solve_one(p, d, j, lo, hi, s0, numpy_kernel=True):
+    """(s, g triple) from `_newton_bisect_one` at anchor pole j, or
+    NonConvergence: on the float rows over the pairs, or with
+    `numpy_kernel` on rows of the numpy kernel in their place."""
+    g0 = tuple(specedge.edges._g_derivs(p, d, np.array([j]), np.array([s0]))[:, 0].tolist())
+    lo, hi, s0 = float(lo), float(hi), float(s0)
     try:
-        g0 = specedge.edges._g_derivs(p, d, np.array([j]), np.array([s0]))[:, 0]
-        return _newton_bisect_one(row(p, d, j), lo, hi, s0, g0)
+        if not numpy_kernel:
+            return _newton_bisect_one(float_pairs(p, d, j), lo, hi, s0, g0)
+        row = numpy_row(p, d, j)
+        with mock.patch.object(specedge.edges, "_g_row_floats", lambda _, s: row(s)):
+            return _newton_bisect_one(None, lo, hi, s0, g0)
     except NonConvergence:
         return NonConvergence
 
@@ -502,7 +515,7 @@ def test_one_row_solver_matches_the_batched_solver(pop, data):
     with np.errstate(all="ignore"):     # the bracket may end on a pole
         one = solve_one(p, d, j, lo, hi, s0)
         assert one == solve_many(p, d, j, lo, hi, s0)
-        assert solve_one(p, d, j, lo, hi, s0, float_row) == one
+        assert solve_one(p, d, j, lo, hi, s0, numpy_kernel=False) == one
         # The kernel sums each row on its own: a row's values do not
         # depend on the other rows of the call.
         s = np.array([s0, lo, hi, 0.5 * (lo + hi)])
@@ -567,18 +580,18 @@ def test_float_row_equals_the_numpy_kernel_bit_for_bit(pop, data):
 
 @given(signed_populations(), st.data())
 def test_bracket_rows_of_a_swap_step_equal_the_block_loop(pop, data):
-    # A swap step evaluates its sign-rule bracket one row at a time around
-    # one anchor pole, on Python floats or through the numpy kernel as its
-    # group count decides; each row must be the bits the block loop of
-    # `_g_derivs` gives for it.
-    from specedge.swaps import _BRACKET
+    # A swap step evaluates m* and its sign-rule bracket one row at a time
+    # around one anchor pole, on Python floats; each row, and the numpy
+    # kernel's row, must be the bits the block loop of `_g_derivs` gives.
+    from specedge.swaps import _FALL, _RISE
 
     p, d = _poles(*pop.nonzero(), pop.n_dim)
     j = data.draw(st.integers(0, p.size - 1))
     m_star = data.draw(st.floats(-10.0, 10.0))
     budget = 10.0 / pop.n_dim
-    assume(all(m_star + budget * w != 0.0 for w in _BRACKET))
-    s = [1.0 / (m_star + budget * w) - float(p[j]) for w in _BRACKET]
+    widths = [0.0, *_RISE, *_FALL]
+    assume(all(m_star + budget * w != 0.0 for w in widths))
+    s = [1.0 / (m_star + budget * w) - float(p[j]) for w in widths]
     with np.errstate(all="ignore"):     # an offset may land on a pole
         blocks = _g_derivs(p, d, np.full(len(s), j), np.array(s))
         for row in (float_row(p, d, j), numpy_row(p, d, j)):
@@ -620,7 +633,7 @@ def test_one_row_solver_when_newton_leaves_the_bracket():
     assert not lo < lo - g[0] / g[1] < hi
     one = solve_one(p, d, 0, lo, hi, lo)
     assert one == solve_many(p, d, 0, lo, hi, lo) and one is not NonConvergence
-    assert solve_one(p, d, 0, lo, hi, lo, float_row) == one
+    assert solve_one(p, d, 0, lo, hi, lo, numpy_kernel=False) == one
 
 
 def solve_both_on(monkeypatch, derivs, lo, hi, s0):

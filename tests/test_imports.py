@@ -123,3 +123,36 @@ def test_no_module_imports_a_name_it_never_reads():
             exported |= specedge._SUBMODULES
         unused += unused_imports(path, exported)
     assert unused == []
+
+
+def private_definitions(tree):
+    """The private module-level functions, classes and constants a module
+    defines, dunder names aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_helper_is_read_by_the_package():
+    # A private name that only the tests read is API kept for them: each
+    # must be read in its own module, imported by another one (which the
+    # test above makes it read), or read as an attribute.
+    package = Path(specedge.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    imported = {(node.module, alias.name) for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    unread = []
+    for stem, tree in trees.items():
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{stem}.{name}" for name in private_definitions(tree)
+                   if name not in loaded | attributes and (stem, name) not in imported]
+    assert unread == []

@@ -123,10 +123,13 @@ def test_document_integers_are_read_exactly(text, field):
 @pytest.mark.parametrize("t", [True, "2.5", None, 10**400],
                          ids=["bool", "string", "null", "beyond-float"])
 def test_document_values_must_be_numbers(t):
-    # float() would read true as 1.0 and "2.5" as 2.5.
+    # float() would read true as 1.0 and "2.5" as 2.5.  The constructor
+    # reads its values by the document's rule.
     doc = {"n_dim": 10, "entries": [{"t": 1.0, "mult": 5}, {"t": t, "mult": 5}]}
     with pytest.raises(PopulationError, match=re.escape("entries[1].t must be a number")):
         PopulationSpec.from_dict(doc)
+    with pytest.raises(PopulationError, match="diagonal value must be a number"):
+        PopulationSpec(((1.0, 5), (t, 5)), 10)
 
 
 def test_document_values_accept_integers_and_numpy_reals():
@@ -135,6 +138,8 @@ def test_document_values_accept_integers_and_numpy_reals():
     pop = PopulationSpec.from_dict(doc)
     assert pop == PopulationSpec(((-2.0, 2), (0.5, 3), (3.0, 5)), 10)
     assert all(type(t) is float for t, _ in pop.entries)
+    direct = PopulationSpec(tuple((e["t"], e["mult"]) for e in doc["entries"]), 10)
+    assert repr(direct) == repr(pop)
 
 
 def test_document_integers_accept_integral_floats():
@@ -159,11 +164,13 @@ def merged_by_entry(entries):
             t, mult = item
         except (TypeError, ValueError):
             return f"entry {item!r} is not a (value, multiplicity) pair"
+        if not isinstance(t, (int, float, np.integer, np.floating)) or isinstance(t, bool):
+            return f"diagonal value must be a number, got {t!r}"
         t = float(t)
         if not math.isfinite(t):
             return f"non-finite diagonal value {t!r}"
         if abs(t) > 1e3:
-            return f"|t|={abs(t):g} exceeds the bound 1e+03"
+            return f"|t|={abs(t):g} exceeds the bound 1000"
         if not (isinstance(mult, (int, np.integer)) and not isinstance(mult, bool) and mult >= 1):
             return f"multiplicity {mult!r} is not a positive integer"
         merged[t] = merged.get(t, 0) + int(mult)
@@ -172,6 +179,10 @@ def merged_by_entry(entries):
 
 POOL = (-1000.0, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, 7.25, 1000.0)
 FAULTS = (float("nan"), float("inf"), -1e3 - 1e-9, (1.0,), (1.0, 2, 3), None)
+# Faults by name: (0, value) puts a value that is no real number in an
+# entry, (1, count) a count that is no positive integer.
+NAMED_FAULTS = {"count-0": (1, 0), "count-bool": (1, True), "count-2.0": (1, 2.0),
+                "value-bool": (0, True), "value-str": (0, "2.5"), "value-none": (0, None)}
 
 
 @st.composite
@@ -179,8 +190,8 @@ def entry_lists(draw):
     """Pairs drawn from a small pool, so values repeat and 0.0 meets
     -0.0, or from the whole bound; as Python or numpy floats, integers
     where the value is integral, and Python or numpy counts; sorted or
-    not, and now and then with a fault: a bad value, a bad count or an
-    entry that is no pair."""
+    not, and now and then with a fault: a bad value, one that is no real
+    number, a bad count or an entry that is no pair."""
     values = st.one_of(st.sampled_from(POOL), st.floats(-1e3, 1e3))
     pairs = draw(st.lists(st.tuples(values, st.integers(1, 9)), min_size=1, max_size=12))
     if draw(st.booleans()):
@@ -197,9 +208,10 @@ def entry_lists(draw):
         out.append((t, np.int64(k) if mixed and draw(st.integers(0, 4)) == 0 else k))
     if draw(st.integers(0, 3)) == 0:
         i = draw(st.integers(0, len(out) - 1))
-        fault = draw(st.sampled_from(FAULTS + ("count-0", "count-bool", "count-2.0")))
+        fault = draw(st.sampled_from(FAULTS + tuple(NAMED_FAULTS)))
         if isinstance(fault, str):
-            out[i] = (out[i][0], {"count-0": 0, "count-bool": True, "count-2.0": 2.0}[fault])
+            at, bad = NAMED_FAULTS[fault]
+            out[i] = (bad, out[i][1]) if at == 0 else (out[i][0], bad)
         elif isinstance(fault, float):
             out[i] = (fault, out[i][1])
         else:

@@ -2,9 +2,11 @@
 it must satisfy step by step."""
 
 import hashlib
+import importlib.util
 import math
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from specedge import (
     PopulationSpec,
     build_swap_sequence,
+    check_regularity,
     find_edges,
     sum_rule_residuals,
     verify_swappable,
@@ -616,6 +619,40 @@ def test_pair_diagnostics_are_pinned_at_full_precision(pop, pick, sha):
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == sha
 
 
+def swap_sweep():
+    """tools/swap_sweep.py as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "swap_sweep.py"
+    spec = importlib.util.spec_from_file_location("swap_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_slice_of_the_swap_sweep_is_pinned_bit_for_bit():
+    # The sweep's first 20 populations and the 3 whose builds it rejects,
+    # hashed as its fingerprint hashes them: every regular soft edge built
+    # at phi = inf, a left one reflected, through every phase of both
+    # branches and the sign-rule rejection.
+    sweep = swap_sweep()
+    fingerprint = hashlib.sha256()
+    for i, pop in enumerate(sweep.populations()):
+        if i >= 20 and i not in (65, 72, 86):
+            continue
+        for edge in find_edges(pop).edges:
+            if not check_regularity(pop, edge, sweep.TAU):
+                continue
+            try:
+                states, _ = sweep.build(pop, edge)
+            except SwapRejected as exc:
+                fingerprint.update(f"{i} {edge.side} rejected: {exc}\n".encode())
+                continue
+            diags = [verify_swappable(a, b, math.inf) for a, b in zip(states[:-1], states[1:])]
+            fingerprint.update(export_sequence(states).encode())
+            fingerprint.update(repr([tuple(d) for d in diags]).encode())
+    assert fingerprint.hexdigest() == (
+        "080ee99350a873f80e84dcd02e01ced790c60e8f2140affa7c3d9906d9cd840e")
+
+
 # -- states stored as deltas -----------------------------------------------------
 
 def test_sequence_memory_is_not_quadratic():
@@ -757,18 +794,17 @@ def test_root_pass_equals_the_row_and_the_separate_loops(pop, data):
     n = pop.n_dim
     p = [-v for v in reversed(vals)]
     pj = data.draw(st.sampled_from(p))
-    offsets = [pj - x for x in p]
-    d = [k * (v * v) / n for v, k in zip(reversed(vals), reversed(mults))]
-    s = data.draw(st.floats(-10.0, 10.0) | st.sampled_from([-o for o in offsets]))
+    pairs = [(pj - x, k * (v * v) / n) for x, v, k in zip(p, reversed(vals), reversed(mults))]
+    s = data.draw(st.floats(-10.0, 10.0) | st.sampled_from([-o for o, _ in pairs]))
     centre = data.draw(st.floats(-10.0, 10.0) | st.sampled_from([1.0 / x for x in p]))
     lo = centre - data.draw(st.floats(0.0, 1.0))
     hi = centre + data.draw(st.floats(0.0, 1.0))
-    g, total, cubes, crossed = _root_pass(offsets, d, vals, mults, n, s, lo, hi)
+    g, total, cubes, crossed = _root_pass(pairs, vals, mults, n, s, lo, hi)
     total_loop = cubes_loop = 0.0
-    for o, w, k in zip(offsets, d, reversed(mults)):
+    for (o, w), k in zip(pairs, reversed(mults)):
         r = _inv(s + o)
         total_loop += k / n * r
         cubes_loop += w * abs(r * r * r)
-    assert float_keys(g) == float_keys(_g_row_floats(offsets, d, s))
+    assert float_keys(g) == float_keys(_g_row_floats(pairs, s))
     assert float_keys((total, cubes)) == float_keys((total_loop, cubes_loop))
     assert crossed == any(lo <= 1.0 / x <= hi for x in p)
