@@ -112,9 +112,11 @@ def _g_row(p, d, pj, s):
     return r2 @ d - 1.0, -2.0 * ((r2 * r) @ d), 6.0 * ((r2 * r2) @ d)
 
 
-def _inv(x):
-    """1/x on Python floats as numpy divides: +-inf at +-0."""
-    return 1.0 / x if x else math.copysign(math.inf, x)
+def _div(x, y):
+    """x / y on Python floats as numpy divides: x/0 = +-inf, 0/0 = nan/0 = nan."""
+    if y:
+        return x / y
+    return math.copysign(math.inf, x) * math.copysign(1.0, y) if x and x == x else math.nan
 
 
 def _g_row_floats(pairs, s):
@@ -128,7 +130,7 @@ def _g_row_floats(pairs, s):
     a1 = a2 = a3 = 0.0
     for o, w in pairs:
         x = s + o
-        r = 1.0 / x if x else math.copysign(math.inf, x)     # `_inv`, inline
+        r = 1.0 / x if x else math.copysign(math.inf, x)     # `_div(1.0, x)`, inline
         r2 = r * r
         a1 += r2 * w
         a2 += r2 * r * w
@@ -178,75 +180,75 @@ def _g_derivs(p, d, j, s):
     return out
 
 
+def _step(x, g, lo, hi, order, rising, it):
+    """Step `it` of the edge search for the zero of g^(order), increasing
+    when `rising`, in (lo, hi), from x, where the kernel row is g.
+
+    x replaces the bracket end on its side.  The search stops on a Newton
+    step or bracket within S_RTOL |x|; else a step out of the bracket, or
+    after the 40th, is the midpoint.  Returns (left, lo, hi, the next
+    point, done), `left` when x became lo.
+    """
+    d1, d2, d3 = g
+    if not 0.0 * d1 * d2 * d3 == 0.0:       # inf or nan in g makes it nan
+        raise NonConvergence("edge search met a non-finite derivative of g")
+    f, f1 = g[order - 1], g[order]
+    left = (f < 0) == rising
+    lo, hi = (x, hi) if left else (lo, x)
+    step = f / f1 if f1 else _div(f, f1)
+    nxt = x - step
+    tol = S_RTOL * abs(x)
+    if abs(step) <= tol or hi - lo <= tol:
+        return left, lo, hi, nxt, True
+    if not (lo < nxt < hi and it < 40):
+        nxt = 0.5 * (lo + hi)
+    return left, lo, hi, nxt, False
+
+
 def _newton_bisect(p, d, j, lo, hi, s, order, rising, settle=None):
     """Zero of the monotone g^(order) in each row's bracket (lo, hi) of s.
 
-    Newton steps that leave the bracket become bisections, and after 40
-    steps every step bisects, so each row ends within 120 more.  A row may
-    be finished early by `settle(g, g_lo, g_hi, lo, hi)` at the point just
-    evaluated.  Updates lo, hi and s in place; returns s and g', g'', g'''
-    at the last point evaluated on each row.
+    Each pass evaluates the kernel once over the rows still searching and
+    moves each by `_step` on Python floats.  `settle(g, g_lo, g_hi, lo, hi)`
+    may end a row at the point just evaluated, from the kernel rows there
+    and at the bracket ends (NaN until evaluated).  Returns s and g', g'',
+    g''' at the last point evaluated on each row.
     """
-    g_at = np.empty((3, s.size))
-    if settle:
-        g_lo, g_hi = np.full((3, s.size), np.nan), np.full((3, s.size), np.nan)
-    todo = np.arange(s.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    lo, hi, s, rising = lo.tolist(), hi.tolist(), s.tolist(), rising.tolist()
+    g_at, g_lo, g_hi = ([(math.nan,) * 3] * len(s) for _ in range(3))
+    todo = list(range(len(s)))
+    with np.errstate(divide="ignore", invalid="ignore"):     # a point on a pole
         for it in range(160):
-            if todo.size == 0:
-                return s, g_at
-            x = s[todo]
-            g = _g_derivs(p, d, j[todo], x)
-            if not np.isfinite(g).all():
-                raise NonConvergence("edge search met a non-finite derivative of g")
-            g_at[:, todo] = g
-            left = (g[order - 1] < 0) == rising[todo]      # x lies left of the zero
-            lo[todo[left]], hi[todo[~left]] = x[left], x[~left]
-            a, b = lo[todo], hi[todo]
-            step = g[order - 1] / g[order]
-            nxt = x - step
-            tol = S_RTOL * np.abs(x)
-            done = (np.abs(step) <= tol) | (b - a <= tol)
-            bisect = ~done & (~((nxt > a) & (nxt < b)) | (it >= 40))
-            nxt[bisect] = 0.5 * (a[bisect] + b[bisect])
-            early = False
-            if settle:
-                g_lo[:, todo[left]], g_hi[:, todo[~left]] = g[:, left], g[:, ~left]
-                early = settle(g, g_lo[:, todo], g_hi[:, todo], a, b)
-            s[todo] = np.where(early, x, nxt)
-            todo = todo[~(done | early)]
-    raise NonConvergence(f"edge search did not converge on {todo.size} pole intervals")
+            if not todo:
+                return np.array(s), np.array(g_at).reshape(-1, 3).T
+            searching = []
+            g = _g_derivs(p, d, j[todo], np.array([s[i] for i in todo]))
+            for i, row in zip(todo, g.T.tolist()):
+                x = s[i]
+                left, lo[i], hi[i], s[i], done = _step(x, row, lo[i], hi[i], order, rising[i], it)
+                g_at[i] = row
+                if settle:
+                    (g_lo if left else g_hi)[i] = row
+                    if settle(row, g_lo[i], g_hi[i], lo[i], hi[i]):
+                        s[i], done = x, True
+                if not done:
+                    searching.append(i)
+            todo = searching
+    raise NonConvergence(f"edge search did not converge on {len(todo)} pole intervals")
 
 
 def _newton_bisect_one(pairs, lo, hi, s, g):
     """Zero of the increasing g' in one bracket (lo, hi) of s.
 
-    The one-row form of `_newton_bisect(..., order=1, rising=True)`, with
-    the same steps and floats under Python-float control flow, on the
-    rows `_g_row_floats(pairs, s)`, which have the bits of `_g_row`.  It
-    starts at s, where the triple g is already known, and evaluates the
-    row only at new points.  Returns s and the triple at the last point
-    evaluated.
+    `_newton_bisect(..., order=1, rising=True)` on one row: the same
+    `_step` on the rows `_g_row_floats(pairs, s)`, from s, where the row g
+    is known.  Returns s and the row at the last point evaluated.
     """
-    d1, d2, d3 = g
     for it in range(160):
-        if it:
-            d1, d2, d3 = _g_row_floats(pairs, s)
-        if not (math.isfinite(d1) and math.isfinite(d2) and math.isfinite(d3)):
-            raise NonConvergence("edge search met a non-finite derivative of g")
-        if d1 < 0:
-            lo = s
-        else:
-            hi = s
-        if d2:
-            step = d1 / d2
-        else:       # as numpy divides: x/0 = +-inf, 0/0 = nan
-            step = math.copysign(math.inf, d1) * math.copysign(1.0, d2) if d1 else math.nan
-        nxt = s - step
-        tol = S_RTOL * abs(s)
-        if abs(step) <= tol or hi - lo <= tol:
-            return nxt, (d1, d2, d3)
-        s = nxt if lo < nxt < hi and it < 40 else 0.5 * (lo + hi)
+        _, lo, hi, nxt, done = _step(s, g, lo, hi, 1, True, it)
+        if done:
+            return nxt, g
+        s, g = nxt, _g_row_floats(pairs, nxt)
     raise NonConvergence("edge search did not converge on its pole interval")
 
 
@@ -270,14 +272,12 @@ def _soft_extrema_q(p, d, flat_origin=False):
     double zero g'(0) = g''(0) = 0, no extremum of g.
     """
     k = p.size
-    scale = max(1.0, np.max(np.abs(p)))
-    cert = 1e-13 * scale
+    cert = 1e-13 * max(1.0, float(np.max(np.abs(p))))
 
     def settle(g, g_lo, g_hi, lo, hi):
-        cross = (g_lo[0] - g_hi[0] + g_hi[1] * (hi - lo)) / (g_hi[1] - g_lo[1])
+        cross = _div(g_lo[0] - g_hi[0] + g_hi[1] * (hi - lo), g_hi[1] - g_lo[1])
         bound = g_lo[0] + g_lo[1] * cross
-        slack = 1e-12 * (np.abs(g_lo[0]) + np.abs(g_hi[0]))
-        return (g[0] < -cert) | (bound - cert > slack)
+        return g[0] < -cert or bound - cert > 1e-12 * (abs(g_lo[0]) + abs(g_hi[0]))
 
     w = p[1:] - p[:-1]
     ratio = (d[:-1] / d[1:]) ** (1.0 / 3.0)     # two-pole guess for the minimum

@@ -24,12 +24,12 @@ them back.
 
 A step picks its entry from the grouped values and looks up only its
 index, the first entry holding the value, in the length-M vector; a
-reflected pole looks up all its entries' indices once.  It
-tracks the edge in the chart q = 1/m on the grouped poles, one kernel
-row at a time over one list of pole pairs that the step builds: g' at
-q*, then at the sign-rule bracket's widths on the side it points to
-until g' flips, and the one-row Newton-bisection
-(`edges._newton_bisect_one`) solves from q*.  The rows run on Python
+reflected pole looks up all its entries' indices once.  It tracks the
+edge in the chart q = 1/m on the grouped poles, one kernel row at a time
+over one list of pole pairs that the step builds: g' at q*, then at the
+sign-rule bracket's widths on the side it points to until g' flips, and
+the one-row Newton-bisection (`edges._newton_bisect_one`, on the edge
+search's step rule `edges._step`) solves from q*.  The rows run on Python
 floats (`edges._g_row_floats`), with the bits of the numpy kernel
 `edges._g_row`.  At the root, one float pass over the pairs gives the
 last row, E*, the size of the summands of g'' and the pole test for
@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .edges import EdgeInfo, _g_row_floats, _inv, _newton_bisect_one, _soft_edge
+from .edges import EdgeInfo, _div, _g_row_floats, _newton_bisect_one, _soft_edge
 from .errors import DomainError, NotSwappable, RegularityLost, SwapRejected
 from .population import PopulationSpec, from_values
 
@@ -292,14 +292,14 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, unit=False):
     # `edges._poles`: every row of the step reads this one list.
     pj, budget = -vals[min(bisect_right(vals, -1.0 / m_star), len(vals) - 1)], phi / n
     pairs = [(pj + v, k * (v * v) / n) for v, k in zip(reversed(vals), reversed(mults))]
-    s = _inv(m_star) - pj
+    s = _div(1.0, m_star) - pj
     g = _g_row_floats(pairs, s)
     sign = _sign(g[0])
     if moved and sign != 0:
         # z0'(m) = -q^2 g'(q): the extremum lies toward sign(g'(q*)) in m,
         # at the first doubling width where g' flips.
         for width in _RISE if sign > 0 else _FALL:
-            s_b = _inv(m_star + budget * width) - pj
+            s_b = _div(1.0, m_star + budget * width) - pj
             if _sign(_g_row_floats(pairs, s_b)[0]) != sign:
                 break
         else:
@@ -308,7 +308,7 @@ def _track(vals, mults, t_old, new_t, n, m_star, phi, unit=False):
             )
         s = _newton_bisect_one(pairs, min(s, s_b), max(s, s_b), s, g)[0]
     q = pj + s
-    m_new = _inv(q)
+    m_new = _div(1.0, q)
 
     if abs(m_new - m_star) > budget:
         raise SwapRejected(
@@ -539,13 +539,8 @@ def verify_swappable(a: SwapState, b: SwapState, phi: float = DEFAULT_PHI) -> Sw
 
 def sum_rule_residuals(a: SwapState, b: SwapState):
     """(r1, r2, r_edge, r_gamma) for a consecutive unit-scale pair."""
-    diag = verify_swappable(a, b, phi=np.inf)
-    return (
-        diag.sum_rule_1_residual,
-        diag.sum_rule_2_residual,
-        diag.edge_identity_residual,
-        diag.gamma_diff,
-    )
+    d = verify_swappable(a, b, phi=np.inf)
+    return d.sum_rule_1_residual, d.sum_rule_2_residual, d.edge_identity_residual, d.gamma_diff
 
 
 def export_sequence(states: list[SwapState]) -> str:

@@ -131,18 +131,22 @@ def plugin_edge_test(
     Both components are estimated from their unbiased quadratic forms
     (the group-level estimate clamped at zero), the population is rebuilt
     with the plug-in values, and the rightmost edge is tested against the
-    eigenvalues of the group-level estimator.
+    eigenvalues of the group-level estimator.  Data that are not finite,
+    or whose estimates overflow, raise DomainError.
     """
     y = np.asarray(y, dtype=float)
+    bad = int(np.count_nonzero(~np.isfinite(y)))
+    if bad:
+        raise DomainError(f"{bad} of {y.size} data entries are not finite")
     b1, b2 = oneway_B_matrices(design.n, design.I, design.J)
-    group = manova_estimate(y, b1)
-    sigma2_hat = estimate_sigma_sq(manova_estimate(y, b2), design.p)
-    sigma1_hat = max(0.0, estimate_sigma_sq(group, design.p))
-    plug = OneWayDesign(
-        n=design.n, p=design.p, I=design.I, J=design.J,
-        sigma1_sq=sigma1_hat, sigma2_sq=sigma2_hat,
-    )
-    pop = oneway_population(plug)
+    with np.errstate(over="ignore", invalid="ignore"):
+        group = manova_estimate(y, b1)
+        sigma1_hat = estimate_sigma_sq(group, design.p)
+        sigma2_hat = estimate_sigma_sq(manova_estimate(y, b2), design.p)
+    if not (np.isfinite(group).all() and np.isfinite(sigma1_hat) and np.isfinite(sigma2_hat)):
+        raise DomainError("the plug-in estimates overflow: Y'BY is not finite")
+    sigma1_hat = max(0.0, sigma1_hat)
+    pop = oneway_population(replace(design, sigma1_sq=sigma1_hat, sigma2_sq=sigma2_hat))
     report = find_edges(pop)
     eigs = np.linalg.eigvalsh(group)
     base = edge_test(pop, eigs, report.edges[0], alpha, tau=tau, report=report)

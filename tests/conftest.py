@@ -1,11 +1,13 @@
-"""Test-wide settings, strategies and the m-chart oracle for z0: property
-tests draw the same examples on every run."""
+"""Test-wide settings, strategies, the m-chart oracle for z0 and the
+numpy-vectorized oracle of the edge search: property tests draw the same
+examples on every run."""
 
 import numpy as np
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
-from specedge import PopulationSpec
+from specedge import PopulationSpec, edges
+from specedge.errors import NonConvergence
 
 settings.register_profile("specedge", derandomize=True, deadline=None, max_examples=150)
 settings.load_profile("specedge")
@@ -61,3 +63,60 @@ def z0_outer(pop, m, order=0):
     if order:
         t, r = t ** k, r ** k
     return -lead + coef * (mults * t / r).sum(axis=-1) / pop.n_dim
+
+
+def newton_bisect(p, d, j, lo, hi, s, order, rising, settle=None):
+    """The edge search's Newton-bisection with numpy control flow over all
+    rows at once, the tests' oracle for `edges._newton_bisect`, with its
+    signature: a settle rule here takes arrays of rows.
+
+    Newton steps that leave the bracket become bisections, and after 40
+    steps every step bisects, so each row ends within 120 more.  A row may
+    be finished early by `settle(g, g_lo, g_hi, lo, hi)` at the point just
+    evaluated, with NaN at a bracket end not yet evaluated.  Updates lo, hi
+    and s in place; returns s and g', g'', g''' at the last point evaluated
+    on each row.  The kernel is looked up at each call, so a patched one
+    is seen.
+    """
+    g_at = np.empty((3, s.size))
+    if settle:
+        g_lo, g_hi = np.full((3, s.size), np.nan), np.full((3, s.size), np.nan)
+    todo = np.arange(s.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(160):
+            if todo.size == 0:
+                return s, g_at
+            x = s[todo]
+            g = edges._g_derivs(p, d, j[todo], x)
+            if not np.isfinite(g).all():
+                raise NonConvergence("edge search met a non-finite derivative of g")
+            g_at[:, todo] = g
+            left = (g[order - 1] < 0) == rising[todo]      # x lies left of the zero
+            lo[todo[left]], hi[todo[~left]] = x[left], x[~left]
+            a, b = lo[todo], hi[todo]
+            step = g[order - 1] / g[order]
+            nxt = x - step
+            tol = edges.S_RTOL * np.abs(x)
+            done = (np.abs(step) <= tol) | (b - a <= tol)
+            bisect = ~done & (~((nxt > a) & (nxt < b)) | (it >= 40))
+            nxt[bisect] = 0.5 * (a[bisect] + b[bisect])
+            early = False
+            if settle:
+                g_lo[:, todo[left]], g_hi[:, todo[~left]] = g[:, left], g[:, ~left]
+                early = settle(g, g_lo[:, todo], g_hi[:, todo], a, b)
+            s[todo] = np.where(early, x, nxt)
+            todo = todo[~(done | early)]
+    raise NonConvergence(f"edge search did not converge on {todo.size} pole intervals")
+
+
+def minimum_settle(cert):
+    """The early stop of `edges._soft_extrema_q`'s search for min g' on
+    arrays of rows: some g' < -cert (2 zeros), or the crossing of the
+    tangents at the bracket ends, a lower bound on g', exceeds +cert (0
+    zeros)."""
+    def settle(g, g_lo, g_hi, lo, hi):
+        cross = (g_lo[0] - g_hi[0] + g_hi[1] * (hi - lo)) / (g_hi[1] - g_lo[1])
+        bound = g_lo[0] + g_lo[1] * cross
+        slack = 1e-12 * (np.abs(g_lo[0]) + np.abs(g_hi[0]))
+        return (g[0] < -cert) | (bound - cert > slack)
+    return settle

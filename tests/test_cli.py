@@ -546,3 +546,23 @@ def test_cmd_test_empty_eigenvalue_file_exit_4_without_a_warning(ws):
     assert proc.returncode == 4
     assert proc.stderr == "precondition failure: EmptyWindow: eigenvalue list is empty\n"
     assert not (ws / "r.json").exists()
+
+
+@pytest.mark.parametrize("data, message", [
+    ("nan", "1 of 400 data entries are not finite"),
+    ("1e200", "the plug-in estimates overflow: Y'BY is not finite"),
+], ids=["nan-entry", "overflow"])
+def test_cmd_test_plugin_data_not_finite_exit_2_without_a_warning(ws, data, message):
+    # One NaN entry, or entries near 1e200 whose quadratic forms overflow:
+    # the typed error names the data, and no numpy warning comes before it.
+    design = write(ws, "design.json", DESIGN20)
+    y = np.random.default_rng(7).standard_normal((20, 20))
+    if data == "nan":
+        y[3, 4] = np.nan
+    else:
+        y *= 1e200
+    np.savetxt(ws / "y.csv", y, delimiter=",")
+    proc = run_child("test", design, "y.csv", "--plugin", "--out", "r.json")
+    assert proc.returncode == 2
+    assert proc.stderr == f"input error: {message}\n"
+    assert not (ws / "r.json").exists()

@@ -3,13 +3,14 @@ documented example populations."""
 
 import hashlib
 import math
+import warnings
 from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import signed_populations, z0_outer
-from hypothesis import assume, given
+from conftest import minimum_settle, newton_bisect, signed_populations, z0_outer
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from specedge import (
@@ -23,8 +24,8 @@ from specedge import (
 )
 import specedge.edges
 from specedge.edges import (
-    CERT_ULPS, EPS, S_RTOL, _abs_cubes, _g_derivs, _g_row, _g_row_floats, _newton_bisect,
-    _newton_bisect_one, _poles, _soft_edge, _soft_extrema_q,
+    CERT_ULPS, EPS, S_RTOL, _abs_cubes, _g_derivs, _g_row, _g_row_floats, _newton_bisect_one,
+    _poles, _soft_edge, _soft_extrema_q,
 )
 from specedge.errors import (
     BracketFailure, DegeneratePopulation, DomainError, NonConvergence, NoSuchEdge,
@@ -483,10 +484,11 @@ def solve_one(p, d, j, lo, hi, s0, numpy_kernel=True):
 
 
 def solve_many(p, d, j, lo, hi, s0):
-    """(s, g triple) from a one-row `_newton_bisect`, or NonConvergence."""
+    """(s, g triple) from a one-row run of the vectorized oracle of
+    `_newton_bisect`, or NonConvergence."""
     try:
-        s, g = _newton_bisect(p, d, np.array([j]), np.array([lo]), np.array([hi]),
-                              np.array([s0]), 1, np.ones(1, bool))
+        s, g = newton_bisect(p, d, np.array([j]), np.array([lo]), np.array([hi]),
+                             np.array([s0]), 1, np.ones(1, bool))
         return s[0], tuple(g[:, 0])
     except NonConvergence:
         return NonConvergence
@@ -498,6 +500,14 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b))
 
+
+@given(st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+       st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+def test_float_division_is_numpy_division(x, y):
+    # The step rule and the early stop of the minimum search divide on
+    # Python floats; a zero divisor must give numpy's +-inf or nan.
+    with np.errstate(all="ignore"):
+        assert_same_bits(specedge.edges._div(x, y), np.divide(x, y))
 
 @given(signed_populations(), st.data())
 def test_one_row_solver_matches_the_batched_solver(pop, data):
@@ -747,18 +757,13 @@ def test_clustered_k1600_search_work_and_recorded_edges(monkeypatch):
 def full_minimum_search(p, d, cert):
     """The batched search for min g' over every interior pole interval, as
     `_soft_extrema_q` ran it before intervals were certified by their
-    floor: returns the last offset and the g' triple on each row."""
-    def settle(g, g_lo, g_hi, lo, hi):
-        cross = (g_lo[0] - g_hi[0] + g_hi[1] * (hi - lo)) / (g_hi[1] - g_lo[1])
-        bound = g_lo[0] + g_lo[1] * cross
-        slack = 1e-12 * (np.abs(g_lo[0]) + np.abs(g_hi[0]))
-        return (g[0] < -cert) | (bound - cert > slack)
-
+    floor, on the vectorized oracle of `_newton_bisect`: returns the last
+    offset and the g' triple on each row."""
     k = p.size
     w = p[1:] - p[:-1]
     ratio = (d[:-1] / d[1:]) ** (1.0 / 3.0)
-    return _newton_bisect(p, d, np.arange(k - 1), np.zeros(k - 1), w.copy(),
-                          w * ratio / (1.0 + ratio), 2, np.ones(k - 1, bool), settle)
+    return newton_bisect(p, d, np.arange(k - 1), np.zeros(k - 1), w.copy(),
+                         w * ratio / (1.0 + ratio), 2, np.ones(k - 1, bool), minimum_settle(cert))
 
 
 def full_soft_extrema_q(p, d, flat_origin=False):
@@ -786,7 +791,7 @@ def full_soft_extrema_q(p, d, flat_origin=False):
     hi = np.concatenate([[0.0, reach], split, w[two]])
     s0 = np.concatenate([[-np.sqrt(d[0]), np.sqrt(d[-1])], split, split])
     rising = np.concatenate([[True, False], np.zeros(two.size, bool), np.ones(two.size, bool)])
-    s, _ = _newton_bisect(p, d, j, lo, hi, s0, 1, rising)
+    s, _ = newton_bisect(p, d, j, lo, hi, s0, 1, rising)
     order = np.argsort(p[j] + s)
     return j[order], s[order]
 
@@ -820,6 +825,70 @@ def test_floored_search_raises_as_the_full_search(monkeypatch, pop, nan_kernel):
     full = outcome(full_soft_extrema_q, *args)
     assert full[0] in (BracketFailure, NonConvergence)
     assert outcome(_soft_extrema_q, *args) == full
+
+
+# -- the float-control search against its vectorized oracle -------------------
+
+def test_a_search_point_on_a_pole_raises_without_a_numpy_warning():
+    # A value of 6e-35 beside 0, what a plug-in estimate gives on data with
+    # no residual, puts a search point on a pole of g: the search raises,
+    # typed, and numpy's divide-by-zero warning stays silent.
+    pop = PopulationSpec(((-6.096991074539471e-35, 10), (0.0, 11), (2.423652631394631, 9)), 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match="non-finite derivative of g"):
+            find_edges(pop)
+
+
+def bench_clustered_population(k, seed=1, n_dim=2000, mass=1600):
+    """`clustered_population(k)` jittered as the benchmark's `edges`
+    workload draws it (perfbench/workloads.py, --seed 1): a quarter
+    spacing, or +-1% for a one-value cluster."""
+    rng = np.random.default_rng([seed, k])
+    per = k // 5
+    vals = []
+    for c in (-6.0, -1.5, 0.5, 2.0, 8.0):
+        if per == 1:
+            vals.append(c * (1.0 + rng.uniform(-0.01, 0.01)))
+            continue
+        u = np.linspace(-0.1, 0.1, per) + rng.uniform(-0.25, 0.25, per) * (0.2 / (per - 1))
+        vals.extend(c * (1.0 + u))
+    return PopulationSpec(tuple((float(v), mass // k) for v in vals), n_dim)
+
+
+def oracle_search(p, d, j, lo, hi, s, order, rising, settle=None):
+    """The vectorized `newton_bisect` in place of `_newton_bisect`, with
+    `_soft_extrema_q`'s settle rule in its array form."""
+    if settle:
+        settle = minimum_settle(1e-13 * max(1.0, np.max(np.abs(p))))
+    return newton_bisect(p, d, j, lo, hi, s, order, rising, settle)
+
+
+def search_bits(pop):
+    """`_soft_extrema_q`'s (j, s) with the bits of s, and the report's JSON,
+    or the type and message of what each raised."""
+    args = (*_poles(*pop.nonzero(), pop.n_dim), flat_origin(pop))
+    try:
+        j, s = _soft_extrema_q(*args)
+        found = j.tolist(), s.tobytes()
+    except SpecEdgeError as exc:
+        found = type(exc), str(exc)
+    try:
+        report = find_edges(pop).to_json()
+    except SpecEdgeError as exc:
+        report = type(exc), str(exc)
+    return found, report
+
+
+@given(signed_populations())
+@example(bench_clustered_population(5))
+@example(bench_clustered_population(40))
+@example(bench_clustered_population(400))
+@example(bench_clustered_population(1600))
+def test_edge_search_matches_its_vectorized_oracle_bit_for_bit(pop):
+    got = search_bits(pop)
+    with mock.patch.object(specedge.edges, "_newton_bisect", oracle_search):
+        assert got == search_bits(pop)
 
 
 @given(signed_populations())

@@ -22,7 +22,7 @@ from specedge import (
     sum_rule_residuals,
     verify_swappable,
 )
-from specedge.edges import _g_row_floats, _inv
+from specedge.edges import _div, _g_row_floats
 from specedge.errors import DomainError, NotSwappable, SwapRejected
 from specedge.population import VALUE_BOUND
 from specedge.swaps import (
@@ -802,7 +802,7 @@ def test_root_pass_equals_the_row_and_the_separate_loops(pop, data):
     g, total, cubes, crossed = _root_pass(pairs, vals, mults, n, s, lo, hi)
     total_loop = cubes_loop = 0.0
     for (o, w), k in zip(pairs, reversed(mults)):
-        r = _inv(s + o)
+        r = _div(1.0, s + o)
         total_loop += k / n * r
         cubes_loop += w * abs(r * r * r)
     assert float_keys(g) == float_keys(_g_row_floats(pairs, s))

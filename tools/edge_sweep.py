@@ -12,7 +12,11 @@ A population fails when `find_edges` raises, or when its report breaks
 the edge-ordering law.  For every soft edge the sweep prints the worst
 ratio of |g'(q*)| at q* = 1/m* to the q-chart vanishing certificate, and
 for the random sweep the worst relative error of E*(cT) against c E*(T)
-and the count of scaled reports whose edge count or labels differ.
+and the count of scaled reports whose edge count or labels differ.  The
+last line prints one sha256 fingerprint over every report's `to_json()`
+and every failure message, in sweep order with the scaled reports
+included: two versions of `find_edges` that print the same fingerprint
+gave the same reports bit for bit.
 
 Run from the repository root; it takes about half a minute on one core:
 
@@ -21,6 +25,7 @@ Run from the repository root; it takes about half a minute on one core:
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 
@@ -80,29 +85,34 @@ def cert_ratio(pop, report):
     return float(np.max(np.abs(g1) / cert))
 
 
-def check(pop):
-    """(report, None) or (None, reason)."""
+def check(pop, fingerprint):
+    """(report, None) or (None, reason); the report's JSON or the reason
+    goes into the fingerprint."""
     try:
         report = find_edges(pop)
     except SpecEdgeError as exc:
-        return None, f"{type(exc).__name__}: {exc}"
-    e = [x.e_star for x in report.edges]
-    if len(e) % 2 or any(a <= b for a, b in zip(e, e[1:])):
-        return None, f"edge ordering violated: {e}"
-    return report, None
+        report, why = None, f"{type(exc).__name__}: {exc}"
+    else:
+        fingerprint.update(f"{report.to_json()}\n".encode())
+        e = [x.e_star for x in report.edges]
+        if len(e) % 2 == 0 and all(a > b for a, b in zip(e, e[1:])):
+            return report, None
+        report, why = None, f"edge ordering violated: {e}"
+    fingerprint.update(f"failed: {why}\n".encode())
+    return report, why
 
 
 def labels(report):
     return [(e.soft, e.gamma is None, e.side) for e in report.edges]
 
 
-def sweep(name, pops, scales=False):
+def sweep(name, pops, fingerprint, scales=False):
     start = time.perf_counter()
     count = failures = scaled_failures = mismatches = 0
     worst_cert = worst_cov = 0.0
     for pop in pops:
         count += 1
-        report, why = check(pop)
+        report, why = check(pop, fingerprint)
         if report is None:
             failures += 1
             print(f"  FAIL {pop.entries[:3]}{'...' if len(pop.entries) > 3 else ''} "
@@ -113,7 +123,7 @@ def sweep(name, pops, scales=False):
             continue
         top = top_scale(pop)
         for c in [c for c in SCALES if c < top] + [top]:
-            scaled, why = check(pop.scaled(c))
+            scaled, why = check(pop.scaled(c), fingerprint)
             if scaled is None:
                 scaled_failures += 1
                 print(f"  FAIL at c={c:g} (k={len(pop.entries)}, N={pop.n_dim}): {why}")
@@ -132,8 +142,12 @@ def sweep(name, pops, scales=False):
 
 
 def main():
-    bad = sweep("one-value populations", one_value_populations())
-    bad += sweep(f"random populations (seed {SEED})", random_populations(), scales=True)
+    start = time.perf_counter()
+    fingerprint = hashlib.sha256()
+    bad = sweep("one-value populations", one_value_populations(), fingerprint)
+    bad += sweep(f"random populations (seed {SEED})", random_populations(), fingerprint,
+                 scales=True)
+    print(f"fingerprint {fingerprint.hexdigest()}  ({time.perf_counter() - start:.1f} s)")
     return 1 if bad else 0
 
 
