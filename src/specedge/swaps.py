@@ -18,9 +18,9 @@ stores only its step's delta and its digest prefix, hashed as the
 builder makes it; a step updates the grouped (value, mult) counts, as
 Python float lists, in O(k); full vectors are rebuilt by replay on
 demand.  A consecutive pair differs by one entry plus a uniform
-scale, so its bound and sum-rule sums run over the step's groups: one
-numpy pass measures them for a chunk of steps, and the pair check reads
-them back.
+scale, so its bound and sum-rule sums run over the step's groups: each
+step sums its own pair in one float pass, and the pair check reads the
+five sums back.
 
 A step picks its entry from the grouped values and looks up only its
 index, the first entry holding the value, in the length-M vector; a
@@ -58,7 +58,6 @@ DEFAULT_PHI = 10.0
 TAU_FLOOR = 0.01           # least regularity margin of a tracked edge; pole exclusion
 DEFAULT_C0 = 0.05
 UNIT_GAMMA_TOL = 1e-8
-_SUM_CHUNK = 128           # steps per pair-sum pass in a build; bounds its arrays
 
 # The tracking bracket's widths in units of phi/N: six exact doublings
 # from 1/8 above m*, or below, on the side the sign rule picks.
@@ -76,8 +75,9 @@ class _Tape:
     place and restarts from `start` only to step back, so a walk in order,
     singly or in consecutive pairs, costs O(M) per state and allocates
     nothing.  `sums[5 * s:5 * s + 5]` are the `_pair_sums` of states s and
-    s + 1, which the builder measures in chunks, and `digests[8 * s:8 * s + 8]`
-    the sha256 prefix of state s's vector, hashed once as the state is made.
+    s + 1, which the builder sums as it takes step s + 1, and
+    `digests[8 * s:8 * s + 8]` the sha256 prefix of state s's vector,
+    hashed once as the state is made.
     """
 
     def __init__(self, start):
@@ -124,7 +124,7 @@ class SwapState:
 
     def _after(self, idx, new_t, c, edge, phase, gamma_drift) -> "SwapState":
         """The state one swap after this one, the last on its tape; the
-        builder adds the pair's sums to the tape later."""
+        builder has added the pair's sums to the tape."""
         nxt = SwapState.__new__(SwapState)
         nxt.n_dim, nxt.edge, nxt.step = self.n_dim, edge, self.step + 1
         nxt.swapped_index, nxt.phase, nxt.gamma_drift = idx, phase, gamma_drift
@@ -365,27 +365,6 @@ def build_swap_sequence(
     # The working vector of the last state, for the index of each pick, and
     # its grouped nonzero values, for the edge kernel, picks and pair sums.
     values = start
-    # The steps whose pairs `measure` has yet to sum: groups, t_old, new_t*c, c, m, m'.
-    pending = []
-
-    def measure():
-        """Sum the pending pairs in one `_pair_sums` pass.  A pair's entries,
-        grouped, are (v, v*c) for each nonzero group, one fewer on t_old's,
-        and the moved entry (t_old, new_t*c); zero entries add 0."""
-        t, w, ends = [], [], []
-        for vals, mults, t_old, *_ in pending:
-            w += mults + [1.0]
-            if t_old != 0.0:
-                w[len(t) + bisect_left(vals, t_old)] -= 1.0
-            t += vals + [t_old]
-            ends.append(len(t))
-        t, ends = np.array(t), np.array(ends)
-        moved, *scalars = list(zip(*pending))[3:]
-        c, m0, mc = np.repeat(scalars, np.diff(ends, prepend=0), axis=1)
-        tc = t * c
-        tc[ends - 1] = moved
-        tape.sums.extend(_pair_sums(t, tc, np.array(w), m0, mc, ends.tolist()))
-        pending.clear()
 
     def first_index(group_vals):
         """The first index holding one of the given values, where a scan
@@ -402,9 +381,15 @@ def build_swap_sequence(
                 f"margin {info.regularity_margin:g} fell below {TAU_FLOOR:g} "
                 f"at step {state.step + 1} ({phase})"
             )
-        pending.append((*groups, t_old, new_t * c, c, m, info.m_star))
-        if len(pending) == _SUM_CHUNK:
-            measure()
+        # The pair's entries, grouped: (v, v*c) for each nonzero group, one
+        # fewer on t_old's, and the moved entry (t_old, new_t*c); zero
+        # entries add 0.
+        vals, mults = groups
+        w = mults + [1.0]
+        if t_old != 0.0:
+            w[bisect_left(vals, t_old)] -= 1.0
+        tc = [v * c for v in vals] + [new_t * c]
+        tape.sums.extend(_pair_sums(vals + [t_old], tc, w, m, info.m_star))
         values *= c
         values[idx] = new_t * c
         tape.digests += hashlib.sha256(values).digest()[:8]
@@ -463,8 +448,6 @@ def build_swap_sequence(
         while groups[0][0] < values[seed_rep]:
             apply_swap(first_index(groups[0][:1]), 0.0, "zero_below")
 
-    if pending:
-        measure()
     if len(states) > 1:
         states[0].phase = states[1].phase
     states[-1].phase = "done"
@@ -476,22 +459,24 @@ def build_swap_sequence(
     return states
 
 
-def _pair_sums(t, tc, w, m, mc, ends):
-    """l1, a4*N, sum-rule 1, sum-rule 2 and edge sums, five floats for each
-    segment of entry pairs (t, tc) that ends at one of `ends`: pair i is
-    weighted by w[i], and its states have m-values m and mc, scalars or
-    one per pair.  The terms are elementwise, and each segment ends in its
-    own gemv over its columns, so its sums do not depend on the others."""
-    s = 1.0 / (1.0 + t * m)
-    sc = 1.0 / (1.0 + tc * mc)
-    ts, tcs, dt = t * s, tc * sc, t - tc
-    u = dt * s * sc
-    terms = np.array((np.abs(dt), ts ** 4, u * (ts + tcs), u * (ts * ts + ts * tcs + tcs * tcs), u))
-    sums, lo = [], 0
-    for hi in ends:
-        sums += (terms[:, lo:hi] @ w[lo:hi]).tolist()
-        lo = hi
-    return sums
+def _pair_sums(t, tc, w, m, mc):
+    """l1, a4*N, sum-rule 1, sum-rule 2 and edge sums of the entry pairs
+    (t, tc) of two states with m-values m and mc, pair i weighted by w[i]:
+    five Python floats, each term times its weight added left to right in
+    the pairs' order.  An entry on a pole gives +-inf, as numpy divides."""
+    l1 = a4 = sum1 = sum2 = sum_edge = 0.0
+    for t, tc, w in zip(t, tc, w):
+        x, xc = 1.0 + t * m, 1.0 + tc * mc
+        s = 1.0 / x if x else _div(1.0, x)
+        sc = 1.0 / xc if xc else _div(1.0, xc)
+        ts, tcs, dt = t * s, tc * sc, t - tc
+        u = dt * s * sc
+        l1 += abs(dt) * w
+        a4 += ts ** 4 * w
+        sum1 += u * (ts + tcs) * w
+        sum2 += u * (ts * ts + ts * tcs + tcs * tcs) * w
+        sum_edge += u * w
+    return l1, a4, sum1, sum2, sum_edge
 
 
 def verify_swappable(a: SwapState, b: SwapState, phi: float = DEFAULT_PHI) -> SwapDiagnostics:
@@ -500,8 +485,8 @@ def verify_swappable(a: SwapState, b: SwapState, phi: float = DEFAULT_PHI) -> Sw
 
     Every measurement is a sum over the entry pairs (t, tc) of the two
     states, `_pair_sums`.  A pair of neighbours on one tape reads the sums
-    the builder measured over the value groups of that step; any other
-    pair sums over its full vectors with unit weights, as one segment.
+    the builder took over the value groups of that step; any other pair
+    sums over its full vectors with unit weights.
     """
     if not phi > 0:
         raise DomainError(f"phi must be positive, got {phi!r}")
@@ -516,7 +501,7 @@ def verify_swappable(a: SwapState, b: SwapState, phi: float = DEFAULT_PHI) -> Sw
         t, tc = a.values, b.values
         if t.shape != tc.shape:
             raise NotSwappable("states are not aligned")
-        l1, a4, sum1, sum2, sum_edge = _pair_sums(t, tc, np.ones(t.size), m, mc, [t.size])
+        l1, a4, sum1, sum2, sum_edge = _pair_sums(t.tolist(), tc.tolist(), [1.0] * t.size, m, mc)
     m_diff = abs(m - mc)
     if l1 >= phi:
         raise NotSwappable(f"l1 entry difference {l1:g} >= phi = {phi:g}")

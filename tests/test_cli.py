@@ -441,11 +441,11 @@ FIG1X2 = {"n_dim": 1000, "entries": [
 
 
 @pytest.mark.parametrize("obj, edge_arg, sha", [
-    (FIG1, [], "e5d8ea50276f96be9ada41f135a724105eb9a82432901a68e135c03e0f717e57"),
+    (FIG1, [], "fb5287217a14f3919bbeec691a245cc8c323210d51e8db25beb21d49ccc49008"),
     (NEGPOP, ["--edge-index", "2"], "592766d5394f47c811c3199c3ae3a8ab075da2679f98daed2c55195209a53891"),
     (NEGHALF, ["--edge-index", "2"], "4ea941a8a2c80f9aa937e11a8a9027073441ad1e6ea044bf3fd7730a3b98fdaf"),
-    (FIG2, [], "7504bc8d0d298b921701841ecee6ab93162caa3ae696dea9db9b74d04c584fdf"),
-    (FIG1X2, [], "92036a101a0fb8a1f9f413a93c48398124e4b3aaa4fef059247b5a69582379f1"),
+    (FIG2, [], "824b3fc762051282aeda004232a345ef19d1dae8ba9f61834c1397fcae267a79"),
+    (FIG1X2, [], "9dd432494a2c0f58bfcb77c438e66f9682519a499158d66819ee3fdc50959d07"),
 ], ids=["fig1", "negpop", "neghalf", "fig2", "fig1x2"])
 def test_swapseq_diagnostics_are_pinned_bit_for_bit(ws, obj, edge_arg, sha):
     # Every pair check's measurements and sum-rule residuals, as written.

@@ -26,7 +26,7 @@ from specedge.edges import _div, _g_row_floats
 from specedge.errors import DomainError, NotSwappable, SwapRejected
 from specedge.population import VALUE_BOUND
 from specedge.swaps import (
-    _SUM_CHUNK, DEFAULT_PHI, SwapDiagnostics, SwapState, _groups, _merged, _moved, _pair_sums,
+    DEFAULT_PHI, SwapDiagnostics, SwapState, _groups, _merged, _moved, _pair_sums,
     _root_pass, _track, export_sequence, reflected_right_edge,
 )
 
@@ -361,7 +361,7 @@ def test_many_group_build_is_pinned_bit_for_bit():
     assert hashlib.sha256(export_sequence(states).encode()).hexdigest() == (
         "937de9827aed79a1f3f4d2a87fd752e31ed89305a6d52f771dc0eafb785d498c")
     assert hashlib.sha256(states[0]._tape.sums.tobytes()).hexdigest() == (
-        "a7f9af692038a4f0e210ed73e124ac1429a807f5bb6ef318b8828e88e1583c3c")
+        "ff0de5e2e9b6fe44641ca0142428b2e3c07178901a2bd4713bcfa788cc06d9f2")
 
 
 @pytest.mark.parametrize("pop, edges, held", [
@@ -587,27 +587,54 @@ def grouped_pair_sums(a, b):
         w[vals.searchsorted(t_old)] -= 1.0
     tc = t * b.scale
     tc[-1] = b.new_t * b.scale
-    return _pair_sums(t, tc, w, a.edge.m_star, b.edge.m_star, [t.size])
+    return _pair_sums(t.tolist(), tc.tolist(), w.tolist(), a.edge.m_star, b.edge.m_star)
 
 
 @pytest.mark.parametrize("pop, pick, steps", [(FIG1, rightmost, 1000), (NEGHALF, right_soft, 200)],
                          ids=["fig1", "neghalf"])
-def test_chunked_pair_sums_equal_the_pair_by_pair_sums(pop, pick, steps):
-    # The builder sums the pairs of a chunk of steps in one pass; each
-    # pair's sums are the same floats as a pass over that pair alone.
+def test_stored_pair_sums_equal_the_grouped_pair_sums(pop, pick, steps):
+    # Each step's five stored sums are the same floats as `_pair_sums` over
+    # that pair's grouped entries, found from the two vectors alone.
     states = build_swap_sequence(pop, pick(pop))
     assert len(states) - 1 == steps
     sums = states[0]._tape.sums
     assert len(sums) == 5 * steps
-    for lo in range(0, steps, _SUM_CHUNK):
-        for i in (lo, min(lo + _SUM_CHUNK, steps) - 1):
-            assert sums[5 * i:5 * i + 5].tolist() == grouped_pair_sums(states[i], states[i + 1])
+    for i in range(steps):
+        assert sums[5 * i:5 * i + 5].tolist() == list(grouped_pair_sums(states[i], states[i + 1]))
+
+
+def pair_terms(t, tc, m, mc):
+    """The five per-entry terms of `_pair_sums` over two full vectors."""
+    s = 1.0 / (1.0 + t * m)
+    sc = 1.0 / (1.0 + tc * mc)
+    ts, tcs, dt = t * s, tc * sc, t - tc
+    u = dt * s * sc
+    return np.abs(dt), ts ** 4, u * (ts + tcs), u * (ts * ts + ts * tcs + tcs * tcs), u
+
+
+@pytest.mark.parametrize("pop, pick", [(FIG1, rightmost), (NEGPOP, right_soft), (FIG2, rightmost),
+                                       (SPREAD48, rightmost)],
+                         ids=["fig1", "negpop", "fig2", "spread48"])
+def test_stored_pair_sums_are_near_the_exact_sums(pop, pick):
+    # An order-free reference: math.fsum of each term over the M entries
+    # of the two vectors is the exact sum of those terms, and a sum of at
+    # most M weighted terms, taken in any order, lies within 2M ulps of the
+    # sum of their sizes: M for the weight products, M for the additions.
+    states = build_swap_sequence(pop, pick(pop))
+    sums = states[0]._tape.sums
+    t = states[0].values
+    for i, b in enumerate(states[1:]):
+        tc = b.values
+        for j, terms in enumerate(pair_terms(t, tc, states[i].edge.m_star, b.edge.m_star)):
+            bound = 2 * t.size * math.ulp(math.fsum(np.abs(terms)))
+            assert abs(sums[5 * i + j] - math.fsum(terms)) <= bound, (i, j)
+        t = tc
 
 
 @pytest.mark.parametrize("pop, pick, sha", [
-    (FIG1, rightmost, "675eb7de7ddda47ab896f20eeea41f06d56420f64b3107a8882b131ed6e14539"),
-    (NEGPOP, right_soft, "127b95d44f748b215c60e38f7ef75869ca238f6c0925e59b391ca2bae2e1c095"),
-    (FIG2, rightmost, "71c01da6b806ae4c72820a940d5fbf0f78f519f87512fdb3f64d945b8503710f"),
+    (FIG1, rightmost, "bf814692f1c00169644b283916ed597ea619c9fd6eb6a11707eaad7ffbf73c67"),
+    (NEGPOP, right_soft, "b0f9fce5d0ed234abc71d4812f0d64cc57684d412fd91fbb4aa5fd1543638a85"),
+    (FIG2, rightmost, "731ea87cd0664de03a3077c4b586bb7c51af8e5e80a1d54373eff0072a3517b0"),
 ], ids=["fig1", "negpop", "fig2"])
 def test_pair_diagnostics_are_pinned_at_full_precision(pop, pick, sha):
     # Every field of every consecutive pair's diagnostics, as repr prints
@@ -632,9 +659,11 @@ def test_a_slice_of_the_swap_sweep_is_pinned_bit_for_bit():
     # The sweep's first 20 populations and the 3 whose builds it rejects,
     # hashed as its fingerprint hashes them: every regular soft edge built
     # at phi = inf, a left one reflected, through every phase of both
-    # branches and the sign-rule rejection.
+    # branches and the sign-rule rejection.  The exports hash holds the
+    # records and rejections; the diagnostics hash reads the order in which
+    # each pair's sums are taken too.
     sweep = swap_sweep()
-    fingerprint = hashlib.sha256()
+    exports, diagnostics = hashlib.sha256(), hashlib.sha256()
     for i, pop in enumerate(sweep.populations()):
         if i >= 20 and i not in (65, 72, 86):
             continue
@@ -644,13 +673,15 @@ def test_a_slice_of_the_swap_sweep_is_pinned_bit_for_bit():
             try:
                 states, _ = sweep.build(pop, edge)
             except SwapRejected as exc:
-                fingerprint.update(f"{i} {edge.side} rejected: {exc}\n".encode())
+                exports.update(f"{i} {edge.side} rejected: {exc}\n".encode())
                 continue
             diags = [verify_swappable(a, b, math.inf) for a, b in zip(states[:-1], states[1:])]
-            fingerprint.update(export_sequence(states).encode())
-            fingerprint.update(repr([tuple(d) for d in diags]).encode())
-    assert fingerprint.hexdigest() == (
-        "080ee99350a873f80e84dcd02e01ced790c60e8f2140affa7c3d9906d9cd840e")
+            exports.update(export_sequence(states).encode())
+            diagnostics.update(repr([tuple(d) for d in diags]).encode())
+    assert exports.hexdigest() == (
+        "899904c9f388e569e0612af145901af97c718a170a85b52cbef22b3513423ef3")
+    assert diagnostics.hexdigest() == (
+        "3295b07de6e53015213a221cb3e7a2638ff68fd878d1c52690e4af1ddf5f1a8c")
 
 
 # -- states stored as deltas -----------------------------------------------------

@@ -10,10 +10,12 @@ reflected population (`reflected_right_edge`).
 One line per edge gives the sequence length L, the largest sum-rule-2
 residual times N over its consecutive pairs and the build time per step,
 or the `SwapRejected` message of a build that fails.  The summary counts
-the edges, builds and rejections, and prints one sha256 fingerprint over
-every export, every consecutive pair's diagnostics at full precision and
-every rejection message: two versions of the construction that print the
-same fingerprint built the same sequences bit for bit.  The pairs are
+the edges, builds and rejections, and prints two sha256 fingerprints:
+one over every export and every rejection message, and one over every
+consecutive pair's diagnostics at full precision.  Two versions of the
+construction that print the same exports fingerprint built the same
+sequences bit for bit; the diagnostics fingerprint moves with the
+summation order of the pair sums as well.  The pairs are
 measured with phi = inf, so one more line checks each build as
 `specedge swapseq` does, at DEFAULT_PHI: the builds it would stop on, by
 the bound the first failing pair breaks and by branch, and how many
@@ -79,7 +81,7 @@ def cli_bound(states):
 
 def main():
     start = time.perf_counter()
-    fingerprint = hashlib.sha256()
+    exports, diagnostics = hashlib.sha256(), hashlib.sha256()
     drawn = edges = 0
     r2s, rejected = [], []
     unswappable, phases = Counter(), Counter()
@@ -96,12 +98,12 @@ def main():
             except SwapRejected as exc:
                 # The branch follows the sign of the tracked right edge's m*.
                 rejected.append(edge.m_star if edge.side == "right" else -edge.m_star)
-                fingerprint.update(f"{i} {edge.side} rejected: {exc}\n".encode())
+                exports.update(f"{i} {edge.side} rejected: {exc}\n".encode())
                 print(f"{head}  rejected: {exc}")
                 continue
             diags = [verify_swappable(a, b, math.inf) for a, b in zip(states[:-1], states[1:])]
-            fingerprint.update(export_sequence(states).encode())
-            fingerprint.update(repr([tuple(d) for d in diags]).encode())
+            exports.update(export_sequence(states).encode())
+            diagnostics.update(repr([tuple(d) for d in diags]).encode())
             phases.update({s.phase for s in states[:-1]})
             bound = cli_bound(states)
             if bound:
@@ -123,7 +125,8 @@ def main():
           f"builds, {unswappable['l1']} on the l1 bound, {unswappable['m-value']} on the m-value "
           f"bound; {unswappable['m* > 0']} with m* > 0, {unswappable['m* < 0']} with m* < 0; "
           f"builds per phase: " + ", ".join(f"{k} {v}" for k, v in sorted(phases.items())))
-    print(f"fingerprint {fingerprint.hexdigest()}  ({time.perf_counter() - start:.1f} s)")
+    print(f"fingerprints: exports {exports.hexdigest()}, diagnostics {diagnostics.hexdigest()}  "
+          f"({time.perf_counter() - start:.1f} s)")
     return 0
 
 
