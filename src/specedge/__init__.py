@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 # The public names, by the submodule that defines them.
 _EXPORTS = {
-    "edges": ("EdgeInfo", "SupportReport", "atom_mass_at_zero", "balanced_sufficiency",
-              "check_regularity", "edge_for_m_sign", "find_edges", "isolated_zero_in_support"),
+    "edges": ("EdgeInfo", "SupportReport", "atom_mass_at_zero", "check_regularity",
+              "edge_for_m_sign", "find_edges", "isolated_zero_in_support"),
     "errors": ("SpecEdgeError",),
     "manova": ("GeneralDesign", "OneWayDesign", "estimate_sigma_sq", "general_F_population",
                "manova_estimate", "oneway_B_matrices", "oneway_population"),

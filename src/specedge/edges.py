@@ -337,7 +337,7 @@ def _soft_edge(vals, q, s, g, cubes, e_star, side=None, unit=False):
     - Vanishing certificate: |g'| <= CERT_ULPS ulps of g' + 1, which sums
       the positive terms d r^2, plus |g''| times the search's stopping
       tolerance S_RTOL |s| and the ulp of q*.  A failure raises
-      BracketFailure.
+      BracketFailure, and so does a zero at q* = 0, where m* is infinite.
     - Degenerate label (merging edges: gamma None, margin 0): |g''| within
       CERT_ULPS ulps of its summands' size 2 sum d|r|^3, plus |g'''| times
       that tolerance, so that the curvature's sign is not certain.
@@ -356,6 +356,8 @@ def _soft_edge(vals, q, s, g, cubes, e_star, side=None, unit=False):
     if abs(d1) > cert:
         raise BracketFailure(f"g'(q*) = {d1:.3e} fails the vanishing certificate "
                              f"|g'(q*)| <= {cert:.3e}")
+    if q == 0.0:
+        raise BracketFailure("zero of g' at q* = 0, where m* = 1/q* is infinite")
     m_star = 1.0 / q
     if abs(d2) <= CERT_ULPS * EPS * 2.0 * cubes + abs(d3) * located:
         return 1.0, EdgeInfo(e_star, m_star, None, side, True, 0.0), None, vals
@@ -438,8 +440,9 @@ def find_edges(pop: PopulationSpec) -> SupportReport:
     if not (e_star[:-1] > e_star[1:]).all():
         raise BracketFailure(f"edge ordering violated or duplicate edges: {e_star.tolist()}")
 
-    soft_edges = zip(q_soft.tolist(), s.tolist(), _g_derivs(p, d, j, s).T.tolist(),
-                     _abs_cubes(p, d, j, s).tolist(), e_star[soft].tolist())
+    with np.errstate(divide="ignore", invalid="ignore"):     # a point on a pole
+        rows, cubes = _g_derivs(p, d, j, s).T.tolist(), _abs_cubes(p, d, j, s).tolist()
+    soft_edges = zip(q_soft.tolist(), s.tolist(), rows, cubes, e_star[soft].tolist())
 
     # Sides alternate from the rightmost edge, a right one.
     infos = []
@@ -487,19 +490,3 @@ def check_regularity(pop: PopulationSpec, edge: EdgeInfo, tau: float) -> bool:
         raise DegeneratePopulation("all diagonal values are zero")
     return tau < edge.regularity_margin
 
-
-def balanced_sufficiency(pop: PopulationSpec, c: float) -> bool:
-    """Sufficient condition for a regular rightmost edge: the largest
-    value is at least c with multiplicity at least c*M."""
-    if not c > 0:
-        raise DomainError(f"c must be positive, got {c!r}")
-    t_max, mult_max = max(pop.entries, key=lambda e: e[0])
-    ok = t_max >= c and mult_max >= c * pop.total_mult
-    if ok:
-        # Cross-check: the guaranteed edge must have a positive margin.
-        edge = find_edges(pop).edges[0]
-        if not (edge.soft and edge.regularity_margin > 0):
-            raise BracketFailure(
-                "balanced sufficiency held but the rightmost edge has no margin"
-            )
-    return ok

@@ -14,13 +14,13 @@ m-value:
 
 Every state is rescaled back to unit edge scale, so consecutive states
 satisfy the swappability bounds and the sum-rule identities.  A state
-stores only its step's delta and its digest prefix, hashed as the
-builder makes it; a step updates the grouped (value, mult) counts, as
-Python float lists, in O(k); full vectors are rebuilt by replay on
-demand.  A consecutive pair differs by one entry plus a uniform
-scale, so its bound and sum-rule sums run over the step's groups: each
-step sums its own pair in one float pass, and the pair check reads the
-five sums back.
+stores only its step's delta and its digest prefix, chained from the
+last state's prefix over that delta, so no step hashes the vector; a
+step updates the grouped (value, mult) counts, as Python float lists, in
+O(k); full vectors are rebuilt by replay on demand.  A consecutive pair
+differs by one entry plus a uniform scale, so its bound and sum-rule
+sums run over the step's groups: each step sums its own pair in one
+float pass, and the pair check reads the five sums back.
 
 A step picks its entry from the grouped values and looks up only its
 index, the first entry holding the value, in the length-M vector; a
@@ -43,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from operator import lt
@@ -76,8 +77,10 @@ class _Tape:
     singly or in consecutive pairs, costs O(M) per state and allocates
     nothing.  `sums[5 * s:5 * s + 5]` are the `_pair_sums` of states s and
     s + 1, which the builder sums as it takes step s + 1, and
-    `digests[8 * s:8 * s + 8]` the sha256 prefix of state s's vector,
-    hashed once as the state is made.
+    `digests[8 * s:8 * s + 8]` state s's digest prefix: the sha256 of the
+    start vector for s = 0, and for s >= 1 the sha256 of state s - 1's
+    prefix followed by step s's delta packed as `<qdd` (index, new_t, c).
+    A prefix so names the state's path from the start vector.
     """
 
     def __init__(self, start):
@@ -105,11 +108,11 @@ class SwapState:
 
     A state of a built sequence stores only its step's delta: the swapped
     index, its new value `new_t` and the rescale factor `scale` applied
-    to the whole vector, on a tape the sequence shares with the digest
-    prefixes of its vectors.  `values` rebuilds the length-M diagonal,
-    aligned across states, as a fresh array.  A state constructed
-    directly holds a copy of its full vector and hashes it once, as the
-    builder hashes each state it makes.
+    to the whole vector, on a tape the sequence shares with the states'
+    digest prefixes.  `values` rebuilds the length-M diagonal, aligned
+    across states, as a fresh array.  A state constructed directly holds
+    a copy of its full vector and hashes it once, as the builder hashes
+    the start of each sequence.
     """
 
     __slots__ = ("n_dim", "edge", "step", "swapped_index", "phase", "gamma_drift",
@@ -142,8 +145,9 @@ class SwapState:
         return from_values(self.values, self.n_dim)
 
     def digest(self) -> str:
-        """The sha256 of the state's vector in 16 hex digits, as stored on
-        the tape when the state was made."""
+        """The state's digest prefix on the tape in 16 hex digits: the
+        sha256 of the start vector, chained over each step's delta up to
+        this state (`_Tape`)."""
         return self._tape.digests[8 * self._pos:8 * self._pos + 8].hex()
 
     def to_record(self) -> dict:
@@ -392,7 +396,8 @@ def build_swap_sequence(
         tape.sums.extend(_pair_sums(vals + [t_old], tc, w, m, info.m_star))
         values *= c
         values[idx] = new_t * c
-        tape.digests += hashlib.sha256(values).digest()[:8]
+        link = tape.digests[-8:] + struct.pack("<qdd", idx, new_t, c)
+        tape.digests += hashlib.sha256(link).digest()[:8]
         groups, m = new_groups, info.m_star
         states.append(state._after(idx, new_t, c, info, phase, abs(gamma - 1.0)))
 

@@ -566,3 +566,18 @@ def test_cmd_test_plugin_data_not_finite_exit_2_without_a_warning(ws, data, mess
     assert proc.returncode == 2
     assert proc.stderr == f"input error: {message}\n"
     assert not (ws / "r.json").exists()
+
+
+def test_edges_zero_of_g_prime_at_q_zero_exit_3_without_a_warning(ws):
+    # Values down to 3e-21 of the norm beside a zero group: the search puts
+    # a zero of g' at q = 0 exactly, where m* = 1/q* has no value.  The
+    # typed error names it, and no numpy warning from the read-off at a
+    # point on a pole comes before it.
+    pop = write(ws, "pop.json", {"n_dim": 53, "entries": [
+        {"t": -6.59e-10, "mult": 27}, {"t": -6.22e-19, "mult": 25},
+        {"t": -2.66e-20, "mult": 26}, {"t": 0.0, "mult": 28}, {"t": 7.78, "mult": 26}]})
+    proc = run_child("edges", pop, "--out", "e.json")
+    assert proc.returncode == 3
+    assert proc.stderr == ("numerical failure: BracketFailure: zero of g' at q* = 0, "
+                           "where m* = 1/q* is infinite\n")
+    assert not (ws / "e.json").exists()

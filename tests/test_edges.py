@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from specedge import (
     PopulationSpec,
     SpecEdgeError,
-    balanced_sufficiency,
     check_regularity,
     density_f0,
     edge_for_m_sign,
@@ -158,12 +157,6 @@ def test_regularity_gate():
     assert check_regularity(pop, right, 0.1)
     assert not check_regularity(pop, right, 0.6)
     assert not check_regularity(pop, hard, 0.01)
-
-
-def test_balanced_sufficiency_examples():
-    assert balanced_sufficiency(FIG1, 0.05)        # 6 >= 0.05, 50 >= 35
-    assert not balanced_sufficiency(FIG1, 0.1)     # 50 < 70
-    assert balanced_sufficiency(PopulationSpec(((1.0, 500),), 500), 0.5)
 
 
 def test_density_support_consistency():
@@ -930,6 +923,3 @@ def test_domain_checks_raise_domain_error():
     report = find_edges(FIG1)
     with pytest.raises(DomainError):
         check_regularity(FIG1, report.edges[0], 1.5)
-    for c in (0.0, np.nan):
-        with pytest.raises(DomainError, match="positive"):
-            balanced_sufficiency(FIG1, c)

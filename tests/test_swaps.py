@@ -3,7 +3,9 @@ it must satisfy step by step."""
 
 import hashlib
 import importlib.util
+import json
 import math
+import struct
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -20,6 +22,7 @@ from specedge import (
     check_regularity,
     find_edges,
     sum_rule_residuals,
+    swaps,
     verify_swappable,
 )
 from specedge.edges import _div, _g_row_floats
@@ -310,17 +313,19 @@ def test_sequence_phase_counts_are_pinned(pop, pick, phases):
 
 
 @pytest.mark.parametrize("pop, pick, digests", [
-    (FIG1, rightmost, {0: "48f70d7d1d4a8849", 1: "01a43134bb402a18", 351: "342ac47b5ef99329",
-                       352: "cd492c312e9ef137", 651: "30e875495b47bfd3", 1000: "19e02e5c37adb08e"}),
-    (NEGPOP, right_soft, {0: "c63efd4faa2ccb56", 26: "3ad3cf0eee2758a9", 400: "3c5d495e655df78e"}),
-    (FIG2, rightmost, {0: "4fae7f500123035e", 1: "ad14974ee979ccd0", 400: "1db0f90819d3211f",
-                       401: "cc36ca1866e0b22e", 799: "92930bfb941a0e85", 800: "7a6bc518e496dcff"}),
-    (NEGHALF, right_soft, {0: "6e8529d43ef7072f", 1: "a37b2960d4536165", 12: "90bdb675d808008a",
-                           13: "452730e8b24e5543", 199: "da1c4e6758676172", 200: "aa051454e79797d2"}),
+    (FIG1, rightmost, {0: "48f70d7d1d4a8849", 1: "ae99f2212b332837", 351: "f04587dd3972ee71",
+                       352: "60a9de263077e33f", 651: "5a1a458aa01ee019", 1000: "fd82354d4bb04250"}),
+    (NEGPOP, right_soft, {0: "c63efd4faa2ccb56", 26: "9e9dc4a66b597c27", 400: "8c30fde930790be6"}),
+    (FIG2, rightmost, {0: "4fae7f500123035e", 1: "2cde5e4c7317db38", 400: "4f9edd4dc1b28891",
+                       401: "163047ecf057a8bb", 799: "bf1f26e6a1a61554", 800: "751058ab62fd3fd8"}),
+    (NEGHALF, right_soft, {0: "6e8529d43ef7072f", 1: "77219173baa21549", 12: "82c139ff9ffee6d5",
+                           13: "30c02a4ce06ee79c", 199: "01554d8755daf91e", 200: "49964a96bb66cf62"}),
 ])
 def test_entries_digests_are_pinned(pop, pick, digests):
-    # Recorded from the builder that reads every edge off the q chart and
-    # rescales by the scaling law: replayed states must match bit for bit.
+    # Recorded from the builder that reads every edge off the q chart,
+    # rescales by the scaling law and chains each digest over its step's
+    # delta: state 0 hashes the start vector, and every later digest names
+    # the path to its state, so a replayed sequence must match bit for bit.
     states = build_swap_sequence(pop, pick(pop))
     assert {i: states[i].digest() for i in digests} == digests
 
@@ -330,14 +335,14 @@ def test_fig1_export_is_pinned_bit_for_bit():
     # drift), which `swapseq --verify` compares exactly.
     text = export_sequence(build_swap_sequence(FIG1, rightmost(FIG1)))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "e28da20043979052dc67789951fd102ccddf57a8e19028ca6c46479374e303d7")
+        "0e7f13baa2de45957417c1762231255b951973af893795fd7748c1d19a447035")
 
 
 @pytest.mark.parametrize("pop, pick, sha", [
-    (NEGPOP, right_soft, "1f3c3dd84923eb1dc8c87b87dbee5f23d3f6d3907064e7bc1d6f39fe20de1743"),
-    (NEGHALF, right_soft, "3341ba04f0430eb7daa895a105f344e6523751380480888d9d0db58cf5e667d0"),
-    (FIG2, rightmost, "5f4f0841a5c424b50345af56e0c5ca2dbc3833f084d6e45270bf61800fe16de4"),
-    (FIG1X2, rightmost, "b7d48c17676c413dd518a42c6793a16f3f7def7eea44a974cddb0f79c46d8234"),
+    (NEGPOP, right_soft, "1db867bf4feef433ca3ce11dd1def6c52dc1bfd6e61257ed3ca35fcbb5c9c4fa"),
+    (NEGHALF, right_soft, "518593199351b06275dae5879307fcb936c2684c3970638b7d0e9d4009e2b44f"),
+    (FIG2, rightmost, "43fa3ff2af67a4ab7a559652d0169f1e476525c351c2297f867abaeafe29d61c"),
+    (FIG1X2, rightmost, "013a95354a0ef5c0c9105d8e37b639af39bb201d376c03200d50168ba18c3613"),
 ], ids=["negpop", "neghalf", "fig2", "fig1x2"])
 def test_bench_exports_are_pinned_bit_for_bit(pop, pick, sha):
     # The other swap populations of the benchmark, the m* > 0 branch's
@@ -359,9 +364,30 @@ def test_many_group_build_is_pinned_bit_for_bit():
     states = build_swap_sequence(SPREAD48, rightmost(SPREAD48))
     assert len(states) == 711
     assert hashlib.sha256(export_sequence(states).encode()).hexdigest() == (
-        "937de9827aed79a1f3f4d2a87fd752e31ed89305a6d52f771dc0eafb785d498c")
+        "f5ada753c3b78e5a32f82cdc11805fa108f28bc7af8370a598e9a78030a36197")
     assert hashlib.sha256(states[0]._tape.sums.tobytes()).hexdigest() == (
         "ff0de5e2e9b6fe44641ca0142428b2e3c07178901a2bd4713bcfa788cc06d9f2")
+
+
+@pytest.mark.parametrize("pop, pick, sha", [
+    (FIG1, rightmost, "850ecba922e3592d3eb2d9649f6e02f1b276ed4c126168f1435ccd7074d0ef12"),
+    (NEGPOP, right_soft, "89c602427c1b815c8455c8ba34b9e4965b5b874745c0d22abcf5be17752b84e6"),
+    (NEGHALF, right_soft, "d21755dbda6cd88a725796244555b6f2e56b21e9c8d06d0d429d97443fafe534"),
+    (FIG2, rightmost, "d67784f7ef47eaa63e22c5af3479649123b2e057c01cae24a31a730ff1593482"),
+    (FIG1X2, rightmost, "e3864e6aafb0795d6d49688318f8416b96b55c9434557467517f20ad0b93ee99"),
+    (SPREAD48, rightmost, "0c632282e21c2f841ee03291ea8ff824480a823347cb319b423122fd3fdebd5d"),
+], ids=["fig1", "negpop", "neghalf", "fig2", "fig1x2", "spread48"])
+def test_exports_without_digests_are_pinned_bit_for_bit(pop, pick, sha):
+    # The exports pinned above with `entries_digest` dropped from every
+    # record, recorded when each digest still hashed its state's vector:
+    # the swapped indices, E*, m*, gamma, margin and drift of every state
+    # hold bit for bit across the change of digest rule.
+    records = [json.loads(line) for line in export_sequence(
+        build_swap_sequence(pop, pick(pop))).splitlines()]
+    for rec in records:
+        del rec["entries_digest"]
+    text = "".join(json.dumps(rec) + "\n" for rec in records)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
 
 
 @pytest.mark.parametrize("pop, edges, held", [
@@ -679,7 +705,7 @@ def test_a_slice_of_the_swap_sweep_is_pinned_bit_for_bit():
             exports.update(export_sequence(states).encode())
             diagnostics.update(repr([tuple(d) for d in diags]).encode())
     assert exports.hexdigest() == (
-        "899904c9f388e569e0612af145901af97c718a170a85b52cbef22b3513423ef3")
+        "b0d8e183d939d97cf0a5bd149b9af8eb62661a7ba50253b5c03694d06f819311")
     assert diagnostics.hexdigest() == (
         "3295b07de6e53015213a221cb3e7a2638ff68fd878d1c52690e4af1ddf5f1a8c")
 
@@ -723,21 +749,26 @@ def test_random_access_matches_sequential_walk():
 
 def test_digest_is_sha256_of_rebuilt_vector():
     states = build_swap_sequence(NEGPOP, right_soft(NEGPOP))
+    assert states[0].digest() == hashlib.sha256(states[0].values.tobytes()).hexdigest()[:16]
     for s in states[::37] + states[-1:]:
         digest = s.digest()
-        assert digest == hashlib.sha256(s.values.tobytes()).hexdigest()[:16]
-        # The digest hashes the tape's own vector; `values` is a fresh copy.
+        # The digest is stored on the tape; `values` is a fresh copy.
         held = s.values
         held[:] = 0.0
         assert s.digest() == digest
     # A directly constructed state hashes its vector in C order, as
     # `tobytes` gives it, even from a strided view, and keeps its own copy.
+    # From a first state's vector that is the first state's digest; from a
+    # later one it is that vector's hash, not the digest of the path there.
+    first = SwapState(states[0].values, NEGPOP.n_dim, states[0].edge, 0, None, "done", 0.0)
+    assert first.digest() == states[0].digest()
     vector = states[3].values
+    sha = hashlib.sha256(vector.tobytes()).hexdigest()[:16]
     strided = np.repeat(vector, 2)[::2]
     direct = SwapState(strided, NEGPOP.n_dim, states[3].edge, 3, None, "done", 0.0)
-    assert direct.digest() == states[3].digest()
+    assert direct.digest() == sha != states[3].digest()
     strided[:] = 0.0
-    assert direct.digest() == states[3].digest()
+    assert direct.digest() == sha
     assert np.array_equal(direct.values, vector)
     # Reversed, the same entries hash to another digest.
     other = SwapState(vector[::-1], NEGPOP.n_dim, states[3].edge, 3, None, "done", 0.0)
@@ -760,12 +791,35 @@ def replayed(tape):
     (FIG1, rightmost), (FIG2, rightmost), (NEGHALF, right_soft),
 ], ids=["fig1", "fig2", "neghalf"])
 def test_stored_digests_hash_the_replayed_vectors(pop, pick):
-    # The builder hashes each state as it makes it; every stored prefix is
-    # the sha256 of the vector that a replay from scratch gives.
+    # State 0's prefix is the sha256 of the start vector that a replay from
+    # scratch gives, and each later one the sha256 of the prefix before it
+    # and its step's delta (index, new_t, c) packed as `<qdd`.
     states = build_swap_sequence(pop, pick(pop))
-    walk = replayed(states[0]._tape)
-    assert len(states[0]._tape.digests) == 8 * len(states) == 8 * len(walk)
-    assert [s.digest() for s in states] == [hashlib.sha256(v).hexdigest()[:16] for v in walk]
+    tape = states[0]._tape
+    walk = replayed(tape)
+    assert len(tape.digests) == 8 * len(states) == 8 * len(walk)
+    chain = [hashlib.sha256(walk[0]).digest()[:8]]
+    for idx, new_t, c in tape.deltas:
+        chain.append(hashlib.sha256(chain[-1] + struct.pack("<qdd", idx, new_t, c)).digest()[:8])
+    assert [s.digest() for s in states] == [d.hex() for d in chain]
+
+
+def test_a_build_hashes_its_vector_once(monkeypatch):
+    # Only state 0 hashes an M-vector; each later state hashes its digest
+    # chain's 32 bytes, so a step's digest costs the same at any M.
+    sizes = []
+
+    class Recording:
+        @staticmethod
+        def sha256(data):
+            sizes.append(memoryview(data).nbytes)
+            return hashlib.sha256(data)
+
+    monkeypatch.setattr(swaps, "hashlib", Recording)
+    states = build_swap_sequence(FIG1, rightmost(FIG1))
+    assert len(sizes) == len(states) == 1001
+    assert sizes[0] == 8 * FIG1.total_mult == 5600
+    assert max(sizes[1:]) <= 64
 
 
 def test_values_in_any_order_equal_the_replay():

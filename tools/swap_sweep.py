@@ -14,12 +14,14 @@ the edges, builds and rejections, and prints two sha256 fingerprints:
 one over every export and every rejection message, and one over every
 consecutive pair's diagnostics at full precision.  Two versions of the
 construction that print the same exports fingerprint built the same
-sequences bit for bit; the diagnostics fingerprint moves with the
-summation order of the pair sums as well.  The pairs are
-measured with phi = inf, so one more line checks each build as
-`specedge swapseq` does, at DEFAULT_PHI: the builds it would stop on, by
-the bound the first failing pair breaks and by branch, and how many
-builds reach each phase.
+sequences bit for bit.  The exports hold each state's digest, chained
+over the step deltas from the start vector's sha256, so a change of
+digest rule moves the exports fingerprint alone.  The diagnostics
+fingerprint reads no digest, and moves with the summation order of the
+pair sums as well.  The pairs are measured with phi = inf, so one more
+line checks each build as `specedge swapseq` does, at DEFAULT_PHI: the
+builds it would stop on, by the bound the first failing pair breaks and
+by branch, and how many builds reach each phase.
 
 Run from the repository root; it takes a few seconds on one core:
 
